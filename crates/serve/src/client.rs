@@ -226,7 +226,10 @@ struct InflightOp {
 /// the echoed op-ID. On a broken connection or an `Unavailable` ack the
 /// client rotates coordinators and replays the whole window — safe
 /// because puts are idempotent (LWW at a fixed `seq`) and gets are
-/// reads.
+/// reads. With no coordinator reachable at all (the whole cluster is
+/// down between a crash and its relaunch) the window waits
+/// disconnected: every further attempt burns one of its ops' tries, and
+/// an op out of tries completes as `Unavailable`.
 pub struct PipelinedClient {
     addrs: Vec<SocketAddr>,
     cursor: usize,
@@ -269,12 +272,12 @@ impl PipelinedClient {
     }
 
     /// Submit one request. When the window is already `depth` deep, the
-    /// oldest op is first driven to completion and returned.
+    /// oldest op is first driven to completion and returned. Failures
+    /// surface as `Unavailable` completions, never as `Err`.
     pub fn submit(&mut self, request: Frame, op_id: Option<u64>) -> Result<Option<CompletedOp>> {
-        let done = if self.inflight.len() >= self.depth { Some(self.read_one()?) } else { None };
-        let op = InflightOp { request, op_id, t0: Instant::now(), tries: 0 };
-        self.send_op(&op)?;
-        self.inflight.push_back(op);
+        let done = (self.inflight.len() >= self.depth).then(|| self.read_one());
+        self.inflight.push_back(InflightOp { request, op_id, t0: Instant::now(), tries: 0 });
+        self.send_newest();
         Ok(done)
     }
 
@@ -282,76 +285,60 @@ impl PipelinedClient {
     pub fn drain(&mut self) -> Result<Vec<CompletedOp>> {
         let mut done = Vec::with_capacity(self.inflight.len());
         while !self.inflight.is_empty() {
-            done.push(self.read_one()?);
+            done.push(self.read_one());
         }
         Ok(done)
     }
 
-    /// Send one frame, (re)connecting and replaying the window first if
-    /// the connection is down.
-    fn send_op(&mut self, op: &InflightOp) -> Result<()> {
-        if self.conn.is_none() {
-            self.reconnect()?;
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
+    /// Send the window's newest op. A connection that is down is
+    /// re-established by replaying the whole window (the newest op
+    /// included), as is one that breaks under the send; if nothing is
+    /// reachable the op waits in the window for `read_one`'s retries.
+    fn send_newest(&mut self) {
+        let Some(conn) = self.conn.as_mut() else {
+            return self.replay();
+        };
+        let op = self.inflight.back().expect("send_newest follows a push");
         if conn.send_traced(&op.request, op.op_id).is_err() {
-            // Broken pipe: replay the window on the next coordinator,
-            // then send this frame behind it.
-            self.rotate_and_replay()?;
-            let conn = self.conn.as_mut().expect("reconnected");
-            conn.send_traced(&op.request, op.op_id)
-                .map_err(|e| RfhError::Io(format!("pipelined send: {e}")))?;
+            self.rotate_and_replay(); // broke under the send
         }
-        Ok(())
     }
 
     /// Complete the window's oldest op: read its ack, retrying through
     /// failover until it resolves or runs out of attempts.
-    fn read_one(&mut self) -> Result<CompletedOp> {
+    fn read_one(&mut self) -> CompletedOp {
         loop {
             let received = match self.conn.as_mut() {
                 Some(conn) => conn.recv_envelope(),
-                None => {
-                    self.rotate_and_replay()?;
-                    continue;
-                }
+                None => Err(io::ErrorKind::NotConnected.into()),
             };
             let front = self.inflight.front().expect("read_one needs an inflight op");
-            match received {
+            let exhausted = front.tries >= MAX_TRIES;
+            let ack = match received {
                 Ok(Some((ack @ Frame::Ack { .. }, echoed))) if echoed == front.op_id => {
-                    if matches!(ack, Frame::Ack { status: AckStatus::Unavailable, .. })
-                        && front.tries < MAX_TRIES
-                    {
-                        // The coordinator refused (route mid-repair,
-                        // dying node). Back off, rotate, replay — the
-                        // op keeps its place at the window's front.
-                        let tries = front.tries;
-                        std::thread::sleep(Duration::from_millis(10 << tries.min(5)));
-                        self.bump_tries();
-                        self.rotate_and_replay()?;
-                        continue;
-                    }
-                    let op = self.inflight.pop_front().expect("front just inspected");
-                    return Ok(self.finish(op, ack));
+                    // A refusal (route mid-repair, dying node) is
+                    // retried like a broken connection, while tries
+                    // last; after that it is the op's answer.
+                    let refused = matches!(ack, Frame::Ack { status: AckStatus::Unavailable, .. });
+                    (!refused || exhausted).then_some(ack)
                 }
-                // Wrong op-ID echo, a non-ack frame, clean EOF, or an
-                // I/O error: the connection is unusable as-is.
-                Ok(_) | Err(_) => {
-                    if front.tries >= MAX_TRIES {
-                        let op = self.inflight.pop_front().expect("front just inspected");
-                        let ack = Frame::Ack {
-                            status: AckStatus::Unavailable,
-                            seq: 0,
-                            value: Vec::new(),
-                        };
-                        return Ok(self.finish(op, ack));
-                    }
-                    let tries = front.tries;
-                    std::thread::sleep(Duration::from_millis(10 << tries.min(5)));
-                    self.bump_tries();
-                    self.rotate_and_replay()?;
-                }
+                // Wrong op-ID echo, a non-ack frame, clean EOF, an I/O
+                // error, or no connection: unusable as-is.
+                Ok(_) | Err(_) => exhausted.then_some(Frame::Ack {
+                    status: AckStatus::Unavailable,
+                    seq: 0,
+                    value: Vec::new(),
+                }),
+            };
+            if let Some(ack) = ack {
+                let op = self.inflight.pop_front().expect("front just inspected");
+                return self.finish(op, ack);
             }
+            // Back off, rotate, replay — the op keeps its place at the
+            // window's front.
+            std::thread::sleep(Duration::from_millis(10 << front.tries.min(5)));
+            self.bump_tries();
+            self.rotate_and_replay();
         }
     }
 
@@ -382,42 +369,40 @@ impl PipelinedClient {
     }
 
     /// Drop the connection, advance to the next coordinator, reconnect,
-    /// and resend the whole in-flight window in order.
-    fn rotate_and_replay(&mut self) -> Result<()> {
-        self.conn = None;
+    /// and resend the whole in-flight window in order. On failure the
+    /// client is left disconnected.
+    fn rotate_and_replay(&mut self) {
         self.cursor = (self.cursor + 1) % self.addrs.len();
-        self.reconnect()?;
+        self.replay();
+    }
+
+    /// (Re)connect at the current coordinator and resend the window.
+    fn replay(&mut self) {
+        self.conn = self.connect();
+        let Some(conn) = self.conn.as_mut() else {
+            return;
+        };
         let batch: Vec<(Frame, Option<u64>)> =
             self.inflight.iter().map(|op| (op.request.clone(), op.op_id)).collect();
-        if batch.is_empty() {
-            return Ok(());
+        if !batch.is_empty() && conn.send_batch(&batch).is_err() {
+            self.conn = None;
         }
-        let conn = self.conn.as_mut().expect("reconnected");
-        conn.send_batch(&batch).map_err(|e| RfhError::Io(format!("pipeline replay: {e}")))
     }
 
     /// Connect to the current coordinator, walking the ring once before
     /// giving up — every local node may be mid-restart at once.
-    fn reconnect(&mut self) -> Result<()> {
-        let mut last = String::new();
-        for _ in 0..self.addrs.len().max(1) {
-            let addr = self.addrs[self.cursor];
-            match TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT) {
-                Ok(stream) => {
-                    stream
-                        .set_read_timeout(Some(CLIENT_TIMEOUT))
-                        .and_then(|()| stream.set_nodelay(true))
-                        .map_err(|e| RfhError::Io(format!("socket opts: {e}")))?;
-                    self.conn = Some(Conn::new(stream));
-                    return Ok(());
-                }
-                Err(e) => {
-                    last = e.to_string();
-                    self.cursor = (self.cursor + 1) % self.addrs.len();
-                }
+    fn connect(&mut self) -> Option<Conn<TcpStream>> {
+        for _ in 0..self.addrs.len() {
+            if let Ok(stream) = TcpStream::connect_timeout(&self.addrs[self.cursor], CLIENT_TIMEOUT)
+            {
+                let tuned = stream
+                    .set_read_timeout(Some(CLIENT_TIMEOUT))
+                    .and_then(|()| stream.set_nodelay(true));
+                return tuned.is_ok().then(|| Conn::new(stream));
             }
+            self.cursor = (self.cursor + 1) % self.addrs.len();
         }
-        Err(RfhError::Io(format!("no coordinator reachable in dc {}: {last}", self.dc)))
+        None
     }
 }
 

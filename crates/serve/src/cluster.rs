@@ -272,6 +272,9 @@ impl ServeSummary {
         if let Some(s) = &self.storage {
             out.push_str(&format!("segments_written      {}\n", s.segments_written));
             out.push_str(&format!("records_appended      {}\n", s.records_appended));
+            out.push_str(&format!("fsyncs                {}\n", s.fsyncs));
+            out.push_str(&format!("commits               {}\n", s.commits));
+            out.push_str(&format!("commit_us             {}\n", s.commit_us));
             out.push_str(&format!("bytes_checkpointed    {}\n", s.bytes_checkpointed));
             out.push_str(&format!("records_replayed      {}\n", s.records_replayed));
             out.push_str(&format!("torn_tails_truncated  {}\n", s.torn_tails_truncated));
@@ -827,4 +830,88 @@ fn floor_replicate(
         }
     }
     manager.begin_epoch();
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::client::{PipelinedClient, ServeClient};
+    use crate::wal::{FsyncPolicy, PersistenceConfig};
+    use crate::wire::{AckStatus, Frame};
+    use crate::{DataPlane, GetOutcome};
+
+    /// Group commit end to end: a pipelined client at depth 32 against
+    /// a durable reactor cluster with `fsync = always`. Batching must
+    /// show (fewer syncs than records), nothing may be refused, and —
+    /// the invariant — every write whose ack the client received is on
+    /// disk: wiping every store's memory and replaying its log must
+    /// bring each one back. (Debug builds also assert in the reactor
+    /// that no client-side queue is flushed while a commit is owed.)
+    #[test]
+    fn pipelined_durable_puts_batch_their_syncs_and_survive_a_replay() {
+        let dir = std::env::temp_dir().join(format!("rfh-groupcommit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ClusterConfig {
+            servers_per_rack: 1,
+            partitions: 16,
+            // No tick during the test: restart_from_disk below wants
+            // the stores quiescent, transfers included.
+            control_interval_ms: 600_000,
+            persistence: Some(PersistenceConfig {
+                fsync: FsyncPolicy::Always,
+                ..PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())
+            }),
+            data_plane: DataPlane::Reactor,
+            ..ClusterConfig::default()
+        };
+        let cluster = Cluster::start(&cfg, FaultPlan::default()).unwrap();
+        let nodes = cluster.node_infos().to_vec();
+
+        let mut client = PipelinedClient::new(&nodes, 0, 0, 32).unwrap();
+        let mut done = Vec::new();
+        for i in 0..2_000u64 {
+            let (key, seq) = (i % 300, i + 1);
+            let put = Frame::Put { key, seq, value: crate::loadgen::value_for(key, seq, 64) };
+            done.extend(client.submit(put, None).unwrap());
+        }
+        done.extend(client.drain().unwrap());
+        drop(client);
+        assert_eq!(done.len(), 2_000);
+        let mut acked: HashMap<u64, u64> = HashMap::new();
+        for op in &done {
+            let (Frame::Put { key, seq, .. }, Frame::Ack { status, .. }) = (&op.request, &op.ack)
+            else {
+                panic!("not a put/ack pair: {op:?}");
+            };
+            assert_eq!(*status, AckStatus::Ok, "put {key}@{seq} refused");
+            let slot = acked.entry(*key).or_insert(0);
+            *slot = (*slot).max(*seq);
+        }
+
+        let mut storage = StorageSnapshot::default();
+        for s in &cluster.shared.stores {
+            storage.add(s.storage().expect("durable").snapshot());
+        }
+        assert!(storage.records_appended >= 2_000, "every put logs on each replica: {storage:?}");
+        assert!(storage.fsyncs < storage.records_appended, "no batching: {storage:?}");
+        assert_eq!(storage.commits, storage.fsyncs, "always: one sync per commit: {storage:?}");
+
+        for s in &cluster.shared.stores {
+            s.restart_from_disk().unwrap();
+        }
+        let mut reader = ServeClient::new(&nodes, 5, 0).unwrap();
+        for (&key, &seq) in &acked {
+            match reader.get(key).unwrap() {
+                GetOutcome::Found { seq: got, value } => {
+                    assert_eq!(got, seq, "key {key} replayed stale");
+                    assert_eq!(value, crate::loadgen::value_for(key, seq, 64));
+                }
+                GetOutcome::NotFound => panic!("acked key {key}@{seq} was not on disk"),
+            }
+        }
+        drop(reader);
+        let summary = cluster.shutdown().unwrap();
+        assert_eq!(summary.acks_unavailable, 0, "{}", summary.render());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

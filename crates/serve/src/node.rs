@@ -56,6 +56,38 @@ pub(crate) struct PhaseAcc {
     pub forward_us: f64,
 }
 
+/// The WAL shards a reactor turn has buffered puts on and still owes a
+/// commit: `(node, shard)` pairs, a handful at most. No ack may reach a
+/// socket while this is non-empty.
+#[derive(Default)]
+pub(crate) struct TurnCommits {
+    shards: Vec<(usize, usize)>,
+}
+
+impl TurnCommits {
+    /// Apply a replica write to `node`'s store, buffering its log
+    /// record and noting the shard for [`commit`](Self::commit).
+    pub fn put(&mut self, shared: &Shared, node: usize, key: u64, seq: u64, value: &[u8]) {
+        if let (_, Some(shard)) = shared.stores[node].put_buffered(key, seq, value) {
+            if !self.shards.contains(&(node, shard)) {
+                self.shards.push((node, shard));
+            }
+        }
+    }
+
+    /// Whether nothing is owed.
+    pub fn is_empty(&self) -> bool {
+        self.shards.is_empty()
+    }
+
+    /// One write and one policy sync per noted shard.
+    pub fn commit(&mut self, shared: &Shared) {
+        for (node, shard) in self.shards.drain(..) {
+            shared.stores[node].commit(shard);
+        }
+    }
+}
+
 /// The accept loop of one node. Fail-stop is modelled as
 /// accept-then-drop: a dead node's listener stays bound (its port must
 /// not be reused) but every connection is closed immediately and no
@@ -109,7 +141,7 @@ fn handle_conn(node: usize, stream: TcpStream, shared: Arc<Shared>) {
                 if !shared.is_alive(node) {
                     return; // killed mid-connection: drop without reply
                 }
-                let reply = serve_frame(node, conn_id, frame, op_id, &shared);
+                let reply = serve_frame(node, conn_id, frame, op_id, &shared, None);
                 // The ack echoes the request's op-ID, so the client can
                 // close its span without tracking request state.
                 if conn.send_traced(&reply, op_id).is_err() {
@@ -124,12 +156,16 @@ fn handle_conn(node: usize, stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
+/// Serve one frame synchronously. `turn` is how a replica write lands:
+/// the reactor passes its turn's [`TurnCommits`] (buffer now, commit
+/// before the turn's flush); `None` commits before returning.
 pub(crate) fn serve_frame(
     node: usize,
     conn_id: u64,
     frame: Frame,
     op_id: Option<u64>,
     shared: &Shared,
+    turn: Option<&mut TurnCommits>,
 ) -> Frame {
     let t0 = Instant::now();
     let mut phases = PhaseAcc::default();
@@ -150,7 +186,12 @@ pub(crate) fn serve_frame(
         Frame::ForwardPut { key, seq, origin_dc: _, value } => {
             // An older seq losing LWW is still success: the store
             // holds a version at least as new as the write.
-            let _ = shared.stores[node].put(key, seq, &value);
+            match turn {
+                Some(turn) => turn.put(shared, node, key, seq, &value),
+                None => {
+                    shared.stores[node].put(key, seq, &value);
+                }
+            }
             (ReqKind::ForwardPut, Frame::Ack { status: AckStatus::Ok, seq, value: Vec::new() })
         }
         Frame::Ack { .. } => {

@@ -29,6 +29,22 @@
 //! republished after the copy, so both the pre- and post-flip replica
 //! sets can serve an authoritative read.
 //!
+//! ## Group commit
+//!
+//! On a durable cluster no put syncs inline. A turn's replica writes —
+//! the coordinator's own and every `ForwardPut` served — are applied
+//! and their log records buffered ([`TurnCommits`]); after the turn's
+//! events and timers, `flush_dirty` sends the queued forward requests,
+//! commits each dirtied WAL shard once (one `write`, one `fdatasync`
+//! per the policy), and only then flushes the client-side write queues
+//! where every ack of the turn is still waiting. So no ack — to a
+//! client or to a coordinator — leaves before the records behind it are
+//! on disk, and a crash mid-batch loses only writes nobody was told
+//! about. With the WAL off the list stays empty, the step is free and
+//! the flush order is what it was without group commit.
+//! The server-side `handle_us` of a put no longer contains its sync;
+//! `serve.storage.commit_us / commits` does.
+//!
 //! ## Peer channels
 //!
 //! Coordinator → replica forwards share one nonblocking connection per
@@ -45,7 +61,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use crate::cluster::Shared;
-use crate::node::{self, PhaseAcc};
+use crate::node::{self, PhaseAcc, TurnCommits};
 use crate::store::partition_of;
 use crate::telemetry::ReqKind;
 use crate::wire::{AckStatus, Frame, MAX_FRAME};
@@ -273,6 +289,9 @@ struct Reactor {
     gen_seq: u64,
     /// Slots whose write queue grew this round, flushed together.
     dirty: Vec<usize>,
+    /// WAL shards this turn's puts were buffered on; committed before
+    /// any client-side write queue is flushed.
+    commits: TurnCommits,
 }
 
 #[cfg(unix)]
@@ -307,6 +326,7 @@ impl Reactor {
             next_timer: 0,
             gen_seq: 0,
             dirty: Vec::new(),
+            commits: TurnCommits::default(),
         };
         r.wheel.schedule_after(SCAN_TOKEN, SCAN_INTERVAL, now);
         for (node, listener) in listeners {
@@ -587,9 +607,11 @@ impl Reactor {
             }
             // Forwards (and unsolicited acks) are local-only and
             // synchronous — the exact threaded-plane handler serves
-            // them, telemetry tail included.
+            // them, telemetry tail included — except that a forwarded
+            // put is only buffered here; the turn commits it.
             other => {
-                let reply = node::serve_frame(node, conn_id, other, op_id, &self.shared);
+                let turn = Some(&mut self.commits);
+                let reply = node::serve_frame(node, conn_id, other, op_id, &self.shared, turn);
                 let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut)
                 else {
                     return false;
@@ -733,7 +755,7 @@ impl Reactor {
                 continue; // dead at write time: repaired by the control loop
             }
             if r == me {
-                self.shared.stores[node].put(key, seq, &value);
+                self.commits.put(&self.shared, node, key, seq, &value);
                 landed += 1;
             } else {
                 remote.push(r);
@@ -1039,11 +1061,39 @@ impl Reactor {
 
     // ---- write path -----------------------------------------------
 
+    /// End of turn: commit, then flush. Every ack queued this turn is
+    /// still in a client-side write queue here, so committing first is
+    /// all it takes for "acked" to mean "flushed per policy on this
+    /// node". Peer channels carry only forward *requests*, which
+    /// promise nothing, so they go out before the commit and the
+    /// replicas work while this thread syncs. With nothing owed (always,
+    /// when the WAL is off) the slots are flushed newest first, the
+    /// order the plane had before group commit: the memory path's timing
+    /// is not this step's to change.
     fn flush_dirty(&mut self) {
-        // fail_channel / close paths may push more dirty slots while we
-        // flush; drain until quiescent.
-        while let Some(slot) = self.dirty.pop() {
-            self.flush_slot(slot);
+        loop {
+            if !self.commits.is_empty() {
+                let mut batch = std::mem::take(&mut self.dirty);
+                batch.retain(|&slot| {
+                    let is_peer = matches!(self.entries.get(slot), Some(Some(Entry::Peer(_))));
+                    if is_peer {
+                        self.flush_slot(slot);
+                    }
+                    !is_peer
+                });
+                batch.append(&mut self.dirty);
+                self.dirty = batch;
+                self.commits.commit(&self.shared);
+            }
+            // fail_channel / close paths may push more dirty slots while
+            // we flush, and a failed channel restarts its puts, which
+            // buffers more records: back to the commit when that happens.
+            while self.commits.is_empty() {
+                let Some(slot) = self.dirty.pop() else {
+                    return;
+                };
+                self.flush_slot(slot);
+            }
         }
     }
 
@@ -1067,6 +1117,7 @@ impl Reactor {
                 Entry::Listener { .. } => return,
             };
             *dirty = false;
+            debug_assert!(!is_client || self.commits.is_empty(), "ack flushed before its commit");
             match wq.flush(stream) {
                 Ok(drained) => {
                     let fd = stream.as_raw_fd();

@@ -11,15 +11,24 @@
 //! replica merges (transfers, archive restores) order-independent.
 //!
 //! A store built with [`NodeStore::durable`] additionally owns a
-//! [`NodeWal`]: every *applied* write (put or merge) is appended to the
-//! log before the call returns, so by the time a coordinator acks — it
-//! acks only after every live replica's put returned — the write is in
-//! the OS page cache of every live replica and survives a process
-//! `SIGKILL`. Lock order is store map → (released) → WAL shard; the
-//! checkpoint path nests shard → map, never map → shard, so the two
-//! cannot deadlock.
+//! [`NodeWal`], and a write has two halves. [`NodeStore::put_buffered`]
+//! applies it to the map and frames its record into the pending buffer
+//! of its WAL range shard — under that shard's lock, so whatever is in
+//! the map is also pending or on disk; [`NodeStore::commit`] lands
+//! everything pending on a shard with one write and one policy sync.
+//! [`NodeStore::put`] and [`NodeStore::merge`] do both before they
+//! return ("logged before return": the threaded plane, the control
+//! loop and outside callers). The reactor plane calls the halves
+//! separately: it buffers all of an event-loop turn's puts and commits
+//! each dirtied shard once before the turn's socket flush, so an ack
+//! still means "flushed on every live replica" (see the durability
+//! contract in [`crate::wal`]). Between the halves a write is readable
+//! but not durable — the read-uncommitted window.
+//!
+//! Lock order is WAL shard → store map, everywhere (put, merge,
+//! commit's checkpoint, replay), so the paths cannot deadlock.
 
-use crate::wal::{NodeWal, PersistenceConfig, StorageStats};
+use crate::wal::{NodeWal, PersistenceConfig, RecordSink, StorageStats};
 use rfh_ring::splitmix64;
 use rfh_types::{PartitionId, Result as RfhResult, RfhError};
 use std::collections::HashMap;
@@ -79,48 +88,72 @@ impl NodeStore {
 
     /// Apply a write if `seq` beats the stored version. Returns whether
     /// the store now holds `seq` (so an equal-seq retry reports true).
-    /// On a durable store an applied write is logged before returning —
-    /// this is what makes the coordinator's ack mean "durable on every
-    /// live replica". A write the LWW check rejects changes nothing and
-    /// is not logged.
+    /// On a durable store the write — and anything else pending on its
+    /// shard — is committed before returning. A write the LWW check
+    /// rejects changes nothing and logs nothing.
     pub fn put(&self, key: u64, seq: u64, value: &[u8]) -> bool {
-        let (holds, applied) = {
-            let mut map = self.map.lock().expect("store lock");
-            match map.get(&key) {
-                Some(v) if v.seq > seq => (false, false),
-                Some(v) if v.seq == seq => (true, false),
-                _ => {
-                    map.insert(key, Versioned { seq, value: value.to_vec() });
-                    (true, true)
-                }
-            }
-        };
-        if applied {
-            self.log_write(key, seq, value);
+        let (holds, shard) = self.put_buffered(key, seq, value);
+        if let Some(shard) = shard {
+            self.commit(shard);
         }
         holds
     }
 
-    /// Append one applied write to the WAL (no-op for memory stores).
-    /// Log replay is LWW-merged, so concurrent appends need no ordering
-    /// beyond "before the ack". A log that cannot be written would turn
-    /// acks into lies, so WAL I/O errors are fail-stop.
-    fn log_write(&self, key: u64, seq: u64, value: &[u8]) {
+    /// The first half of [`put`](Self::put): apply the write and buffer
+    /// its record, touching no file. Returns whether the store holds
+    /// `seq`, and on a durable store the WAL shard the caller must
+    /// [`commit`](Self::commit) before acknowledging — whatever the LWW
+    /// outcome: the version an equal-seq retry or a stale write found
+    /// in the map may itself still be pending, buffered by another
+    /// thread.
+    pub fn put_buffered(&self, key: u64, seq: u64, value: &[u8]) -> (bool, Option<usize>) {
+        let Some(wal) = &self.wal else {
+            return (self.apply(key, seq, value).0, None);
+        };
+        let shard = wal.shard_of(key);
+        let mut log = wal.lock_shard(shard);
+        let (holds, applied) = self.apply(key, seq, value);
+        if applied {
+            log.buffer(key, seq, value);
+        }
+        (holds, Some(shard))
+    }
+
+    /// The second half: land everything pending on WAL shard `shard`,
+    /// checkpointing it when due. Log replay is LWW-merged, so batches
+    /// need no ordering beyond "before the ack". A log that cannot be
+    /// written would turn acks into lies, so WAL I/O errors are
+    /// fail-stop.
+    pub fn commit(&self, shard: usize) {
         let Some(wal) = &self.wal else {
             return;
         };
-        wal.log(key, seq, value, |shard| self.snapshot_shard(wal, shard))
-            .expect("wal append failed; cannot guarantee acked durability");
+        wal.commit(shard, |put| self.feed_shard(wal, shard, put))
+            .expect("wal commit failed; cannot guarantee acked durability");
     }
 
-    /// Checkpoint fodder: every entry of one WAL range shard. Called
-    /// under that shard's lock, so no append to it can interleave.
-    fn snapshot_shard(&self, wal: &NodeWal, shard: usize) -> Vec<(u64, Versioned)> {
+    /// LWW-apply one write to the map: `(holds, applied)`.
+    fn apply(&self, key: u64, seq: u64, value: &[u8]) -> (bool, bool) {
+        let mut map = self.map.lock().expect("store lock");
+        match map.get(&key) {
+            Some(v) if v.seq > seq => (false, false),
+            Some(v) if v.seq == seq => (true, false),
+            _ => {
+                map.insert(key, Versioned { seq, value: value.to_vec() });
+                (true, true)
+            }
+        }
+    }
+
+    /// Checkpoint fodder: stream every entry of one WAL range shard
+    /// into `put`. Called under that shard's lock, so the shard's part
+    /// of the map cannot change; the map lock is held for the walk
+    /// only, not for the checkpoint's fsync.
+    fn feed_shard(&self, wal: &NodeWal, shard: usize, put: &mut RecordSink) -> std::io::Result<()> {
         let map = self.map.lock().expect("store lock");
         map.iter()
             .filter(|(&k, _)| wal.shard_of(k) == shard)
-            .map(|(&k, v)| (k, v.clone()))
-            .collect()
+            .try_for_each(|(&k, v)| put(k, v.seq, &v.value))
     }
 
     /// Every entry the store holds (reconcile pass after a restart).
@@ -173,31 +206,31 @@ impl NodeStore {
     }
 
     /// Merge transferred entries (LWW per key). Entries that win are
-    /// logged, so a replicated partition is durable on its new host
-    /// before the transfer completes; already-held entries are skipped
-    /// and cost no log bytes. Returns how many entries were applied —
-    /// the reconcile pass uses this to count healed entries.
+    /// logged — buffered as they apply, then committed once per shard —
+    /// so a replicated partition is durable on its new host before the
+    /// transfer completes; already-held entries are skipped and cost no
+    /// log bytes. Returns how many entries were applied — the reconcile
+    /// pass uses this to count healed entries.
     pub fn merge(&self, entries: &[(u64, Versioned)]) -> usize {
-        let winners: Vec<usize> = {
+        let mut logs = self.wal.as_ref().map(|wal| (wal, wal.lock_all()));
+        let mut applied = 0;
+        {
             let mut map = self.map.lock().expect("store lock");
-            entries
-                .iter()
-                .enumerate()
-                .filter(|(_, (k, v))| match map.get(k) {
-                    Some(cur) if cur.seq >= v.seq => false,
-                    _ => {
-                        map.insert(*k, v.clone());
-                        true
-                    }
-                })
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let applied = winners.len();
-        if self.wal.is_some() {
-            for i in winners {
-                let (k, v) = &entries[i];
-                self.log_write(*k, v.seq, &v.value);
+            for (k, v) in entries {
+                if map.get(k).is_some_and(|cur| cur.seq >= v.seq) {
+                    continue;
+                }
+                map.insert(*k, v.clone());
+                applied += 1;
+                if let Some((wal, logs)) = &mut logs {
+                    logs[wal.shard_of(*k)].buffer(*k, v.seq, &v.value);
+                }
+            }
+        }
+        if let Some((wal, logs)) = &mut logs {
+            for (shard, log) in logs.iter_mut().enumerate() {
+                wal.commit_locked(log, |put| self.feed_shard(wal, shard, put))
+                    .expect("wal commit failed; cannot guarantee merged durability");
             }
         }
         applied
@@ -279,6 +312,64 @@ mod tests {
         assert!(replayed >= 52, "replays at least every applied record, got {replayed}");
         assert_eq!(s.len(), 52, "the late write was logged before put returned");
         assert_eq!(s.get(2000).unwrap().value, b"late");
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    /// The retry race: the first copy of a write is buffered by one
+    /// thread and not yet committed when another thread's equal-seq
+    /// retry finds it in the map. The retry logs nothing itself, but
+    /// its commit must land the first copy — or its ack would promise a
+    /// write no disk holds.
+    #[test]
+    fn a_retrys_commit_lands_the_original_another_thread_buffered() {
+        let cfg = scratch_cfg("retry");
+        let s = NodeStore::durable(&cfg, 0).unwrap();
+        // Spawn-then-join forces the interleaving: A is done buffering
+        // (and never commits) before B starts.
+        let a = std::thread::scope(|t| t.spawn(|| s.put_buffered(7, 5, b"v")).join().unwrap());
+        assert!(a.0);
+        let b = std::thread::scope(|t| {
+            t.spawn(|| {
+                let (holds, shard) = s.put_buffered(7, 5, b"v");
+                s.commit(shard.expect("a durable put always names its shard"));
+                holds
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(b, "the retry is acked: the store holds seq 5");
+        assert_eq!(s.storage().unwrap().snapshot().records_appended, 1, "logged once, by B");
+
+        let reopened = NodeStore::durable(&cfg, 0).unwrap();
+        assert_eq!(reopened.get(7), Some(Versioned { seq: 5, value: b"v".to_vec() }));
+
+        // A stale write is acked too (the store holds something newer),
+        // so it must name the shard as well.
+        assert_eq!(s.put_buffered(7, 4, b"stale"), (false, a.1));
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn merge_commits_once_per_shard_not_once_per_entry() {
+        let cfg = PersistenceConfig {
+            fsync: crate::wal::FsyncPolicy::Always,
+            range_shards: 2,
+            ..scratch_cfg("merge")
+        };
+        let s = NodeStore::durable(&cfg, 0).unwrap();
+        let entries: Vec<(u64, Versioned)> = (0..100u64)
+            .map(|k| (k, Versioned { seq: 1, value: k.to_le_bytes().to_vec() }))
+            .collect();
+        assert_eq!(s.merge(&entries), 100);
+        let snap = s.storage().unwrap().snapshot();
+        assert_eq!(snap.records_appended, 100, "every winner is logged");
+        assert!(snap.fsyncs <= 2, "one sync per range shard, got {}", snap.fsyncs);
+        assert_eq!(snap.commits, snap.fsyncs);
+        assert_eq!(s.merge(&entries), 0, "already held");
+        assert_eq!(s.storage().unwrap().snapshot().fsyncs, snap.fsyncs, "no winners, no sync");
+
+        s.restart_from_disk().unwrap();
+        assert_eq!(s.len(), 100, "merge returned only after its commit");
         std::fs::remove_dir_all(&cfg.dir).unwrap();
     }
 

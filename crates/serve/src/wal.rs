@@ -32,14 +32,44 @@
 //!
 //! ## Durability contract
 //!
-//! A write is appended (and the segment file flushed to the OS) before
-//! `NodeStore::put` returns, and the coordinator acks only after every
-//! live replica's put returned — so **an acked write is always in the
-//! page cache of every live replica**, which survives `SIGKILL`. The
-//! [`FsyncPolicy`] controls how much also survives power loss:
-//! `always` fsyncs per record, `every(n)` amortizes, `never` (the
-//! default) relies on the OS cache. Checkpoints are always written to a
-//! temp file, fsynced and renamed, so a checkpoint is atomic.
+//! Writes reach a segment by **group commit**. [`ShardLog::buffer`]
+//! frames a record into the shard's in-memory pending buffer and
+//! touches no file; [`ShardLog::commit`] lands everything pending with
+//! one `write` and, per [`FsyncPolicy`], one `fdatasync` — `always`
+//! syncs every commit, `every(n)` once at least `n` records have landed
+//! since the last sync, `never` (the default) leaves the OS page cache
+//! as the durability boundary (survives `SIGKILL`, not power loss).
+//! Segment rotation and the `checkpoint_every` trigger are evaluated at
+//! commit, so a segment may overshoot `segment_bytes` by one batch.
+//!
+//! Who commits when:
+//!
+//! * The reactor plane buffers every put of an event-loop turn — the
+//!   coordinator's local write and every `ForwardPut` it serves — and
+//!   commits each shard it dirtied once, after the turn's events and
+//!   before the turn's socket flush. The acks of those puts are still
+//!   sitting in write queues at that point, so **no ack, client or
+//!   forward, is written to a socket before every record its put
+//!   caused on this node is written and synced per policy**; nothing
+//!   holds a reply back by hand. Forward *requests* carry no
+//!   acknowledgement and may leave before the commit.
+//! * Everything else — the threaded plane, `NodeStore::put` called from
+//!   outside, `merge` — buffers and commits before returning.
+//!
+//! A record is encoded under the same shard lock that applies it to
+//! the store map (lock order shard → map), so "in the map" implies "in
+//! the pending buffer or on disk", and a commit drains *everything*
+//! pending on the shard, whichever thread buffered it. Between buffer
+//! and commit a write is visible to reads (of any reactor thread) but
+//! not yet durable: a **read-uncommitted window** of at most one turn.
+//! A reader can therefore see a value whose put is never acknowledged
+//! because the process died first — the same outcome as a put whose
+//! ack was lost on the wire.
+//!
+//! A crash (`SIGKILL`) mid-batch leaves at most a torn tail made of
+//! records whose acks had not left the process; recovery truncates it.
+//! Checkpoints are always written to a temp file, fsynced and renamed,
+//! so a checkpoint is atomic.
 //!
 //! ## Recovery
 //!
@@ -57,7 +87,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Record header bytes: `len` + `crc`.
 const HEADER: usize = 8;
@@ -66,6 +96,15 @@ const FIXED: usize = 16;
 /// Upper bound on one record's payload — larger lengths mark a corrupt
 /// header before any allocation happens.
 const MAX_RECORD: u32 = 1 << 26;
+/// A shard's pending buffer is freed after a commit once it has grown
+/// past this, so `range_shards × nodes` shards never each sit on their
+/// largest batch.
+const PENDING_KEEP: usize = 4096;
+/// Checkpoints stream through a buffer flushed at this size.
+const CKPT_CHUNK: usize = 64 << 10;
+
+/// Where a checkpoint's records go: called once per `(key, seq, value)`.
+pub type RecordSink<'a> = dyn FnMut(u64, u64, &[u8]) -> io::Result<()> + 'a;
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven, hand-rolled: the container has no
@@ -186,6 +225,12 @@ pub struct StorageStats {
     pub bytes_appended: AtomicU64,
     /// `fdatasync` calls issued by the fsync policy.
     pub fsyncs: AtomicU64,
+    /// Commits that landed at least one record (`records_appended /
+    /// commits` is the mean batch).
+    pub commits: AtomicU64,
+    /// Microseconds spent in those commits — write, policy sync and
+    /// rotation, checkpoints excluded — summed.
+    pub commit_us: AtomicU64,
     /// Checkpoint files written.
     pub checkpoints_written: AtomicU64,
     /// Bytes written into checkpoint files.
@@ -210,6 +255,10 @@ pub struct StorageSnapshot {
     pub bytes_appended: u64,
     /// See [`StorageStats::fsyncs`].
     pub fsyncs: u64,
+    /// See [`StorageStats::commits`].
+    pub commits: u64,
+    /// See [`StorageStats::commit_us`].
+    pub commit_us: u64,
     /// See [`StorageStats::checkpoints_written`].
     pub checkpoints_written: u64,
     /// See [`StorageStats::bytes_checkpointed`].
@@ -229,6 +278,8 @@ impl StorageSnapshot {
         self.records_appended += o.records_appended;
         self.bytes_appended += o.bytes_appended;
         self.fsyncs += o.fsyncs;
+        self.commits += o.commits;
+        self.commit_us += o.commit_us;
         self.checkpoints_written += o.checkpoints_written;
         self.bytes_checkpointed += o.bytes_checkpointed;
         self.records_replayed += o.records_replayed;
@@ -242,6 +293,8 @@ impl StorageSnapshot {
         registry.counter_total("serve.storage.records_appended", self.records_appended);
         registry.counter_total("serve.storage.bytes_appended", self.bytes_appended);
         registry.counter_total("serve.storage.fsyncs", self.fsyncs);
+        registry.counter_total("serve.storage.commits", self.commits);
+        registry.counter_total("serve.storage.commit_us", self.commit_us);
         registry.counter_total("serve.storage.checkpoints_written", self.checkpoints_written);
         registry.counter_total("serve.storage.bytes_checkpointed", self.bytes_checkpointed);
         registry.counter_total("serve.storage.records_replayed", self.records_replayed);
@@ -258,6 +311,8 @@ impl StorageStats {
             records_appended: self.records_appended.load(Ordering::Relaxed),
             bytes_appended: self.bytes_appended.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            commits: self.commits.load(Ordering::Relaxed),
+            commit_us: self.commit_us.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             bytes_checkpointed: self.bytes_checkpointed.load(Ordering::Relaxed),
             records_replayed: self.records_replayed.load(Ordering::Relaxed),
@@ -342,10 +397,13 @@ pub struct ShardLog {
     seg_id: u64,
     file: File,
     file_bytes: u64,
-    appends_since_sync: u64,
+    /// Records landed in the segment since the last sync.
+    records_since_sync: u64,
     /// Records appended since the last checkpoint, across rotations.
     records_since_ckpt: u64,
-    buf: Vec<u8>,
+    /// Framed records buffered since the last commit, in buffer order.
+    pending: Vec<u8>,
+    pending_records: u64,
 }
 
 impl ShardLog {
@@ -460,15 +518,17 @@ impl ShardLog {
             seg_id,
             file,
             file_bytes: open_bytes,
-            appends_since_sync: 0,
+            records_since_sync: 0,
             records_since_ckpt: 0,
-            buf: Vec::with_capacity(256),
+            pending: Vec::new(),
+            pending_records: 0,
         };
         Ok((log, map.into_iter().collect()))
     }
 
-    /// Re-run recovery from disk, discarding in-memory position — the
-    /// restart verb's replay. Counters accumulate.
+    /// Re-run recovery from disk, discarding in-memory position and
+    /// the pending buffer — the restart verb's replay. Counters
+    /// accumulate.
     pub fn reopen(&mut self) -> io::Result<Vec<(u64, Versioned)>> {
         let (log, entries) = ShardLog::open(
             self.dir.clone(),
@@ -480,30 +540,54 @@ impl ShardLog {
         Ok(entries)
     }
 
-    /// Append one record; flushed to the OS before returning, fsynced
-    /// per policy. Rotates the segment when full.
-    pub fn append(&mut self, key: u64, seq: u64, value: &[u8]) -> io::Result<()> {
-        self.buf.clear();
-        encode_record(&mut self.buf, key, seq, value);
-        self.file.write_all(&self.buf)?;
-        self.file_bytes += self.buf.len() as u64;
-        self.records_since_ckpt += 1;
-        self.stats.records_appended.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_appended.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= n {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+    /// Frame one record into the pending buffer. Nothing reaches the
+    /// file until [`commit`](Self::commit).
+    pub fn buffer(&mut self, key: u64, seq: u64, value: &[u8]) {
+        encode_record(&mut self.pending, key, seq, value);
+        self.pending_records += 1;
+    }
+
+    /// Land everything pending: one `write`, then one `fdatasync` if
+    /// the policy asks for it, then rotation if the segment is full.
+    /// With nothing pending this is free.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.pending_records == 0 {
+            return Ok(());
+        }
+        let t0 = std::time::Instant::now();
+        self.file.write_all(&self.pending)?;
+        let (records, bytes) = (self.pending_records, self.pending.len() as u64);
+        if self.pending.capacity() > PENDING_KEEP {
+            self.pending = Vec::new();
+        } else {
+            self.pending.clear();
+        }
+        self.pending_records = 0;
+        self.file_bytes += bytes;
+        self.records_since_ckpt += records;
+        self.records_since_sync += records;
+        self.stats.records_appended.fetch_add(records, Ordering::Relaxed);
+        self.stats.bytes_appended.fetch_add(bytes, Ordering::Relaxed);
+        let due = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => self.records_since_sync >= n,
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync()?;
         }
         if self.file_bytes >= self.segment_bytes {
             self.rotate()?;
         }
+        self.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.stats.commit_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Append one record on its own: buffer, then commit.
+    pub fn append(&mut self, key: u64, seq: u64, value: &[u8]) -> io::Result<()> {
+        self.buffer(key, seq, value);
+        self.commit()
     }
 
     /// Records appended to this shard since its last checkpoint.
@@ -511,25 +595,45 @@ impl ShardLog {
         self.records_since_ckpt
     }
 
-    /// Write a checkpoint covering everything appended so far.
-    /// `entries` must be the shard's full current contents (the caller
-    /// snapshots its store under this shard's lock, so no append can
-    /// interleave). Older segments and checkpoints are deleted.
+    /// Write a checkpoint of `entries`, which must be the shard's full
+    /// current contents. See [`checkpoint_with`](Self::checkpoint_with).
     pub fn checkpoint(&mut self, entries: &[(u64, Versioned)]) -> io::Result<()> {
+        self.checkpoint_with(|put| entries.iter().try_for_each(|(k, v)| put(*k, v.seq, &v.value)))
+    }
+
+    /// Write a checkpoint covering everything buffered or appended so
+    /// far. `feed` must pass the shard's full current contents to the
+    /// sink, one record at a time (the caller holds this shard's lock,
+    /// so nothing can be buffered meanwhile); they stream into the file
+    /// through one bounded buffer. Older segments and checkpoints are
+    /// deleted.
+    pub fn checkpoint_with(
+        &mut self,
+        feed: impl FnOnce(&mut RecordSink) -> io::Result<()>,
+    ) -> io::Result<()> {
         // Seal the current segment first: the checkpoint covers all ids
         // below the new active segment.
+        self.commit()?;
         self.rotate()?;
         let cover = self.seg_id;
 
-        let mut buf = Vec::with_capacity(entries.len() * 64);
-        for (k, v) in entries {
-            encode_record(&mut buf, *k, v.seq, &v.value);
-        }
         let tmp = self.dir.join(format!("ckpt-{cover:08}.snap.tmp"));
         let final_path = ckpt_path(&self.dir, cover);
+        let mut written = 0u64;
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
+            let mut chunk = Vec::with_capacity(CKPT_CHUNK);
+            feed(&mut |key, seq, value| {
+                encode_record(&mut chunk, key, seq, value);
+                if chunk.len() >= CKPT_CHUNK {
+                    f.write_all(&chunk)?;
+                    written += chunk.len() as u64;
+                    chunk.clear();
+                }
+                Ok(())
+            })?;
+            f.write_all(&chunk)?;
+            written += chunk.len() as u64;
             f.sync_data()?;
         }
         fs::rename(&tmp, &final_path)?;
@@ -537,7 +641,7 @@ impl ShardLog {
             let _ = d.sync_all(); // durable rename, best effort
         }
         self.stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_checkpointed.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.stats.bytes_checkpointed.fetch_add(written, Ordering::Relaxed);
 
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
@@ -567,7 +671,7 @@ impl ShardLog {
 
     fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
-        self.appends_since_sync = 0;
+        self.records_since_sync = 0;
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -581,7 +685,7 @@ impl ShardLog {
 /// [`ShardLog`]s, selected by the top byte of `splitmix64(key)`.
 #[derive(Debug)]
 pub struct NodeWal {
-    shards: Vec<std::sync::Mutex<ShardLog>>,
+    shards: Vec<Mutex<ShardLog>>,
     range_shards: u32,
     checkpoint_every: u64,
     stats: Arc<StorageStats>,
@@ -604,7 +708,7 @@ impl NodeWal {
                 cfg.segment_bytes,
                 Arc::clone(&stats),
             )?;
-            shards.push(std::sync::Mutex::new(log));
+            shards.push(Mutex::new(log));
             recovered.extend(entries);
         }
         let wal = NodeWal {
@@ -632,35 +736,51 @@ impl NodeWal {
         &self.stats
     }
 
-    /// Append one applied write. When the shard crosses its checkpoint
-    /// threshold, `snapshot` is called (under the shard lock) for the
+    /// Lock one range shard's log. Callers that also need the store
+    /// map take it *after* this (lock order shard → map).
+    pub fn lock_shard(&self, idx: usize) -> MutexGuard<'_, ShardLog> {
+        self.shards[idx].lock().expect("shard lock")
+    }
+
+    /// Lock every shard, in index order.
+    pub fn lock_all(&self) -> Vec<MutexGuard<'_, ShardLog>> {
+        self.shards.iter().map(|s| s.lock().expect("shard lock")).collect()
+    }
+
+    /// Commit shard `idx`: land everything pending on it, whichever
+    /// thread buffered it. When the shard then crosses its checkpoint
+    /// threshold, `feed` is called (under the shard lock) for the
     /// shard's full contents and a checkpoint is written.
-    pub fn log(
+    pub fn commit(
         &self,
-        key: u64,
-        seq: u64,
-        value: &[u8],
-        snapshot: impl FnOnce(usize) -> Vec<(u64, Versioned)>,
+        idx: usize,
+        feed: impl FnOnce(&mut RecordSink) -> io::Result<()>,
     ) -> io::Result<()> {
-        let idx = self.shard_of(key);
-        let mut shard = self.shards[idx].lock().expect("shard lock");
-        shard.append(key, seq, value)?;
-        if shard.records_since_checkpoint() >= self.checkpoint_every {
-            let entries = snapshot(idx);
-            shard.checkpoint(&entries)?;
+        self.commit_locked(&mut self.lock_shard(idx), feed)
+    }
+
+    /// [`commit`](Self::commit) for a caller already holding the lock.
+    pub fn commit_locked(
+        &self,
+        log: &mut ShardLog,
+        feed: impl FnOnce(&mut RecordSink) -> io::Result<()>,
+    ) -> io::Result<()> {
+        log.commit()?;
+        if log.records_since_checkpoint() >= self.checkpoint_every {
+            log.checkpoint_with(feed)?;
         }
         Ok(())
     }
 
-    /// Discard in-memory log positions and replay every shard from
-    /// disk — the restart verb. Returns the recovered entries and how
+    /// Discard in-memory log positions — and anything still pending,
+    /// as a crash would — and replay every shard from disk: the
+    /// restart verb. Returns the recovered entries and how
     /// many records were replayed.
     pub fn replay_from_disk(&self) -> io::Result<(Vec<(u64, Versioned)>, u64)> {
         // Take every shard lock before touching anything, in index
         // order; nested lock order elsewhere is shard → store map, so
         // this cannot deadlock against the append/checkpoint path.
-        let mut guards: Vec<_> =
-            self.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
+        let mut guards = self.lock_all();
         let before = self.stats.records_replayed.load(Ordering::Relaxed);
         let mut recovered = Vec::new();
         for g in guards.iter_mut() {
@@ -793,8 +913,12 @@ mod tests {
         let (wal, recovered) = NodeWal::open(&cfg, dir.clone()).unwrap();
         assert!(recovered.is_empty());
         for k in 0..200u64 {
-            wal.log(k, 1, b"v", |_| unreachable!("no checkpoint this early")).unwrap();
+            wal.lock_shard(wal.shard_of(k)).buffer(k, 1, b"v");
         }
+        for s in 0..wal.shards() {
+            wal.commit(s, |_| unreachable!("no checkpoint this early")).unwrap();
+        }
+        assert_eq!(wal.stats().snapshot().commits, 4, "one commit per shard, not per record");
         let hit: std::collections::HashSet<usize> = (0..200u64).map(|k| wal.shard_of(k)).collect();
         assert_eq!(hit.len(), 4, "keys spread over every range shard");
 

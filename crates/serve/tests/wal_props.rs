@@ -1,7 +1,9 @@
 //! Property tests for the durable log: recovery keeps exactly the
-//! durable prefix under arbitrary byte-level tail damage, checkpoints
-//! never change what replay reconstructs, and merging recovered
-//! segments is order-independent — the same LWW algebra as the store.
+//! durable prefix under arbitrary byte-level tail damage, a crash at
+//! any byte of a group commit loses only records of that (unacked)
+//! batch, the fsync policy counts landed records, checkpoints never
+//! change what replay reconstructs, and merging recovered segments is
+//! order-independent — the same LWW algebra as the store.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -11,7 +13,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rfh_serve::store::{NodeStore, Versioned};
-use rfh_serve::wal::{FsyncPolicy, ShardLog};
+use rfh_serve::wal::{FsyncPolicy, PersistenceConfig, ShardLog, StorageStats};
 
 /// Bytes one framed record occupies on disk:
 /// `[len u32][crc u32]` header + `[key u64][seq u64]` + value.
@@ -136,6 +138,100 @@ proptest! {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Any interleaving of buffer and commit, then a crash at any byte
+    /// of the batch in flight: recovery returns every committed record
+    /// and, of the batch whose acks never left, exactly the records
+    /// that reached the file whole — nothing else, twice in a row.
+    #[test]
+    fn a_crash_mid_batch_loses_only_uncommitted_records(
+        raw in proptest::collection::vec(
+            (0u64..8, proptest::collection::vec(any::<u8>(), 0..20)),
+            1..40,
+        ),
+        commit_after in proptest::collection::vec(any::<bool>(), 40),
+        at in any::<prop::sample::Index>(),
+    ) {
+        let records = seq_records(raw);
+        let dir = scratch_dir("batch");
+        let stats = Arc::new(StorageStats::default());
+        let seg = dir.join("seg-00000000.wal");
+        let (mut committed, mut commits) = (0usize, 0u64);
+        {
+            let (mut log, _) =
+                ShardLog::open(dir.clone(), FsyncPolicy::Always, 1 << 20, Arc::clone(&stats))
+                    .unwrap();
+            for (i, (k, s, v)) in records.iter().enumerate() {
+                log.buffer(*k, *s, v);
+                if commit_after[i] {
+                    log.commit().unwrap();
+                    committed = i + 1;
+                    commits += 1;
+                }
+            }
+            let snap = stats.snapshot();
+            prop_assert_eq!(snap.records_appended, committed as u64);
+            prop_assert_eq!(snap.commits, commits);
+            prop_assert_eq!(snap.fsyncs, commits, "always: one sync per commit");
+            // The process dies with the last batch on its way to the
+            // file: land it here, keep only some byte prefix below.
+            log.commit().unwrap();
+        }
+        let ends: Vec<usize> = records
+            .iter()
+            .scan(0usize, |pos, (_, _, v)| {
+                *pos += HEADER + FIXED + v.len();
+                Some(*pos)
+            })
+            .collect();
+        let durable = if committed == 0 { 0 } else { ends[committed - 1] };
+        let data = fs::read(&seg).unwrap();
+        prop_assert_eq!(data.len(), *ends.last().unwrap());
+        let cut = durable + at.index(data.len() - durable + 1);
+        fs::write(&seg, &data[..cut]).unwrap();
+
+        let survivors = ends.iter().filter(|&&e| e <= cut).count();
+        prop_assert!(survivors >= committed, "a committed record can never be cut");
+        let expected = lww(&records[..survivors]);
+        let (_, recovered) = open(&dir);
+        prop_assert_eq!(&as_map(recovered), &expected);
+        let (_, again) = open(&dir);
+        prop_assert_eq!(&as_map(again), &expected, "recovery is idempotent");
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `EveryN(n)` counts records, not commits: a sync falls due once
+    /// at least `n` records have landed since the last one, however
+    /// they were batched (an empty commit lands nothing and is free).
+    #[test]
+    fn every_n_syncs_once_n_records_have_landed(
+        n in 1u64..12,
+        batches in proptest::collection::vec(0u64..9, 1..30),
+    ) {
+        let dir = scratch_dir("everyn");
+        let stats = Arc::new(StorageStats::default());
+        let (mut log, _) =
+            ShardLog::open(dir.clone(), FsyncPolicy::EveryN(n), 1 << 20, Arc::clone(&stats))
+                .unwrap();
+        let (mut since_sync, mut syncs, mut seq) = (0u64, 0u64, 0u64);
+        for batch in batches {
+            for _ in 0..batch {
+                seq += 1;
+                log.buffer(seq % 5, seq, b"x");
+            }
+            log.commit().unwrap();
+            since_sync += batch;
+            if since_sync >= n {
+                syncs += 1;
+                since_sync = 0;
+            }
+            prop_assert_eq!(stats.snapshot().fsyncs, syncs);
+        }
+        prop_assert_eq!(stats.snapshot().records_appended, seq);
+        drop(log);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Interleaving checkpoints anywhere in the append stream never
     /// changes what recovery reconstructs: checkpoint + replay of the
     /// remaining segments ≡ pure replay of every record.
@@ -235,4 +331,59 @@ proptest! {
         fs::remove_dir_all(&fwd).unwrap();
         fs::remove_dir_all(&rev).unwrap();
     }
+}
+
+/// Rotation is decided at commit: a batch lands whole in the active
+/// segment, however far past `segment_bytes` it runs, and the segment
+/// rotates once afterwards.
+#[test]
+fn rotation_fires_at_commit_granularity() {
+    let dir = scratch_dir("rotate");
+    let stats = Arc::new(StorageStats::default());
+    let (mut log, _) =
+        ShardLog::open(dir.clone(), FsyncPolicy::Never, 256, Arc::clone(&stats)).unwrap();
+    assert_eq!(stats.snapshot().segments_written, 1);
+    for k in 0..40u64 {
+        log.buffer(k, 1, &[9u8; 40]); // 64 bytes framed: ten segments' worth
+    }
+    assert_eq!(stats.snapshot().segments_written, 1, "buffering touches no file");
+    log.commit().unwrap();
+    assert_eq!(stats.snapshot().segments_written, 2, "one batch, one rotation");
+    assert_eq!(fs::metadata(dir.join("seg-00000000.wal")).unwrap().len(), 40 * 64);
+    log.append(99, 1, b"next").unwrap();
+    drop(log);
+    assert_eq!(fs::metadata(dir.join("seg-00000001.wal")).unwrap().len(), 28);
+    let (_, recovered) = open(&dir);
+    assert_eq!(recovered.len(), 41);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `checkpoint_every` trigger is evaluated at commit too: a batch
+/// that crosses the threshold several times over checkpoints once, and
+/// the checkpoint holds the whole batch.
+#[test]
+fn checkpoint_trigger_fires_at_commit_granularity() {
+    let dir = scratch_dir("trigger");
+    let cfg = PersistenceConfig {
+        checkpoint_every: 4,
+        range_shards: 1,
+        ..PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())
+    };
+    let store = NodeStore::durable(&cfg, 0).unwrap();
+    for k in 0..10u64 {
+        assert_eq!(store.put_buffered(k, 1, b"v"), (true, Some(0)));
+    }
+    let stats = store.storage().unwrap();
+    assert_eq!(stats.snapshot().checkpoints_written, 0, "nothing is due before a commit");
+    assert_eq!(stats.snapshot().records_appended, 0);
+    store.commit(0);
+    let snap = stats.snapshot();
+    assert_eq!((snap.records_appended, snap.commits, snap.checkpoints_written), (10, 1, 1));
+    store.put(10, 1, b"v");
+    assert_eq!(stats.snapshot().checkpoints_written, 1, "the count restarted at the checkpoint");
+    drop(store);
+
+    let reopened = NodeStore::durable(&cfg, 0).unwrap();
+    assert_eq!(reopened.len(), 11, "checkpoint + tail replay the lot");
+    fs::remove_dir_all(&dir).unwrap();
 }
