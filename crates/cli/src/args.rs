@@ -17,10 +17,9 @@ pub type Options = BTreeMap<String, String>;
 
 /// Options recognised anywhere (commands ignore what they don't use but
 /// typos should not pass silently).
-const KNOWN: [&str; 33] = [
+const KNOWN: [&str; 32] = [
     "persist-dir",
     "placement",
-    "planner",
     "link-budget",
     "data-plane",
     "pipeline",
@@ -127,44 +126,22 @@ pub fn policy(opts: &Options) -> Result<PolicyKind> {
     }
 }
 
-/// `--planner off|on` plus `--link-budget BYTES`: the per-epoch
-/// transfer planner. Off (the default) keeps the greedy execution
-/// path; `--planner on` without a budget plans against unlimited links
-/// (the differential-test arm); `--link-budget` caps each WAN link's
-/// bytes per epoch and implies `--planner on`.
+/// `--link-budget BYTES`: cap each WAN link's transfer bytes per epoch
+/// through the transfer planner. Absent (the default), every move the
+/// policy decides executes.
 pub fn planner(opts: &Options) -> Result<PlannerConfig> {
-    let budget = match opts.get("link-budget") {
-        None => None,
-        Some(v) => {
-            let n: u64 = v.parse().map_err(|_| RfhError::InvalidConfig {
-                parameter: "link-budget",
-                reason: format!("{v:?} is not a byte count"),
-            })?;
-            if n == 0 {
-                return Err(RfhError::InvalidConfig {
-                    parameter: "link-budget",
-                    reason: "--link-budget must be at least 1 byte".into(),
-                });
-            }
-            Some(n)
-        }
+    let Some(v) = opts.get("link-budget") else {
+        return Ok(PlannerConfig::default());
     };
-    match opts.get("planner").map(String::as_str) {
-        None => Ok(match budget {
-            Some(b) => PlannerConfig::budgeted(b),
-            None => PlannerConfig::default(),
+    match v.parse() {
+        Ok(0) => Err(RfhError::InvalidConfig {
+            parameter: "link-budget",
+            reason: "--link-budget must be at least 1 byte".into(),
         }),
-        Some("on") => Ok(PlannerConfig { enabled: true, link_budget_bytes: budget }),
-        Some("off") => match budget {
-            Some(_) => Err(RfhError::InvalidConfig {
-                parameter: "planner",
-                reason: "--link-budget is meaningless with --planner off".into(),
-            }),
-            None => Ok(PlannerConfig::default()),
-        },
-        Some(other) => Err(RfhError::InvalidConfig {
-            parameter: "planner",
-            reason: format!("{other:?} is not one of on|off"),
+        Ok(n) => Ok(PlannerConfig::budgeted(n)),
+        Err(_) => Err(RfhError::InvalidConfig {
+            parameter: "link-budget",
+            reason: format!("{v:?} is not a byte count"),
         }),
     }
 }
@@ -435,21 +412,12 @@ mod tests {
     }
 
     #[test]
-    fn planner_options_compose() {
+    fn link_budget_selects_the_planner() {
         let (_, o) = parse(&argv("run")).unwrap();
-        assert_eq!(planner(&o).unwrap(), PlannerConfig::default(), "planner defaults off");
-        let (_, o) = parse(&argv("run --planner on")).unwrap();
-        assert_eq!(planner(&o).unwrap(), PlannerConfig::unlimited());
-        let (_, o) = parse(&argv("run --planner on --link-budget 1048576")).unwrap();
-        assert_eq!(planner(&o).unwrap(), PlannerConfig::budgeted(1 << 20));
+        assert_eq!(planner(&o).unwrap(), PlannerConfig::default(), "no budget by default");
         let (_, o) = parse(&argv("run --link-budget 1048576")).unwrap();
-        assert_eq!(planner(&o).unwrap(), PlannerConfig::budgeted(1 << 20), "budget implies on");
-        let (_, o) = parse(&argv("run --planner off")).unwrap();
-        assert_eq!(planner(&o).unwrap(), PlannerConfig::default());
-        let (_, o) = parse(&argv("run --planner off --link-budget 5")).unwrap();
-        assert!(planner(&o).is_err(), "budget with planner off is a contradiction");
-        let (_, o) = parse(&argv("run --planner maybe")).unwrap();
-        assert!(planner(&o).is_err());
+        assert_eq!(planner(&o).unwrap(), PlannerConfig::budgeted(1 << 20));
+        assert!(parse(&argv("run --planner on")).is_err(), "the on/off knob is gone");
         let (_, o) = parse(&argv("run --link-budget 0")).unwrap();
         assert!(planner(&o).is_err(), "zero budget rejected");
         let (_, o) = parse(&argv("run --link-budget lots")).unwrap();

@@ -155,7 +155,7 @@ pub fn run_one(opts: &Options) -> Result<String> {
     let _ = writeln!(out, "  invariant_violations     {:>12}", counter("sim.invariant_violations"));
     let _ =
         writeln!(out, "  spread_score             {:>12.3}", gauge("sim.placement.spread_score"));
-    if planner_cfg.enabled {
+    if planner_cfg.link_budget_bytes.is_some() {
         out.push_str("planner:\n");
         let _ = writeln!(out, "  moves_admitted           {:>12}", counter("sim.planner.admitted"));
         let _ = writeln!(out, "  moves_deferred           {:>12}", counter("sim.planner.deferred"));

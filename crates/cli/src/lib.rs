@@ -13,7 +13,7 @@
 //!         [--partitions N] [--skew S]          scale knobs (1M-partition runs)
 //!         [--engine dense|sparse]              epoch engine (bit-identical)
 //!         [--placement domain-spread]          failure-domain-aware placement
-//!         [--planner on] [--link-budget BYTES] bandwidth-budgeted transfer planner
+//!         [--link-budget BYTES]                bandwidth-budgeted transfer planner
 //!         [--trace OUT.jsonl] [--profile]      decision trace + phase timing
 //!         [--faults PLAN.toml] [--fault-seed N] chaos schedule (see DESIGN.md)
 //! rfh compare [--scenario random] [--epochs N] four-way comparison table
@@ -114,12 +114,10 @@ COMMON OPTIONS:
     --placement P     traffic (the paper's ordering, default) | domain-spread
                       (RFH targets ranked by rack/room/DC spread); `--policy
                       spread` is shorthand for rfh + domain-spread (run)
-    --planner on|off  route moves through the per-epoch transfer planner; with
-                      no --link-budget the budget is infinite and results are
-                      byte-identical to the greedy executor (run)
-    --link-budget B   per-WAN-link byte budget per epoch (implies --planner on);
-                      moves over budget defer to the next epoch with carried
-                      credit, under-replicated partitions admitted first (run)
+    --link-budget B   per-WAN-link byte budget per epoch, enforced by the
+                      transfer planner: moves over budget defer to the next
+                      epoch with carried credit, under-replicated partitions
+                      admitted first; without it every move executes (run)
 
 SERVING OPTIONS:
     --config FILE         cluster TOML (serve) / loadgen TOML (loadgen)

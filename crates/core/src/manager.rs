@@ -353,11 +353,7 @@ impl ReplicaManager {
     ) -> Result<AppliedAction> {
         let outcome = self.apply(topo, action);
         if recorder.enabled() {
-            let partition = match action {
-                Action::Replicate { partition, .. }
-                | Action::Migrate { partition, .. }
-                | Action::Suicide { partition, .. } => partition,
-            };
+            let partition = action.partition();
             match &outcome {
                 Ok(applied) => recorder.outcome(policy, partition.0, true, applied.cost),
                 Err(_) => recorder.outcome(policy, partition.0, false, 0.0),

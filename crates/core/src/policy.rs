@@ -75,6 +75,17 @@ pub enum Action {
     },
 }
 
+impl Action {
+    /// The partition the action acts on.
+    pub fn partition(&self) -> PartitionId {
+        match *self {
+            Action::Replicate { partition, .. }
+            | Action::Migrate { partition, .. }
+            | Action::Suicide { partition, .. } => partition,
+        }
+    }
+}
+
 /// A replication algorithm under evaluation.
 pub trait ReplicationPolicy {
     /// Short name used in reports and figure legends.

@@ -131,11 +131,10 @@ fn main() -> rfh_types::Result<()> {
         "{:>14} {:>9} {:>9} {:>10} {:>10} {:>6}",
         "link budget", "admitted", "deferred", "unavail", "sub-r_min", "ttr"
     );
-    let budgets: [(String, PlannerConfig); 4] = [
-        ("greedy (off)".to_string(), PlannerConfig::default()),
-        ("unlimited".to_string(), PlannerConfig::unlimited()),
-        ("2 MiB/epoch".to_string(), PlannerConfig::budgeted(2 << 20)),
-        ("512 KiB/epoch".to_string(), PlannerConfig::budgeted(512 << 10)),
+    let budgets = [
+        ("none", PlannerConfig::default()),
+        ("2 MiB/epoch", PlannerConfig::budgeted(2 << 20)),
+        ("512 KiB/epoch", PlannerConfig::budgeted(512 << 10)),
     ];
     for (label, planner) in budgets {
         let r = run(PolicyKind::Rfh, planner, seed)?;

@@ -110,7 +110,20 @@ impl FaultInjector {
     /// action applied.
     pub fn begin_epoch(&mut self, epoch: u64, topo: &mut Topology) -> Result<EpochFaultReport> {
         let mut report = EpochFaultReport::default();
+        self.begin_epoch_into(epoch, topo, &mut report)?;
+        Ok(report)
+    }
 
+    /// [`begin_epoch`](Self::begin_epoch) into a caller-owned report:
+    /// on an error `report` still describes every action that was
+    /// applied before it, so the host can follow the topology instead
+    /// of losing track of servers the failed epoch already took down.
+    pub fn begin_epoch_into(
+        &mut self,
+        epoch: u64,
+        topo: &mut Topology,
+        report: &mut EpochFaultReport,
+    ) -> Result<()> {
         // 1. Repairs due. Sorted by id so the recovery order never
         // depends on failure order.
         let mut due: Vec<ServerId> = Vec::new();
@@ -159,7 +172,7 @@ impl FaultInjector {
             self.cursor += 1;
             report.injected += 1;
             let before = report.failed.len();
-            self.apply(action, topo, &mut report)?;
+            self.apply(action, topo, report)?;
             if let Some(m) = restart_after {
                 for &id in &report.failed[before..] {
                     self.restarts.push((epoch + m, id));
@@ -185,7 +198,16 @@ impl FaultInjector {
                 }
             }
         }
-        Ok(report)
+        Ok(())
+    }
+
+    /// Stop driving the plan: nothing further is scheduled, drawn,
+    /// repaired or restarted. For hosts that outlive a bad plan.
+    pub fn halt(&mut self) {
+        self.cursor = self.scheduled.len();
+        self.churn = None;
+        self.repairs.clear();
+        self.restarts.clear();
     }
 
     /// Servers currently down due to churn, awaiting their repair time.
@@ -441,5 +463,19 @@ mod tests {
         let mut inj = FaultInjector::new(&plan).unwrap();
         let mut t = topo();
         assert!(inj.begin_epoch(0, &mut t).is_err());
+    }
+
+    #[test]
+    fn a_failed_epoch_still_reports_what_it_applied_and_halt_ends_the_plan() {
+        let plan = FaultPlan::default()
+            .at(0, FaultAction::FailServers(vec![ServerId::new(1), ServerId::new(99)]))
+            .at(1, FaultAction::FailServers(vec![ServerId::new(2)]));
+        let mut inj = FaultInjector::new(&plan).unwrap();
+        let mut t = topo();
+        let mut report = EpochFaultReport::default();
+        assert!(inj.begin_epoch_into(0, &mut t, &mut report).is_err());
+        assert_eq!(report.failed, vec![ServerId::new(1)], "s1 went down before the bad id");
+        inj.halt();
+        assert!(!inj.begin_epoch(1, &mut t).unwrap().any(), "a halted plan injects nothing");
     }
 }

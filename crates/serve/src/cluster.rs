@@ -45,10 +45,12 @@ use crate::store::{partition_of, NodeStore, Versioned};
 use crate::telemetry::{ClusterTelemetry, TickSample};
 use crate::wal::StorageSnapshot;
 use crate::wire::Conn;
-use rfh_core::{Action, ReplicaManager};
+use rfh_core::{Action, ReplicaManager, RfhPolicy};
 use rfh_faults::FaultPlan;
 use rfh_obs::{MetricsRegistry, SpanLog};
+use rfh_pool::WorkerPool;
 use rfh_ring::ConsistentHashRing;
+use rfh_sim::{initial_placement, EpochPipeline};
 use rfh_stats::min_replica_count;
 use rfh_topology::{scaled_paper_topology, Topology};
 use rfh_types::{PartitionId, Result, RfhError, ServerId};
@@ -58,10 +60,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-
-/// Tokens per server on the placement ring (same constant the offline
-/// simulator uses).
-pub const RING_TOKENS: u32 = 64;
 
 /// Monotonic counters the data plane bumps per request.
 #[derive(Debug, Default)]
@@ -119,6 +117,40 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The data plane's state for a freshly built control plane: every
+    /// node alive as the topology has it, routes as the replica manager
+    /// placed them, counters at zero.
+    pub fn new(
+        telemetry: bool,
+        pipeline: &EpochPipeline,
+        stores: Vec<NodeStore>,
+        addrs: Vec<SocketAddr>,
+    ) -> Shared {
+        let (topo, manager) = (pipeline.topology(), pipeline.manager());
+        let (n, partitions) = (topo.server_count(), manager.partitions());
+        Shared {
+            partitions,
+            dc_of: topo.servers().iter().map(|s| s.datacenter.0).collect(),
+            alive: topo.servers().iter().map(|s| AtomicBool::new(s.alive)).collect(),
+            routes: RwLock::new(
+                (0..partitions).map(|p| manager.replicas(PartitionId::new(p)).to_vec()).collect(),
+            ),
+            route_epochs: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
+            locks: (0..partitions).map(|_| Mutex::new(())).collect(),
+            load: SharedLoad::zeros(partitions, topo.datacenters().len() as u32),
+            stores,
+            addrs,
+            peers: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            counters: Counters::default(),
+            telemetry: if telemetry {
+                ClusterTelemetry::on(n, partitions)
+            } else {
+                ClusterTelemetry::off()
+            },
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     /// Route row for one partition (cloned snapshot).
     pub fn route(&self, p: PartitionId) -> Vec<ServerId> {
         self.routes.read().expect("routes lock")[p.index()].clone()
@@ -327,25 +359,8 @@ impl Cluster {
         faults: FaultPlan,
         bind_addrs: Option<&[SocketAddr]>,
     ) -> Result<Cluster> {
-        config.validate()?;
-        let cfg = config.sim_config();
-        let topo =
-            scaled_paper_topology(config.servers_per_rack, config.capacity_spread, config.seed)?;
-        let n = topo.server_count();
-        let dc_count = topo.datacenters().len() as u32;
-
-        let mut ring = ConsistentHashRing::new(RING_TOKENS);
-        for s in topo.servers() {
-            if s.alive {
-                ring.join(s.id);
-            }
-        }
-        let holders = (0..cfg.partitions)
-            .map(|p| ring.primary(PartitionId::new(p)))
-            .collect::<Result<Vec<_>>>()?;
-        let mut manager = ReplicaManager::new(&cfg, n, holders)?;
-        let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
-        floor_replicate(&topo, &ring, &mut manager, cfg.partitions, r_min);
+        let pipeline = control_plane(config, &faults)?;
+        let n = pipeline.topology().server_count();
 
         // Bind every node's listener before any thread starts, so the
         // address list is complete from the first request on.
@@ -381,12 +396,11 @@ impl Cluster {
             Some(p) => (0..n).map(|i| NodeStore::durable(p, i)).collect::<Result<_>>()?,
         };
 
-        let routes: Vec<Vec<ServerId>> =
-            (0..cfg.partitions).map(|p| manager.replicas(PartitionId::new(p)).to_vec()).collect();
+        let shared = Arc::new(Shared::new(config.telemetry, &pipeline, stores, addrs));
 
         let mut recovery = RecoveryReport::default();
         if config.persistence.is_some() {
-            for s in &stores {
+            for s in &shared.stores {
                 if let Some(stats) = s.storage() {
                     let snap = stats.snapshot();
                     if snap.records_replayed > 0 {
@@ -396,31 +410,13 @@ impl Cluster {
                     recovery.torn_tails_truncated += snap.torn_tails_truncated;
                 }
             }
-            reconcile_recovered(&stores, &routes, cfg.partitions, &mut recovery);
+            let routes = shared.routes.read().expect("routes lock");
+            reconcile_recovered(&shared.stores, &routes, shared.partitions, &mut recovery);
             recovery.duration_ms = recover_t0.elapsed().as_millis() as u64;
         }
 
-        let shared = Arc::new(Shared {
-            partitions: cfg.partitions,
-            dc_of: topo.servers().iter().map(|s| s.datacenter.0).collect(),
-            alive: topo.servers().iter().map(|s| AtomicBool::new(s.alive)).collect(),
-            routes: RwLock::new(routes),
-            route_epochs: (0..cfg.partitions).map(|_| AtomicU64::new(0)).collect(),
-            locks: (0..cfg.partitions).map(|_| Mutex::new(())).collect(),
-            load: SharedLoad::zeros(cfg.partitions, dc_count),
-            stores,
-            addrs,
-            peers: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            counters: Counters::default(),
-            telemetry: if config.telemetry {
-                ClusterTelemetry::on(n, cfg.partitions)
-            } else {
-                ClusterTelemetry::off()
-            },
-            shutdown: AtomicBool::new(false),
-        });
-
-        let infos: Vec<NodeInfo> = topo
+        let infos: Vec<NodeInfo> = pipeline
+            .topology()
             .servers()
             .iter()
             .map(|s| NodeInfo {
@@ -501,18 +497,7 @@ impl Cluster {
             );
         }
 
-        let controller = Controller::new(
-            Arc::clone(&shared),
-            topo,
-            ring,
-            manager,
-            cfg,
-            faults,
-            r_min,
-            config.threads as usize,
-            config.placement,
-            config.planner(),
-        );
+        let controller = Controller::new(Arc::clone(&shared), pipeline);
         let interval = std::time::Duration::from_millis(config.control_interval_ms);
         let control = std::thread::Builder::new()
             .name("rfh-control".into())
@@ -792,6 +777,23 @@ fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
 #[cfg(not(unix))]
 fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
     TcpListener::bind(addr)
+}
+
+/// The control plane `config` describes, ready to tick: the scaled
+/// paper topology, partitions on their ring primaries and
+/// floor-replicated to `r_min` copies, the RFH policy, the fault plan.
+pub(crate) fn control_plane(config: &ClusterConfig, faults: &FaultPlan) -> Result<EpochPipeline> {
+    config.validate()?;
+    let cfg = config.sim_config();
+    let topo = scaled_paper_topology(config.servers_per_rack, config.capacity_spread, config.seed)?;
+    let (ring, mut manager) = initial_placement(&cfg, &topo)?;
+    let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
+    floor_replicate(&topo, &ring, &mut manager, cfg.partitions, r_min);
+    let pool = (config.threads > 1).then(|| Arc::new(WorkerPool::new(config.threads as usize)));
+    let mut policy = RfhPolicy::new().with_placement(config.placement);
+    policy.set_pool(pool.clone());
+    Ok(EpochPipeline::new(cfg, topo, ring, manager, Box::new(policy), faults, pool)
+        .with_planner(config.planner()))
 }
 
 /// Grow every partition to `r_min` replicas before serving starts,

@@ -63,10 +63,9 @@ pub struct ClusterConfig {
     /// spread before traffic).
     pub placement: PlacementMode,
     /// Per-WAN-link byte budget per control tick. `None` — the default —
-    /// executes transfers greedily, exactly as before the planner
-    /// existed; `Some(b)` routes every transfer through the
-    /// [`rfh_sim::TransferPlanner`], deferring over-budget moves to the
-    /// repair lane with carried credit.
+    /// executes every transfer the policy decides; `Some(b)` routes
+    /// them through the [`rfh_sim::TransferPlanner`], deferring
+    /// over-budget moves to the repair lane with carried credit.
     pub link_budget_bytes: Option<u64>,
 }
 
@@ -104,13 +103,9 @@ impl ClusterConfig {
         10 * 2 * self.servers_per_rack
     }
 
-    /// The transfer-planner configuration this cluster config implies:
-    /// disabled unless a link budget is set.
+    /// The transfer-planner configuration this cluster config implies.
     pub fn planner(&self) -> PlannerConfig {
-        match self.link_budget_bytes {
-            Some(b) => PlannerConfig::budgeted(b),
-            None => PlannerConfig::default(),
-        }
+        PlannerConfig { link_budget_bytes: self.link_budget_bytes }
     }
 
     /// Domain checks beyond parsing.
@@ -148,7 +143,7 @@ impl ClusterConfig {
     /// telemetry = true
     /// data_plane = "reactor"   # or "threaded"
     /// placement = "traffic"    # or "domain-spread"
-    /// link_budget_bytes = 1048576   # per-WAN-link per-tick; absent = greedy
+    /// link_budget_bytes = 1048576   # per-WAN-link per-tick; absent = no cap
     ///
     /// [persistence]
     /// dir = "/var/tmp/rfh-data"
@@ -591,7 +586,7 @@ mod tests {
         let d = ClusterConfig::default();
         assert_eq!(d.placement, PlacementMode::Traffic);
         assert_eq!(d.link_budget_bytes, None);
-        assert!(!d.planner().enabled, "no budget = greedy execution");
+        assert_eq!(d.planner(), PlannerConfig::default(), "no budget = no admission control");
 
         let c = ClusterConfig::from_toml_str("placement = \"domain-spread\"\n").unwrap();
         assert_eq!(c.placement, PlacementMode::DomainSpread);
@@ -601,9 +596,7 @@ mod tests {
 
         let c = ClusterConfig::from_toml_str("link_budget_bytes = 1048576\n").unwrap();
         assert_eq!(c.link_budget_bytes, Some(1 << 20));
-        let p = c.planner();
-        assert!(p.enabled);
-        assert_eq!(p.link_budget_bytes, Some(1 << 20));
+        assert_eq!(c.planner(), PlannerConfig::budgeted(1 << 20));
         assert!(ClusterConfig::from_toml_str("link_budget_bytes = 0\n").is_err());
         assert!(ClusterConfig::from_toml_str("link_budget_bytes = \"big\"\n").is_err());
     }

@@ -1,48 +1,29 @@
 //! The online RFH control loop.
 //!
-//! One thread owns the entire control plane — topology, ring, replica
-//! manager, traffic engine/smoother, policy, fault injector, repair
-//! queue, auditor — exactly the state the offline simulator's epoch
-//! loop owns. Every `control_interval_ms` it runs one *tick*, which is
-//! the offline epoch loop transplanted onto live counters:
-//!
-//! 1. drive the fault plan (kill/recover nodes, flip the data plane's
-//!    alive flags, prune dead replicas, retry archive restores);
-//! 2. atomically drain the live `q_ijt` counters into a `QueryLoad`;
-//! 3. run the **real** traffic pass (`TrafficEngine`), EWMA smoothing,
-//!    and Erlang-B blocking over the drained matrix;
-//! 4. let the **real** `RfhPolicy` decide replicate/migrate/suicide;
-//! 5. execute transfers through the `ReplicaManager`, deferring
-//!    unreachable destinations to the PR 3 repair queue (retried with
-//!    backoff ahead of new decisions), copying partition data and
-//!    republishing routes under the per-partition lock;
-//! 6. audit placement invariants.
+//! One thread owns the control plane: an [`EpochPipeline`] — the same
+//! epoch the offline simulator runs — fed with live counters. Every
+//! `control_interval_ms` it runs one *tick*: drive the fault plan,
+//! atomically drain the live `q_ijt` counters into a `QueryLoad`, and
+//! run the pipeline's epoch over it. What makes the loop *live* is the
+//! [`EpochHost`] it passes in ([`LiveHost`]): membership changes flip
+//! the data plane's alive flags, every placement change copies the
+//! partition's data and republishes its route under the per-partition
+//! lock, and archive restores merge what every disk still holds.
 //!
 //! The loop is paced by wall-clock, so a live run is *not*
 //! bit-deterministic — how many requests land in each tick depends on
-//! scheduling. Everything downstream of the drained matrix is the same
-//! deterministic code the simulator runs.
+//! scheduling. Everything downstream of the drained matrix is the
+//! deterministic pipeline.
 
 use crate::cluster::Shared;
 use crate::store::Versioned;
 use crate::telemetry::TickSample;
 use crate::wal::StorageSnapshot;
-use rfh_core::{
-    server_blocking_probabilities, Action, EpochContext, PlacementMode, ReplicaManager,
-    ReplicationPolicy, RfhPolicy,
-};
-use rfh_faults::{FaultInjector, FaultPlan, InvariantAuditor};
-use rfh_obs::{MetricsRegistry, NullRecorder};
-use rfh_pool::WorkerPool;
-use rfh_ring::ConsistentHashRing;
-use rfh_sim::{
-    destination_unreachable, link_between, LinkKey, MoveClass, MoveReq, PlannerConfig, RepairQueue,
-    TransferPlanner,
-};
+use rfh_core::{Action, AppliedAction, ReplicaManager};
+use rfh_obs::MetricsRegistry;
+use rfh_sim::{EpochHost, EpochPipeline};
 use rfh_stats::Histogram;
-use rfh_topology::Topology;
-use rfh_traffic::{PlacementView, TrafficEngine, TrafficSmoother};
-use rfh_types::{Epoch, PartitionId, ServerId, SimConfig};
+use rfh_types::{PartitionId, Result, ServerId};
 use rfh_workload::QueryLoad;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -90,519 +71,26 @@ struct TickCounters {
     violations: u64,
 }
 
-pub(crate) struct Controller {
+/// The data-plane half of a tick: what the pipeline's epoch does to
+/// the running cluster.
+struct LiveHost {
     shared: Arc<Shared>,
-    topo: Topology,
-    ring: ConsistentHashRing,
-    manager: ReplicaManager,
-    engine: TrafficEngine,
-    smoother: TrafficSmoother,
-    policy: RfhPolicy,
-    injector: Option<FaultInjector>,
-    auditor: InvariantAuditor,
-    repair_queue: RepairQueue,
-    /// Bandwidth-budgeted admission control for tick transfers; with
-    /// `planner_cfg.enabled` off the greedy path runs untouched.
-    planner_cfg: PlannerConfig,
-    planner: TransferPlanner,
-    pinned: Vec<PartitionId>,
-    view: PlacementView,
-    /// Partitions whose replica set changed since the last render.
-    dirty_parts: Vec<PartitionId>,
-    /// The view must be re-rendered wholesale (first tick, prune,
-    /// restore); that tick runs dirty-all, seeding the sparse carry.
-    view_stale: bool,
-    /// Availability floor, for the sparse carry filter.
-    r_min: usize,
-    /// Last tick's active set, sorted ascending (the sparse carry).
-    prev_active: Vec<u32>,
-    /// Build buffer for the next active set.
-    active_scratch: Vec<u32>,
-    /// Cumulative partitions visited / skipped by sparse ticks.
-    sparse_dirty: u64,
-    sparse_skipped: u64,
-    /// Shared worker pool for the tick's traffic pass; the policy holds
-    /// a second handle for its decision pass. `None` when `threads <= 1`.
-    pool: Option<Arc<WorkerPool>>,
-    scratch: QueryLoad,
-    cfg: SimConfig,
     /// Fault-plan events this tick, for the timeline (empty unless
-    /// telemetry is on — `inject_faults` gates its pushes).
+    /// telemetry is on).
     tick_events: Vec<String>,
-    /// Counter snapshot at the previous tick sample.
-    prev_counters: TickCounters,
-    /// Reused buffer for the per-tick server-side latency histogram.
-    tick_hist: Histogram,
-    tick: u64,
-    replications: u64,
-    migrations: u64,
-    suicides: u64,
-    data_restores: u64,
+    /// `(unavailable, below_floor)` partitions entering this tick —
+    /// after faults land, before this tick's repair actions — so a kill
+    /// shows up as a dip on the timeline even when RFH repairs it
+    /// within the tick. Gauged only with telemetry on.
+    health: Option<(u64, u64)>,
     restarts: u64,
 }
 
-impl Controller {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        shared: Arc<Shared>,
-        topo: Topology,
-        ring: ConsistentHashRing,
-        manager: ReplicaManager,
-        cfg: SimConfig,
-        faults: FaultPlan,
-        r_min: usize,
-        threads: usize,
-        placement: PlacementMode,
-        planner_cfg: PlannerConfig,
-    ) -> Self {
-        let dc_count = topo.datacenters().len() as u32;
-        let pool = (threads > 1).then(|| Arc::new(WorkerPool::new(threads)));
-        let mut policy = RfhPolicy::new();
-        policy.set_pool(pool.clone());
-        policy.set_placement(placement);
-        Controller {
-            injector: FaultInjector::new(&faults),
-            auditor: InvariantAuditor::new(cfg.partitions, r_min),
-            repair_queue: RepairQueue::new(),
-            planner_cfg,
-            planner: TransferPlanner::new(),
-            pinned: Vec::new(),
-            smoother: TrafficSmoother::new(cfg.partitions, dc_count, cfg.thresholds.alpha),
-            engine: TrafficEngine::new(),
-            view: PlacementView::new(0, 0, Vec::new()),
-            dirty_parts: Vec::new(),
-            view_stale: true,
-            r_min,
-            prev_active: Vec::new(),
-            active_scratch: Vec::new(),
-            sparse_dirty: 0,
-            sparse_skipped: 0,
-            pool,
-            scratch: QueryLoad::zeros(cfg.partitions, dc_count),
-            tick_events: Vec::new(),
-            prev_counters: TickCounters::default(),
-            tick_hist: Histogram::latency(),
-            policy,
-            shared,
-            topo,
-            ring,
-            manager,
-            cfg,
-            tick: 0,
-            replications: 0,
-            migrations: 0,
-            suicides: 0,
-            data_restores: 0,
-            restarts: 0,
+impl LiveHost {
+    fn event(&mut self, text: impl FnOnce() -> String) {
+        if self.shared.telemetry.enabled() {
+            self.tick_events.push(text());
         }
-    }
-
-    /// Run ticks until shutdown; always executes one final tick after
-    /// the flag flips so the last interval's counters are drained and
-    /// audited.
-    pub fn run(mut self, interval: Duration) -> ControlStats {
-        loop {
-            let last = self.shared.shutdown.load(Ordering::Acquire);
-            self.step();
-            if last {
-                break;
-            }
-            let mut slept = Duration::ZERO;
-            while slept < interval && !self.shared.shutdown.load(Ordering::Acquire) {
-                let nap = (interval - slept).min(Duration::from_millis(10));
-                std::thread::sleep(nap);
-                slept += nap;
-            }
-        }
-        self.finish()
-    }
-
-    /// The control plane's registry: serve.* lifetime totals, the
-    /// data-plane request counters, the PR 6 sparse counters, and the
-    /// traffic engine's cache stats. Built fresh from totals every
-    /// call, so republishing per tick (and re-scraping) is idempotent.
-    fn build_registry(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        registry.counter_total("serve.control.ticks", self.tick);
-        registry.counter_total("serve.actions.replications", self.replications);
-        registry.counter_total("serve.actions.migrations", self.migrations);
-        registry.counter_total("serve.actions.suicides", self.suicides);
-        registry.counter_total("serve.repairs.completed", self.repair_queue.completed());
-        registry.counter_total("serve.repairs.dead_letters", self.repair_queue.dead_letters());
-        registry.counter_total("serve.data_restores", self.data_restores);
-        registry.counter_total("serve.invariant_violations", self.auditor.total());
-        registry.counter_total("serve.sparse.dirty_partitions", self.sparse_dirty);
-        registry.counter_total("serve.sparse.skipped_partitions", self.sparse_skipped);
-        // Planner series appear only when the planner runs, so a
-        // budget-less scrape is byte-identical to older builds.
-        if self.planner_cfg.enabled {
-            registry.counter_total("serve.planner.admitted", self.planner.admitted_total());
-            registry.counter_total("serve.planner.deferred", self.planner.deferred_total());
-            registry.gauge("serve.planner.credit_bytes", self.planner.credit_bytes() as f64);
-        }
-        registry.gauge("serve.replicas_total", self.manager.total_replicas() as f64);
-        let c = &self.shared.counters;
-        registry.counter_total("serve.requests.gets", c.gets.load(Ordering::Relaxed));
-        registry.counter_total("serve.requests.puts", c.puts.load(Ordering::Relaxed));
-        registry.counter_total("serve.requests.forwards", c.forwards.load(Ordering::Relaxed));
-        registry.counter_total("serve.acks.ok", c.acks_ok.load(Ordering::Relaxed));
-        registry.counter_total("serve.acks.not_found", c.acks_not_found.load(Ordering::Relaxed));
-        registry
-            .counter_total("serve.acks.unavailable", c.acks_unavailable.load(Ordering::Relaxed));
-        self.engine.stats().collect_metrics(&mut registry);
-        // Durability series appear only when durability is in play, so
-        // a persistence-off scrape is byte-identical to older builds.
-        if self.restarts > 0 {
-            registry.counter_total("serve.restarts", self.restarts);
-        }
-        let mut storage = StorageSnapshot::default();
-        let mut durable = false;
-        for s in &self.shared.stores {
-            if let Some(stats) = s.storage() {
-                storage.add(stats.snapshot());
-                durable = true;
-            }
-        }
-        if durable {
-            storage.collect_metrics(&mut registry);
-        }
-        registry
-    }
-
-    fn finish(self) -> ControlStats {
-        let registry = self.build_registry();
-        ControlStats {
-            ticks: self.tick,
-            replications: self.replications,
-            migrations: self.migrations,
-            suicides: self.suicides,
-            repairs_completed: self.repair_queue.completed(),
-            dead_letters: self.repair_queue.dead_letters(),
-            invariant_violations: self.auditor.total(),
-            data_restores: self.data_restores,
-            restarts: self.restarts,
-            replicas_total: self.manager.total_replicas(),
-            registry,
-        }
-    }
-
-    /// One control tick — the offline epoch loop on live counters.
-    fn step(&mut self) {
-        self.inject_faults();
-        self.retry_restores();
-        // Health is gauged here — after faults land, before this tick's
-        // repair actions — so a kill shows up as a degraded/unavailable
-        // dip on the timeline even when RFH repairs it within the tick.
-        let health = self.shared.telemetry.enabled().then(|| self.partition_health());
-        self.manager.begin_epoch();
-
-        self.scratch.clear_touched();
-        self.shared.load.drain_sparse_into(&mut self.scratch);
-
-        // The live loop always runs the sparse engine — the offline
-        // simulator's dense/sparse differential harness proves the two
-        // paths bit-identical, so serving keeps only the O(dirty) one.
-        // Active set = carry ∪ drained ∪ placement-dirty, exactly as in
-        // the simulator; a stale view (first tick, prune, restore) runs
-        // dirty-all, which doubles as the warm-up that seeds the carry.
-        self.active_scratch.clear();
-        if self.view_stale {
-            self.active_scratch.extend(0..self.cfg.partitions);
-        } else {
-            for &pu in &self.prev_active {
-                if self.policy.keeps_live(
-                    &self.topo,
-                    &self.smoother,
-                    &self.manager,
-                    self.r_min,
-                    PartitionId::new(pu),
-                ) {
-                    self.active_scratch.push(pu);
-                }
-            }
-            self.active_scratch.extend_from_slice(self.scratch.touched());
-            self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
-            self.active_scratch.sort_unstable();
-            self.active_scratch.dedup();
-        }
-        std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
-        self.sparse_dirty += self.prev_active.len() as u64;
-        self.sparse_skipped += self.cfg.partitions as u64 - self.prev_active.len() as u64;
-
-        if self.view_stale {
-            self.manager.render_view(&self.topo, self.cfg.replica_capacity_mean, &mut self.view);
-            self.view_stale = false;
-            self.dirty_parts.clear();
-        } else {
-            for &p in &self.dirty_parts {
-                self.manager.render_partition(
-                    &self.topo,
-                    self.cfg.replica_capacity_mean,
-                    p,
-                    &mut self.view,
-                );
-            }
-            self.dirty_parts.clear();
-        }
-        let accounts = match &self.pool {
-            Some(pool) => self.engine.account_active_sharded(
-                &self.topo,
-                &self.scratch,
-                &self.view,
-                &self.prev_active,
-                pool,
-            ),
-            None => {
-                self.engine.account_active(&self.topo, &self.scratch, &self.view, &self.prev_active)
-            }
-        };
-        self.smoother.update_active(&self.scratch, accounts, &self.prev_active);
-        let blocking =
-            server_blocking_probabilities(&self.topo, accounts, self.cfg.replica_capacity_mean);
-
-        let recorder = NullRecorder;
-        let ctx = EpochContext {
-            epoch: Epoch(self.tick),
-            topo: &self.topo,
-            load: &self.scratch,
-            accounts,
-            smoother: &self.smoother,
-            blocking: &blocking,
-            view: &self.view,
-            config: &self.cfg,
-            recorder: &recorder,
-            active: Some(&self.prev_active),
-        };
-        let actions = self.policy.decide(&ctx, &self.manager);
-
-        // Deferred transfers compete for bandwidth ahead of new
-        // decisions, exactly as in the offline loop.
-        let due = self.repair_queue.take_due(self.tick);
-        if !self.planner_cfg.enabled {
-            for item in due {
-                self.run_deferred(item.action, item.attempts);
-            }
-            for action in actions {
-                self.run_fresh(action);
-            }
-        } else {
-            // Planner path, mirroring the offline epoch loop: moves are
-            // offered in greedy execution order (deferred lane first),
-            // the priority classes only decide which moves win a
-            // contended link budget, and admitted moves execute in
-            // their offered order.
-            let size = self.cfg.partition_size.0;
-            let mut moves: Vec<MoveReq<(Action, bool, u32)>> =
-                Vec::with_capacity(due.len() + actions.len());
-            for item in &due {
-                moves.push(MoveReq {
-                    tag: (item.action, true, item.attempts),
-                    link: self.wan_link(&item.action),
-                    bytes: size,
-                    class: MoveClass::Deferred { age: item.attempts },
-                });
-            }
-            for &action in &actions {
-                let class = match action {
-                    Action::Replicate { partition, .. }
-                        if self.manager.replica_count(partition) < self.r_min =>
-                    {
-                        MoveClass::UnderReplicated
-                    }
-                    _ => MoveClass::Normal,
-                };
-                moves.push(MoveReq {
-                    tag: (action, false, 0),
-                    link: self.wan_link(&action),
-                    bytes: size,
-                    class,
-                });
-            }
-            let (repl_f, migr_f) = self.manager.bandwidth_factors();
-            let budget = match self.planner_cfg.link_budget_bytes {
-                None => u64::MAX,
-                Some(b) => (b as f64 * repl_f.min(migr_f)) as u64,
-            };
-            let outcome = self.planner.plan(moves, |_| budget);
-            for (action, was_deferred, attempts) in outcome.admitted {
-                if was_deferred {
-                    self.run_deferred(action, attempts);
-                } else {
-                    self.run_fresh(action);
-                }
-            }
-            for (action, _, attempts) in outcome.deferred {
-                self.repair_queue.defer_next(action, attempts + 1, self.tick);
-            }
-        }
-
-        // Subset audit over the active partitions (plus the auditor's
-        // internal watch list): only actions change audit state, actions
-        // land on active partitions, and deferred repairs target watched
-        // partitions — so the violation stream matches a full sweep.
-        let manager = &self.manager;
-        let pinned = &self.pinned;
-        self.auditor.audit_subset(
-            self.tick,
-            &self.topo,
-            &self.prev_active,
-            |p, buf| buf.extend_from_slice(manager.replicas(p)),
-            |p| pinned.contains(&p),
-        );
-        self.record_tick_sample(health);
-        self.tick += 1;
-    }
-
-    /// Execute one deferred-lane item: re-defer with backoff while the
-    /// destination is unreachable, otherwise apply and account it.
-    fn run_deferred(&mut self, action: Action, attempts: u32) {
-        if destination_unreachable(&self.topo, &self.manager, &action) {
-            self.repair_queue.defer(action, attempts + 1, self.tick);
-            return;
-        }
-        if self.execute(action) {
-            self.repair_queue.note_completed();
-        }
-    }
-
-    /// Execute one of this tick's fresh decisions, deferring it when
-    /// chaos has made the destination unreachable.
-    fn run_fresh(&mut self, action: Action) {
-        if self.injector.is_some() && destination_unreachable(&self.topo, &self.manager, &action) {
-            self.repair_queue.defer(action, 0, self.tick);
-            return;
-        }
-        self.execute(action);
-    }
-
-    /// The WAN link a transfer crosses, or `None` for suicides and
-    /// intra-datacenter moves (which cost the planner nothing).
-    fn wan_link(&self, action: &Action) -> Option<LinkKey> {
-        let dc = |s: ServerId| self.topo.servers()[s.index()].datacenter;
-        let (src, dst) = match *action {
-            Action::Replicate { partition, target } => {
-                (dc(self.manager.holder(partition)), dc(target))
-            }
-            Action::Migrate { from, to, .. } => (dc(from), dc(to)),
-            Action::Suicide { .. } => return None,
-        };
-        (src != dst).then(|| link_between(src, dst))
-    }
-
-    /// Count partitions below the replication floor: `(degraded,
-    /// unavailable)` where degraded means `0 < live < r_min` and
-    /// unavailable means no live replica at all.
-    fn partition_health(&self) -> (u64, u64) {
-        let mut degraded = 0u64;
-        let mut unavailable = 0u64;
-        for p in (0..self.cfg.partitions).map(PartitionId::new) {
-            let live = self
-                .manager
-                .replicas(p)
-                .iter()
-                .filter(|s| self.topo.servers()[s.index()].alive)
-                .count();
-            if live == 0 {
-                unavailable += 1;
-            } else if live < self.r_min {
-                degraded += 1;
-            }
-        }
-        (degraded, unavailable)
-    }
-
-    /// Drain the per-tick server-side latency histograms, compute this
-    /// tick's deltas, append one [`TickSample`] to the timeline ring
-    /// (with the pre-repair health gauges from [`Self::partition_health`]),
-    /// and republish the control registry for the `/metrics` endpoint.
-    /// No-op when telemetry is off, so the control loop's outputs match
-    /// a pre-telemetry build.
-    fn record_tick_sample(&mut self, health: Option<(u64, u64)>) {
-        let Some((degraded, unavailable)) = health else {
-            return;
-        };
-        self.tick_hist.clear();
-        self.shared.telemetry.drain_tick(&mut self.tick_hist);
-
-        let c = &self.shared.counters;
-        let cur = TickCounters {
-            ops: c.gets.load(Ordering::Relaxed) + c.puts.load(Ordering::Relaxed),
-            forwards: c.forwards.load(Ordering::Relaxed),
-            acks_ok: c.acks_ok.load(Ordering::Relaxed),
-            acks_unavailable: c.acks_unavailable.load(Ordering::Relaxed),
-            replications: self.replications,
-            migrations: self.migrations,
-            suicides: self.suicides,
-            repairs_completed: self.repair_queue.completed(),
-            violations: self.auditor.total(),
-        };
-        let prev = self.prev_counters;
-
-        self.shared.telemetry.push_sample(TickSample {
-            tick: self.tick,
-            ops: cur.ops - prev.ops,
-            forwards: cur.forwards - prev.forwards,
-            acks_ok: cur.acks_ok - prev.acks_ok,
-            acks_unavailable: cur.acks_unavailable - prev.acks_unavailable,
-            p50_us: self.tick_hist.quantile(0.5).unwrap_or(0.0),
-            p99_us: self.tick_hist.quantile(0.99).unwrap_or(0.0),
-            replicas_total: self.manager.total_replicas() as u64,
-            degraded,
-            unavailable,
-            replications: cur.replications - prev.replications,
-            migrations: cur.migrations - prev.migrations,
-            suicides: cur.suicides - prev.suicides,
-            repairs: cur.repairs_completed - prev.repairs_completed,
-            violations: cur.violations - prev.violations,
-            events: std::mem::take(&mut self.tick_events),
-        });
-        self.prev_counters = cur;
-        self.shared.telemetry.publish_registry(self.build_registry());
-    }
-
-    /// Apply one action through the replica manager and mirror it on
-    /// the data plane: partition lock → control-plane apply → data copy
-    /// → route publish. Holding the lock for the whole sequence means
-    /// no client write can land between the copy and the new route.
-    fn execute(&mut self, action: Action) -> bool {
-        let partition = match action {
-            Action::Replicate { partition, .. }
-            | Action::Migrate { partition, .. }
-            | Action::Suicide { partition, .. } => partition,
-        };
-        let guard = self.shared.locks[partition.index()].lock().expect("partition lock");
-        let old_route = self.shared.route(partition);
-        // Flip the route epoch odd *before* touching placement or data:
-        // a reactor-plane writer observing an odd epoch (or an epoch
-        // changed across its write) knows its replica set may straddle
-        // the transfer and retries instead of acking.
-        self.shared.begin_route_change(partition);
-        if self.manager.apply(&self.topo, action).is_err() {
-            // Aborted change: settle the epoch even again (spurious
-            // invalidation of in-flight optimistic writes is harmless).
-            self.shared.end_route_change(partition);
-            return false; // budget/capacity rejection: the policy re-decides next tick
-        }
-        match action {
-            Action::Replicate { target, .. } => {
-                self.copy_partition(partition, &old_route, target);
-                self.replications += 1;
-            }
-            Action::Migrate { to, .. } => {
-                self.copy_partition(partition, &old_route, to);
-                self.migrations += 1;
-            }
-            Action::Suicide { .. } => {
-                // The shard's data stays in place but unrouted; a
-                // later re-replication to this node finds a warm copy
-                // and merge makes that safe.
-                self.suicides += 1;
-            }
-        }
-        self.publish(partition);
-        drop(guard);
-        self.dirty_parts.push(partition);
-        true
     }
 
     /// Copy a full partition onto `to`: from the first live member of
@@ -639,147 +127,391 @@ impl Controller {
     /// Republish one partition's route row from the replica manager,
     /// then settle its route epoch at the next even value. Caller holds
     /// the partition lock.
-    fn publish(&self, p: PartitionId) {
-        self.shared.routes.write().expect("routes lock")[p.index()] =
-            self.manager.replicas(p).to_vec();
+    fn publish(&self, manager: &ReplicaManager, p: PartitionId) {
+        self.shared.routes.write().expect("routes lock")[p.index()] = manager.replicas(p).to_vec();
         self.shared.end_route_change(p);
     }
+}
 
-    /// Republish every route row (after prune/recovery sweeps). Takes
-    /// each partition lock in turn.
-    fn publish_all(&self) {
-        for p in (0..self.shared.partitions).map(PartitionId::new) {
+impl EpochHost for LiveHost {
+    fn node_failed(&mut self, id: ServerId) {
+        self.shared.alive[id.index()].store(false, Ordering::Release);
+        self.event(|| format!("kill s{}", id.0));
+    }
+
+    fn node_recovered(&mut self, id: ServerId) {
+        self.shared.alive[id.index()].store(true, Ordering::Release);
+        self.event(|| format!("recover s{}", id.0));
+    }
+
+    /// Kill-then-restart: the node comes back with empty memory and
+    /// replays its log before rejoining — the in-process analogue of
+    /// SIGKILL + relaunch. A memory store replays nothing; that data
+    /// loss *is* its baseline semantics and what the durability tests
+    /// measure against.
+    fn node_restarted(&mut self, id: ServerId) {
+        match self.shared.stores[id.index()].restart_from_disk() {
+            Ok(replayed) => self.event(|| format!("restart s{} replayed {replayed}", id.0)),
+            // Degrade to a cold rejoin rather than killing the control
+            // thread; repairs re-copy its partitions.
+            Err(e) => self.event(|| format!("restart s{} replay failed: {e}", id.0)),
+        }
+        self.shared.alive[id.index()].store(true, Ordering::Release);
+        self.restarts += 1;
+    }
+
+    fn partition_restored(&mut self, manager: &ReplicaManager, p: PartitionId, to: ServerId) {
+        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
+        self.shared.stores[to.index()].merge(&self.archive_snapshot(p));
+        self.publish(manager, p);
+    }
+
+    fn republish(&mut self, manager: &ReplicaManager, p: Option<PartitionId>) {
+        let rows = p.map_or(0..self.shared.partitions, |p| p.0..p.0 + 1);
+        for p in rows.map(PartitionId::new) {
             let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-            self.publish(p);
+            self.publish(manager, p);
         }
     }
 
-    fn inject_faults(&mut self) {
-        let Some(injector) = self.injector.as_mut() else {
-            return;
-        };
-        let Ok(report) = injector.begin_epoch(self.tick, &mut self.topo) else {
-            return;
-        };
-        if !report.failed.is_empty() || report.routes_changed || report.random_shortfall > 0 {
-            self.auditor.note_fault(self.tick);
+    fn entering_epoch(&mut self, health: impl FnOnce() -> (u64, u64)) {
+        self.health = self.shared.telemetry.enabled().then(health);
+    }
+
+    /// Mirror one placement change on the data plane: partition lock →
+    /// route epoch odd → control-plane apply → data copy → route
+    /// publish (epoch even). Holding the lock for the whole sequence
+    /// means no client write can land between the copy and the new
+    /// route.
+    fn apply(
+        &mut self,
+        manager: &mut ReplicaManager,
+        action: Action,
+        apply: impl FnOnce(&mut ReplicaManager) -> Result<AppliedAction>,
+    ) -> Result<AppliedAction> {
+        let p = action.partition();
+        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
+        let old_route = self.shared.route(p);
+        // Flip the route epoch odd *before* touching placement or data:
+        // a reactor-plane writer observing an odd epoch (or an epoch
+        // changed across its write) knows its replica set may straddle
+        // the transfer and retries instead of acking.
+        self.shared.begin_route_change(p);
+        let applied = apply(manager);
+        if applied.is_err() {
+            // Aborted change: settle the epoch even again (spurious
+            // invalidation of in-flight optimistic writes is harmless).
+            self.shared.end_route_change(p);
+            return applied;
         }
-        let telemetry = self.shared.telemetry.enabled();
-        for &id in &report.failed {
-            self.ring.leave(id);
-            self.shared.alive[id.index()].store(false, Ordering::Release);
-            if telemetry {
-                self.tick_events.push(format!("kill s{}", id.0));
+        match action {
+            Action::Replicate { target: to, .. } | Action::Migrate { to, .. } => {
+                self.copy_partition(p, &old_route, to)
             }
+            // The shard's data stays in place but unrouted; a later
+            // re-replication to this node finds a warm copy and merge
+            // makes that safe.
+            Action::Suicide { .. } => {}
         }
-        for &id in &report.recovered {
-            self.ring.join(id);
-            self.shared.alive[id.index()].store(true, Ordering::Release);
-            if telemetry {
-                self.tick_events.push(format!("recover s{}", id.0));
-            }
-        }
-        for &id in &report.restarted {
-            // Kill-then-restart: the node comes back with empty memory
-            // and replays its log before rejoining — exactly the
-            // in-process analogue of SIGKILL + relaunch. A memory store
-            // replays nothing; that data loss *is* its baseline
-            // semantics and what the durability tests measure against.
-            self.ring.join(id);
-            match self.shared.stores[id.index()].restart_from_disk() {
-                Ok(replayed) => {
-                    if telemetry {
-                        self.tick_events.push(format!("restart s{} replayed {replayed}", id.0));
-                    }
-                }
-                Err(e) => {
-                    // Degrade to a cold rejoin rather than killing the
-                    // control thread; repairs re-copy its partitions.
-                    if telemetry {
-                        self.tick_events.push(format!("restart s{} replay failed: {e}", id.0));
-                    }
-                }
-            }
-            self.shared.alive[id.index()].store(true, Ordering::Release);
-            self.restarts += 1;
-        }
-        if let Some(p) = report.message_loss {
-            self.policy.set_message_loss(p);
-        }
-        if let Some((repl, migr)) = report.bandwidth {
-            self.manager.set_bandwidth_factors(repl, migr);
-        }
-        if !report.failed.is_empty() {
-            self.prune_dead();
+        self.publish(manager, p);
+        applied
+    }
+}
+
+pub(crate) struct Controller {
+    pipeline: EpochPipeline,
+    host: LiveHost,
+    /// The tick's drained `q_ijt` matrix.
+    scratch: QueryLoad,
+    /// Counter snapshot at the previous tick sample.
+    prev_counters: TickCounters,
+    /// Reused buffer for the per-tick server-side latency histogram.
+    tick_hist: Histogram,
+    replications: u64,
+    migrations: u64,
+    suicides: u64,
+    data_restores: u64,
+    /// Fault-plan errors surfaced (the plan is halted at the first).
+    fault_errors: u64,
+}
+
+impl Controller {
+    pub fn new(shared: Arc<Shared>, pipeline: EpochPipeline) -> Self {
+        let dc_count = pipeline.topology().datacenters().len() as u32;
+        Controller {
+            scratch: QueryLoad::zeros(shared.partitions, dc_count),
+            host: LiveHost { shared, tick_events: Vec::new(), health: None, restarts: 0 },
+            pipeline,
+            prev_counters: TickCounters::default(),
+            tick_hist: Histogram::latency(),
+            replications: 0,
+            migrations: 0,
+            suicides: 0,
+            data_restores: 0,
+            fault_errors: 0,
         }
     }
 
-    /// Drop replicas on dead nodes; partitions that lost every copy
-    /// are restored from the archive onto a ring successor (or pinned
-    /// until any server is alive again).
-    fn prune_dead(&mut self) {
-        let ring = &self.ring;
-        let topo = &self.topo;
-        let outcome = self.manager.prune_dead(topo, |p| {
-            ring.successors(p, topo.server_count())
-                .ok()
-                .into_iter()
-                .flatten()
-                .find(|&s| topo.servers()[s.index()].alive)
-                .or_else(|| topo.servers().iter().find(|s| s.alive).map(|s| s.id))
+    /// Run ticks until shutdown; always executes one final tick after
+    /// the flag flips so the last interval's counters are drained and
+    /// audited.
+    pub fn run(mut self, interval: Duration) -> ControlStats {
+        loop {
+            let last = self.host.shared.shutdown.load(Ordering::Acquire);
+            self.step();
+            if last {
+                break;
+            }
+            let mut slept = Duration::ZERO;
+            while slept < interval && !self.host.shared.shutdown.load(Ordering::Acquire) {
+                let nap = (interval - slept).min(Duration::from_millis(10));
+                std::thread::sleep(nap);
+                slept += nap;
+            }
+        }
+        self.finish()
+    }
+
+    /// The control plane's registry: serve.* lifetime totals, the
+    /// data-plane request counters, and the pipeline's own series.
+    /// Built fresh from totals every call, so republishing per tick
+    /// (and re-scraping) is idempotent.
+    fn build_registry(&self) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new();
+        registry.counter_total("serve.control.ticks", self.pipeline.epoch());
+        registry.counter_total("serve.actions.replications", self.replications);
+        registry.counter_total("serve.actions.migrations", self.migrations);
+        registry.counter_total("serve.actions.suicides", self.suicides);
+        registry.counter_total("serve.data_restores", self.data_restores);
+        self.pipeline.collect_metrics(&mut registry, "serve");
+        let c = &self.host.shared.counters;
+        registry.counter_total("serve.requests.gets", c.gets.load(Ordering::Relaxed));
+        registry.counter_total("serve.requests.puts", c.puts.load(Ordering::Relaxed));
+        registry.counter_total("serve.requests.forwards", c.forwards.load(Ordering::Relaxed));
+        registry.counter_total("serve.acks.ok", c.acks_ok.load(Ordering::Relaxed));
+        registry.counter_total("serve.acks.not_found", c.acks_not_found.load(Ordering::Relaxed));
+        registry
+            .counter_total("serve.acks.unavailable", c.acks_unavailable.load(Ordering::Relaxed));
+        // Series that exist only once their subject does, so a scrape
+        // of a healthy memory-only cluster is byte-identical to older
+        // builds: restarts, fault-plan errors, durability.
+        if self.host.restarts > 0 {
+            registry.counter_total("serve.restarts", self.host.restarts);
+        }
+        if self.fault_errors > 0 {
+            registry.counter_total("serve.control.fault_errors", self.fault_errors);
+        }
+        let mut storage = StorageSnapshot::default();
+        let mut durable = false;
+        for s in &self.host.shared.stores {
+            if let Some(stats) = s.storage() {
+                storage.add(stats.snapshot());
+                durable = true;
+            }
+        }
+        if durable {
+            storage.collect_metrics(&mut registry);
+        }
+        registry
+    }
+
+    fn finish(self) -> ControlStats {
+        let registry = self.build_registry();
+        ControlStats {
+            ticks: self.pipeline.epoch(),
+            replications: self.replications,
+            migrations: self.migrations,
+            suicides: self.suicides,
+            repairs_completed: self.pipeline.repair_queue().completed(),
+            dead_letters: self.pipeline.repair_queue().dead_letters(),
+            invariant_violations: self.pipeline.auditor().total(),
+            data_restores: self.data_restores,
+            restarts: self.host.restarts,
+            replicas_total: self.pipeline.manager().total_replicas(),
+            registry,
+        }
+    }
+
+    /// One control tick: the pipeline's epoch over the drained counters.
+    fn step(&mut self) {
+        if let Err(e) = self.pipeline.inject_faults(&mut self.host) {
+            // A plan naming a server or link this topology lacks. What
+            // it did before the bad entry has been followed through; the
+            // pipeline halted the rest. Say so everywhere an operator
+            // looks, and keep serving.
+            self.fault_errors += 1;
+            eprintln!("rfh serve: fault plan error at tick {}: {e}", self.pipeline.epoch());
+            self.host.event(|| format!("fault plan error: {e}"));
+        }
+        self.scratch.clear_touched();
+        self.host.shared.load.drain_sparse_into(&mut self.scratch);
+        let snap = self.pipeline.run_epoch(&self.scratch, &mut self.host);
+        self.replications += snap.replications as u64;
+        self.migrations += snap.migrations as u64;
+        self.suicides += snap.suicides as u64;
+        self.data_restores += snap.data_loss as u64;
+        self.record_tick_sample();
+    }
+
+    /// Drain the per-tick server-side latency histograms, compute this
+    /// tick's deltas, append one [`TickSample`] to the timeline ring
+    /// (with the pre-repair health gauges), and republish the control
+    /// registry for the `/metrics` endpoint. No-op when telemetry is
+    /// off, so the control loop's outputs match a pre-telemetry build.
+    fn record_tick_sample(&mut self) {
+        let Some((unavailable, below_floor)) = self.host.health.take() else {
+            return;
+        };
+        let telemetry = &self.host.shared.telemetry;
+        self.tick_hist.clear();
+        telemetry.drain_tick(&mut self.tick_hist);
+
+        let c = &self.host.shared.counters;
+        let cur = TickCounters {
+            ops: c.gets.load(Ordering::Relaxed) + c.puts.load(Ordering::Relaxed),
+            forwards: c.forwards.load(Ordering::Relaxed),
+            acks_ok: c.acks_ok.load(Ordering::Relaxed),
+            acks_unavailable: c.acks_unavailable.load(Ordering::Relaxed),
+            replications: self.replications,
+            migrations: self.migrations,
+            suicides: self.suicides,
+            repairs_completed: self.pipeline.repair_queue().completed(),
+            violations: self.pipeline.auditor().total(),
+        };
+        let prev = self.prev_counters;
+
+        telemetry.push_sample(TickSample {
+            // The pipeline has already moved on to the next epoch.
+            tick: self.pipeline.epoch() - 1,
+            ops: cur.ops - prev.ops,
+            forwards: cur.forwards - prev.forwards,
+            acks_ok: cur.acks_ok - prev.acks_ok,
+            acks_unavailable: cur.acks_unavailable - prev.acks_unavailable,
+            p50_us: self.tick_hist.quantile(0.5).unwrap_or(0.0),
+            p99_us: self.tick_hist.quantile(0.99).unwrap_or(0.0),
+            replicas_total: self.pipeline.manager().total_replicas() as u64,
+            degraded: below_floor - unavailable,
+            unavailable,
+            replications: cur.replications - prev.replications,
+            migrations: cur.migrations - prev.migrations,
+            suicides: cur.suicides - prev.suicides,
+            repairs: cur.repairs_completed - prev.repairs_completed,
+            violations: cur.violations - prev.violations,
+            events: std::mem::take(&mut self.host.tick_events),
         });
-        for &p in &outcome.restored_partitions {
-            let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-            if let Some(&to) = self.manager.replicas(p).first() {
-                let entries = self.archive_snapshot(p);
-                self.shared.stores[to.index()].merge(&entries);
-            }
-            self.publish(p);
-            self.data_restores += 1;
-        }
-        for p in outcome.unrestored_partitions {
-            if !self.pinned.contains(&p) {
-                self.pinned.push(p);
-            }
-        }
-        self.view_stale = true;
-        self.publish_all();
+        self.prev_counters = cur;
+        telemetry.publish_registry(self.build_registry());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::control_plane;
+    use crate::config::ClusterConfig;
+    use crate::store::NodeStore;
+    use rfh_faults::{FaultAction, FaultPlan};
+    use rfh_types::DatacenterId;
+
+    /// A real controller over memory stores and addresses nobody dials:
+    /// everything the control thread owns, minus the sockets.
+    fn controller(config: &ClusterConfig, faults: FaultPlan) -> Controller {
+        let pipeline = control_plane(config, &faults).unwrap();
+        let n = pipeline.topology().server_count();
+        let stores = (0..n).map(|_| NodeStore::new()).collect();
+        let addrs = vec!["127.0.0.1:1".parse().unwrap(); n];
+        Controller::new(Arc::new(Shared::new(config.telemetry, &pipeline, stores, addrs)), pipeline)
     }
 
-    /// Retry archive restores for partitions pinned to dead nodes.
-    fn retry_restores(&mut self) {
-        if self.pinned.is_empty() {
-            return;
+    fn small(link_budget_bytes: Option<u64>) -> ClusterConfig {
+        ClusterConfig {
+            servers_per_rack: 1,
+            partitions: 16,
+            telemetry: true,
+            link_budget_bytes,
+            ..ClusterConfig::default()
         }
-        let mut still_pinned = Vec::new();
-        for p in std::mem::take(&mut self.pinned) {
-            // A pinned node that recovered brings its disk back.
-            if self.manager.replicas(p).iter().any(|&s| self.topo.servers()[s.index()].alive) {
-                let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-                self.publish(p);
-                self.view_stale = true;
-                continue;
+    }
+
+    /// Skewed demand from two datacenters, so RFH has hubs to chase.
+    fn offer_load(shared: &Shared, tick: u32) {
+        for p in 0..shared.partitions {
+            let n = 40 / (p + 1) + (tick + p) % 3;
+            shared.load.add(PartitionId::new(p), DatacenterId::new(p % 2 * 7), n);
+        }
+    }
+
+    /// The published data plane never drifts from the control plane:
+    /// after every tick each route row is the manager's replica set and
+    /// each route epoch is settled (even) — through a kill, a restart,
+    /// a second kill and its recovery, with transfers rate-limited onto
+    /// the deferred lane.
+    #[test]
+    fn routes_follow_the_manager_through_kill_recover_restart_under_a_budget() {
+        let plan = FaultPlan::default()
+            .at_restarting(2, FaultAction::FailServers(vec![ServerId::new(5)]), 3)
+            .at(4, FaultAction::FailServers(vec![ServerId::new(11), ServerId::new(12)]))
+            .at(9, FaultAction::RecoverServers(vec![ServerId::new(11), ServerId::new(12)]));
+        let mut c = controller(&small(Some(512 << 10)), plan);
+        for tick in 0..16 {
+            offer_load(&c.host.shared, tick);
+            c.step();
+            let manager = c.pipeline.manager();
+            for p in (0..16).map(PartitionId::new) {
+                assert_eq!(c.host.shared.route(p), manager.replicas(p), "tick {tick} {p:?}");
+                assert_eq!(c.host.shared.route_epoch(p) % 2, 0, "tick {tick} {p:?} unsettled");
             }
-            let target = self
-                .ring
-                .successors(p, self.topo.server_count())
-                .ok()
-                .into_iter()
-                .flatten()
-                .find(|&s| self.topo.servers()[s.index()].alive)
-                .or_else(|| self.topo.servers().iter().find(|s| s.alive).map(|s| s.id));
-            match target {
-                Some(to) if self.manager.restore_partition(&self.topo, p, to).is_ok() => {
-                    let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-                    let entries = self.archive_snapshot(p);
-                    self.shared.stores[to.index()].merge(&entries);
-                    self.publish(p);
-                    self.data_restores += 1;
-                    self.view_stale = true;
-                }
-                _ => still_pinned.push(p),
+            let dead: &[u32] = match tick {
+                0..=1 => &[],
+                2..=3 => &[5],
+                4 => &[5, 11, 12],
+                5..=8 => &[11, 12],
+                _ => &[],
+            };
+            for s in 0..20 {
+                assert_eq!(c.host.shared.is_alive(s), !dead.contains(&(s as u32)), "tick {tick}");
             }
         }
-        self.pinned = still_pinned;
+        let (admitted, deferred) = c.pipeline.planner_counters();
+        assert!(admitted > 0 && deferred > 0, "the budget must bind: {admitted}/{deferred}");
+        let stats = c.finish();
+        assert_eq!((stats.ticks, stats.restarts, stats.invariant_violations), (16, 1, 0));
+        assert!(stats.replications > 0, "demand and repairs must have moved replicas");
+        let names: Vec<&str> = stats.registry.entries().iter().map(|(n, _)| n.as_str()).collect();
+        assert!(names.contains(&"serve.planner.deferred"), "a budget exposes the planner series");
+        assert!(!names.contains(&"serve.control.fault_errors"), "a good plan raises no error");
+    }
+
+    /// A plan naming a server the topology lacks used to be swallowed
+    /// whole, leaving whatever it had already killed dead in the
+    /// topology but alive on the data plane. Now the partial epoch is
+    /// followed through and the error is surfaced — once.
+    #[test]
+    fn a_bad_fault_plan_is_surfaced_once_and_what_it_did_is_followed() {
+        let plan = FaultPlan::default()
+            .at(1, FaultAction::FailServers(vec![ServerId::new(5), ServerId::new(9999)]))
+            .at(3, FaultAction::FailServers(vec![ServerId::new(6)]));
+        let mut c = controller(&small(None), plan);
+        for tick in 0..6 {
+            offer_load(&c.host.shared, tick);
+            c.step();
+        }
+        assert_eq!(c.fault_errors, 1, "the plan is halted at its first error");
+        assert!(!c.host.shared.is_alive(5), "s5 died before the bad id and the host heard");
+        assert!(c.host.shared.is_alive(6), "nothing after the error is driven");
+        let timeline = c.host.shared.telemetry.timeline();
+        assert_eq!(timeline.len(), 6, "the loop keeps ticking");
+        assert_eq!(timeline[1].events[0], "kill s5");
+        assert!(timeline[1].events[1].starts_with("fault plan error: "), "{:?}", timeline[1]);
+        assert!(timeline[2..].iter().all(|t| t.events.is_empty()));
+        for p in (0..16).map(PartitionId::new) {
+            assert!(!c.host.shared.route(p).contains(&ServerId::new(5)), "{p:?} routes to s5");
+        }
+        let stats = c.finish();
+        assert_eq!(stats.invariant_violations, 0);
+        assert_eq!(
+            stats.registry.get("serve.control.fault_errors"),
+            Some(&rfh_obs::Metric::Counter(1))
+        );
     }
 }

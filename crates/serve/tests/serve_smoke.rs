@@ -142,6 +142,37 @@ fn pipelined_load_survives_a_server_kill() {
     kill_without_loss_on(DataPlane::Reactor, 8);
 }
 
+/// A plan file naming a server the topology does not have must not be
+/// swallowed: the control loop surfaces it (timeline event, counter),
+/// stops driving the plan, and the cluster serves on as if unplanned.
+#[test]
+fn a_fault_plan_naming_an_unknown_server_is_surfaced_and_serving_continues() {
+    let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 1\nfail_servers = [9999]\n").unwrap();
+    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), plan).unwrap();
+    // Let the bad epoch tick first, so the whole workload runs after it.
+    while cluster.timeline().len() < 3 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let report = run_loadgen(&small_load(600), cluster.node_infos()).unwrap();
+    let timeline = cluster.timeline();
+    let summary = cluster.shutdown().unwrap();
+
+    let errors: Vec<&String> = timeline
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| e.contains("fault plan error"))
+        .collect();
+    assert_eq!(errors.len(), 1, "surfaced once, on the tick it happened: {errors:?}");
+    assert!(errors[0].contains("9999"), "the event names the culprit: {}", errors[0]);
+    assert_eq!(
+        summary.registry.get("serve.control.fault_errors"),
+        Some(&rfh_obs::Metric::Counter(1))
+    );
+    assert_eq!(report.failed, 0, "a halted plan must not disturb serving:\n{}", report.render());
+    assert_eq!(report.lost_acked_writes, 0);
+    assert_eq!((summary.alive_nodes, summary.invariant_violations), (20, 0));
+}
+
 #[test]
 fn data_survives_across_direct_client_use() {
     // Drive the client API directly (not through the load generator):

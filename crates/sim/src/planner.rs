@@ -32,14 +32,10 @@
 //!    total orders ending in the input sequence number — identical
 //!    inputs produce identical plans, byte for byte.
 //!
-//! **Bit-identity under infinite budgets.** Priority order decides only
-//! *which* moves are admitted; admitted moves are returned in their
-//! original input order. With an unlimited budget everything is
-//! admitted, so the execution sequence — and with it every manager
-//! rejection, recorder event and RNG draw downstream — is byte-identical
-//! to a planner-less run. The differential matrix in
-//! `crates/sim/tests/parallel_equiv.rs` asserts this across policies ×
-//! engines × thread counts × chaos.
+//! **Execution order.** Priority order decides only *which* moves are
+//! admitted; admitted moves are returned in their original input order,
+//! so a budget that happens to fit everything executes exactly the
+//! sequence an unbudgeted epoch would.
 
 use rfh_types::DatacenterId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,27 +43,18 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Planner configuration, as carried by the CLI / serve config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlannerConfig {
-    /// Whether the planner runs at all. Off (the default) keeps the
-    /// historical greedy execution path, byte for byte.
-    pub enabled: bool,
-    /// Per-link byte budget per epoch. `None` plans against an
-    /// unlimited budget — every move is admitted, in decision order
-    /// (the differential-test configuration). The effective budget is
-    /// additionally scaled by the replica manager's live bandwidth
-    /// factors, so a `bandwidth` fault verb throttles planned transfers
-    /// exactly as it throttles the per-server caps.
+    /// Per-link byte budget per epoch. `None` (the default) runs no
+    /// admission control: every move executes, in decision order. The
+    /// effective budget is additionally scaled by the replica manager's
+    /// live bandwidth factors, so a `bandwidth` fault verb throttles
+    /// planned transfers exactly as it throttles the per-server caps.
     pub link_budget_bytes: Option<u64>,
 }
 
 impl PlannerConfig {
-    /// Planner on with an unlimited budget (the differential arm).
-    pub fn unlimited() -> Self {
-        PlannerConfig { enabled: true, link_budget_bytes: None }
-    }
-
-    /// Planner on with a per-link budget of `bytes` per epoch.
+    /// A per-link budget of `bytes` per epoch.
     pub fn budgeted(bytes: u64) -> Self {
-        PlannerConfig { enabled: true, link_budget_bytes: Some(bytes) }
+        PlannerConfig { link_budget_bytes: Some(bytes) }
     }
 }
 
@@ -132,9 +119,9 @@ pub struct MoveReq<T> {
 }
 
 /// The planner's verdict for one epoch: `admitted` preserves the input
-/// order of the admitted subset (execution-order stability is what the
-/// bit-identity contract rests on); `deferred` preserves the input
-/// order of the rest.
+/// order of the admitted subset (priority picks winners, it never
+/// reorders execution); `deferred` preserves the input order of the
+/// rest.
 #[derive(Debug, Clone)]
 pub struct PlanOutcome<T> {
     /// Moves to execute this epoch, in input order.

@@ -8,7 +8,8 @@
 //! sequential execution (a test asserts this). The only shared state is
 //! the immutable recorded workload trace.
 
-use crate::simulation::{EngineMode, SimParams, SimResult, Simulation};
+use crate::pipeline::EngineMode;
+use crate::simulation::{SimParams, SimResult, Simulation};
 use rfh_core::PolicyKind;
 use rfh_obs::Recorder;
 use rfh_types::{Result, RfhError};

@@ -1,53 +1,25 @@
-//! The epoch loop for one policy.
+//! The offline simulator: one policy's run of the epoch pipeline over a
+//! generated or replayed workload.
 
-use crate::metrics::{
-    epoch_load_imbalance, mean_utilization, mean_utilization_active, EpochSnapshot, Metrics,
-};
-use crate::planner::{link_between, LinkKey, MoveClass, MoveReq, PlannerConfig, TransferPlanner};
-use crate::repair::{destination_unreachable, PendingRepair, RepairQueue};
+use crate::metrics::{EpochSnapshot, Metrics};
+use crate::pipeline::{initial_placement, EngineMode, EpochPipeline, NoHost};
+use crate::planner::PlannerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfh_core::{
-    server_blocking_probabilities, Action, EpochContext, OwnerOrientedPolicy, PlacementMode,
-    PolicyKind, RandomPolicy, ReplicaManager, ReplicationPolicy, RequestOrientedPolicy, RfhPolicy,
+    OwnerOrientedPolicy, PlacementMode, PolicyKind, RandomPolicy, ReplicaManager,
+    ReplicationPolicy, RequestOrientedPolicy, RfhPolicy,
 };
-use rfh_faults::{FaultInjector, FaultPlan, InvariantAuditor};
+use rfh_faults::{FaultPlan, InvariantAuditor};
 use rfh_obs::{
-    MetricsRegistry, NullRecorder, ProfileReport, Profiler, Recorder, PHASE_APPLY, PHASE_DECIDE,
-    PHASE_EVENTS, PHASE_METRICS, PHASE_SPARSE, PHASE_TRAFFIC, PHASE_WORKLOAD,
+    MetricsRegistry, ProfileReport, Profiler, Recorder, PHASE_EVENTS, PHASE_METRICS, PHASE_WORKLOAD,
 };
 use rfh_pool::WorkerPool;
 use rfh_ring::ConsistentHashRing;
-use rfh_stats::min_replica_count;
 use rfh_topology::{paper_topology, Topology};
-use rfh_traffic::{PlacementView, TrafficEngine, TrafficSmoother};
-use rfh_types::{Epoch, PartitionId, Result, RfhError, ServerId, SimConfig};
+use rfh_types::{PartitionId, Result, RfhError, ServerId, SimConfig};
 use rfh_workload::{ClusterEvent, EventSchedule, QueryLoad, Scenario, Trace, WorkloadGenerator};
 use std::sync::Arc;
-
-/// Tokens per server on the placement ring.
-const RING_TOKENS: u32 = 64;
-
-/// Which epoch engine drives a run.
-///
-/// Both modes produce **bit-identical** results — metrics, placements,
-/// decision traces, RNG streams (a differential test matrix asserts
-/// this). They differ only in per-epoch cost: dense work is
-/// O(partitions), sparse work is O(dirty set), which is what lets an
-/// epoch over a million partitions cost only its hot set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Full sweeps: every partition is re-accounted, re-smoothed,
-    /// re-decided and re-audited every epoch. The reference semantics.
-    Dense,
-    /// Incremental dirty-set engine (the default): each epoch touches
-    /// only the *active set* — partitions with queries this epoch,
-    /// partitions whose placement changed, and carried-over partitions
-    /// the policy says are not yet provably inert
-    /// ([`rfh_core::ReplicationPolicy::keeps_live`]).
-    #[default]
-    Sparse,
-}
 
 /// Parameters of one simulation run.
 #[derive(Debug, Clone)]
@@ -134,88 +106,21 @@ impl PartialEq for SimResult {
     }
 }
 
-/// One policy's simulation state.
+/// One policy's simulation state: the epoch pipeline plus what only an
+/// offline run has — a workload source, scripted cluster events and
+/// the metric history.
 pub struct Simulation {
-    /// Data-loss events (partitions restored from archive) pending
-    /// attribution to the next snapshot.
-    pending_data_loss: usize,
     params: SimParams,
-    topo: Topology,
-    ring: ConsistentHashRing,
-    manager: ReplicaManager,
-    smoother: TrafficSmoother,
-    policy: Box<dyn ReplicationPolicy + Send>,
+    pipeline: EpochPipeline,
     /// Workload source: a shared recorded trace, or a private generator.
     trace: Option<Arc<Trace>>,
     generator: WorkloadGenerator,
-    /// RNG for scheduled random events (mass failure).
-    event_rng: StdRng,
-    /// Reused traffic engine: route table and membership caches persist
-    /// across epochs, refreshed only when the topology generation moves.
-    engine: TrafficEngine,
-    /// The placement view the traffic pass reads, maintained in place
-    /// from replica-map deltas instead of rebuilt every epoch.
-    view: PlacementView,
-    /// Partitions whose replica set changed since the last render.
-    dirty_parts: Vec<PartitionId>,
-    /// The view's shape is invalid (first epoch, join, prune): the next
-    /// step re-renders it wholesale.
-    view_stale: bool,
-    /// Chaos driver; `None` for the empty plan (the zero-cost path).
-    injector: Option<FaultInjector>,
-    /// Always-on safety/liveness checker (see `rfh_faults::audit`).
-    auditor: InvariantAuditor,
-    /// Deferred transfers awaiting a reachable destination.
-    repair_queue: RepairQueue,
-    /// Partitions whose every replica died with no live server to
-    /// restore onto: pinned to their dead primary until one recovers.
-    pinned: Vec<PartitionId>,
-    /// Servers requested by `FailRandomServers` beyond the alive
-    /// population (the clamp's accounting).
-    fault_shortfall: u64,
-    /// Archive restores completed this epoch, pending the snapshot.
-    pending_repairs: usize,
-    /// Shared worker pool for the traffic and decision passes; `None`
-    /// when `params.threads <= 1` (the serial path, zero overhead).
-    pool: Option<Arc<WorkerPool>>,
-    /// Dense full sweeps or the sparse dirty-set engine.
-    engine_mode: EngineMode,
-    /// Availability floor `r_min`, cached at construction (it depends
-    /// only on the config).
-    r_min: usize,
-    /// Sparse mode: last epoch's active set, sorted ascending — the
-    /// carry half of the next active set.
-    prev_active: Vec<u32>,
-    /// Sparse mode: build buffer for the next active set (swapped with
-    /// [`prev_active`](Self::prev_active) each epoch).
-    active_scratch: Vec<u32>,
     /// Reused query-matrix buffer for generated workloads: cleared
     /// touched-rows-only each epoch, so workload handling stays
     /// O(queries) instead of O(partitions).
     load_buf: QueryLoad,
-    /// Cumulative partitions visited by sparse epochs.
-    sparse_dirty: u64,
-    /// Cumulative partitions sparse epochs skipped.
-    sparse_skipped: u64,
-    /// Transfer-planner configuration; disabled (the default) keeps the
-    /// historical greedy execution path byte for byte.
-    planner_cfg: PlannerConfig,
-    /// Per-link admission state (carried credit and lifetime counts).
-    /// Untouched while the planner is disabled.
-    planner: TransferPlanner,
-    /// Chaos availability accounting, scanned only when a fault plan is
-    /// active: partition-epochs with zero live replicas.
-    unavailable_pe: u64,
-    /// Partition-epochs below the availability floor `r_min`.
-    sub_rmin_pe: u64,
-    /// Peak count of sub-`r_min` partitions in any single epoch.
-    sub_rmin_peak: u64,
-    /// Decision-event sink; [`NullRecorder`] unless traced.
-    recorder: Arc<dyn Recorder>,
-    /// Per-phase epoch timer; disabled (one branch per phase) unless
-    /// [`with_profiling`](Self::with_profiling) turned it on.
-    profiler: Profiler,
-    epoch: u64,
+    /// RNG for scheduled random events (mass failure).
+    event_rng: StdRng,
     metrics: Metrics,
 }
 
@@ -231,72 +136,33 @@ impl Simulation {
     pub fn with_topology(params: SimParams, topo: Topology) -> Result<Self> {
         params.config.validate()?;
         let cfg = &params.config;
-        let mut ring = ConsistentHashRing::new(RING_TOKENS);
-        for s in topo.servers() {
-            if s.alive {
-                ring.join(s.id);
-            }
-        }
-        let holders = (0..cfg.partitions)
-            .map(|p| ring.primary(PartitionId::new(p)))
-            .collect::<Result<Vec<_>>>()?;
-        let manager = ReplicaManager::new(cfg, topo.server_count(), holders)?;
-        let smoother = TrafficSmoother::new(
-            cfg.partitions,
-            topo.datacenters().len() as u32,
-            cfg.thresholds.alpha,
-        );
+        let dc_count = topo.datacenters().len() as u32;
+        let (ring, manager) = initial_placement(cfg, &topo)?;
         let pool = (params.threads > 1).then(|| Arc::new(WorkerPool::new(params.threads)));
-        let policy = Self::build_policy(&params, &topo, &ring, pool.as_ref());
-        let generator = params.workload_generator(topo.datacenters().len() as u32);
-        let metrics = Metrics::new(cfg.partitions);
-        let load_buf = QueryLoad::zeros(cfg.partitions, topo.datacenters().len() as u32);
-        let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
+        let policy = Self::build_policy(&params, dc_count, &ring, pool.as_ref());
         Ok(Simulation {
-            pending_data_loss: 0,
+            generator: params.workload_generator(dc_count),
+            load_buf: QueryLoad::zeros(cfg.partitions, dc_count),
             event_rng: StdRng::seed_from_u64(params.seed ^ 0x4556_454E_5453), // "EVENTS"
-            injector: FaultInjector::new(&params.faults),
-            auditor: InvariantAuditor::new(cfg.partitions, r_min),
-            repair_queue: RepairQueue::new(),
-            pinned: Vec::new(),
-            fault_shortfall: 0,
-            pending_repairs: 0,
-            params,
-            topo,
-            ring,
-            manager,
-            smoother,
-            policy,
+            metrics: Metrics::new(cfg.partitions),
+            pipeline: EpochPipeline::new(
+                cfg.clone(),
+                topo,
+                ring,
+                manager,
+                policy,
+                &params.faults,
+                pool,
+            ),
             trace: None,
-            generator,
-            engine: TrafficEngine::new(),
-            view: PlacementView::new(0, 0, Vec::new()),
-            dirty_parts: Vec::new(),
-            view_stale: true,
-            engine_mode: EngineMode::default(),
-            r_min,
-            prev_active: Vec::new(),
-            active_scratch: Vec::new(),
-            load_buf,
-            sparse_dirty: 0,
-            sparse_skipped: 0,
-            pool,
-            planner_cfg: PlannerConfig::default(),
-            planner: TransferPlanner::new(),
-            unavailable_pe: 0,
-            sub_rmin_pe: 0,
-            sub_rmin_peak: 0,
-            recorder: Arc::new(NullRecorder),
-            profiler: Profiler::new(false),
-            epoch: 0,
-            metrics,
+            params,
         })
     }
 
     /// Replace the policy with a custom (e.g. ablated) implementation.
     /// The `params.policy` kind is kept for labelling only.
     pub fn with_custom_policy(mut self, policy: Box<dyn ReplicationPolicy + Send>) -> Self {
-        self.policy = policy;
+        self.pipeline.policy = policy;
         self
     }
 
@@ -314,14 +180,14 @@ impl Simulation {
     /// cannot feed state back), so a traced run stays bit-identical to
     /// an untraced one.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
+        self.pipeline.recorder = recorder;
         self
     }
 
     /// Enable (or disable) per-phase epoch timing. Off by default; when
     /// off the cost is one branch per phase boundary.
     pub fn with_profiling(mut self, enabled: bool) -> Self {
-        self.profiler = Profiler::new(enabled);
+        self.pipeline.profiler = Profiler::new(enabled);
         self
     }
 
@@ -329,45 +195,38 @@ impl Simulation {
     /// [`EngineMode::Sparse`]). Results are bit-identical either way —
     /// the mode trades per-epoch cost only.
     pub fn with_engine(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
+        self.pipeline.engine_mode = mode;
         self
     }
 
-    /// Attach the per-epoch transfer planner (see [`crate::planner`]).
-    /// A disabled config (the default) keeps the greedy execution path
-    /// byte for byte; an enabled planner with an unlimited budget is
-    /// bit-identical to it (the differential matrix in
-    /// `parallel_equiv.rs` asserts this); a finite budget rate-limits
-    /// each WAN link, deferring what does not fit to the next epoch via
-    /// the repair queue.
+    /// Attach the per-epoch transfer planner (see [`crate::planner`]):
+    /// a link budget rate-limits each WAN link, deferring what does not
+    /// fit to the next epoch via the repair queue. Without a budget
+    /// (the default) every move executes.
     pub fn with_planner(mut self, cfg: PlannerConfig) -> Self {
-        self.planner_cfg = cfg;
+        self.pipeline = self.pipeline.with_planner(cfg);
         self
     }
 
     fn build_policy(
         params: &SimParams,
-        topo: &Topology,
+        dc_count: u32,
         ring: &ConsistentHashRing,
         pool: Option<&Arc<WorkerPool>>,
     ) -> Box<dyn ReplicationPolicy + Send> {
+        let rfh = |placement| {
+            let mut p = RfhPolicy::new().with_placement(placement);
+            p.set_pool(pool.cloned());
+            Box::new(p)
+        };
         match params.policy {
-            PolicyKind::Rfh => match pool {
-                Some(pool) => Box::new(RfhPolicy::new().with_pool(Arc::clone(pool))),
-                None => Box::new(RfhPolicy::new()),
-            },
-            PolicyKind::DomainSpread => {
-                let p = RfhPolicy::new().with_placement(PlacementMode::DomainSpread);
-                match pool {
-                    Some(pool) => Box::new(p.with_pool(Arc::clone(pool))),
-                    None => Box::new(p),
-                }
-            }
+            PolicyKind::Rfh => rfh(PlacementMode::default()),
+            PolicyKind::DomainSpread => rfh(PlacementMode::DomainSpread),
             PolicyKind::Random => Box::new(RandomPolicy::new(ring.clone())),
             PolicyKind::OwnerOriented => Box::new(OwnerOrientedPolicy::new()),
             PolicyKind::RequestOriented => Box::new(RequestOrientedPolicy::new(
                 params.config.partitions,
-                topo.datacenters().len() as u32,
+                dc_count,
                 params.seed ^ 0x5245_5155, // "REQU"
             )),
         }
@@ -375,567 +234,98 @@ impl Simulation {
 
     /// Current epoch (next to be simulated).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.pipeline.epoch()
     }
 
     /// The replica map (inspection in tests and examples).
     pub fn manager(&self) -> &ReplicaManager {
-        &self.manager
+        self.pipeline.manager()
     }
 
     /// The cluster (inspection in tests and examples).
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.pipeline.topology()
     }
 
-    /// Drive the fault plan for this epoch: inject what is due, update
-    /// ring membership, prune replicas on freshly-dead servers, and
-    /// apply the sticky gray-failure knobs.
-    fn inject_faults(&mut self) -> Result<()> {
-        let Some(injector) = self.injector.as_mut() else {
-            return Ok(());
-        };
-        let report = injector.begin_epoch(self.epoch, &mut self.topo)?;
-        if !report.failed.is_empty() || report.routes_changed || report.random_shortfall > 0 {
-            self.auditor.note_fault(self.epoch);
-        }
-        for &id in &report.failed {
-            self.ring.leave(id);
-        }
-        for &id in &report.recovered {
-            self.ring.join(id);
-        }
-        // The offline simulator carries no process state, so a restart
-        // is indistinguishable from a plain recovery here; the live
-        // runtime is where restart means "replay the log".
-        for &id in &report.restarted {
-            self.ring.join(id);
-        }
-        if let Some(p) = report.message_loss {
-            self.policy.set_message_loss(p);
-        }
-        if let Some((repl, migr)) = report.bandwidth {
-            self.manager.set_bandwidth_factors(repl, migr);
-        }
-        self.fault_shortfall += report.random_shortfall as u64;
-        // Route changes need no handling here: the topology generation
-        // bump re-keys the traffic engine's caches automatically.
-        if !report.failed.is_empty() {
-            self.prune_dead_replicas();
-        }
-        Ok(())
-    }
-
-    /// Drop replicas on dead servers. Partitions that lost every copy
-    /// are restored onto a surviving ring successor when one exists;
-    /// with no live server anywhere they stay pinned to their dead
-    /// primary and are retried by [`Self::retry_restores`].
-    fn prune_dead_replicas(&mut self) {
-        let ring = &self.ring;
-        let topo = &self.topo;
-        let outcome = self.manager.prune_dead(topo, |p| {
-            ring.successors(p, topo.server_count())
-                .ok()
-                .into_iter()
-                .flatten()
-                .find(|&s| topo.servers()[s.index()].alive)
-                .or_else(|| topo.servers().iter().find(|s| s.alive).map(|s| s.id))
-        });
-        self.pending_data_loss += outcome.restored_partitions.len();
-        for p in outcome.unrestored_partitions {
-            if !self.pinned.contains(&p) {
-                self.pinned.push(p);
-            }
-        }
-        self.view_stale = true;
-    }
-
-    /// Retry archive restores for partitions pinned to dead servers.
-    /// Data loss is accounted when the restore actually lands.
-    fn retry_restores(&mut self) {
-        if self.pinned.is_empty() {
-            return;
-        }
-        let mut still_pinned = Vec::new();
-        for p in std::mem::take(&mut self.pinned) {
-            // A pinned server that recovered brings its disk back with
-            // it: the partition is whole again without touching the
-            // archive, so no data loss and no repair to account.
-            if self.manager.replicas(p).iter().any(|&s| self.topo.servers()[s.index()].alive) {
-                self.view_stale = true;
-                continue;
-            }
-            let target = self
-                .ring
-                .successors(p, self.topo.server_count())
-                .ok()
-                .into_iter()
-                .flatten()
-                .find(|&s| self.topo.servers()[s.index()].alive)
-                .or_else(|| self.topo.servers().iter().find(|s| s.alive).map(|s| s.id));
-            match target {
-                Some(to) if self.manager.restore_partition(&self.topo, p, to).is_ok() => {
-                    self.pending_data_loss += 1;
-                    self.pending_repairs += 1;
-                    self.view_stale = true;
-                }
-                _ => still_pinned.push(p),
-            }
-        }
-        self.pinned = still_pinned;
-    }
-
+    /// Apply the scripted cluster events due this epoch.
     fn apply_events(&mut self) -> Result<()> {
-        // Clone the events at this epoch to end the borrow of params.
-        let evs: Vec<ClusterEvent> = self.params.events.at(self.epoch).cloned().collect();
-        if evs.is_empty() {
-            return Ok(());
-        }
-        let mut membership_changed = false;
-        for ev in evs {
+        let pl = &mut self.pipeline;
+        let mut pruned = false;
+        for ev in self.params.events.at(pl.epoch()) {
             match ev {
                 ClusterEvent::FailRandomServers { count } => {
-                    let failed = self.topo.fail_random_servers(count, &mut self.event_rng);
+                    let failed = pl.topo.fail_random_servers(*count, &mut self.event_rng);
                     // Asking for more than the alive population is not
                     // an error: everyone dies and the gap is recorded.
-                    self.fault_shortfall += (count - failed.len()) as u64;
+                    pl.fault_shortfall += (count - failed.len()) as u64;
                     for id in failed {
-                        self.ring.leave(id);
-                        membership_changed = true;
+                        pl.ring.leave(id);
+                        pruned = true;
                     }
                 }
                 ClusterEvent::FailServers(ids) => {
-                    for id in ids {
-                        if self.topo.fail_server(id)? {
-                            self.ring.leave(id);
-                            membership_changed = true;
+                    for &id in ids {
+                        if pl.topo.fail_server(id)? {
+                            pl.ring.leave(id);
+                            pruned = true;
                         }
                     }
                 }
                 ClusterEvent::RecoverServers(ids) => {
-                    for id in ids {
-                        if self.topo.recover_server(id)? {
-                            self.ring.join(id);
+                    for &id in ids {
+                        if pl.topo.recover_server(id)? {
+                            pl.ring.join(id);
                         }
                     }
                 }
                 ClusterEvent::RecoverAll => {
                     let dead: Vec<ServerId> =
-                        self.topo.servers().iter().filter(|s| !s.alive).map(|s| s.id).collect();
+                        pl.topo.servers().iter().filter(|s| !s.alive).map(|s| s.id).collect();
                     for id in dead {
-                        self.topo.recover_server(id)?;
-                        self.ring.join(id);
+                        pl.topo.recover_server(id)?;
+                        pl.ring.join(id);
                     }
                 }
                 ClusterEvent::JoinServer { datacenter, room, rack } => {
-                    let id = self.topo.add_server(datacenter, room, rack, 1.0)?;
-                    self.manager.add_server_slot();
-                    self.ring.join(id);
-                    self.view_stale = true;
+                    let id = pl.topo.add_server(*datacenter, *room, *rack, 1.0)?;
+                    pl.manager.add_server_slot();
+                    pl.ring.join(id);
+                    pl.view_stale = true;
                 }
             }
         }
-        if membership_changed {
-            self.auditor.note_fault(self.epoch);
-            self.prune_dead_replicas();
+        if pruned {
+            pl.auditor.note_fault(pl.epoch());
+            pl.prune_dead_replicas(&mut NoHost);
         }
         Ok(())
     }
 
     /// Simulate one epoch; returns its snapshot.
     pub fn step(&mut self) -> Result<EpochSnapshot> {
-        let ev_t0 = self.profiler.start();
-        self.inject_faults()?;
+        let ev_t0 = self.pipeline.profiler.start();
+        self.pipeline.inject_faults(&mut NoHost)?;
         self.apply_events()?;
-        self.retry_restores();
-        self.manager.begin_epoch();
-        // Chaos availability accounting, as the cluster stands entering
-        // the epoch (post-fault, pre-repair — the worst this epoch
-        // sees). Only scanned under an active fault plan, so fault-free
-        // runs — including the million-partition sparse benches — pay
-        // nothing.
-        if self.injector.is_some() {
-            self.scan_availability();
-        }
-        self.profiler.stop(PHASE_EVENTS, ev_t0);
+        self.pipeline.profiler.stop(PHASE_EVENTS, ev_t0);
 
-        let wl_t0 = self.profiler.start();
+        let wl_t0 = self.pipeline.profiler.start();
+        let epoch = self.pipeline.epoch();
         let load: &QueryLoad = match &self.trace {
-            Some(t) => t.epoch(self.epoch).ok_or_else(|| {
-                RfhError::Simulation(format!("trace has no epoch {}", self.epoch))
-            })?,
+            Some(t) => t
+                .epoch(epoch)
+                .ok_or_else(|| RfhError::Simulation(format!("trace has no epoch {epoch}")))?,
             None => {
-                self.generator.epoch_load_into(self.epoch, &mut self.load_buf);
+                self.generator.epoch_load_into(epoch, &mut self.load_buf);
                 &self.load_buf
             }
         };
-        self.profiler.stop(PHASE_WORKLOAD, wl_t0);
+        self.pipeline.profiler.stop(PHASE_WORKLOAD, wl_t0);
 
-        // Sparse mode: assemble the epoch's active set before the render
-        // below consumes `dirty_parts` / `view_stale`. A stale view means
-        // placements moved wholesale (first epoch, prune, join, restore)
-        // — that epoch runs dirty-all, which doubles as the warm-up that
-        // seeds the carry. Otherwise the set is carry ∪ touched ∪ dirty:
-        // carried partitions the policy cannot yet prove inert, plus
-        // everything with queries or placement changes this epoch.
-        let sp_t0 = self.profiler.start();
-        let active: Option<&[u32]> = match self.engine_mode {
-            EngineMode::Dense => None,
-            EngineMode::Sparse => {
-                self.active_scratch.clear();
-                if self.view_stale {
-                    self.active_scratch.extend(0..self.params.config.partitions);
-                } else {
-                    for &pu in &self.prev_active {
-                        if self.policy.keeps_live(
-                            &self.topo,
-                            &self.smoother,
-                            &self.manager,
-                            self.r_min,
-                            PartitionId::new(pu),
-                        ) {
-                            self.active_scratch.push(pu);
-                        }
-                    }
-                    self.active_scratch.extend_from_slice(load.touched());
-                    self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
-                    self.active_scratch.sort_unstable();
-                    self.active_scratch.dedup();
-                }
-                std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
-                self.sparse_dirty += self.prev_active.len() as u64;
-                self.sparse_skipped +=
-                    self.params.config.partitions as u64 - self.prev_active.len() as u64;
-                Some(&self.prev_active)
-            }
-        };
-        self.profiler.stop(PHASE_SPARSE, sp_t0);
-
-        let tr_t0 = self.profiler.start();
-        let cfg = &self.params.config;
-        if self.view_stale {
-            self.manager.render_view(&self.topo, cfg.replica_capacity_mean, &mut self.view);
-            self.view_stale = false;
-            self.dirty_parts.clear();
-        } else {
-            for &p in &self.dirty_parts {
-                self.manager.render_partition(
-                    &self.topo,
-                    cfg.replica_capacity_mean,
-                    p,
-                    &mut self.view,
-                );
-            }
-            self.dirty_parts.clear();
-        }
-        let accounts = match (active, &self.pool) {
-            (Some(a), Some(pool)) => {
-                self.engine.account_active_sharded(&self.topo, load, &self.view, a, pool)
-            }
-            (Some(a), None) => self.engine.account_active(&self.topo, load, &self.view, a),
-            (None, Some(pool)) => self.engine.account_sharded(&self.topo, load, &self.view, pool),
-            (None, None) => self.engine.account(&self.topo, load, &self.view),
-        };
-        match active {
-            Some(a) => self.smoother.update_active(load, accounts, a),
-            None => self.smoother.update(load, accounts),
-        }
-        let blocking =
-            server_blocking_probabilities(&self.topo, accounts, cfg.replica_capacity_mean);
-        self.profiler.stop(PHASE_TRAFFIC, tr_t0);
-
-        let de_t0 = self.profiler.start();
-        let ctx = EpochContext {
-            epoch: Epoch(self.epoch),
-            topo: &self.topo,
-            load,
-            accounts,
-            smoother: &self.smoother,
-            blocking: &blocking,
-            view: &self.view,
-            config: cfg,
-            recorder: &*self.recorder,
-            active,
-        };
-        let actions = self.policy.decide(&ctx, &self.manager);
-        self.profiler.stop(PHASE_DECIDE, de_t0);
-
-        let me_t0 = self.profiler.start();
-        let mut snap = EpochSnapshot {
-            utilization: match active {
-                Some(a) => mean_utilization_active(&self.view, accounts, a),
-                None => mean_utilization(&self.view, accounts),
-            },
-            load_imbalance: epoch_load_imbalance(&self.topo, accounts),
-            path_length: accounts.mean_path_length(),
-            served: accounts.served_total(),
-            unserved: accounts.unserved_total(),
-            alive_servers: self.topo.alive_server_count(),
-            latency_ms: accounts.mean_latency_ms(),
-            sla_fraction: accounts.sla_fraction(),
-            data_loss: std::mem::take(&mut self.pending_data_loss),
-            ..Default::default()
-        };
-        self.profiler.stop(PHASE_METRICS, me_t0);
-
-        let ap_t0 = self.profiler.start();
-        self.apply_actions(actions, &mut snap);
-        self.profiler.stop(PHASE_APPLY, ap_t0);
-
-        let me_t1 = self.profiler.start();
-        snap.replicas_total = self.manager.total_replicas();
-        let manager = &self.manager;
-        let pinned = &self.pinned;
-        // Sparse mode audits the active set (plus the auditor's own
-        // watch list of armed / dead-replica partitions); the violation
-        // stream is identical to a dense audit because only actions can
-        // change a partition's audit state, actions land on active
-        // partitions, and deferred repairs either hit watched partitions
-        // or leave the audit outcome unchanged.
-        snap.invariant_violations = match self.engine_mode {
-            EngineMode::Sparse => self.auditor.audit_subset(
-                self.epoch,
-                &self.topo,
-                &self.prev_active,
-                |p, buf| buf.extend_from_slice(manager.replicas(p)),
-                |p| pinned.contains(&p),
-            ),
-            EngineMode::Dense => self.auditor.audit(
-                self.epoch,
-                &self.topo,
-                |p, buf| buf.extend_from_slice(manager.replicas(p)),
-                |p| pinned.contains(&p),
-            ),
-        } as usize;
+        let snap = self.pipeline.run_epoch(load, &mut NoHost);
+        let me_t0 = self.pipeline.profiler.start();
         self.metrics.record(&snap);
-        self.profiler.stop(PHASE_METRICS, me_t1);
-        self.recorder.end_epoch(self.policy.name(), self.epoch);
-        self.epoch += 1;
+        self.pipeline.profiler.stop(PHASE_METRICS, me_t0);
         Ok(snap)
-    }
-
-    /// The serial half of the epoch's snapshot/apply split: execute the
-    /// decisions the policy made against the frozen placement view.
-    /// Deferred repairs go first (admitted in an earlier epoch, they
-    /// compete for this epoch's bandwidth ahead of new decisions), then
-    /// this epoch's actions in decision order. All placement mutation
-    /// for the epoch happens here, on the coordinating thread.
-    fn apply_actions(&mut self, actions: Vec<Action>, snap: &mut EpochSnapshot) {
-        // The recorder matches outcomes and epoch flushes by the label
-        // the policy stamps into its events — ask the policy itself, so
-        // custom (ablated) policies stay correctly attributed too.
-        let policy_label = self.policy.name();
-        snap.repairs = std::mem::take(&mut self.pending_repairs);
-        // Deferred transfers first: they were admitted in an earlier
-        // epoch and compete for this epoch's bandwidth ahead of new
-        // decisions.
-        let due = self.repair_queue.take_due(self.epoch);
-        if !self.planner_cfg.enabled {
-            for item in due {
-                self.execute_repair(item, snap, policy_label);
-            }
-            for action in actions {
-                self.execute_fresh(action, snap, policy_label);
-            }
-            return;
-        }
-        // Planner path. Moves are offered in the greedy execution order
-        // (deferred lane first, then this epoch's decisions); priority
-        // only decides *which* moves win a contended budget, and
-        // admitted moves execute in their offered order — so with an
-        // unlimited budget this path is byte-identical to the greedy
-        // one above.
-        let size = self.params.config.partition_size.0;
-        let mut moves: Vec<MoveReq<(Action, bool, u32)>> =
-            Vec::with_capacity(due.len() + actions.len());
-        for item in &due {
-            moves.push(MoveReq {
-                tag: (item.action, true, item.attempts),
-                link: self.wan_link(&item.action),
-                bytes: size,
-                class: MoveClass::Deferred { age: item.attempts },
-            });
-        }
-        for &action in &actions {
-            let class = match action {
-                Action::Replicate { partition, .. }
-                    if self.manager.replica_count(partition) < self.r_min =>
-                {
-                    MoveClass::UnderReplicated
-                }
-                _ => MoveClass::Normal,
-            };
-            moves.push(MoveReq {
-                tag: (action, false, 0),
-                link: self.wan_link(&action),
-                bytes: size,
-                class,
-            });
-        }
-        // Per-link budget: the configured cap scaled by the live WAN
-        // bandwidth-cut factors, so a `bandwidth` fault verb throttles
-        // planned transfers exactly as it throttles the per-server caps.
-        let (repl_f, migr_f) = self.manager.bandwidth_factors();
-        let budget = match self.planner_cfg.link_budget_bytes {
-            None => u64::MAX,
-            Some(b) => (b as f64 * repl_f.min(migr_f)) as u64,
-        };
-        let outcome = self.planner.plan(moves, |_| budget);
-        for (action, is_repair, attempts) in outcome.admitted {
-            if is_repair {
-                self.execute_repair(
-                    PendingRepair { action, attempts, due: self.epoch },
-                    snap,
-                    policy_label,
-                );
-            } else {
-                self.execute_fresh(action, snap, policy_label);
-            }
-        }
-        for (action, _, attempts) in outcome.deferred {
-            let partition = match action {
-                Action::Replicate { partition, .. }
-                | Action::Migrate { partition, .. }
-                | Action::Suicide { partition, .. } => partition,
-            };
-            self.recorder.outcome(policy_label, partition.0, false, 0.0);
-            // A budget deferral is not a failed attempt (the destination
-            // is fine), so the planner lane retries next epoch without
-            // backoff; `attempts` keeps growing as the aging priority.
-            self.repair_queue.defer_next(action, attempts + 1, self.epoch);
-        }
-    }
-
-    /// The WAN link an action's transfer crosses, as a planner
-    /// [`LinkKey`]. `None` — always admitted, zero bytes — for suicides
-    /// and intra-datacenter transfers: the planner budgets the WAN, not
-    /// the in-datacenter fabric.
-    fn wan_link(&self, action: &Action) -> Option<LinkKey> {
-        let dc = |s: ServerId| self.topo.servers()[s.index()].datacenter;
-        let (src, dst) = match *action {
-            Action::Replicate { partition, target } => {
-                (dc(self.manager.holder(partition)), dc(target))
-            }
-            Action::Migrate { from, to, .. } => (dc(from), dc(to)),
-            Action::Suicide { .. } => return None,
-        };
-        (src != dst).then(|| link_between(src, dst))
-    }
-
-    /// Execute one deferred-lane item: re-defer with backoff while the
-    /// destination is unreachable, otherwise apply and account it.
-    fn execute_repair(
-        &mut self,
-        item: PendingRepair,
-        snap: &mut EpochSnapshot,
-        policy_label: &'static str,
-    ) {
-        if destination_unreachable(&self.topo, &self.manager, &item.action) {
-            if !self.repair_queue.defer(item.action, item.attempts + 1, self.epoch) {
-                snap.dead_letters += 1;
-            }
-            return;
-        }
-        // An unapplicable retry (partition re-replicated elsewhere
-        // meanwhile, target filled up) is moot, not a failure: the
-        // policy re-decides every epoch.
-        let Ok(applied) =
-            self.manager.apply_recorded(&self.topo, item.action, &*self.recorder, policy_label)
-        else {
-            return;
-        };
-        self.repair_queue.note_completed();
-        snap.repairs += 1;
-        match item.action {
-            Action::Replicate { partition, .. } => {
-                snap.replications += 1;
-                snap.replication_cost += applied.cost;
-                self.dirty_parts.push(partition);
-            }
-            Action::Migrate { partition, .. } => {
-                snap.migrations += 1;
-                snap.migration_cost += applied.cost;
-                self.dirty_parts.push(partition);
-            }
-            Action::Suicide { .. } => unreachable!("suicides are never deferred"),
-        }
-    }
-
-    /// Execute one of this epoch's fresh decisions.
-    fn execute_fresh(
-        &mut self,
-        action: Action,
-        snap: &mut EpochSnapshot,
-        policy_label: &'static str,
-    ) {
-        // Under WAN faults a transfer whose destination is dead or
-        // unreachable is deferred and retried with backoff instead
-        // of silently counting as done. The check only runs when a
-        // fault plan is active: scripted-event runs keep their
-        // historical behaviour bit for bit.
-        if self.injector.is_some() && destination_unreachable(&self.topo, &self.manager, &action) {
-            let partition = match action {
-                Action::Replicate { partition, .. }
-                | Action::Migrate { partition, .. }
-                | Action::Suicide { partition, .. } => partition,
-            };
-            self.recorder.outcome(policy_label, partition.0, false, 0.0);
-            if !self.repair_queue.defer(action, 0, self.epoch) {
-                snap.dead_letters += 1;
-            }
-            return;
-        }
-        // A rejected action (bandwidth exhausted, target filled up by
-        // an earlier action this epoch) is simply not executed —
-        // the decision is retried naturally in later epochs.
-        let Ok(applied) =
-            self.manager.apply_recorded(&self.topo, action, &*self.recorder, policy_label)
-        else {
-            return;
-        };
-        match action {
-            Action::Replicate { partition, .. } => {
-                snap.replications += 1;
-                snap.replication_cost += applied.cost;
-                self.dirty_parts.push(partition);
-            }
-            Action::Migrate { partition, .. } => {
-                snap.migrations += 1;
-                snap.migration_cost += applied.cost;
-                self.dirty_parts.push(partition);
-            }
-            Action::Suicide { partition, .. } => {
-                snap.suicides += 1;
-                self.dirty_parts.push(partition);
-            }
-        }
-    }
-
-    /// Count partitions with zero live replicas (unavailable) and below
-    /// the availability floor, folding them into the lifetime
-    /// partition-epoch counters. Engine-independent (it reads the
-    /// replica map, not the sparse active set), so dense and sparse
-    /// chaos runs report identical availability.
-    fn scan_availability(&mut self) {
-        let mut unavailable = 0u64;
-        let mut sub = 0u64;
-        for p in 0..self.manager.partitions() {
-            let live = self
-                .manager
-                .replicas(PartitionId::new(p))
-                .iter()
-                .filter(|&&s| self.topo.servers()[s.index()].alive)
-                .count();
-            if live == 0 {
-                unavailable += 1;
-            }
-            if live < self.r_min {
-                sub += 1;
-            }
-        }
-        self.unavailable_pe += unavailable;
-        self.sub_rmin_pe += sub;
-        self.sub_rmin_peak = self.sub_rmin_peak.max(sub);
     }
 
     /// Export the run's counters into a metrics registry: epoch and
@@ -943,30 +333,18 @@ impl Simulation {
     /// All values are lifetime totals written set-style, so collecting
     /// into the same registry repeatedly is idempotent.
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
-        registry.counter_total("sim.epochs", self.epoch);
-        registry.gauge("sim.replicas_total", self.manager.total_replicas() as f64);
-        registry.counter_total("sim.fault_shortfall", self.fault_shortfall);
-        registry.counter_total("sim.repairs.completed", self.repair_queue.completed());
-        registry.counter_total("sim.repairs.dead_letters", self.repair_queue.dead_letters());
-        registry.gauge("sim.repairs.pending", self.repair_queue.len() as f64);
-        registry.counter_total("sim.invariant_violations", self.auditor.total());
-        registry.counter_total("sim.sparse.dirty_partitions", self.sparse_dirty);
-        registry.counter_total("sim.sparse.skipped_partitions", self.sparse_skipped);
-        if self.planner_cfg.enabled {
-            registry.counter_total("sim.planner.admitted", self.planner.admitted_total());
-            registry.counter_total("sim.planner.deferred", self.planner.deferred_total());
-            registry.gauge("sim.planner.credit_bytes", self.planner.credit_bytes() as f64);
-        }
-        if self.injector.is_some() {
-            registry.counter_total(
-                "sim.availability.unavailable_partition_epochs",
-                self.unavailable_pe,
-            );
-            registry.counter_total("sim.availability.sub_rmin_partition_epochs", self.sub_rmin_pe);
-            registry.gauge("sim.availability.sub_rmin_peak", self.sub_rmin_peak as f64);
+        let pl = &self.pipeline;
+        registry.counter_total("sim.epochs", pl.epoch());
+        registry.counter_total("sim.fault_shortfall", pl.fault_shortfall);
+        registry.gauge("sim.repairs.pending", pl.repair_queue().len() as f64);
+        pl.collect_metrics(registry, "sim");
+        if pl.has_fault_plan() {
+            let (unavailable, sub_rmin, peak) = pl.availability_counters();
+            registry.counter_total("sim.availability.unavailable_partition_epochs", unavailable);
+            registry.counter_total("sim.availability.sub_rmin_partition_epochs", sub_rmin);
+            registry.gauge("sim.availability.sub_rmin_peak", peak as f64);
         }
         registry.gauge("sim.placement.spread_score", self.spread_score());
-        self.engine.stats().collect_metrics(registry);
     }
 
     /// Mean failure-domain spread of the current placement: per
@@ -975,20 +353,21 @@ impl Simulation {
     /// when every copy sits in its own rack, approaching `1/n` when all
     /// share one. O(replicas); computed at collection time only.
     pub fn spread_score(&self) -> f64 {
-        let n = self.manager.partitions();
+        let (manager, topo) = (self.manager(), self.topology());
+        let n = manager.partitions();
         if n == 0 {
             return 0.0;
         }
         let mut total = 0.0;
         let mut racks: Vec<(u32, u32, u32)> = Vec::new();
         for p in 0..n {
-            let set = self.manager.replicas(PartitionId::new(p));
+            let set = manager.replicas(PartitionId::new(p));
             if set.is_empty() {
                 continue;
             }
             racks.clear();
             for &s in set {
-                let srv = &self.topo.servers()[s.index()];
+                let srv = &topo.servers()[s.index()];
                 racks.push((srv.datacenter.0, srv.room.0, srv.rack.0));
             }
             racks.sort_unstable();
@@ -1002,35 +381,35 @@ impl Simulation {
     /// sub-r_min partition-epochs, peak sub-r_min in one epoch)`. All
     /// zero unless a fault plan is active.
     pub fn availability_counters(&self) -> (u64, u64, u64) {
-        (self.unavailable_pe, self.sub_rmin_pe, self.sub_rmin_peak)
+        self.pipeline.availability_counters()
     }
 
     /// The transfer planner's lifetime `(admitted, deferred)` move
-    /// counts. Both zero while the planner is disabled.
+    /// counts. Both zero without a link budget.
     pub fn planner_counters(&self) -> (u64, u64) {
-        (self.planner.admitted_total(), self.planner.deferred_total())
+        self.pipeline.planner_counters()
     }
 
     /// The invariant auditor's findings so far (tests and diagnostics).
     pub fn auditor(&self) -> &InvariantAuditor {
-        &self.auditor
+        self.pipeline.auditor()
     }
 
     /// Package the metrics recorded so far (and the profile, if timing
     /// was on) without running further epochs.
     pub fn finish(self) -> SimResult {
-        let profile = if self.profiler.enabled() { Some(self.profiler.report()) } else { None };
+        let profiler = &self.pipeline.profiler;
         SimResult {
             policy: self.params.policy,
             scenario: self.params.scenario.name().to_string(),
+            profile: profiler.enabled().then(|| profiler.report()),
             metrics: self.metrics,
-            profile,
         }
     }
 
     /// Run to completion and return the metric history.
     pub fn run(mut self) -> Result<SimResult> {
-        while self.epoch < self.params.epochs {
+        while self.epoch() < self.params.epochs {
             self.step()?;
         }
         Ok(self.finish())

@@ -121,20 +121,16 @@ fn domain_spread_beats_stock_rfh_under_correlated_outages() {
     );
 }
 
-/// Planner no-regression: with an unlimited budget the planner is
-/// bit-identical to greedy (proven exhaustively in parallel_equiv.rs —
-/// here just the availability view of it), and with a budget generous
-/// enough that it never binds, time-to-repair and the availability
-/// counters are unchanged too.
+/// Planner no-regression: with a budget generous enough that it never
+/// binds, time-to-repair and the availability counters are those of an
+/// unbudgeted run.
 #[test]
 fn planner_does_not_regress_repair_when_budget_is_ample() {
-    let greedy = run(PolicyKind::Rfh, PlannerConfig::default());
-    for planner in [PlannerConfig::unlimited(), PlannerConfig::budgeted(1 << 30)] {
-        let planned = run(PolicyKind::Rfh, planner);
-        assert_eq!(planned.unavailable, greedy.unavailable, "{planner:?}");
-        assert_eq!(planned.sub_rmin, greedy.sub_rmin, "{planner:?}");
-        assert_eq!(planned.ttr, greedy.ttr, "{planner:?}");
-    }
+    let unbudgeted = run(PolicyKind::Rfh, PlannerConfig::default());
+    let planned = run(PolicyKind::Rfh, PlannerConfig::budgeted(1 << 30));
+    assert_eq!(planned.unavailable, unbudgeted.unavailable);
+    assert_eq!(planned.sub_rmin, unbudgeted.sub_rmin);
+    assert_eq!(planned.ttr, unbudgeted.ttr);
 }
 
 /// A budget tight enough to bind defers real moves — and the deferred

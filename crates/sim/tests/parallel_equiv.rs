@@ -20,16 +20,11 @@
 //! outage prunes replicas from partitions that carry no queries, so
 //! cold partitions must re-enter the dirty set through the placement
 //! (not the workload) channel for the runs to stay identical.
-//!
-//! The transfer planner joins the same contract: with an unlimited
-//! budget every move is admitted in decision order, so a planner-on run
-//! must be byte-identical to the greedy executor across the whole
-//! matrix (`unlimited_budget_planner_is_bit_identical_to_greedy`).
 
 use rfh_core::PolicyKind;
 use rfh_faults::{ChurnConfig, FaultAction, FaultPlan};
 use rfh_obs::TraceRecorder;
-use rfh_sim::{report, EngineMode, PlannerConfig, SimParams, SimResult, Simulation};
+use rfh_sim::{report, EngineMode, SimParams, SimResult, Simulation};
 use rfh_traffic::PlacementView;
 use rfh_types::{DatacenterId, SimConfig};
 use rfh_workload::{EventSchedule, Scenario};
@@ -78,17 +73,6 @@ fn run_once(
     chaos: bool,
     engine: EngineMode,
 ) -> (SimResult, String, String, PlacementView) {
-    run_planned(policy, seed, threads, chaos, engine, PlannerConfig::default())
-}
-
-fn run_planned(
-    policy: PolicyKind,
-    seed: u64,
-    threads: usize,
-    chaos: bool,
-    engine: EngineMode,
-    planner: PlannerConfig,
-) -> (SimResult, String, String, PlacementView) {
     let mut p = base(policy, seed, threads);
     if chaos {
         p.faults = chaos_plan();
@@ -99,7 +83,6 @@ fn run_planned(
     let mut sim = Simulation::new(p)
         .expect("params are valid")
         .with_engine(engine)
-        .with_planner(planner)
         .with_recorder(Arc::clone(&recorder) as Arc<dyn rfh_obs::Recorder>);
     while sim.epoch() < epochs {
         sim.step().expect("epoch steps");
@@ -143,36 +126,6 @@ fn engine_and_thread_matrix_is_bit_identical() {
 #[test]
 fn engine_and_thread_matrix_is_bit_identical_under_chaos() {
     assert_matrix(true);
-}
-
-/// The planner differential: with `--planner on` and no link budget,
-/// every move is admitted in decision order, so the run — SimResult,
-/// CSV, decision trace, final placement — must be byte-identical to
-/// the greedy executor. Driven across every policy (domain-spread
-/// included) × both engines × thread counts {1, 4} × chaos on/off, so
-/// the identity holds exactly where the planner will actually run.
-#[test]
-fn unlimited_budget_planner_is_bit_identical_to_greedy() {
-    for chaos in [false, true] {
-        for policy in PolicyKind::WITH_SPREAD {
-            let (base_r, base_csv, base_trace, base_view) =
-                run_once(policy, 7, 1, chaos, EngineMode::Dense);
-            for engine in [EngineMode::Dense, EngineMode::Sparse] {
-                for threads in [1, 4] {
-                    let (run, csv, trace, view) =
-                        run_planned(policy, 7, threads, chaos, engine, PlannerConfig::unlimited());
-                    let tag = format!(
-                        "{policy} planner-on {engine:?} threads {threads}{}",
-                        if chaos { " +chaos" } else { "" }
-                    );
-                    assert_eq!(base_r, run, "SimResult diverged: {tag}");
-                    assert_eq!(base_csv, csv, "CSV report diverged: {tag}");
-                    assert_eq!(base_trace, trace, "decision trace diverged: {tag}");
-                    assert_eq!(base_view, view, "final placement diverged: {tag}");
-                }
-            }
-        }
-    }
 }
 
 /// The four-way comparison runner goes through the same engine; spot
