@@ -136,7 +136,7 @@ SERVING OPTIONS:
                           up to N frames in flight per connection (default 1)
     --data-plane P        serve/self-hosted data plane: reactor (epoll event
                           loops, the default) or threaded (one thread per conn)
-    --report FILE         write the loadgen JSON report (BENCH_serve format)
+    --report FILE         write the loadgen report as JSON
 
 TELEMETRY OPTIONS:
     --telemetry-addrs FILE  `serve` writes the /metrics endpoint addresses here

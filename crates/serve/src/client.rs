@@ -1,10 +1,12 @@
 //! A client handle for a running cluster.
 //!
-//! Each [`ServeClient`] models one front-end in a specific datacenter:
-//! it keeps a single connection to a coordinator node *in that
-//! datacenter* (requests enter the system locally, as the paper's
-//! traffic model assumes) and fails over to the next local node when
-//! the connection breaks or the node refuses service.
+//! Each client models one front-end in a specific datacenter: it keeps
+//! a single connection to a coordinator node *in that datacenter*
+//! (requests enter the system locally, as the paper's traffic model
+//! assumes) and fails over to the next local node when the connection
+//! breaks or the node refuses service. [`PipelinedClient`] holds the
+//! connection, the retry budget and the failover; [`ServeClient`] is
+//! the get/put surface over a window of one.
 
 use crate::cluster::NodeInfo;
 use crate::wire::{AckStatus, Conn, Frame};
@@ -37,18 +39,11 @@ pub enum GetOutcome {
     NotFound,
 }
 
-/// One datacenter-local client connection with failover.
+/// One datacenter-local client connection with failover: a
+/// [`PipelinedClient`] whose window holds one frame, so every request
+/// is a full round-trip.
 pub struct ServeClient {
-    /// Coordinator candidates, all in the client's datacenter.
-    addrs: Vec<SocketAddr>,
-    /// Index into `addrs` of the current coordinator.
-    cursor: usize,
-    conn: Option<Conn<TcpStream>>,
-    /// The datacenter this client issues from.
-    dc: u32,
-    /// Where sampled requests' client-side spans land (self-hosted
-    /// runs share the cluster's log, so chains are complete).
-    spans: Option<Arc<SpanLog>>,
+    window: PipelinedClient,
 }
 
 impl ServeClient {
@@ -56,17 +51,12 @@ impl ServeClient {
     /// nodes. `offset` staggers which local node different clients pick
     /// first so load spreads.
     pub fn new(nodes: &[NodeInfo], dc: u32, offset: usize) -> Result<Self> {
-        let addrs: Vec<SocketAddr> = nodes.iter().filter(|n| n.dc == dc).map(|n| n.addr).collect();
-        if addrs.is_empty() {
-            return Err(RfhError::Topology(format!("no nodes in datacenter {dc}")));
-        }
-        let cursor = offset % addrs.len();
-        Ok(ServeClient { addrs, cursor, conn: None, dc, spans: None })
+        Ok(ServeClient { window: PipelinedClient::new(nodes, dc, offset, 1)? })
     }
 
     /// Record client-side spans for traced operations into `spans`.
     pub fn set_span_log(&mut self, spans: Arc<SpanLog>) {
-        self.spans = Some(spans);
+        self.window.set_span_log(spans);
     }
 
     /// Parse the address-file format `Cluster::render_addr_file` emits
@@ -89,7 +79,7 @@ impl ServeClient {
 
     /// The datacenter this client issues from.
     pub fn datacenter(&self) -> u32 {
-        self.dc
+        self.window.dc
     }
 
     /// Read `key`. Retries through coordinator failover; errors only
@@ -101,8 +91,7 @@ impl ServeClient {
     /// [`get`](ServeClient::get), optionally carrying a trace op-ID.
     /// `None` keeps the wire bytes identical to an untraced get.
     pub fn get_traced(&mut self, key: u64, op_id: Option<u64>) -> Result<GetOutcome> {
-        let ack = self.request(&Frame::Get { key }, op_id)?;
-        match ack {
+        match self.request(Frame::Get { key }, op_id)? {
             Frame::Ack { status: AckStatus::Ok, seq, value } => {
                 Ok(GetOutcome::Found { seq, value })
             }
@@ -126,71 +115,23 @@ impl ServeClient {
         value: &[u8],
         op_id: Option<u64>,
     ) -> Result<()> {
-        match self.request(&Frame::Put { key, seq, value: value.to_vec() }, op_id)? {
+        match self.request(Frame::Put { key, seq, value: value.to_vec() }, op_id)? {
             Frame::Ack { status: AckStatus::Ok, .. } => Ok(()),
             _ => Err(RfhError::Io("write unavailable".into())),
         }
     }
 
-    /// One request with retry + failover. An `Unavailable` ack rotates
-    /// coordinators and backs off briefly — during a node kill the
-    /// route row may be mid-repair.
-    fn request(&mut self, frame: &Frame, op_id: Option<u64>) -> Result<Frame> {
-        let mut last_err = String::from("no attempt made");
-        for attempt in 0..MAX_TRIES {
-            match self.try_once(frame, op_id) {
-                Ok(Frame::Ack { status: AckStatus::Unavailable, .. }) => {
-                    last_err = "ack: unavailable".into();
-                    self.rotate();
-                }
-                Ok(ack) => return Ok(ack),
-                Err(e) => {
-                    last_err = e.to_string();
-                    self.rotate();
-                }
+    /// One request through the window. An op still `Unavailable` when
+    /// its retries ran out is the caller's error.
+    fn request(&mut self, frame: Frame, op_id: Option<u64>) -> Result<Frame> {
+        self.window.submit(frame, op_id)?;
+        let done = self.window.drain()?.pop().expect("a window of one holds the op just submitted");
+        match done.ack {
+            Frame::Ack { status: AckStatus::Unavailable, .. } => {
+                Err(RfhError::Io(format!("request failed after {MAX_TRIES} tries")))
             }
-            std::thread::sleep(Duration::from_millis(10 << attempt.min(5)));
+            ack => Ok(ack),
         }
-        Err(RfhError::Io(format!("request failed after {MAX_TRIES} tries: {last_err}")))
-    }
-
-    fn try_once(&mut self, frame: &Frame, op_id: Option<u64>) -> io::Result<Frame> {
-        if self.conn.is_none() {
-            let addr = self.addrs[self.cursor];
-            let stream = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT)?;
-            stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-            stream.set_nodelay(true)?;
-            self.conn = Some(Conn::new(stream));
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
-        let t0 = Instant::now();
-        match conn.roundtrip_traced(frame, op_id) {
-            Ok((ack, _)) => {
-                if let (Some(id), Some(spans)) = (op_id, self.spans.as_ref()) {
-                    spans.record(SpanEvent {
-                        op_id: id,
-                        role: "client",
-                        node: -1,
-                        dc: self.dc,
-                        kind: frame_kind(frame),
-                        queue_us: 0.0,
-                        handle_us: t0.elapsed().as_micros() as f64,
-                        forward_us: 0.0,
-                        status: ack_status(&ack),
-                    });
-                }
-                Ok(ack)
-            }
-            Err(e) => {
-                self.conn = None; // broken or refused: reconnect next try
-                Err(e)
-            }
-        }
-    }
-
-    fn rotate(&mut self) {
-        self.conn = None;
-        self.cursor = (self.cursor + 1) % self.addrs.len();
     }
 }
 
@@ -218,7 +159,7 @@ struct InflightOp {
 }
 
 /// A datacenter-local client that keeps up to `depth` frames in flight
-/// on one connection — the pipelined counterpart of [`ServeClient`].
+/// on one connection.
 ///
 /// Replies correlate by order: coordinators release acks in arrival
 /// order on both data planes, so the n-th ack answers the n-th
@@ -438,5 +379,89 @@ mod tests {
         assert_eq!(nodes[1].addr, "127.0.0.1:4007".parse().unwrap());
         assert!(ServeClient::parse_addr_file("nonsense").is_err());
         assert!(ServeClient::new(&nodes, 9, 0).is_err(), "unknown datacenter");
+    }
+
+    /// A one-node "datacenter" that answers every request `Unavailable`,
+    /// echoing its op-ID, one connection at a time. Returns the node
+    /// list to hand a client and a closure that stops the listener and
+    /// yields how many requests it answered.
+    fn refusing_node() -> (Vec<NodeInfo>, impl FnOnce() -> usize) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                let mut answered = 0;
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let mut conn = Conn::new(stream.unwrap());
+                    // Serve until the client drops this connection to
+                    // rotate; its next one is already in the backlog.
+                    while let Ok(Some((_, op_id))) = conn.recv_envelope() {
+                        let nack = Frame::Ack {
+                            status: AckStatus::Unavailable,
+                            seq: 0,
+                            value: Vec::new(),
+                        };
+                        if conn.send_traced(&nack, op_id).is_err() {
+                            break;
+                        }
+                        answered += 1;
+                    }
+                }
+                answered
+            }
+        });
+        let nodes = vec![NodeInfo { server: rfh_types::ServerId::new(0), dc: 0, addr }];
+        let finish = move || {
+            stop.store(true, Ordering::SeqCst);
+            drop(TcpStream::connect(addr)); // wake the accept
+            server.join().unwrap()
+        };
+        (nodes, finish)
+    }
+
+    #[test]
+    fn a_refused_put_errors_after_its_tries_with_one_client_span() {
+        let (nodes, finish) = refusing_node();
+        let spans = Arc::new(SpanLog::new());
+        let mut client = ServeClient::new(&nodes, 0, 0).unwrap();
+        client.set_span_log(Arc::clone(&spans));
+        let err = client.put_traced(1, 1, b"v", Some(77)).unwrap_err();
+        assert!(err.to_string().contains(&format!("{MAX_TRIES} tries")), "{err}");
+        drop(client);
+        assert!(finish() >= MAX_TRIES, "every try must reach the node");
+        let events = spans.events();
+        assert_eq!(events.len(), 1, "one client span per op, not per try: {events:?}");
+        assert_eq!(
+            (events[0].op_id, events[0].role, events[0].status),
+            (77, "client", "unavailable")
+        );
+    }
+
+    #[test]
+    fn a_refused_window_completes_unavailable_with_one_client_span_per_op() {
+        let (nodes, finish) = refusing_node();
+        let spans = Arc::new(SpanLog::new());
+        let mut client = PipelinedClient::new(&nodes, 0, 0, 4).unwrap();
+        client.set_span_log(Arc::clone(&spans));
+        for key in 0..4u64 {
+            assert!(client.submit(Frame::Get { key }, Some(key + 1)).unwrap().is_none());
+        }
+        let done = client.drain().unwrap();
+        drop(client);
+        finish();
+        assert_eq!(done.len(), 4);
+        for (i, op) in done.iter().enumerate() {
+            assert_eq!(op.request, Frame::Get { key: i as u64 }, "completions keep window order");
+            assert!(matches!(op.ack, Frame::Ack { status: AckStatus::Unavailable, .. }));
+        }
+        let mut traced: Vec<u64> = spans.events().iter().map(|e| e.op_id).collect();
+        traced.sort_unstable();
+        assert_eq!(traced, [1, 2, 3, 4], "one client span per op");
     }
 }

@@ -916,4 +916,27 @@ mod tests {
         assert_eq!(summary.acks_unavailable, 0, "{}", summary.render());
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// Connection churn on the threaded plane: the handler list tracks
+    /// open connections, not every connection the node ever accepted.
+    #[test]
+    fn threaded_plane_reaps_finished_connection_handlers() {
+        let cfg = ClusterConfig {
+            servers_per_rack: 1,
+            partitions: 16,
+            data_plane: DataPlane::Threaded,
+            ..ClusterConfig::default()
+        };
+        let cluster = Cluster::start(&cfg, FaultPlan::default()).unwrap();
+        let addr = cluster.node_infos()[0].addr;
+        for key in 0..200u64 {
+            // The round-trip proves this connection's handler is up
+            // before the drop ends it.
+            let mut conn = crate::wire::Conn::new(std::net::TcpStream::connect(addr).unwrap());
+            assert!(matches!(conn.roundtrip(&Frame::Get { key }).unwrap(), Frame::Ack { .. }));
+        }
+        let held = cluster.handlers.lock().unwrap().len();
+        assert!(held <= 16, "{held} handler threads held after 200 closed connections");
+        cluster.shutdown().unwrap();
+    }
 }

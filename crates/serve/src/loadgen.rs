@@ -66,7 +66,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Serialize as a JSON object (the `BENCH_serve.json` format).
+    /// Serialize as a JSON object (the loadgen report).
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -147,6 +147,21 @@ struct WorkerOutcome {
     latency: Histogram,
 }
 
+impl WorkerOutcome {
+    fn new() -> Self {
+        WorkerOutcome { completed: 0, failed: 0, latency: Histogram::latency() }
+    }
+
+    fn record(&mut self, latency_us: f64, ok: bool) {
+        self.latency.record(latency_us);
+        if ok {
+            self.completed += 1;
+        } else {
+            self.failed += 1;
+        }
+    }
+}
+
 /// Shared run state handed to every worker.
 struct RunState {
     nodes: Vec<NodeInfo>,
@@ -164,52 +179,14 @@ struct RunState {
 }
 
 impl RunState {
-    /// One operation: sample a key, flip read/write, run it, record.
-    fn run_op(&self, client: &mut ServeClient, rng: &mut StdRng, out: &mut WorkerOutcome) {
+    /// Build one operation: sample a key, flip read/write, stamp a
+    /// trace op-ID when sampled. [`settle`](Self::settle) does the
+    /// bookkeeping when the ack lands.
+    fn build_op(&self, rng: &mut StdRng) -> (Frame, Option<u64>) {
         let key = self.zipf.sample(rng) as u64;
         let is_read = rng.gen_bool(self.cfg.read_fraction);
         // Every n-th op (globally) carries a trace op-ID; zero-based
         // index, one-based ID so 0 never appears on the wire as an ID.
-        let op_id = match self.cfg.trace_sample {
-            0 => None,
-            n => {
-                let idx = self.next_op.fetch_add(1, Ordering::Relaxed);
-                idx.is_multiple_of(n).then_some(idx + 1)
-            }
-        };
-        let t0 = Instant::now();
-        let ok = if is_read {
-            client.get_traced(key, op_id).is_ok()
-        } else {
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            let value = value_for(key, seq, self.cfg.value_bytes as usize);
-            match client.put_traced(key, seq, &value, op_id) {
-                Ok(()) => {
-                    let mut acked = self.acked.lock().expect("acked lock");
-                    let slot = acked.entry(key).or_insert(0);
-                    *slot = (*slot).max(seq);
-                    true
-                }
-                Err(_) => false,
-            }
-        };
-        // Closed-loop latency is service time; open-loop workers
-        // re-record from the scheduled arrival instead (see run_open).
-        out.latency.record(t0.elapsed().as_micros() as f64);
-        if ok {
-            out.completed += 1;
-        } else {
-            out.failed += 1;
-        }
-    }
-
-    /// Build one operation as a raw frame for the pipelined path —
-    /// the same key/read-write/trace sampling [`run_op`](Self::run_op)
-    /// does, deferred bookkeeping handled by
-    /// [`settle`](Self::settle) when the ack lands.
-    fn build_op(&self, rng: &mut StdRng) -> (Frame, Option<u64>) {
-        let key = self.zipf.sample(rng) as u64;
-        let is_read = rng.gen_bool(self.cfg.read_fraction);
         let op_id = match self.cfg.trace_sample {
             0 => None,
             n => {
@@ -227,12 +204,11 @@ impl RunState {
         (frame, op_id)
     }
 
-    /// Fold one pipelined completion into the tallies, mirroring the
-    /// sequential path: an acked put records its version for the verify
-    /// pass; an `Unavailable` (or nonsensical) ack counts as failed.
-    fn settle(&self, done: CompletedOp, out: &mut WorkerOutcome) {
-        out.latency.record(done.latency_us);
-        let ok = match (&done.request, &done.ack) {
+    /// Whether a completion succeeded. An acked put records its version
+    /// for the verify pass; an `Unavailable` (or nonsensical) ack is a
+    /// failure.
+    fn settle(&self, done: &CompletedOp) -> bool {
+        match (&done.request, &done.ack) {
             (Frame::Put { key, seq, .. }, Frame::Ack { status: AckStatus::Ok, .. }) => {
                 let mut acked = self.acked.lock().expect("acked lock");
                 let slot = acked.entry(*key).or_insert(0);
@@ -243,12 +219,21 @@ impl RunState {
                 matches!(status, AckStatus::Ok | AckStatus::NotFound)
             }
             _ => false,
-        };
-        if ok {
-            out.completed += 1;
-        } else {
-            out.failed += 1;
         }
+    }
+
+    /// Worker `w`'s client — homed round-robin over the datacenters,
+    /// `depth` frames in flight — and its private RNG stream.
+    fn worker(&self, w: u32, depth: usize) -> Result<(PipelinedClient, StdRng)> {
+        let dc = self.dcs[w as usize % self.dcs.len()];
+        let mut client = PipelinedClient::new(&self.nodes, dc, w as usize, depth)?;
+        if let Some(spans) = &self.spans {
+            client.set_span_log(Arc::clone(spans));
+        }
+        let rng = StdRng::seed_from_u64(splitmix64(
+            self.cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ));
+        Ok((client, rng))
     }
 }
 
@@ -287,7 +272,6 @@ pub fn run_loadgen_with(
 
     let t_start = Instant::now();
     let outcomes = match cfg.mode {
-        ArrivalMode::Closed if cfg.pipeline > 1 => run_closed_pipelined(&state)?,
         ArrivalMode::Closed => run_closed(&state)?,
         ArrivalMode::Open => run_open(&state)?,
     };
@@ -325,8 +309,12 @@ pub fn run_loadgen_with(
     })
 }
 
-/// Closed loop: split the op budget across workers, each issuing
-/// back-to-back requests through its own datacenter-local client.
+/// Closed loop: split the op budget across workers, each keeping up
+/// to `pipeline` frames in flight on one datacenter-local connection,
+/// so at depth N a single worker extracts coordinator throughput that
+/// depth 1 spends waiting out round-trips. Latency is measured from
+/// each op's first submission to its ack — queueing inside the window
+/// counts against the op.
 fn run_closed(state: &Arc<RunState>) -> Result<Vec<WorkerOutcome>> {
     let workers = state.cfg.workers as u64;
     let handles: Vec<_> = (0..state.cfg.workers)
@@ -337,65 +325,16 @@ fn run_closed(state: &Arc<RunState>) -> Result<Vec<WorkerOutcome>> {
                 .spawn(move || -> Result<WorkerOutcome> {
                     let quota =
                         state.cfg.ops / workers + u64::from((w as u64) < state.cfg.ops % workers);
-                    let dc = state.dcs[w as usize % state.dcs.len()];
-                    let mut client = ServeClient::new(&state.nodes, dc, w as usize)?;
-                    if let Some(spans) = &state.spans {
-                        client.set_span_log(Arc::clone(spans));
-                    }
-                    let mut rng = StdRng::seed_from_u64(splitmix64(
-                        state.cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ));
-                    let mut out =
-                        WorkerOutcome { completed: 0, failed: 0, latency: Histogram::latency() };
-                    for _ in 0..quota {
-                        state.run_op(&mut client, &mut rng, &mut out);
-                    }
-                    Ok(out)
-                })
-                .map_err(|e| RfhError::Io(format!("spawn loadgen worker: {e}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    handles
-        .into_iter()
-        .map(|h| h.join().map_err(|_| RfhError::Io("loadgen worker panicked".into()))?)
-        .collect()
-}
-
-/// Closed loop at pipeline depth N: each worker keeps up to N frames
-/// in flight on one connection through a [`PipelinedClient`], so a
-/// single worker extracts coordinator throughput that the sequential
-/// path would spend waiting out round-trips. Latency is measured from
-/// each op's first submission to its ack — queueing inside the window
-/// counts against the op.
-fn run_closed_pipelined(state: &Arc<RunState>) -> Result<Vec<WorkerOutcome>> {
-    let workers = state.cfg.workers as u64;
-    let handles: Vec<_> = (0..state.cfg.workers)
-        .map(|w| {
-            let state = Arc::clone(state);
-            std::thread::Builder::new()
-                .name(format!("rfh-loadgen-{w}"))
-                .spawn(move || -> Result<WorkerOutcome> {
-                    let quota =
-                        state.cfg.ops / workers + u64::from((w as u64) < state.cfg.ops % workers);
-                    let dc = state.dcs[w as usize % state.dcs.len()];
-                    let depth = state.cfg.pipeline as usize;
-                    let mut client = PipelinedClient::new(&state.nodes, dc, w as usize, depth)?;
-                    if let Some(spans) = &state.spans {
-                        client.set_span_log(Arc::clone(spans));
-                    }
-                    let mut rng = StdRng::seed_from_u64(splitmix64(
-                        state.cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ));
-                    let mut out =
-                        WorkerOutcome { completed: 0, failed: 0, latency: Histogram::latency() };
+                    let (mut client, mut rng) = state.worker(w, state.cfg.pipeline as usize)?;
+                    let mut out = WorkerOutcome::new();
                     for _ in 0..quota {
                         let (frame, op_id) = state.build_op(&mut rng);
                         if let Some(done) = client.submit(frame, op_id)? {
-                            state.settle(done, &mut out);
+                            out.record(done.latency_us, state.settle(&done));
                         }
                     }
                     for done in client.drain()? {
-                        state.settle(done, &mut out);
+                        out.record(done.latency_us, state.settle(&done));
                     }
                     Ok(out)
                 })
@@ -439,16 +378,8 @@ fn run_open(state: &Arc<RunState>) -> Result<Vec<WorkerOutcome>> {
             std::thread::Builder::new()
                 .name(format!("rfh-loadgen-{w}"))
                 .spawn(move || -> Result<WorkerOutcome> {
-                    let dc = state.dcs[w as usize % state.dcs.len()];
-                    let mut client = ServeClient::new(&state.nodes, dc, w as usize)?;
-                    if let Some(spans) = &state.spans {
-                        client.set_span_log(Arc::clone(spans));
-                    }
-                    let mut rng = StdRng::seed_from_u64(splitmix64(
-                        state.cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ));
-                    let mut out =
-                        WorkerOutcome { completed: 0, failed: 0, latency: Histogram::latency() };
+                    let (mut client, mut rng) = state.worker(w, 1)?;
+                    let mut out = WorkerOutcome::new();
                     loop {
                         let sched = match rx.lock().expect("schedule lock").try_recv() {
                             Ok(s) => s,
@@ -462,17 +393,13 @@ fn run_open(state: &Arc<RunState>) -> Result<Vec<WorkerOutcome>> {
                         if sched > now {
                             std::thread::sleep(sched - now);
                         }
-                        // run_op records service time into a scratch
-                        // histogram; the real sample is arrival-to-done.
-                        let mut scratch = WorkerOutcome {
-                            completed: 0,
-                            failed: 0,
-                            latency: Histogram::latency(),
-                        };
-                        state.run_op(&mut client, &mut rng, &mut scratch);
-                        out.completed += scratch.completed;
-                        out.failed += scratch.failed;
-                        out.latency.record(sched.elapsed().as_micros() as f64);
+                        let (frame, op_id) = state.build_op(&mut rng);
+                        client.submit(frame, op_id)?;
+                        // The sample is arrival-to-done, not the
+                        // client's submit-to-ack service time.
+                        for done in client.drain()? {
+                            out.record(sched.elapsed().as_micros() as f64, state.settle(&done));
+                        }
                     }
                     Ok(out)
                 })

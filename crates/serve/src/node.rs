@@ -113,7 +113,14 @@ pub(crate) fn run_listener(
                     .name(format!("rfh-conn-{node}"))
                     .spawn(move || handle_conn(node, stream, shared2));
                 match handle {
-                    Ok(h) => handlers.lock().expect("handlers lock").push(h),
+                    Ok(h) => {
+                        // Keep only open connections: a handler that
+                        // has returned has nothing left for shutdown
+                        // to join.
+                        let mut handlers = handlers.lock().expect("handlers lock");
+                        handlers.retain(|h| !h.is_finished());
+                        handlers.push(h);
+                    }
                     Err(_) => return,
                 }
             }
@@ -129,7 +136,7 @@ fn handle_conn(node: usize, stream: TcpStream, shared: Arc<Shared>) {
     if stream.set_read_timeout(Some(POLL_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
-    let conn_id = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
+    let conn_id = next_conn_id();
     let mut conn = Conn::new(stream);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {

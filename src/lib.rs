@@ -21,7 +21,6 @@
 //! | [`core`] | `rfh-core` | the RFH decision tree + the three baselines |
 //! | [`net`] | `rfh-net` | the §II-B control plane: traffic reports over the WAN |
 //! | [`faults`] | `rfh-faults` | deterministic fault plans, chaos injection, invariant auditing |
-//! | [`consistency`] | `rfh-consistency` | version vectors, staleness under replica churn |
 //! | [`sim`] | `rfh-sim` | the epoch simulator and the four-way comparison runner |
 //! | [`experiments`] | `rfh-experiments` | per-figure regeneration harnesses |
 //!
@@ -57,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-pub use rfh_consistency as consistency;
 pub use rfh_core as core;
 pub use rfh_experiments as experiments;
 pub use rfh_faults as faults;
@@ -73,7 +71,6 @@ pub use rfh_workload as workload;
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    pub use rfh_consistency::{ConsistencyReport, ConsistencyTracker};
     pub use rfh_core::{
         Action, EpochContext, OwnerOrientedPolicy, PolicyKind, RandomPolicy, ReplicaManager,
         ReplicationPolicy, RequestOrientedPolicy, RfhPolicy,
@@ -111,5 +108,16 @@ mod tests {
         let topo = paper_topology(0.0, 0).unwrap();
         assert_eq!(topo.server_count(), 100);
         assert_eq!(PolicyKind::ALL.len(), 4);
+    }
+
+    /// The lock file is the list of what the workspace builds: the
+    /// retired measurement crates and the version-vector crate must
+    /// not come back through a stray manifest.
+    #[test]
+    fn workspace_builds_no_retired_crate() {
+        let lock = include_str!("../Cargo.lock");
+        for gone in ["rfh-bench", "rfh-consistency", "criterion"] {
+            assert!(!lock.contains(&format!("name = \"{gone}\"")), "{gone} is back in Cargo.lock");
+        }
     }
 }
