@@ -307,6 +307,10 @@ impl ServeSummary {
             out.push_str(&format!("fsyncs                {}\n", s.fsyncs));
             out.push_str(&format!("commits               {}\n", s.commits));
             out.push_str(&format!("commit_us             {}\n", s.commit_us));
+            out.push_str(&format!("sync_us               {}\n", s.sync_us));
+            out.push_str(&format!("commit_batches        {}\n", s.commit_batches));
+            out.push_str(&format!("commit_batch_shards   {}\n", s.commit_batch_shards));
+            out.push_str(&format!("commit_batch_us       {}\n", s.commit_batch_us));
             out.push_str(&format!("bytes_checkpointed    {}\n", s.bytes_checkpointed));
             out.push_str(&format!("records_replayed      {}\n", s.records_replayed));
             out.push_str(&format!("torn_tails_truncated  {}\n", s.torn_tails_truncated));

@@ -36,14 +36,17 @@
 //! and their log records buffered ([`TurnCommits`]); after the turn's
 //! events and timers, `flush_dirty` sends the queued forward requests,
 //! commits each dirtied WAL shard once (one `write`, one `fdatasync`
-//! per the policy), and only then flushes the client-side write queues
-//! where every ack of the turn is still waiting. So no ack — to a
+//! per the policy; all shards of the turn at once on this thread's
+//! sync workers, behind one barrier), and only then flushes the
+//! client-side write queues where every ack of the turn is still
+//! waiting. So no ack — to a
 //! client or to a coordinator — leaves before the records behind it are
 //! on disk, and a crash mid-batch loses only writes nobody was told
 //! about. With the WAL off the list stays empty, the step is free and
 //! the flush order is what it was without group commit.
-//! The server-side `handle_us` of a put no longer contains its sync;
-//! `serve.storage.commit_us / commits` does.
+//! The server-side `handle_us` of a put does not contain its sync;
+//! `serve.storage.commit_batch_us / commit_batches` is what a turn
+//! waited, `commit_us / commits` what one shard's commit took.
 //!
 //! ## Peer channels
 //!
@@ -255,6 +258,26 @@ struct ClientConn {
 }
 
 #[cfg(unix)]
+impl ClientConn {
+    /// A freshly accepted (already nonblocking) connection to `node`.
+    fn new(node: usize, gen: u64, stream: TcpStream) -> ClientConn {
+        ClientConn {
+            node,
+            conn_id: node::next_conn_id(),
+            gen,
+            stream,
+            reader: FrameReader::new(MAX_FRAME),
+            wq: WriteQueue::new(),
+            want_write: false,
+            dirty: false,
+            eof: false,
+            next_op_seq: 0,
+            pending: VecDeque::new(),
+        }
+    }
+}
+
+#[cfg(unix)]
 struct PeerChan {
     owner: usize,
     peer: usize,
@@ -448,19 +471,7 @@ impl Reactor {
                         continue;
                     }
                     self.gen_seq += 1;
-                    let conn = ClientConn {
-                        node,
-                        conn_id: node::next_conn_id(),
-                        gen: self.gen_seq,
-                        stream,
-                        reader: FrameReader::new(MAX_FRAME),
-                        wq: WriteQueue::new(),
-                        want_write: false,
-                        dirty: false,
-                        eof: false,
-                        next_op_seq: 0,
-                        pending: VecDeque::new(),
-                    };
+                    let conn = ClientConn::new(node, self.gen_seq, stream);
                     let cslot = self.alloc(Entry::Client(conn));
                     let fd = match self.entries[cslot].as_ref() {
                         Some(Entry::Client(c)) => c.stream.as_raw_fd(),
@@ -755,7 +766,7 @@ impl Reactor {
                 continue; // dead at write time: repaired by the control loop
             }
             if r == me {
-                self.commits.put(&self.shared, node, key, seq, &value);
+                self.commits.put(&self.shared.stores, node, key, seq, &value);
                 landed += 1;
             } else {
                 remote.push(r);
@@ -1083,7 +1094,7 @@ impl Reactor {
                 });
                 batch.append(&mut self.dirty);
                 self.dirty = batch;
-                self.commits.commit(&self.shared);
+                self.commits.commit(&self.shared.stores);
             }
             // fail_channel / close paths may push more dirty slots while
             // we flush, and a failed channel restarts its puts, which
@@ -1167,5 +1178,85 @@ impl Reactor {
         self.free.push(slot);
         // In-flight tickets referencing this conn resolve to nothing:
         // slot generations make their completions no-ops.
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::cluster::control_plane;
+    use crate::config::ClusterConfig;
+    use crate::store::NodeStore;
+    use crate::wal::{FsyncPolicy, PersistenceConfig};
+    use rfh_faults::FaultPlan;
+    use std::io::Read;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Fail-stop through the overlapped commit. A turn owes six shards
+    /// and holds an ack in a client's write queue; one shard's commit
+    /// fails on its sync worker (its directory is gone when the full
+    /// segment rotates). The failure must come back as a panic out of
+    /// `flush_dirty`, after the other five commits have landed, with
+    /// the ack still unsent.
+    #[test]
+    fn a_commit_failing_on_a_sync_worker_panics_the_reactor_before_any_ack_leaves() {
+        let dir = std::env::temp_dir().join(format!("rfh-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let persistence = PersistenceConfig {
+            fsync: FsyncPolicy::Always,
+            segment_bytes: 1024,
+            ..PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())
+        };
+        let cfg = ClusterConfig { servers_per_rack: 1, partitions: 16, ..ClusterConfig::default() };
+        let pipeline = control_plane(&cfg, &FaultPlan::default()).unwrap();
+        let stores: Vec<NodeStore> = (0..pipeline.topology().server_count())
+            .map(|n| NodeStore::durable(&persistence, n).unwrap())
+            .collect();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let addrs = vec![addr; stores.len()];
+        let shared = Arc::new(Shared::new(false, &pipeline, stores, addrs));
+        let mut reactor =
+            Reactor::new(Arc::clone(&shared), Vec::new(), Waker::new().unwrap()).unwrap();
+
+        // One accepted client connection, as `accept_loop` builds it.
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let slot = reactor.alloc(Entry::Client(ClientConn::new(0, 1, stream)));
+        let ack = Frame::Ack { status: AckStatus::Ok, seq: 1, value: Vec::new() }.encode();
+        let turn = |reactor: &mut Reactor, seq: u64| {
+            for node in 0..3 {
+                for key in 0..40u64 {
+                    reactor.commits.put(&shared.stores, node, key, seq, &[seq as u8; 64]);
+                }
+            }
+            let Some(Entry::Client(c)) = reactor.entries[slot].as_mut() else { unreachable!() };
+            c.wq.push(ack.clone());
+            reactor.mark_dirty(slot);
+            catch_unwind(AssertUnwindSafe(|| reactor.flush_dirty()))
+        };
+        let fsyncs = |node: usize| shared.stores[node].storage().unwrap().snapshot().fsyncs;
+
+        // The healthy turn: committed, then flushed.
+        turn(&mut reactor, 1).expect("a healthy commit");
+        let mut got = vec![0u8; ack.len()];
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(got, ack);
+        assert_eq!([fsyncs(0), fsyncs(1), fsyncs(2)], [2, 2, 2]);
+
+        // Node 1 loses its directory; its shards' next rotation fails.
+        std::fs::remove_dir_all(dir.join("node-1")).unwrap();
+        assert!(turn(&mut reactor, 2).is_err(), "a failed commit must not return");
+        assert!(!reactor.commits.is_empty(), "the failed commit is still owed");
+        assert_eq!([fsyncs(0), fsyncs(2)], [4, 4], "the rest of the batch drained first");
+        let err = client.read(&mut got).expect_err("an ack left although its commit failed");
+        assert!(matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut), "{err}");
+        let Some(Entry::Client(c)) = reactor.entries[slot].as_ref() else { unreachable!() };
+        assert!(!c.wq.is_empty(), "the ack is still queued");
+
+        drop(reactor);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

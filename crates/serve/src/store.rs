@@ -20,7 +20,9 @@
 //! return ("logged before return": the threaded plane, the control
 //! loop and outside callers). The reactor plane calls the halves
 //! separately: it buffers all of an event-loop turn's puts and commits
-//! each dirtied shard once before the turn's socket flush, so an ack
+//! each dirtied shard once — the shards of a turn concurrently, one
+//! [`NodeStore::commit_log`] per sync worker job, checkpoints after —
+//! before the turn's socket flush, so an ack
 //! still means "flushed on every live replica" (see the durability
 //! contract in [`crate::wal`]). Between the halves a write is readable
 //! but not durable — the read-uncommitted window.
@@ -130,6 +132,16 @@ impl NodeStore {
         };
         wal.commit(shard, |put| self.feed_shard(wal, shard, put))
             .expect("wal commit failed; cannot guarantee acked durability");
+    }
+
+    /// [`commit`](Self::commit) minus the checkpoint: write, sync and
+    /// rotate only, and report whether a checkpoint is now due — which
+    /// a following `commit(shard)` writes.
+    pub fn commit_log(&self, shard: usize) -> bool {
+        let Some(wal) = &self.wal else {
+            return false;
+        };
+        wal.commit_log(shard).expect("wal commit failed; cannot guarantee acked durability")
     }
 
     /// LWW-apply one write to the map: `(holds, applied)`.

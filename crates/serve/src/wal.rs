@@ -46,8 +46,9 @@
 //!
 //! * The reactor plane buffers every put of an event-loop turn — the
 //!   coordinator's local write and every `ForwardPut` it serves — and
-//!   commits each shard it dirtied once, after the turn's events and
-//!   before the turn's socket flush. The acks of those puts are still
+//!   commits each shard it dirtied once, all of them concurrently on
+//!   its sync workers, after the turn's events and before the turn's
+//!   socket flush. The acks of those puts are still
 //!   sitting in write queues at that point, so **no ack, client or
 //!   forward, is written to a socket before every record its put
 //!   caused on this node is written and synced per policy**; nothing
@@ -229,8 +230,26 @@ pub struct StorageStats {
     /// commits` is the mean batch).
     pub commits: AtomicU64,
     /// Microseconds spent in those commits — write, policy sync and
-    /// rotation, checkpoints excluded — summed.
+    /// rotation, checkpoints excluded — summed. A reactor turn runs its
+    /// shard commits concurrently, so this is a sum of overlapping
+    /// intervals, not time a thread was held up: that is
+    /// `commit_batch_us`, and `commit_us / commit_batch_us` is the
+    /// overlap.
     pub commit_us: AtomicU64,
+    /// Microseconds inside `fdatasync` alone (policy syncs and
+    /// rotation's; checkpoint files excluded), summed like `commit_us`.
+    pub sync_us: AtomicU64,
+    /// Reactor-turn commits: one per turn that owed any shard a commit.
+    /// The three `commit_batch_*` counters of a turn land on the node
+    /// whose shard leads the batch, so they are exact summed over the
+    /// cluster and a sample per node.
+    pub commit_batches: AtomicU64,
+    /// Shards those turns committed (`/ commit_batches` is the width
+    /// of the mean batch).
+    pub commit_batch_shards: AtomicU64,
+    /// Wall-clock microseconds the reactor threads spent in those
+    /// commits, barrier included, checkpoints included.
+    pub commit_batch_us: AtomicU64,
     /// Checkpoint files written.
     pub checkpoints_written: AtomicU64,
     /// Bytes written into checkpoint files.
@@ -259,6 +278,14 @@ pub struct StorageSnapshot {
     pub commits: u64,
     /// See [`StorageStats::commit_us`].
     pub commit_us: u64,
+    /// See [`StorageStats::sync_us`].
+    pub sync_us: u64,
+    /// See [`StorageStats::commit_batches`].
+    pub commit_batches: u64,
+    /// See [`StorageStats::commit_batch_shards`].
+    pub commit_batch_shards: u64,
+    /// See [`StorageStats::commit_batch_us`].
+    pub commit_batch_us: u64,
     /// See [`StorageStats::checkpoints_written`].
     pub checkpoints_written: u64,
     /// See [`StorageStats::bytes_checkpointed`].
@@ -280,6 +307,10 @@ impl StorageSnapshot {
         self.fsyncs += o.fsyncs;
         self.commits += o.commits;
         self.commit_us += o.commit_us;
+        self.sync_us += o.sync_us;
+        self.commit_batches += o.commit_batches;
+        self.commit_batch_shards += o.commit_batch_shards;
+        self.commit_batch_us += o.commit_batch_us;
         self.checkpoints_written += o.checkpoints_written;
         self.bytes_checkpointed += o.bytes_checkpointed;
         self.records_replayed += o.records_replayed;
@@ -295,6 +326,10 @@ impl StorageSnapshot {
         registry.counter_total("serve.storage.fsyncs", self.fsyncs);
         registry.counter_total("serve.storage.commits", self.commits);
         registry.counter_total("serve.storage.commit_us", self.commit_us);
+        registry.counter_total("serve.storage.sync_us", self.sync_us);
+        registry.counter_total("serve.storage.commit_batches", self.commit_batches);
+        registry.counter_total("serve.storage.commit_batch_shards", self.commit_batch_shards);
+        registry.counter_total("serve.storage.commit_batch_us", self.commit_batch_us);
         registry.counter_total("serve.storage.checkpoints_written", self.checkpoints_written);
         registry.counter_total("serve.storage.bytes_checkpointed", self.bytes_checkpointed);
         registry.counter_total("serve.storage.records_replayed", self.records_replayed);
@@ -313,6 +348,10 @@ impl StorageStats {
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             commit_us: self.commit_us.load(Ordering::Relaxed),
+            sync_us: self.sync_us.load(Ordering::Relaxed),
+            commit_batches: self.commit_batches.load(Ordering::Relaxed),
+            commit_batch_shards: self.commit_batch_shards.load(Ordering::Relaxed),
+            commit_batch_us: self.commit_batch_us.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             bytes_checkpointed: self.bytes_checkpointed.load(Ordering::Relaxed),
             records_replayed: self.records_replayed.load(Ordering::Relaxed),
@@ -658,7 +697,9 @@ impl ShardLog {
     }
 
     fn rotate(&mut self) -> io::Result<()> {
-        if self.policy != FsyncPolicy::Never {
+        // Seal the outgoing segment, unless the commit just before has
+        // synced everything in it (always, under `always`).
+        if self.policy != FsyncPolicy::Never && self.records_since_sync > 0 {
             self.sync()?;
         }
         self.seg_id += 1;
@@ -670,9 +711,11 @@ impl ShardLog {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        let t0 = std::time::Instant::now();
         self.file.sync_data()?;
         self.records_since_sync = 0;
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.stats.sync_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -757,6 +800,15 @@ impl NodeWal {
         feed: impl FnOnce(&mut RecordSink) -> io::Result<()>,
     ) -> io::Result<()> {
         self.commit_locked(&mut self.lock_shard(idx), feed)
+    }
+
+    /// [`commit`](Self::commit) without the checkpoint: returns whether
+    /// the shard has crossed its checkpoint threshold, for the caller
+    /// to follow up with `commit` from a thread of its choosing.
+    pub fn commit_log(&self, idx: usize) -> io::Result<bool> {
+        let mut log = self.lock_shard(idx);
+        log.commit()?;
+        Ok(log.records_since_checkpoint() >= self.checkpoint_every)
     }
 
     /// [`commit`](Self::commit) for a caller already holding the lock.
@@ -939,6 +991,29 @@ mod tests {
             log.append(k, 1, b"x").unwrap();
         }
         assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 2, "every 4th append syncs");
+        // Rotation seals the outgoing segment only if something in it
+        // is still unsynced.
+        log.rotate().unwrap();
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 2, "nothing outstanding, no sync");
+        log.append(8, 1, b"x").unwrap();
+        log.rotate().unwrap();
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 3, "one record outstanding: sealed");
+        drop(log);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // `always`: the commit has synced, so neither a full segment's
+        // rotation nor a checkpoint's adds an fsync to the count.
+        let stats = Arc::new(StorageStats::default());
+        let (mut log, _) =
+            ShardLog::open(dir.clone(), FsyncPolicy::Always, 1024, Arc::clone(&stats)).unwrap();
+        for k in 0..40u64 {
+            log.append(k, 1, &[7u8; 100]).unwrap();
+        }
+        let snap = stats.snapshot();
+        assert!(snap.segments_written > 3, "1 KiB segments rotate: {snap:?}");
+        assert_eq!(snap.fsyncs, 40, "one sync per commit, none per rotation");
+        log.checkpoint(&[]).unwrap();
+        assert_eq!(stats.snapshot().fsyncs, 40, "a checkpoint's seal re-syncs nothing");
         drop(log);
         fs::remove_dir_all(&dir).unwrap();
     }
