@@ -1224,7 +1224,7 @@ mod tests {
             l.add(p, DatacenterId::new(8), 60);
         });
         parts.smoother.traffic(DatacenterId::new(dc), p) > 0.0
-            || parts.accounts.dc_traffic.get(dc as usize, p.index()) > 0.0
+            || parts.accounts.dc_traffic(p)[dc as usize] > 0.0
     }
 
     #[test]

@@ -249,11 +249,11 @@ pub fn mean_utilization(view: &PlacementView, accounts: &TrafficAccounts) -> f64
     let mut count = 0usize;
     for p_idx in 0..view.partitions() {
         let p = PartitionId::new(p_idx);
+        let served = accounts.served(p);
         for s in view.replica_servers(p) {
             let cap = view.capacity(p, s);
             debug_assert!(cap > 0.0);
-            let served = accounts.served.get(s.index(), p.index());
-            total += (served / cap).min(1.0);
+            total += (served[s.index()] / cap).min(1.0);
             count += 1;
         }
     }
@@ -279,11 +279,11 @@ pub fn mean_utilization_active(
     let mut total = 0.0;
     for &pu in active {
         let p = PartitionId::new(pu);
+        let served = accounts.served(p);
         for s in view.replica_servers(p) {
             let cap = view.capacity(p, s);
             debug_assert!(cap > 0.0);
-            let served = accounts.served.get(s.index(), p.index());
-            total += (served / cap).min(1.0);
+            total += (served[s.index()] / cap).min(1.0);
         }
     }
     let count = view.nonzero_cells();

@@ -41,19 +41,24 @@ pub const SLA_TARGET_MS: f64 = 300.0;
 pub const INTRA_DC_LATENCY_MS: f64 = 1.0;
 
 /// Everything the traffic pass learns about one epoch.
+///
+/// The three per-cell accounts are partition-major and private: a
+/// partition's cells are read as one row ([`dc_traffic`](Self::dc_traffic),
+/// [`dc_outflow`](Self::dc_outflow), [`served`](Self::served)), so no
+/// caller spells the index arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficAccounts {
-    /// `dc_traffic[dc][partition]` — residual query flow arriving at
-    /// each datacenter for each partition (`tr_ikt` summed over
-    /// requesters, at datacenter granularity).
-    pub dc_traffic: Grid,
-    /// `dc_outflow[dc][partition]` — residual query flow each datacenter
-    /// *forwards onward* after its local replicas absorbed what they
-    /// could (the "forwarding traffic" of §I; zero at the terminal hop).
-    pub dc_outflow: Grid,
-    /// `served[server][partition]` — queries actually served by replicas
-    /// on each server.
-    pub served: Grid,
+    /// Residual query flow arriving at each datacenter (`tr_ikt` summed
+    /// over requesters, at datacenter granularity): one row per
+    /// partition, one cell per datacenter.
+    dc_traffic: Grid,
+    /// Residual query flow each datacenter *forwards onward* after its
+    /// local replicas absorbed what they could (the "forwarding traffic"
+    /// of §I; zero at the terminal hop). Same shape as `dc_traffic`.
+    dc_outflow: Grid,
+    /// Queries actually served by replicas: one row per partition, one
+    /// cell per server.
+    served: Grid,
     /// Residual demand per partition that no replica (including the
     /// holder) could serve this epoch.
     pub unserved: Vec<f64>,
@@ -66,7 +71,7 @@ pub struct TrafficAccounts {
     pub holder_dc: Vec<DatacenterId>,
     /// Per-server total served queries (`l_i`), cached by the engine at
     /// the end of every pass so [`server_load`](Self::server_load) is
-    /// O(1) instead of an O(partitions) row sum per call.
+    /// O(1) instead of an O(partitions) sum per call.
     pub(crate) server_loads: Vec<f64>,
     /// Queries served, weighted by the hop at which they were served.
     pub(crate) hops_weighted: f64,
@@ -102,9 +107,9 @@ impl TrafficAccounts {
     /// Reshape for a fresh pass and zero every account, reusing all
     /// backing allocations.
     pub(crate) fn reset(&mut self, n_dcs: usize, n_parts: usize, n_servers: usize) {
-        self.dc_traffic.reset(n_dcs, n_parts);
-        self.dc_outflow.reset(n_dcs, n_parts);
-        self.served.reset(n_servers, n_parts);
+        self.dc_traffic.reset(n_parts, n_dcs);
+        self.dc_outflow.reset(n_parts, n_dcs);
+        self.served.reset(n_parts, n_servers);
         self.unserved.clear();
         self.unserved.resize(n_parts, 0.0);
         self.holder_dc.clear();
@@ -126,17 +131,11 @@ impl TrafficAccounts {
     /// `holder_dc` is deliberately left alone: it is a persistent map in
     /// sparse mode, not a per-pass account.
     pub(crate) fn clear_sparse(&mut self, prev: &[u32]) {
-        let n_dcs = self.dc_traffic.rows();
-        let n_servers = self.served.rows();
         for &p in prev {
             let p = p as usize;
-            for dc in 0..n_dcs {
-                self.dc_traffic.set(dc, p, 0.0);
-                self.dc_outflow.set(dc, p, 0.0);
-            }
-            for s in 0..n_servers {
-                self.served.set(s, p, 0.0);
-            }
+            self.dc_traffic.row_mut(p).fill(0.0);
+            self.dc_outflow.row_mut(p).fill(0.0);
+            self.served.row_mut(p).fill(0.0);
             self.unserved[p] = 0.0;
         }
         self.server_loads.fill(0.0);
@@ -147,10 +146,58 @@ impl TrafficAccounts {
         self.unserved_total = 0.0;
     }
 
+    /// `(datacenters, partitions, servers)` the accounts are shaped for.
+    pub(crate) fn shape(&self) -> (usize, usize, usize) {
+        (self.dc_traffic.cols(), self.dc_traffic.rows(), self.served.cols())
+    }
+
+    /// Arrival traffic of partition `p` at every datacenter, indexed by
+    /// datacenter id.
+    #[inline]
+    pub fn dc_traffic(&self, p: PartitionId) -> &[f64] {
+        self.dc_traffic.row(p.index())
+    }
+
+    /// Forwarding traffic of partition `p` at every datacenter, indexed
+    /// by datacenter id.
+    #[inline]
+    pub fn dc_outflow(&self, p: PartitionId) -> &[f64] {
+        self.dc_outflow.row(p.index())
+    }
+
+    /// Queries of partition `p` served by every server, indexed by
+    /// server id.
+    #[inline]
+    pub fn served(&self, p: PartitionId) -> &[f64] {
+        self.served.row(p.index())
+    }
+
+    /// Write access to one partition's three rows, in accessor order
+    /// (arrival, forwarding, served), for the engine's merge.
+    pub(crate) fn rows_mut(&mut self, p: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        (self.dc_traffic.row_mut(p), self.dc_outflow.row_mut(p), self.served.row_mut(p))
+    }
+
+    /// Recompute the per-server load cache: each server's served cells
+    /// over `parts` (ascending partition ids), added one partition after
+    /// the other from `0.0`. This is the one definition of `l_i`: a
+    /// partition left out of `parts` must have an all-zero served row,
+    /// which makes its terms exact `+0.0`, so the dense pass (every
+    /// partition) and the sparse pass (the active ones) agree bit for
+    /// bit.
+    pub(crate) fn fold_server_loads(&mut self, parts: impl Iterator<Item = usize>) {
+        self.server_loads.fill(0.0);
+        for p in parts {
+            for (load, &served) in self.server_loads.iter_mut().zip(self.served.row(p)) {
+                *load += served;
+            }
+        }
+    }
+
     /// Traffic arriving at the holder of partition `p` (`tr_iit`,
     /// the quantity eq. 12 compares against `β·q̄`).
     pub fn holder_traffic(&self, p: PartitionId) -> f64 {
-        self.dc_traffic.get(self.holder_dc[p.index()].index(), p.index())
+        self.dc_traffic(p)[self.holder_dc[p.index()].index()]
     }
 
     /// Total queries served across the cluster this epoch.
@@ -177,7 +224,8 @@ impl TrafficAccounts {
 
     /// Queries served by one server across all partitions (its workload
     /// `l_i` for the load-imbalance metric). Reads the per-pass cache —
-    /// O(1), bit-identical to summing the server's `served` row.
+    /// O(1), the server's `served` cells summed over partitions in
+    /// ascending order.
     pub fn server_load(&self, s: ServerId) -> f64 {
         self.server_loads[s.index()]
     }
@@ -284,12 +332,12 @@ mod tests {
         let acc = compute_traffic(&topo, &load, &view);
         // eq. 5: traffic at the requester (C) is the full load; no
         // absorption en route, so every hop sees 10.
-        assert_eq!(acc.dc_traffic.get(2, 0), 10.0);
-        assert_eq!(acc.dc_traffic.get(1, 0), 10.0);
-        assert_eq!(acc.dc_traffic.get(0, 0), 10.0);
+        assert_eq!(acc.dc_traffic(p0())[2], 10.0);
+        assert_eq!(acc.dc_traffic(p0())[1], 10.0);
+        assert_eq!(acc.dc_traffic(p0())[0], 10.0);
         assert_eq!(acc.holder_traffic(p0()), 10.0);
         // Holder serves everything: 2 hops each.
-        assert_eq!(acc.served.get(0, 0), 10.0);
+        assert_eq!(acc.served(p0())[0], 10.0);
         assert_eq!(acc.served_total(), 10.0);
         assert_eq!(acc.unserved_total(), 0.0);
         assert_eq!(acc.mean_path_length(), 2.0);
@@ -303,11 +351,11 @@ mod tests {
         // Replica at B (server 1) with capacity 6; holder has plenty.
         let view = view_with(&[(0, 100.0), (1, 6.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.dc_traffic.get(2, 0), 10.0, "requester sees all");
-        assert_eq!(acc.dc_traffic.get(1, 0), 10.0, "traffic *arriving* at B is still 10");
-        assert_eq!(acc.dc_traffic.get(0, 0), 4.0, "eq. 4: residual after B's capacity");
-        assert_eq!(acc.served.get(1, 0), 6.0);
-        assert_eq!(acc.served.get(0, 0), 4.0);
+        assert_eq!(acc.dc_traffic(p0())[2], 10.0, "requester sees all");
+        assert_eq!(acc.dc_traffic(p0())[1], 10.0, "traffic *arriving* at B is still 10");
+        assert_eq!(acc.dc_traffic(p0())[0], 4.0, "eq. 4: residual after B's capacity");
+        assert_eq!(acc.served(p0())[1], 6.0);
+        assert_eq!(acc.served(p0())[0], 4.0);
         // 6 queries at hop 1, 4 at hop 2 → mean 1.4.
         assert!((acc.mean_path_length() - 1.4).abs() < 1e-12);
     }
@@ -319,9 +367,9 @@ mod tests {
         load.add(p0(), d(2), 5);
         let view = view_with(&[(0, 100.0), (2, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(2, 0), 5.0);
+        assert_eq!(acc.served(p0())[2], 5.0);
         assert_eq!(acc.mean_path_length(), 0.0);
-        assert_eq!(acc.dc_traffic.get(1, 0), 0.0, "nothing forwarded");
+        assert_eq!(acc.dc_traffic(p0())[1], 0.0, "nothing forwarded");
         assert_eq!(acc.holder_traffic(p0()), 0.0);
     }
 
@@ -335,8 +383,8 @@ mod tests {
         load.add(p0(), d(0), 8);
         let view = view_with(&[(0, 100.0), (2, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(2, 0), 0.0);
-        assert_eq!(acc.served.get(0, 0), 8.0);
+        assert_eq!(acc.served(p0())[2], 0.0);
+        assert_eq!(acc.served(p0())[0], 8.0);
         assert_eq!(acc.mean_path_length(), 0.0, "holder is local to requester");
     }
 
@@ -351,8 +399,8 @@ mod tests {
         let acc = compute_traffic(&topo, &load, &view);
         // B's own 4 queries absorb locally; C's 4 find only 2 left at B,
         // 1 at the holder, and 1 is unserved.
-        assert_eq!(acc.served.get(1, 0), 6.0);
-        assert_eq!(acc.served.get(0, 0), 1.0);
+        assert_eq!(acc.served(p0())[1], 6.0);
+        assert_eq!(acc.served(p0())[0], 1.0);
         assert_eq!(acc.unserved[0], 1.0);
         assert_eq!(acc.unserved_total(), 1.0);
         assert_eq!(acc.served_total(), 7.0);
@@ -366,8 +414,8 @@ mod tests {
         load.add(p0(), d(2), 10);
         let view = view_with(&[(0, 100.0), (1, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(1, 0), 0.0, "dead replica is skipped");
-        assert_eq!(acc.served.get(0, 0), 10.0);
+        assert_eq!(acc.served(p0())[1], 0.0, "dead replica is skipped");
+        assert_eq!(acc.served(p0())[0], 10.0);
     }
 
     #[test]
@@ -395,13 +443,13 @@ mod tests {
         view.add_capacity(PartitionId::new(0), s(0), 100.0);
         view.add_capacity(PartitionId::new(1), s(2), 100.0);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(0, 0), 5.0);
-        assert_eq!(acc.served.get(2, 1), 7.0);
+        assert_eq!(acc.served(p0())[0], 5.0);
+        assert_eq!(acc.served(PartitionId::new(1))[2], 7.0);
         assert_eq!(acc.server_load(s(0)), 5.0);
         assert_eq!(acc.server_load(s(2)), 7.0);
         assert_eq!(acc.server_load(s(1)), 0.0);
         // Partition 1's queries from A travel A→B→C.
-        assert_eq!(acc.dc_traffic.get(1, 1), 7.0);
+        assert_eq!(acc.dc_traffic(PartitionId::new(1))[1], 7.0);
         assert_eq!(acc.holder_dc[1], d(2));
     }
 
@@ -458,6 +506,6 @@ mod tests {
         assert_eq!(acc.served_total(), 0.0);
         assert_eq!(acc.unserved_total(), 0.0);
         assert_eq!(acc.mean_path_length(), 0.0);
-        assert_eq!(acc.dc_traffic.total(), 0.0);
+        assert_eq!(acc.dc_traffic(p0()), &[0.0; 3]);
     }
 }

@@ -21,14 +21,15 @@
 //! ## Sharded pass, canonical merge
 //!
 //! Partitions are independent in the traffic pass: remaining capacity
-//! is a per-partition row, every grid write lands in a per-partition
-//! column, and the within-partition accounting order (requesters
-//! ascending, hops in path order, indexed servers in visit order) fixes
-//! every cell's value exactly. Only five scalar totals (`hops_weighted`,
-//! `latency_weighted_ms`, `sla_within`, `served_total`,
-//! `unserved_total`) cross partitions, and `f64` addition is not
-//! associative — so the engine defines their *canonical* value as
-//! per-partition subtotals folded in ascending partition order.
+//! is a per-partition row, every grid write lands in that partition's
+//! row of the (partition-major) accounts, and the within-partition
+//! accounting order (requesters ascending, hops in path order, indexed
+//! servers in visit order) fixes every cell's value exactly. Only five
+//! scalar totals (`hops_weighted`, `latency_weighted_ms`, `sla_within`,
+//! `served_total`, `unserved_total`) and the per-server loads cross
+//! partitions, and `f64` addition is not associative — so the engine
+//! defines their *canonical* value as per-partition terms folded in
+//! ascending partition order.
 //!
 //! The pass therefore runs as contiguous partition shards (one shard
 //! serially; [`account_sharded`](TrafficEngine::account_sharded) fans
@@ -107,17 +108,20 @@ struct Shard {
     /// loads its indexed cells before reading them, so one row serves
     /// the whole shard; stale cells are never read.
     remaining: Vec<f64>,
-    /// Per-(local partition, datacenter) arrival traffic. Partition-
-    /// major (transposed vs. the global grid) so each partition's
-    /// writes stay on one contiguous row.
+    /// Per-(local partition, datacenter) arrival traffic, partition-
+    /// major like the global accounts: the merge copies whole rows.
     dc_traffic: Grid,
     /// Per-(local partition, datacenter) forwarding traffic.
     dc_outflow: Grid,
-    /// Served events per local partition, in emission order: replayed
-    /// into the global served grid by the merge. All events for one
-    /// `(server, partition)` cell occur within one partition's pass, so
-    /// replay-in-order reproduces the cell bit for bit.
-    served: Vec<Vec<(u32, f64)>>,
+    /// Served events `(server, take)` of the whole shard in emission
+    /// order, replayed into the global served rows by the merge. All
+    /// events for one `(partition, server)` cell occur within one
+    /// partition's pass, so replay-in-order reproduces the cell bit for
+    /// bit.
+    served: Vec<(u32, f64)>,
+    /// Where each local partition's events start in `served`, plus the
+    /// total at the end (`span + 1` entries once the pass has run).
+    served_offsets: Vec<usize>,
     /// Holder datacenter per local partition.
     holder_dc: Vec<DatacenterId>,
     /// Unserved residual per local partition. The partition's
@@ -139,6 +143,7 @@ impl Default for Shard {
             dc_traffic: Grid::zeros(0, 0),
             dc_outflow: Grid::zeros(0, 0),
             served: Vec::new(),
+            served_offsets: Vec::new(),
             holder_dc: Vec::new(),
             unserved: Vec::new(),
             hops_weighted: Vec::new(),
@@ -162,7 +167,6 @@ impl Shard {
             self.dc_traffic.reset(span, n_dcs);
             self.dc_outflow.reset(span, n_dcs);
         }
-        self.served.resize(span, Vec::new());
         self.holder_dc.resize(span, DatacenterId::new(0));
         self.unserved.resize(span, 0.0);
         self.hops_weighted.resize(span, 0.0);
@@ -394,12 +398,9 @@ impl TrafficEngine {
             parts: None,
         };
         run_shards(&mut self.shards, &ctx, pool);
-        merge_shards(&mut self.accounts, &self.shards, None, n_dcs);
+        merge_shards(&mut self.accounts, &self.shards, None);
 
-        // Cache per-server loads: the full row sum on the dense path.
-        for s in 0..n_servers {
-            self.accounts.server_loads[s] = self.accounts.served.row_sum(s);
-        }
+        self.accounts.fold_server_loads(0..n_parts);
 
         &self.accounts
     }
@@ -479,9 +480,7 @@ impl TrafficEngine {
         // Reset the accounts: O(prev) when the previous pass was sparse
         // at the same shape, full otherwise. Inactive cells stay zero
         // either way (the sparse invariant).
-        let shape_ok = self.accounts.dc_traffic.rows() == n_dcs
-            && self.accounts.dc_traffic.cols() == n_parts
-            && self.accounts.served.rows() == n_servers
+        let shape_ok = self.accounts.shape() == (n_dcs, n_parts, n_servers)
             && self.accounts.holder_dc.len() == n_parts;
         match self.sparse_prev.take() {
             Some(mut prev) if shape_ok => {
@@ -537,19 +536,9 @@ impl TrafficEngine {
             parts: Some(active),
         };
         run_shards(&mut self.shards, &ctx, pool);
-        merge_shards(&mut self.accounts, &self.shards, Some(active), n_dcs);
+        merge_shards(&mut self.accounts, &self.shards, Some(active));
 
-        // Cache per-server loads by folding the active columns in
-        // ascending order — bit-identical to the dense full row sum,
-        // whose extra terms are all exact `+0.0`.
-        for s in 0..n_servers {
-            let row = self.accounts.served.row(s);
-            let mut sum = 0.0;
-            for &pu in active {
-                sum += row[pu as usize];
-            }
-            self.accounts.server_loads[s] = sum;
-        }
+        self.accounts.fold_server_loads(active.iter().map(|&p| p as usize));
 
         &self.accounts
     }
@@ -594,7 +583,7 @@ fn run_shards(shards: &mut [Shard], ctx: &PassCtx<'_>, pool: Option<&WorkerPool>
 /// threads they finished. On the sparse path (`parts` given) positions
 /// map through the active list and `holder_dc` is written by index into
 /// the persistent map; the dense path rebuilds `holder_dc` by push.
-fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32]>, n_dcs: usize) {
+fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32]>) {
     for shard in shards {
         for (i, pos) in (shard.lo..shard.hi).enumerate() {
             let p_idx = match parts {
@@ -608,20 +597,16 @@ fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32
                     pos
                 }
             };
-            let tr = shard.dc_traffic.row(i);
-            let of = shard.dc_outflow.row(i);
-            for d in 0..n_dcs {
-                // Zero means untouched (the pass only adds positive
-                // amounts), and the global cells were just reset.
-                if tr[d] != 0.0 {
-                    acc.dc_traffic.set(d, p_idx, tr[d]);
-                }
-                if of[d] != 0.0 {
-                    acc.dc_outflow.set(d, p_idx, of[d]);
-                }
-            }
-            for &(server, take) in &shard.served[i] {
-                acc.served.add(server as usize, p_idx, take);
+            // The global rows were just reset, and an untouched shard
+            // cell is the same `+0.0` (the pass only adds positive
+            // amounts), so whole-row copies write what cell-wise ones
+            // would.
+            let (tr, of, served) = acc.rows_mut(p_idx);
+            tr.copy_from_slice(shard.dc_traffic.row(i));
+            of.copy_from_slice(shard.dc_outflow.row(i));
+            let events = shard.served_offsets[i]..shard.served_offsets[i + 1];
+            for &(server, take) in &shard.served[events] {
+                served[server as usize] += take;
             }
             acc.unserved[p_idx] = shard.unserved[i];
             acc.hops_weighted += shard.hops_weighted[i];
@@ -647,6 +632,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
         dc_traffic,
         dc_outflow,
         served,
+        served_offsets,
         holder_dc,
         unserved,
         hops_weighted,
@@ -655,6 +641,8 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
         served_total,
     } = shard;
     let n_dcs = ctx.n_dcs;
+    served.clear();
+    served_offsets.clear();
 
     for (i, pos) in (*lo..*hi).enumerate() {
         let p_idx = match ctx.parts {
@@ -678,8 +666,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
         let of_row = dc_outflow.row_mut(i);
         tr_row.fill(0.0);
         of_row.fill(0.0);
-        let served_i = &mut served[i];
-        served_i.clear();
+        served_offsets.push(served.len());
         let mut unserved_p = 0.0;
         let mut hops_p = 0.0;
         let mut latency_p = 0.0;
@@ -725,7 +712,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
                     let take = cap.min(residual);
                     if take > 0.0 {
                         *cap -= take;
-                        served_i.push((server.0, take));
+                        served.push((server.0, take));
                         hops_p += hop as f64 * take;
                         let rtt = 2.0 * lat_ms + INTRA_DC_LATENCY_MS;
                         latency_p += rtt * take;
@@ -763,6 +750,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
         sla_within[i] = sla_p;
         served_total[i] = served_p;
     }
+    served_offsets.push(served.len());
 }
 
 #[cfg(test)]
@@ -1015,6 +1003,39 @@ mod tests {
             engine.account_active_sharded(&topo, &load, &view, &active, &pool);
             let sparse = engine.account_active_sharded(&topo, &load, &view, &active, &pool).clone();
             assert_sparse_matches_dense(&sparse, &dense, &active);
+        }
+    }
+
+    #[test]
+    fn server_loads_fold_identically_on_dense_and_sparse_passes() {
+        // Server 0 holds every partition, server 1 carries capacity but
+        // is dead, server 2 holds no replica at all.
+        let mut topo = chain();
+        topo.fail_server(ServerId::new(1)).unwrap();
+        let parts = 5u32;
+        let mut view = PlacementView::new(parts, 3, vec![ServerId::new(0); parts as usize]);
+        for p in (0..parts).map(PartitionId::new) {
+            view.add_capacity(p, ServerId::new(0), 8.0 + p.0 as f64);
+            view.add_capacity(p, ServerId::new(1), 4.0);
+        }
+        let mut sparse_engine = TrafficEngine::new();
+        // Full, shrinking, empty, growing: the reused engine also takes
+        // the partial-clear path into and out of the empty set.
+        for active in [vec![0, 1, 2, 3, 4], vec![3], vec![], vec![0, 2, 4]] {
+            let load = sparse_load(parts, 3, &active);
+            let dense = compute_traffic(&topo, &load, &view);
+            let sparse = sparse_engine.account_active(&topo, &load, &view, &active);
+            for s in (0..3).map(ServerId::new) {
+                assert_eq!(
+                    sparse.server_load(s).to_bits(),
+                    dense.server_load(s).to_bits(),
+                    "{s} with active {active:?}"
+                );
+            }
+            assert_eq!(dense.server_load(ServerId::new(0)) > 0.0, !active.is_empty());
+            for idle in [1, 2] {
+                assert_eq!(dense.server_load(ServerId::new(idle)).to_bits(), 0.0f64.to_bits());
+            }
         }
     }
 

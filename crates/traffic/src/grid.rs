@@ -1,10 +1,12 @@
 //! Dense 2-D arrays.
 //!
 //! The traffic pass is the simulator's hot loop; all its state is dense
-//! `rows × cols` matrices over small index spaces (datacenters ×
-//! partitions, servers × partitions), stored flat for cache-friendly
-//! scans — per the HPC guidance of preferring flat arrays over maps on
-//! hot paths.
+//! `rows × cols` matrices stored flat and row-major. Every user in this
+//! crate puts the *partition* on the row axis — up to 10⁶ rows of a few
+//! dozen datacenter or server cells each — so everything the pass knows
+//! about one partition is one contiguous row, and a sparse epoch that
+//! visits a few percent of the partitions touches a few percent of the
+//! memory.
 
 /// A dense row-major 2-D array of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,16 +75,6 @@ impl Grid {
         self.row(r).iter().sum()
     }
 
-    /// Sum of one column.
-    pub fn col_sum(&self, c: usize) -> f64 {
-        (0..self.rows).map(|r| self.get(r, c)).sum()
-    }
-
-    /// Sum of every cell.
-    pub fn total(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
     /// Reset every cell to zero, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.fill(0.0);
@@ -114,8 +106,7 @@ mod tests {
         let g = Grid::zeros(3, 4);
         assert_eq!(g.rows(), 3);
         assert_eq!(g.cols(), 4);
-        assert_eq!(g.total(), 0.0);
-        assert_eq!(g.get(2, 3), 0.0);
+        assert!((0..3).all(|r| g.row(r) == [0.0; 4]));
     }
 
     #[test]
@@ -126,11 +117,11 @@ mod tests {
         g.add(1, 0, 1.0);
         assert_eq!(g.get(0, 1), 7.5);
         assert_eq!(g.get(1, 0), 1.0);
-        assert_eq!(g.total(), 8.5);
+        assert_eq!(g.get(0, 0), 0.0);
     }
 
     #[test]
-    fn row_and_column_sums() {
+    fn rows_and_row_sums() {
         let mut g = Grid::zeros(2, 3);
         g.set(0, 0, 1.0);
         g.set(0, 2, 2.0);
@@ -138,8 +129,6 @@ mod tests {
         assert_eq!(g.row(0), &[1.0, 0.0, 2.0]);
         assert_eq!(g.row_sum(0), 3.0);
         assert_eq!(g.row_sum(1), 4.0);
-        assert_eq!(g.col_sum(2), 6.0);
-        assert_eq!(g.col_sum(1), 0.0);
     }
 
     #[test]
@@ -147,7 +136,7 @@ mod tests {
         let mut g = Grid::zeros(2, 2);
         g.set(1, 1, 9.0);
         g.clear();
-        assert_eq!(g.total(), 0.0);
+        assert_eq!(g.row(1), &[0.0, 0.0]);
         assert_eq!(g.rows(), 2);
     }
 
@@ -157,11 +146,11 @@ mod tests {
         g.set(1, 1, 9.0);
         g.reset(3, 4);
         assert_eq!((g.rows(), g.cols()), (3, 4));
-        assert_eq!(g.total(), 0.0);
+        assert_eq!(g.row_sum(1), 0.0, "the old (1, 1) cell is gone");
         g.set(2, 3, 1.0);
         g.reset(2, 2);
         assert_eq!((g.rows(), g.cols()), (2, 2));
-        assert_eq!(g.total(), 0.0);
+        assert_eq!(g.row_sum(0) + g.row_sum(1), 0.0);
     }
 
     #[test]

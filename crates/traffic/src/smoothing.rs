@@ -9,8 +9,10 @@
 //! ```
 //!
 //! One smoother instance holds the per-partition smoothed system query
-//! average and the per-(datacenter, partition) smoothed traffic the
-//! decision thresholds (eqs. 12, 13, 15) compare against.
+//! average and the per-(partition, datacenter) smoothed traffic the
+//! decision thresholds (eqs. 12, 13, 15) compare against. Like the
+//! accounts it folds, the state is partition-major: everything a
+//! decision reads about one partition is one contiguous row.
 
 use crate::absorption::TrafficAccounts;
 use rfh_types::{DatacenterId, PartitionId};
@@ -24,7 +26,8 @@ pub struct TrafficSmoother {
     dcs: usize,
     /// Smoothed `q̄_it` per partition; NaN marks "no observation yet".
     q_avg: Vec<f64>,
-    /// Smoothed `t̄r_ikt`, `[dc][partition]` flattened; NaN marks unset.
+    /// Smoothed `t̄r_ikt`: one row of `dcs` cells per partition,
+    /// flattened; NaN marks unset.
     traffic: Vec<f64>,
     /// Smoothed forwarding traffic (outflow), same layout.
     outflow: Vec<f64>,
@@ -52,8 +55,8 @@ impl TrafficSmoother {
             partitions: partitions as usize,
             dcs: dcs as usize,
             q_avg: vec![f64::NAN; partitions as usize],
-            traffic: vec![f64::NAN; dcs as usize * partitions as usize],
-            outflow: vec![f64::NAN; dcs as usize * partitions as usize],
+            traffic: vec![f64::NAN; partitions as usize * dcs as usize],
+            outflow: vec![f64::NAN; partitions as usize * dcs as usize],
             stamps: vec![0; partitions as usize],
             pass: 0,
             dc_reset_pass: vec![0; dcs as usize],
@@ -71,19 +74,23 @@ impl TrafficSmoother {
     /// Fold one epoch's raw observations into the smoothed state.
     pub fn update(&mut self, load: &QueryLoad, accounts: &TrafficAccounts) {
         debug_assert_eq!(load.partitions() as usize, self.partitions);
+        let alpha = self.alpha;
         for p in 0..self.partitions {
-            let obs = load.system_average(PartitionId::new(p as u32));
-            self.q_avg[p] = Self::smooth(self.alpha, self.q_avg[p], obs);
-        }
-        for dc in 0..self.dcs {
-            for p in 0..self.partitions {
-                let i = dc * self.partitions + p;
-                let obs = accounts.dc_traffic.get(dc, p);
-                self.traffic[i] = Self::smooth(self.alpha, self.traffic[i], obs);
-                let out = accounts.dc_outflow.get(dc, p);
-                self.outflow[i] = Self::smooth(self.alpha, self.outflow[i], out);
+            let pid = PartitionId::new(p as u32);
+            self.q_avg[p] = Self::smooth(alpha, self.q_avg[p], load.system_average(pid));
+            let row = self.row(p);
+            for (cell, &obs) in self.traffic[row.clone()].iter_mut().zip(accounts.dc_traffic(pid)) {
+                *cell = Self::smooth(alpha, *cell, obs);
+            }
+            for (cell, &out) in self.outflow[row].iter_mut().zip(accounts.dc_outflow(pid)) {
+                *cell = Self::smooth(alpha, *cell, out);
             }
         }
+    }
+
+    /// Where partition `p`'s cells sit in `traffic` / `outflow`.
+    fn row(&self, p: usize) -> std::ops::Range<usize> {
+        p * self.dcs..(p + 1) * self.dcs
     }
 
     /// Sparse variant of [`update`](Self::update): fold one epoch's
@@ -120,22 +127,23 @@ impl TrafficSmoother {
             let gap = self.pass - 1 - stamp;
             self.stamps[p] = self.pass;
 
-            let obs = load.system_average(PartitionId::new(pu));
+            let pid = PartitionId::new(pu);
             Self::fold_gap(alpha, &mut self.q_avg[p], gap);
-            self.q_avg[p] = Self::smooth(alpha, self.q_avg[p], obs);
+            self.q_avg[p] = Self::smooth(alpha, self.q_avg[p], load.system_average(pid));
 
+            let row = self.row(p);
+            let traffic = &mut self.traffic[row.clone()];
+            let outflow = &mut self.outflow[row];
+            let (obs, out) = (accounts.dc_traffic(pid), accounts.dc_outflow(pid));
             for dc in 0..self.dcs {
                 // A reset_dc wipes the cell to NaN; zeros that the dense
                 // pass applied *before* the reset are irrelevant, so the
                 // fold only covers epochs after the later of the two.
                 let dc_gap = (self.pass - 1).saturating_sub(stamp.max(self.dc_reset_pass[dc]));
-                let i = dc * self.partitions + p;
-                let obs = accounts.dc_traffic.get(dc, p);
-                Self::fold_gap(alpha, &mut self.traffic[i], dc_gap);
-                self.traffic[i] = Self::smooth(alpha, self.traffic[i], obs);
-                let out = accounts.dc_outflow.get(dc, p);
-                Self::fold_gap(alpha, &mut self.outflow[i], dc_gap);
-                self.outflow[i] = Self::smooth(alpha, self.outflow[i], out);
+                Self::fold_gap(alpha, &mut traffic[dc], dc_gap);
+                traffic[dc] = Self::smooth(alpha, traffic[dc], obs[dc]);
+                Self::fold_gap(alpha, &mut outflow[dc], dc_gap);
+                outflow[dc] = Self::smooth(alpha, outflow[dc], out[dc]);
             }
         }
     }
@@ -154,23 +162,28 @@ impl TrafficSmoother {
     /// Smoothed system query average `q̄_it` for a partition (eq. 10);
     /// zero before any update.
     pub fn q_avg(&self, p: PartitionId) -> f64 {
-        let v = self.q_avg[p.index()];
-        if v.is_nan() {
+        Self::observed(self.q_avg[p.index()])
+    }
+
+    /// A cell as callers see it: zero until its first observation.
+    fn observed(cell: f64) -> f64 {
+        if cell.is_nan() {
             0.0
         } else {
-            v
+            cell
         }
     }
 
     /// Smoothed traffic `t̄r_ikt` of a datacenter for a partition
     /// (eq. 11); zero before any update.
     pub fn traffic(&self, dc: DatacenterId, p: PartitionId) -> f64 {
-        let v = self.traffic[dc.index() * self.partitions + p.index()];
-        if v.is_nan() {
-            0.0
-        } else {
-            v
-        }
+        Self::observed(self.traffic[self.row(p.index())][dc.index()])
+    }
+
+    /// [`traffic`](Self::traffic) of every datacenter for partition
+    /// `p`, in datacenter-id order.
+    pub fn traffic_row(&self, p: PartitionId) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.traffic[self.row(p.index())].iter().map(|&cell| Self::observed(cell))
     }
 
     /// Smoothed *forwarding* traffic of a datacenter for a partition:
@@ -178,12 +191,13 @@ impl TrafficSmoother {
     /// "most forwarding traffic" quantity RFH ranks hubs by (§I); zero
     /// before any update.
     pub fn outflow(&self, dc: DatacenterId, p: PartitionId) -> f64 {
-        let v = self.outflow[dc.index() * self.partitions + p.index()];
-        if v.is_nan() {
-            0.0
-        } else {
-            v
-        }
+        Self::observed(self.outflow[self.row(p.index())][dc.index()])
+    }
+
+    /// [`outflow`](Self::outflow) of every datacenter for partition
+    /// `p`, in datacenter-id order.
+    pub fn outflow_row(&self, p: PartitionId) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.outflow[self.row(p.index())].iter().map(|&cell| Self::observed(cell))
     }
 
     /// Average smoothed traffic over all datacenters for a partition —
@@ -192,8 +206,7 @@ impl TrafficSmoother {
         if self.dcs == 0 {
             return 0.0;
         }
-        let sum: f64 = (0..self.dcs).map(|dc| self.traffic(DatacenterId::new(dc as u32), p)).sum();
-        sum / self.dcs as f64
+        self.traffic_row(p).sum::<f64>() / self.dcs as f64
     }
 
     /// Forget the traffic history of one datacenter (used when all its
@@ -201,8 +214,9 @@ impl TrafficSmoother {
     /// recovery).
     pub fn reset_dc(&mut self, dc: DatacenterId) {
         for p in 0..self.partitions {
-            self.traffic[dc.index() * self.partitions + p] = f64::NAN;
-            self.outflow[dc.index() * self.partitions + p] = f64::NAN;
+            let i = self.row(p).start + dc.index();
+            self.traffic[i] = f64::NAN;
+            self.outflow[i] = f64::NAN;
         }
         self.dc_reset_pass[dc.index()] = self.pass;
     }
@@ -211,7 +225,6 @@ impl TrafficSmoother {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
 
     fn p(i: u32) -> PartitionId {
         PartitionId::new(i)
@@ -220,25 +233,16 @@ mod tests {
         DatacenterId::new(i)
     }
 
-    /// Build a TrafficAccounts with chosen dc_traffic values.
+    /// Build a TrafficAccounts with chosen `(dc, partition, value)`
+    /// arrival-traffic cells.
     fn accounts(dcs: usize, parts: usize, cells: &[(usize, usize, f64)]) -> TrafficAccounts {
-        let mut dc_traffic = Grid::zeros(dcs, parts);
+        let mut acc = TrafficAccounts::empty();
+        acc.reset(dcs, parts, 1);
+        acc.holder_dc.resize(parts, DatacenterId::new(0));
         for &(dc, pp, v) in cells {
-            dc_traffic.set(dc, pp, v);
+            acc.rows_mut(pp).0[dc] = v;
         }
-        TrafficAccounts {
-            dc_traffic,
-            dc_outflow: Grid::zeros(dcs, parts),
-            served: Grid::zeros(1, parts),
-            unserved: vec![0.0; parts],
-            holder_dc: vec![DatacenterId::new(0); parts],
-            server_loads: vec![0.0; 1],
-            hops_weighted: 0.0,
-            latency_weighted_ms: 0.0,
-            sla_within: 0.0,
-            served_total: 0.0,
-            unserved_total: 0.0,
-        }
+        acc
     }
 
     #[test]

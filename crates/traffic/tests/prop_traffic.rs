@@ -72,7 +72,7 @@ proptest! {
         let acc = compute_traffic(&topo, &load, &view);
         for p in 0..PARTITIONS {
             for s in 0..SERVERS {
-                let served = acc.served.get(s as usize, p as usize);
+                let served = acc.served(PartitionId::new(p))[s as usize];
                 let cap = view.capacity(PartitionId::new(p), ServerId::new(s));
                 prop_assert!(served <= cap + 1e-9, "server {s} over-served {served} > {cap}");
             }
@@ -89,7 +89,7 @@ proptest! {
         for p in 0..PARTITIONS {
             for dc in 0..DCS {
                 let q = load.get(PartitionId::new(p), DatacenterId::new(dc)) as f64;
-                let tr = acc.dc_traffic.get(dc as usize, p as usize);
+                let tr = acc.dc_traffic(PartitionId::new(p))[dc as usize];
                 prop_assert!(tr >= q - 1e-9, "dc {dc}: arrival {tr} below local demand {q}");
             }
         }
@@ -103,8 +103,8 @@ proptest! {
         let acc = compute_traffic(&topo, &load, &view);
         for p in 0..PARTITIONS {
             for dc in 0..DCS {
-                let arrival = acc.dc_traffic.get(dc as usize, p as usize);
-                let outflow = acc.dc_outflow.get(dc as usize, p as usize);
+                let arrival = acc.dc_traffic(PartitionId::new(p))[dc as usize];
+                let outflow = acc.dc_outflow(PartitionId::new(p))[dc as usize];
                 prop_assert!(outflow <= arrival + 1e-9, "dc {dc}: outflow {outflow} > arrival {arrival}");
                 prop_assert!(outflow >= 0.0);
             }

@@ -2,9 +2,10 @@
 //!
 //! §II-C: "We define the number of queries for a partition `B_i`, during
 //! a unit time period T, from requester `j`, as `q_ijt`." The matrix is
-//! stored dense and partition-major — both axes are small (64 × 10 in
-//! the paper) and the traffic computation scans whole rows, so a flat
-//! `Vec` beats any map.
+//! stored dense and partition-major: the requester axis is small (10
+//! datacenters in the paper), the partition axis runs from the paper's
+//! 64 to 10⁶, and the traffic computation scans one partition's row at
+//! a time, so a flat `Vec` of rows beats any map.
 //!
 //! For the sparse epoch engine the matrix additionally tracks which
 //! partitions were *touched* (gained their first non-zero cell) since
