@@ -17,8 +17,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Connect + read timeout for client requests. Generous: a request can
-/// sit behind a partition transfer holding the lock.
+/// Connect + read timeout for client requests. Generous: a put can
+/// defer behind a partition transfer.
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(5_000);
 
 /// Attempts per operation before giving up (each attempt may rotate to

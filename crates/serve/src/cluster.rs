@@ -6,36 +6,29 @@
 //! then turns every topology server into a node thread behind its own
 //! loopback TCP listener and starts the online control loop.
 //!
-//! ## Shared state and locking
+//! ## Shared state
 //!
-//! The data plane (node threads) and the control plane (the RFH loop)
-//! meet in [`Shared`]:
+//! The data plane (either driver of the coordinator) and the control
+//! plane (the RFH loop) meet in [`Shared`]:
 //!
 //! * `alive[i]` — fail-stop flags; a killed node accepts connections
 //!   and immediately drops them, and serves nothing.
 //! * `routes` — the published replica map (partition → servers, holder
 //!   first), read per request, rewritten by the control loop.
-//! * `locks[p]` — one mutex per partition. A threaded-plane
-//!   coordinator holds it for the whole write-all-replicas sequence;
-//!   the control loop holds it while copying partition data and
-//!   republishing the route. This is what makes "zero lost
-//!   acknowledged writes" provable: no write can slip between a
-//!   transfer's copy and its route flip.
-//! * `route_epochs[p]` — one atomic epoch per partition, even when
-//!   the route is stable, odd while a transfer holds `locks[p]`. The
-//!   reactor plane cannot park an event loop on a mutex across peer
-//!   round-trips, so it proves the same no-slip property optimistically:
-//!   a put defers while the epoch is odd, snapshots the even value,
-//!   writes all live replicas, and acks only if the epoch is still the
-//!   snapshot — otherwise a transfer raced it and the attempt restarts.
-//!   The control loop bumps to odd (under the lock) before copying and
-//!   publishes +2 after the route flip, so the validation window
-//!   brackets exactly the critical section the mutex covers.
+//! * `route_epochs[p]` — one atomic epoch per partition, even while
+//!   the route is stable, odd while a transfer copies the partition.
+//!   It is the whole write protocol between the two planes, and what
+//!   makes "zero lost acknowledged writes" hold: the control loop flips
+//!   the epoch odd before the copy (`begin_route_change`) and settles
+//!   it at the next even value once the new route is published
+//!   (`end_route_change`); a put defers while the epoch is odd,
+//!   snapshots the even value, writes all live replicas, and acks only
+//!   if the epoch is still the snapshot — otherwise a transfer raced it
+//!   and the attempt restarts on the new route. So no acknowledged
+//!   write can slip between a transfer's copy and its route flip, and
+//!   no request ever waits on a lock held across a copy.
 //! * `load` — the live `q_ijt` counters ([`rfh_workload::SharedLoad`])
 //!   the control loop drains into the real `TrafficEngine`.
-//!
-//! Lock order is always partition lock → store mutex; forward handlers
-//! touch only their own store, so no cycle exists.
 
 use crate::config::ClusterConfig;
 use crate::control::{ControlStats, Controller};
@@ -80,7 +73,7 @@ pub struct Counters {
 
 /// State shared between node threads and the control loop.
 pub(crate) struct Shared {
-    /// Partition count (shape of `routes`, `locks`, `load`).
+    /// Partition count (shape of `routes`, `route_epochs`, `load`).
     pub partitions: u32,
     /// Node index → datacenter id.
     pub dc_of: Vec<u32>,
@@ -88,18 +81,14 @@ pub(crate) struct Shared {
     pub alive: Vec<AtomicBool>,
     /// Published replica sets, holder first.
     pub routes: RwLock<Vec<Vec<ServerId>>>,
-    /// Per-partition route epochs for the reactor plane's optimistic
-    /// writes. Even = route stable; odd = a transfer for the partition
-    /// is in progress (the control loop stores odd before copying,
-    /// bumps to the next even when it republishes). A reactor
-    /// coordinator snapshots an even epoch before writing and acks only
-    /// if the epoch is unchanged once every replica landed — any route
-    /// flip in between forces a (LWW-idempotent) restart, which is how
-    /// the plane proves zero lost acknowledged writes without holding
-    /// the partition lock across peer round-trips.
+    /// Per-partition route epochs for optimistic writes. Even = route
+    /// stable; odd = a transfer for the partition is in progress (the
+    /// control loop stores odd before copying, bumps to the next even
+    /// when it republishes). A coordinator snapshots an even epoch
+    /// before writing and acks only if the epoch is unchanged once
+    /// every replica landed — any route flip in between forces a
+    /// (LWW-idempotent) restart.
     pub route_epochs: Vec<AtomicU64>,
-    /// Per-partition mutex serializing writes against transfers.
-    pub locks: Vec<Mutex<()>>,
     /// Live `q_ijt` counters.
     pub load: SharedLoad,
     /// Per-node shard maps.
@@ -136,7 +125,6 @@ impl Shared {
                 (0..partitions).map(|p| manager.replicas(PartitionId::new(p)).to_vec()).collect(),
             ),
             route_epochs: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
-            locks: (0..partitions).map(|_| Mutex::new(())).collect(),
             load: SharedLoad::zeros(partitions, topo.datacenters().len() as u32),
             stores,
             addrs,
@@ -167,7 +155,7 @@ impl Shared {
     }
 
     /// Mark a route change as in progress: flip the epoch odd. Called
-    /// by the control loop under the partition lock, before copying.
+    /// by the control loop before copying.
     pub fn begin_route_change(&self, p: PartitionId) {
         self.route_epochs[p.index()].fetch_or(1, Ordering::SeqCst);
     }

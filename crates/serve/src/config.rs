@@ -9,13 +9,14 @@ use rfh_types::toml::{self, BlockKind, TomlBlock, TomlDoc};
 use rfh_types::{Result, RfhError, SimConfig};
 
 /// Which connection-handling substrate the cluster's node listeners
-/// run on. Both planes speak the identical wire protocol and share the
-/// coordination logic — the choice is an operational one.
+/// run on. Both planes speak the identical wire protocol and drive the
+/// same coordinator, so they share the coordination logic — the choice
+/// is an operational one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataPlane {
     /// One OS thread per node listener plus one per accepted
-    /// connection. Simple, and the differential baseline the reactor
-    /// plane is tested against.
+    /// connection, each executing the coordinator's steps blocking.
+    /// The only plane off Linux, and the smokes' second driver.
     Threaded,
     /// All node listeners multiplexed onto a small pool of epoll
     /// reactor threads (`min(cores, 4)`), with pipelined connections

@@ -7,8 +7,8 @@
 //! run the pipeline's epoch over it. What makes the loop *live* is the
 //! [`EpochHost`] it passes in ([`LiveHost`]): membership changes flip
 //! the data plane's alive flags, every placement change copies the
-//! partition's data and republishes its route under the per-partition
-//! lock, and archive restores merge what every disk still holds.
+//! partition's data and republishes its route inside an odd route
+//! epoch, and archive restores merge what every disk still holds.
 //!
 //! The loop is paced by wall-clock, so a live run is *not*
 //! bit-deterministic — how many requests land in each tick depends on
@@ -125,8 +125,8 @@ impl LiveHost {
     }
 
     /// Republish one partition's route row from the replica manager,
-    /// then settle its route epoch at the next even value. Caller holds
-    /// the partition lock.
+    /// then settle its route epoch at the next even value: every put
+    /// that began before sees the epoch move and restarts.
     fn publish(&self, manager: &ReplicaManager, p: PartitionId) {
         self.shared.routes.write().expect("routes lock")[p.index()] = manager.replicas(p).to_vec();
         self.shared.end_route_change(p);
@@ -161,7 +161,7 @@ impl EpochHost for LiveHost {
     }
 
     fn partition_restored(&mut self, manager: &ReplicaManager, p: PartitionId, to: ServerId) {
-        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
+        self.shared.begin_route_change(p);
         self.shared.stores[to.index()].merge(&self.archive_snapshot(p));
         self.publish(manager, p);
     }
@@ -169,7 +169,6 @@ impl EpochHost for LiveHost {
     fn republish(&mut self, manager: &ReplicaManager, p: Option<PartitionId>) {
         let rows = p.map_or(0..self.shared.partitions, |p| p.0..p.0 + 1);
         for p in rows.map(PartitionId::new) {
-            let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
             self.publish(manager, p);
         }
     }
@@ -178,11 +177,11 @@ impl EpochHost for LiveHost {
         self.health = self.shared.telemetry.enabled().then(health);
     }
 
-    /// Mirror one placement change on the data plane: partition lock →
-    /// route epoch odd → control-plane apply → data copy → route
-    /// publish (epoch even). Holding the lock for the whole sequence
-    /// means no client write can land between the copy and the new
-    /// route.
+    /// Mirror one placement change on the data plane: route epoch odd
+    /// → control-plane apply → data copy → route publish (epoch even).
+    /// A put overlapping any part of the sequence sees the epoch move
+    /// and restarts on the new route, so no acknowledged write can land
+    /// between the copy and the new route.
     fn apply(
         &mut self,
         manager: &mut ReplicaManager,
@@ -190,12 +189,11 @@ impl EpochHost for LiveHost {
         apply: impl FnOnce(&mut ReplicaManager) -> Result<AppliedAction>,
     ) -> Result<AppliedAction> {
         let p = action.partition();
-        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
         let old_route = self.shared.route(p);
         // Flip the route epoch odd *before* touching placement or data:
-        // a reactor-plane writer observing an odd epoch (or an epoch
-        // changed across its write) knows its replica set may straddle
-        // the transfer and retries instead of acking.
+        // a writer observing an odd epoch (or an epoch changed across
+        // its write) knows its replica set may straddle the transfer
+        // and retries instead of acking.
         self.shared.begin_route_change(p);
         let applied = apply(manager);
         if applied.is_err() {

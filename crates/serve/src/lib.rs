@@ -12,7 +12,11 @@
 //! * [`wal`] — the optional log-structured durable backend: per-shard
 //!   segment logs, checkpoints, and torn-tail-truncating recovery.
 //! * [`cluster`] — startup, shared state, clean shutdown.
-//! * `node` (internal) — listener/handler threads: the data plane.
+//! * `coord` (internal) — the coordinator: how a node serves a client
+//!   get or put, as one sans-IO state machine both data planes drive.
+//! * `node` (internal) — the threaded data plane (listener and handler
+//!   threads) and the turn commits both planes share.
+//! * `reactor` (internal) — the epoll data plane.
 //! * `control` (internal) — the online RFH loop; its lifetime totals
 //!   surface as [`ControlStats`].
 //! * [`client`] — datacenter-homed client handle with failover.
@@ -36,6 +40,7 @@ pub mod client;
 pub mod cluster;
 pub mod config;
 mod control;
+mod coord;
 pub mod http;
 pub mod loadgen;
 mod node;

@@ -8,26 +8,12 @@
 //! op-ID). At pipeline depth 1 the wire traffic is frame-for-frame
 //! identical to the threaded plane's.
 //!
-//! ## Coordination without the partition lock
-//!
-//! The threaded plane proves "zero lost acknowledged writes" by holding
-//! the partition mutex across the whole write-all-replicas sequence,
-//! peer round-trips included. An event loop cannot block like that, so
-//! this plane validates optimistically against the per-partition
-//! **route epoch** (see `Shared::route_epochs`): a put snapshots an
-//! even epoch, writes every live replica of the snapshotted route
-//! (local stores directly, remote ones over multiplexed peer channels),
-//! and acks only if the epoch is still exactly that value afterwards.
-//! The control loop flips the epoch odd before copying a partition and
-//! settles it at the next even value when it republishes the route, so
-//! any write racing a transfer fails validation and restarts against
-//! the new route — idempotent, because replicas keep the highest seq
-//! per key. An odd epoch at snapshot time defers the put briefly
-//! instead of writing into a moving route.
-//!
-//! Gets never validate: transfers only ever *add* data and routes are
-//! republished after the copy, so both the pre- and post-flip replica
-//! sets can serve an authoritative read.
+//! What to do with a request is not decided here: every inbound frame
+//! goes to `coord::serve_frame`, and every client `Get`/`Put` is a
+//! `coord::Coordinator` parked in its connection's pipeline. This
+//! module executes the coordinator's steps — a forward becomes a
+//! peer-channel ticket whose ack (or failure) is fed back, a defer
+//! becomes a timer-wheel entry — and owns the I/O around them.
 //!
 //! ## Group commit
 //!
@@ -61,14 +47,11 @@
 //! (gets walk on to the next replica; puts treat it as a failed write
 //! to that replica) and is re-established on next use.
 
-#![allow(clippy::too_many_arguments)]
-
 use crate::cluster::Shared;
-use crate::node::{self, PhaseAcc, TurnCommits};
-use crate::store::partition_of;
-use crate::telemetry::ReqKind;
-use crate::wire::{AckStatus, Frame, MAX_FRAME};
-use rfh_types::{DatacenterId, Result, RfhError, ServerId};
+use crate::coord::{self, Coordinator, Step};
+use crate::node::{self, TurnCommits};
+use crate::wire::{Frame, MAX_FRAME};
+use rfh_types::{Result, RfhError, ServerId};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -94,17 +77,6 @@ const SCAN_TOKEN: u64 = u64::MAX;
 
 /// How often each reactor sweeps peer channels for expired tickets.
 const SCAN_INTERVAL: Duration = Duration::from_millis(250);
-
-/// Retry delay for a put that found its partition mid-transfer.
-const DEFER_RETRY: Duration = Duration::from_millis(1);
-
-/// Hard deadline on one put, defers and restarts included. Transfers
-/// settle in milliseconds; a put still unvalidated after this long
-/// answers Unavailable and lets the client retry idempotently.
-const PUT_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Route-conflict restarts before giving up with Unavailable.
-const MAX_RESTARTS: u32 = 32;
 
 /// Upper bound on one `epoll_wait`, so shutdown is always noticed even
 /// if the waker write itself were lost.
@@ -182,63 +154,21 @@ struct OpRef {
     op_seq: u64,
 }
 
-/// What a peer-channel ticket was sent for, deciding how its ack (or
-/// the channel's failure) feeds back into the op's state machine.
-#[derive(Debug, Clone, Copy)]
-enum Purpose {
-    Get,
-    Put,
-}
-
 /// One outstanding forward on a peer channel, completed FIFO.
 #[cfg(unix)]
 struct Ticket {
     op: OpRef,
     target: ServerId,
     sent_at: Instant,
-    purpose: Purpose,
 }
 
-/// Remaining work of one coordinated op.
-enum OpState {
-    /// Reply computed; waiting only for in-order release.
-    Ready,
-    Get(GetWork),
-    Put(PutWork),
-}
-
-struct GetWork {
-    key: u64,
-    origin: u32,
-    /// Replicas not yet tried, coordinator-local first.
-    candidates: VecDeque<ServerId>,
-}
-
-struct PutWork {
-    key: u64,
-    seq: u64,
-    value: Vec<u8>,
-    /// The even route epoch this attempt snapshotted.
-    p_epoch: u64,
-    /// Remote acks still awaited this attempt.
-    outstanding: usize,
-    landed: usize,
-    failed_live: bool,
-    restarts: u32,
-    deadline: Instant,
-    /// Set while parked behind an odd epoch; elapsed time lands in the
-    /// queue phase on retry.
-    defer_from: Option<Instant>,
-}
-
-/// One client request in the pipeline, kept in arrival order.
+/// One request in a connection's pipeline, kept in arrival order.
 struct PendingOp {
     op_seq: u64,
     op_id: Option<u64>,
-    kind: ReqKind,
-    t0: Instant,
-    phases: PhaseAcc,
-    state: OpState,
+    /// The coordinator of a client `Get`/`Put` until it replies.
+    coord: Option<Coordinator>,
+    /// Set once answered; waits here only for in-order release.
     reply: Option<Frame>,
 }
 
@@ -436,9 +366,12 @@ impl Reactor {
             self.wheel.schedule_after(SCAN_TOKEN, SCAN_INTERVAL, Instant::now());
             return;
         }
-        if let Some(op) = self.deferred.remove(&token) {
-            self.start_put(op);
-        }
+        let Some(op) = self.deferred.remove(&token) else { return };
+        let Some(coord) = resolve(&mut self.entries, op).and_then(|p| p.coord.as_mut()) else {
+            return;
+        };
+        let step = coord.attempt(&self.shared, &mut self.commits, Instant::now());
+        self.drive(op, step);
     }
 
     fn mark_dirty(&mut self, slot: usize) {
@@ -543,337 +476,83 @@ impl Reactor {
         }
     }
 
-    /// Decode and route one inbound frame. Returns false when the
-    /// connection was closed (protocol error or fail-stop).
+    /// Decode one inbound frame, hand it to the coordinator and drive
+    /// what it asks for. Returns false when the connection was closed
+    /// (protocol error or fail-stop).
     fn dispatch(&mut self, slot: usize, body: &[u8]) -> bool {
         let Ok((frame, op_id)) = Frame::decode_envelope(body) else {
             self.close_client(slot);
             return false;
         };
-        let (node, conn_id, gen, op_seq) = {
-            let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
-                return false;
-            };
-            c.next_op_seq += 1;
-            (c.node, c.conn_id, c.gen, c.next_op_seq)
+        let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
+            return false;
         };
+        c.next_op_seq += 1;
+        let (node, conn_id, op) =
+            (c.node, c.conn_id, OpRef { slot, gen: c.gen, op_seq: c.next_op_seq });
         if !self.shared.is_alive(node) {
             self.close_client(slot); // killed mid-connection: drop without reply
             return false;
         }
-        let op = OpRef { slot, gen, op_seq };
-        match frame {
-            Frame::Get { key } => {
-                let p = partition_of(key, self.shared.partitions);
-                let origin = self.shared.dc_of[node];
-                self.shared.load.add(p, DatacenterId::new(origin), 1);
-                self.shared.counters.gets.fetch_add(1, Ordering::Relaxed);
-                if let Some(tel) = self.shared.telemetry.node(node) {
-                    tel.hit(p);
-                }
-                let replicas = self.shared.route(p);
-                let me = ServerId::new(node as u32);
-                let candidates: VecDeque<ServerId> = replicas
-                    .iter()
-                    .copied()
-                    .filter(|&r| r == me)
-                    .chain(replicas.iter().copied().filter(|&r| r != me))
-                    .collect();
-                self.enqueue_op(
-                    slot,
-                    op_seq,
-                    op_id,
-                    ReqKind::Get,
-                    OpState::Get(GetWork { key, origin, candidates }),
-                );
-                self.advance_get(op);
-            }
-            Frame::Put { key, seq, value } => {
-                let p = partition_of(key, self.shared.partitions);
-                let origin = self.shared.dc_of[node];
-                self.shared.load.add(p, DatacenterId::new(origin), 1);
-                self.shared.counters.puts.fetch_add(1, Ordering::Relaxed);
-                if let Some(tel) = self.shared.telemetry.node(node) {
-                    tel.hit(p);
-                }
-                self.enqueue_op(
-                    slot,
-                    op_seq,
-                    op_id,
-                    ReqKind::Put,
-                    OpState::Put(PutWork {
-                        key,
-                        seq,
-                        value,
-                        p_epoch: 0,
-                        outstanding: 0,
-                        landed: 0,
-                        failed_live: false,
-                        restarts: 0,
-                        deadline: Instant::now() + PUT_DEADLINE,
-                        defer_from: None,
-                    }),
-                );
-                self.start_put(op);
-            }
-            // Forwards (and unsolicited acks) are local-only and
-            // synchronous — the exact threaded-plane handler serves
-            // them, telemetry tail included — except that a forwarded
-            // put is only buffered here; the turn commits it.
-            other => {
-                let turn = Some(&mut self.commits);
-                let reply = node::serve_frame(node, conn_id, other, op_id, &self.shared, turn);
-                let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut)
-                else {
-                    return false;
-                };
-                c.pending.push_back(PendingOp {
-                    op_seq,
-                    op_id,
-                    kind: ReqKind::ForwardGet, // unused once Ready
-                    t0: Instant::now(),
-                    phases: PhaseAcc::default(),
-                    state: OpState::Ready,
-                    reply: Some(reply),
-                });
-                self.release(slot);
-            }
-        }
+        // A forwarded put is only buffered here; the turn commits it.
+        let now = Instant::now();
+        let (coord, step) =
+            coord::serve_frame(node, conn_id, frame, op_id, &self.shared, &mut self.commits, now);
+        c.pending.push_back(PendingOp { op_seq: op.op_seq, op_id, coord, reply: None });
+        self.drive(op, step);
         true
     }
 
-    fn enqueue_op(
-        &mut self,
-        slot: usize,
-        op_seq: u64,
-        op_id: Option<u64>,
-        kind: ReqKind,
-        state: OpState,
-    ) {
-        let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        c.pending.push_back(PendingOp {
-            op_seq,
-            op_id,
-            kind,
-            t0: Instant::now(),
-            phases: PhaseAcc::default(),
-            state,
-            reply: None,
-        });
-    }
-
-    // ---- get state machine ----------------------------------------
-
-    /// Walk the get's candidate list until a replica answers, a forward
-    /// is in flight, or the list is exhausted. Mirrors the threaded
-    /// coordinator: dead replicas are skipped, a local replica answers
-    /// from the store, any ack from a peer is the answer, and a broken
-    /// channel just moves on to the next candidate.
-    fn advance_get(&mut self, op: OpRef) {
-        loop {
-            let (next, node, key, origin, op_id) = {
-                let Some(pend) = resolve(&mut self.entries, op) else { return };
-                let OpState::Get(w) = &mut pend.state else { return };
-                let (key, origin, op_id) = (w.key, w.origin, pend.op_id);
-                let Some(Entry::Client(c)) = self.entries.get_mut(op.slot).and_then(Option::as_mut)
+    /// Execute one coordinator step: forwards become peer-channel
+    /// tickets, a defer a timer, a reply the op's place in the pipeline.
+    fn drive(&mut self, op: OpRef, step: Step) {
+        match step {
+            Step::Wait => {}
+            Step::Reply(reply) => self.complete(op, reply),
+            Step::Defer(until) => {
+                let id = self.next_timer;
+                self.next_timer += 1;
+                self.deferred.insert(id, op);
+                let now = Instant::now();
+                self.wheel.schedule_after(id, until.saturating_duration_since(now), now);
+            }
+            Step::Forward(forwards) => {
+                let Some(Entry::Client(c)) = self.entries.get(op.slot).and_then(Option::as_ref)
                 else {
                     return;
                 };
                 let node = c.node;
-                let Some(pend) = c.pending.iter_mut().find(|p| p.op_seq == op.op_seq) else {
+                let Some(op_id) = c.pending.iter().find(|p| p.op_seq == op.op_seq).map(|p| p.op_id)
+                else {
                     return;
                 };
-                let OpState::Get(w) = &mut pend.state else { return };
-                (w.candidates.pop_front(), node, key, origin, op_id)
-            };
-            match next {
-                None => {
-                    let ack =
-                        Frame::Ack { status: AckStatus::Unavailable, seq: 0, value: Vec::new() };
-                    self.complete(op, ack);
-                    return;
-                }
-                Some(r) if !self.shared.is_alive(r.index()) => continue,
-                Some(r) if r.index() == node => {
-                    let ack = match self.shared.stores[node].get(key) {
-                        Some(v) => Frame::Ack { status: AckStatus::Ok, seq: v.seq, value: v.value },
-                        None => {
-                            Frame::Ack { status: AckStatus::NotFound, seq: 0, value: Vec::new() }
-                        }
-                    };
-                    self.complete(op, ack);
-                    return;
-                }
-                Some(r) => {
-                    let f = Frame::ForwardGet { key, origin_dc: origin };
-                    self.forward(op, node, r, f, op_id, Purpose::Get);
-                    return;
+                for (target, frame) in forwards {
+                    self.forward(op, node, target, frame, op_id);
                 }
             }
         }
     }
 
-    // ---- put state machine ----------------------------------------
-
-    /// Begin (or restart) one put attempt: snapshot an even route
-    /// epoch, write the local replica directly, fan forwards out to
-    /// every remote live replica. An odd epoch parks the op on a short
-    /// timer instead of writing into a partition mid-transfer.
-    fn start_put(&mut self, op: OpRef) {
+    /// Feed one forward's outcome to its op's coordinator and drive the
+    /// step it answers with.
+    fn outcome(&mut self, op: OpRef, target: ServerId, ack: Option<Frame>, sent_at: Instant) {
+        let Some(coord) = resolve(&mut self.entries, op).and_then(|p| p.coord.as_mut()) else {
+            return;
+        };
         let now = Instant::now();
-        let (node, key, seq, value, op_id, deadline) = {
-            let Some(pend) = resolve(&mut self.entries, op) else { return };
-            let op_id = pend.op_id;
-            let OpState::Put(w) = &mut pend.state else { return };
-            if let Some(t) = w.defer_from.take() {
-                pend.phases.queue_us += t.elapsed().as_micros() as f64;
-            }
-            let (key, seq, value, deadline) = (w.key, w.seq, w.value.clone(), w.deadline);
-            let Some(Entry::Client(c)) = self.entries.get_mut(op.slot).and_then(Option::as_mut)
-            else {
-                return;
-            };
-            (c.node, key, seq, value, op_id, deadline)
-        };
-        let p = partition_of(key, self.shared.partitions);
-        let epoch = self.shared.route_epoch(p);
-        if epoch & 1 == 1 {
-            if now > deadline {
-                let ack = Frame::Ack { status: AckStatus::Unavailable, seq, value: Vec::new() };
-                self.complete(op, ack);
-                return;
-            }
-            if let Some(pend) = resolve(&mut self.entries, op) {
-                if let OpState::Put(w) = &mut pend.state {
-                    w.defer_from = Some(now);
-                }
-            }
-            let id = self.next_timer;
-            self.next_timer += 1;
-            self.deferred.insert(id, op);
-            self.wheel.schedule_after(id, DEFER_RETRY, now);
-            return;
-        }
-
-        let replicas = self.shared.route(p);
-        let me = ServerId::new(node as u32);
-        let mut landed = 0usize;
-        let mut remote: Vec<ServerId> = Vec::new();
-        for r in replicas {
-            if !self.shared.is_alive(r.index()) {
-                continue; // dead at write time: repaired by the control loop
-            }
-            if r == me {
-                self.commits.put(&self.shared.stores, node, key, seq, &value);
-                landed += 1;
-            } else {
-                remote.push(r);
-            }
-        }
-        {
-            let Some(pend) = resolve(&mut self.entries, op) else { return };
-            let OpState::Put(w) = &mut pend.state else { return };
-            w.p_epoch = epoch;
-            w.landed = landed;
-            w.failed_live = false;
-            w.outstanding = remote.len();
-        }
-        if remote.is_empty() {
-            self.finish_put_attempt(op);
-            return;
-        }
-        let origin = self.shared.dc_of[node];
-        for r in remote {
-            let f = Frame::ForwardPut { key, seq, origin_dc: origin, value: value.clone() };
-            self.forward(op, node, r, f, op_id, Purpose::Put);
-        }
-    }
-
-    /// Feed one remote replica's outcome into the put. `ok` means the
-    /// replica acked Ok; anything else (bad ack, broken channel, peer
-    /// timeout) counts as a failed write to that replica, fatal only if
-    /// the replica still looks alive — a replica that died mid-write is
-    /// the control loop's to repair, exactly as in the threaded plane.
-    fn note_put_result(&mut self, op: OpRef, target: ServerId, ok: bool) {
-        let alive = self.shared.is_alive(target.index());
-        let finished = {
-            let Some(pend) = resolve(&mut self.entries, op) else { return };
-            let OpState::Put(w) = &mut pend.state else { return };
-            w.outstanding -= 1;
-            if ok {
-                w.landed += 1;
-            } else if alive {
-                w.failed_live = true;
-            }
-            w.outstanding == 0
-        };
-        if finished {
-            self.finish_put_attempt(op);
-        }
-    }
-
-    /// All replicas of one attempt have resolved: ack, refuse, or
-    /// restart against a changed route.
-    fn finish_put_attempt(&mut self, op: OpRef) {
-        let (key, seq, p_epoch, landed, failed_live, restarts, deadline) = {
-            let Some(pend) = resolve(&mut self.entries, op) else { return };
-            let OpState::Put(w) = &pend.state else { return };
-            (w.key, w.seq, w.p_epoch, w.landed, w.failed_live, w.restarts, w.deadline)
-        };
-        if failed_live || landed == 0 {
-            let ack = Frame::Ack { status: AckStatus::Unavailable, seq, value: Vec::new() };
-            self.complete(op, ack);
-            return;
-        }
-        let p = partition_of(key, self.shared.partitions);
-        if self.shared.route_epoch(p) == p_epoch {
-            // No transfer overlapped the write: every live replica of
-            // the published route holds it. Safe to acknowledge.
-            let ack = Frame::Ack { status: AckStatus::Ok, seq, value: Vec::new() };
-            self.complete(op, ack);
-            return;
-        }
-        // The route changed under the write. Replicas that landed keep
-        // the value harmlessly (LWW); restart against the new route.
-        if restarts >= MAX_RESTARTS || Instant::now() > deadline {
-            let ack = Frame::Ack { status: AckStatus::Unavailable, seq, value: Vec::new() };
-            self.complete(op, ack);
-            return;
-        }
-        if let Some(pend) = resolve(&mut self.entries, op) {
-            if let OpState::Put(w) = &mut pend.state {
-                w.restarts += 1;
-            }
-        }
-        self.start_put(op);
+        let rtt = now.saturating_duration_since(sent_at);
+        let step = coord.forwarded(&self.shared, &mut self.commits, target, ack, rtt, now);
+        self.drive(op, step);
     }
 
     // ---- completion / release -------------------------------------
 
-    /// Record the op's telemetry and span, count its ack, mark it
-    /// ready, and release any front-complete prefix of the pipeline.
+    /// Store an answered op's reply — counted and recorded already — and
+    /// release any front-complete prefix of the pipeline.
     fn complete(&mut self, op: OpRef, reply: Frame) {
-        let (node, conn_id, kind, op_id, total_us, phases) = {
-            let Some(Entry::Client(c)) = self.entries.get_mut(op.slot).and_then(Option::as_mut)
-            else {
-                return;
-            };
-            if c.gen != op.gen {
-                return;
-            }
-            let (node, conn_id) = (c.node, c.conn_id);
-            let Some(pend) = c.pending.iter_mut().find(|p| p.op_seq == op.op_seq) else {
-                return;
-            };
-            let phases = std::mem::take(&mut pend.phases);
-            pend.state = OpState::Ready;
-            pend.reply = Some(reply.clone());
-            (node, conn_id, pend.kind, pend.op_id, pend.t0.elapsed().as_micros() as f64, phases)
-        };
-        node::count_ack(&self.shared, &reply);
-        node::record_request(&self.shared, node, conn_id, kind, op_id, total_us, &phases, &reply);
+        let Some(pend) = resolve(&mut self.entries, op) else { return };
+        pend.coord = None;
+        pend.reply = Some(reply);
         self.release(op.slot);
     }
 
@@ -909,9 +588,8 @@ impl Reactor {
         target: ServerId,
         frame: Frame,
         op_id: Option<u64>,
-        purpose: Purpose,
     ) {
-        self.shared.counters.forwards.fetch_add(1, Ordering::Relaxed);
+        let sent_at = Instant::now();
         match self.peer_channel(owner, target.index()) {
             Ok(chan) => {
                 let Some(Entry::Peer(ch)) = self.entries.get_mut(chan).and_then(Option::as_mut)
@@ -919,20 +597,13 @@ impl Reactor {
                     return;
                 };
                 ch.wq.push(frame.encode_traced(op_id));
-                ch.tickets.push_back(Ticket { op, target, sent_at: Instant::now(), purpose });
+                ch.tickets.push_back(Ticket { op, target, sent_at });
                 if !ch.dirty {
                     ch.dirty = true;
                     self.dirty.push(chan);
                 }
             }
-            Err(_) => self.forward_failed(op, target, purpose),
-        }
-    }
-
-    fn forward_failed(&mut self, op: OpRef, target: ServerId, purpose: Purpose) {
-        match purpose {
-            Purpose::Get => self.advance_get(op),
-            Purpose::Put => self.note_put_result(op, target, false),
+            Err(_) => self.outcome(op, target, None, sent_at),
         }
     }
 
@@ -1007,16 +678,7 @@ impl Reactor {
             };
             match Frame::decode_envelope(&body) {
                 Ok((ack @ Frame::Ack { .. }, _)) => {
-                    if let Some(pend) = resolve(&mut self.entries, t.op) {
-                        pend.phases.forward_us += t.sent_at.elapsed().as_micros() as f64;
-                    }
-                    match t.purpose {
-                        Purpose::Get => self.complete(t.op, ack),
-                        Purpose::Put => {
-                            let ok = matches!(ack, Frame::Ack { status: AckStatus::Ok, .. });
-                            self.note_put_result(t.op, t.target, ok);
-                        }
-                    }
+                    self.outcome(t.op, t.target, Some(ack), t.sent_at)
                 }
                 _ => {
                     // Non-ack or garbage: the channel is unusable. Put
@@ -1036,8 +698,7 @@ impl Reactor {
         }
     }
 
-    /// Tear one peer channel down and fail every outstanding ticket:
-    /// gets walk on to their next candidate, puts count a failed write.
+    /// Tear one peer channel down and fail every outstanding ticket.
     fn fail_channel(&mut self, slot: usize) {
         let Some(Entry::Peer(mut ch)) = self.entries.get_mut(slot).and_then(Option::take) else {
             return;
@@ -1046,7 +707,7 @@ impl Reactor {
         self.peer_map.remove(&(ch.owner, ch.peer));
         self.free.push(slot);
         for t in ch.tickets.drain(..) {
-            self.forward_failed(t.op, t.target, t.purpose);
+            self.outcome(t.op, t.target, None, t.sent_at);
         }
     }
 
@@ -1188,6 +849,7 @@ mod tests {
     use crate::config::ClusterConfig;
     use crate::store::NodeStore;
     use crate::wal::{FsyncPolicy, PersistenceConfig};
+    use crate::wire::AckStatus;
     use rfh_faults::FaultPlan;
     use std::io::Read;
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -17,12 +17,12 @@
 //! the map is also pending or on disk; [`NodeStore::commit`] lands
 //! everything pending on a shard with one write and one policy sync.
 //! [`NodeStore::put`] and [`NodeStore::merge`] do both before they
-//! return ("logged before return": the threaded plane, the control
-//! loop and outside callers). The reactor plane calls the halves
-//! separately: it buffers all of an event-loop turn's puts and commits
-//! each dirtied shard once — the shards of a turn concurrently, one
-//! [`NodeStore::commit_log`] per sync worker job, checkpoints after —
-//! before the turn's socket flush, so an ack
+//! return ("logged before return": the control loop and outside
+//! callers). The data planes call the halves separately: they buffer a
+//! turn's puts and commit each dirtied shard once before any of the
+//! turn's replies is sent — a reactor's event-loop turn with its shards
+//! concurrent, one [`NodeStore::commit_log`] per sync worker job,
+//! checkpoints after; a threaded handler's one request — so an ack
 //! still means "flushed on every live replica" (see the durability
 //! contract in [`crate::wal`]). Between the halves a write is readable
 //! but not durable — the read-uncommitted window.

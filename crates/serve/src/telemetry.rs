@@ -5,7 +5,8 @@
 //! threads and the control loop — not at the client. Per request the
 //! data plane records three phases:
 //!
-//! * **queue** — time spent waiting on the partition lock,
+//! * **queue** — time a put spent deferred behind an odd route epoch
+//!   (its partition mid-transfer), on both data planes,
 //! * **forward** — summed peer round-trips issued by the coordinator,
 //! * **handle** — everything else (local store work, framing).
 //!
@@ -70,7 +71,7 @@ impl ReqKind {
 /// Phase timings of one served request, microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Partition-lock wait.
+    /// Wait behind an odd route epoch.
     pub queue_us: f64,
     /// Summed peer round-trips.
     pub forward_us: f64,

@@ -44,24 +44,26 @@
 //!
 //! Who commits when:
 //!
-//! * The reactor plane buffers every put of an event-loop turn — the
-//!   coordinator's local write and every `ForwardPut` it serves — and
-//!   commits each shard it dirtied once, all of them concurrently on
-//!   its sync workers, after the turn's events and before the turn's
-//!   socket flush. The acks of those puts are still
-//!   sitting in write queues at that point, so **no ack, client or
+//! * Both data planes buffer every replica write of a *turn* — the
+//!   coordinator's local write and every `ForwardPut` served — and
+//!   commit each shard it dirtied once before any reply of the turn
+//!   reaches a socket. A reactor turn is one event-loop pass, whose
+//!   shards commit concurrently on its sync workers after the turn's
+//!   events and before its socket flush, while the turn's acks still
+//!   sit in write queues; a threaded handler's turn is one request,
+//!   committed before its reply is sent. So **no ack, client or
 //!   forward, is written to a socket before every record its put
-//!   caused on this node is written and synced per policy**; nothing
-//!   holds a reply back by hand. Forward *requests* carry no
-//!   acknowledgement and may leave before the commit.
-//! * Everything else — the threaded plane, `NodeStore::put` called from
-//!   outside, `merge` — buffers and commits before returning.
+//!   caused on this node is written and synced per policy**. Forward
+//!   *requests* carry no acknowledgement and may leave before the
+//!   commit.
+//! * Everything else — `NodeStore::put` called from outside, `merge` —
+//!   buffers and commits before returning.
 //!
 //! A record is encoded under the same shard lock that applies it to
 //! the store map (lock order shard → map), so "in the map" implies "in
 //! the pending buffer or on disk", and a commit drains *everything*
 //! pending on the shard, whichever thread buffered it. Between buffer
-//! and commit a write is visible to reads (of any reactor thread) but
+//! and commit a write is visible to reads (of any serving thread) but
 //! not yet durable: a **read-uncommitted window** of at most one turn.
 //! A reader can therefore see a value whose put is never acknowledged
 //! because the process died first — the same outcome as a put whose
@@ -239,7 +241,8 @@ pub struct StorageStats {
     /// Microseconds inside `fdatasync` alone (policy syncs and
     /// rotation's; checkpoint files excluded), summed like `commit_us`.
     pub sync_us: AtomicU64,
-    /// Reactor-turn commits: one per turn that owed any shard a commit.
+    /// Turn commits (a reactor's event-loop pass, a threaded handler's
+    /// request): one per turn that owed any shard a commit.
     /// The three `commit_batch_*` counters of a turn land on the node
     /// whose shard leads the batch, so they are exact summed over the
     /// cluster and a sample per node.
@@ -247,7 +250,7 @@ pub struct StorageStats {
     /// Shards those turns committed (`/ commit_batches` is the width
     /// of the mean batch).
     pub commit_batch_shards: AtomicU64,
-    /// Wall-clock microseconds the reactor threads spent in those
+    /// Wall-clock microseconds the committing threads spent in those
     /// commits, barrier included, checkpoints included.
     pub commit_batch_us: AtomicU64,
     /// Checkpoint files written.

@@ -106,8 +106,7 @@ fn open_loop_mode_measures_latency() {
 
 /// Kill one server two ticks in (≈100 ms with a 50 ms interval), while
 /// the load generator is still writing. Zero acked writes may be lost
-/// on either plane — the reactor's route-epoch validation must be as
-/// safe as the threaded plane's partition lock.
+/// on either plane — both drive the same route-epoch validation.
 fn kill_without_loss_on(plane: DataPlane, pipeline: u64) {
     let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 2\nfail_servers = [5]\n").unwrap();
     let cluster = Cluster::start(&small_cluster(plane), plan).unwrap();
