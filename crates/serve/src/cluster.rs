@@ -300,6 +300,7 @@ impl ServeSummary {
             out.push_str(&format!("commit_batch_shards   {}\n", s.commit_batch_shards));
             out.push_str(&format!("commit_batch_us       {}\n", s.commit_batch_us));
             out.push_str(&format!("bytes_checkpointed    {}\n", s.bytes_checkpointed));
+            out.push_str(&format!("bytes_zeroed          {}\n", s.bytes_zeroed));
             out.push_str(&format!("records_replayed      {}\n", s.records_replayed));
             out.push_str(&format!("torn_tails_truncated  {}\n", s.torn_tails_truncated));
         }

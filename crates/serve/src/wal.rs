@@ -1,5 +1,6 @@
-//! Log-structured persistence: per-shard append-only segment logs with
-//! periodic checkpoints and torn-tail-truncating recovery.
+//! Log-structured persistence: per-shard segment logs, written in place
+//! over zero-filled space, with periodic checkpoints and
+//! torn-tail-truncating recovery.
 //!
 //! Every durable [`NodeStore`](crate::store::NodeStore) owns one
 //! [`NodeWal`], which splits the node's key space into
@@ -11,36 +12,54 @@
 //! node-7/
 //!   shard-0/
 //!     ckpt-00000003.snap   # full LWW snapshot covering seg ids < 3
-//!     seg-00000003.wal     # appended records since that checkpoint
-//!     seg-00000004.wal
+//!     seg-00000003.wal     # sealed: exactly its records
+//!     seg-00000004.wal     # active: records, then a zero tail
 //!   shard-1/
 //!     ...
 //! ```
 //!
 //! ## Record format
 //!
-//! Segments and checkpoints share one framing, append-only:
+//! Segments and checkpoints share one framing, records back to back:
 //!
 //! ```text
 //! [len: u32 le] [crc: u32 le] [key: u64 le] [seq: u64 le] [value bytes]
 //! ```
 //!
-//! `len` counts the payload (`key` onward, so ≥ 16); `crc` is CRC-32
-//! (IEEE) of the payload. A record is valid iff its length is sane, the
-//! payload is fully present, and the CRC matches — anything else marks
-//! the end of the durable prefix.
+//! `len` counts the payload (`key` onward, so ≥ 16: never zero, which
+//! the recovery rule below relies on);
+//! `crc` is CRC-32 (IEEE) of the payload, computed sixteen bytes per
+//! step (slice-by-16) with the same result as the bytewise table. A
+//! record is valid iff its length is sane, the payload is fully present,
+//! and the CRC matches — anything else marks the end of the records.
+//! The active segment's records are followed by zeros (see below); a
+//! sealed segment and a checkpoint are exactly their records.
 //!
 //! ## Durability contract
 //!
 //! Writes reach a segment by **group commit**. [`ShardLog::buffer`]
 //! frames a record into the shard's in-memory pending buffer and
 //! touches no file; [`ShardLog::commit`] lands everything pending with
-//! one `write` and, per [`FsyncPolicy`], one `fdatasync` — `always`
-//! syncs every commit, `every(n)` once at least `n` records have landed
-//! since the last sync, `never` (the default) leaves the OS page cache
-//! as the durability boundary (survives `SIGKILL`, not power loss).
-//! Segment rotation and the `checkpoint_every` trigger are evaluated at
-//! commit, so a segment may overshoot `segment_bytes` by one batch.
+//! one positional `write` at the end of the segment's records and, per
+//! [`FsyncPolicy`], one `fdatasync` — `always` syncs every commit,
+//! `every(n)` once at least `n` records have landed since the last
+//! sync, `never` (the default) leaves the OS page cache as the
+//! durability boundary (survives `SIGKILL`, not power loss). Segment
+//! rotation and the `checkpoint_every` trigger are evaluated at commit,
+//! so a segment may overshoot `segment_bytes` by one batch.
+//!
+//! The write lands over zeros the segment already holds. When a batch
+//! would run past them, the segment first grows by whole **zero steps**
+//! of `min(256 KiB, segment_bytes)`, written from a static buffer
+//! (counted in [`StorageStats::bytes_zeroed`]). So one commit per step
+//! changes the file's size, and every other commit's `fdatasync`
+//! overwrites blocks that are already allocated and written, with no
+//! size change or extent conversion to journal (DESIGN.md, "Durable
+//! storage", has the measured costs). Rotation seals the outgoing
+//! segment by trimming its zero tail (`set_len`) ahead of the seal's
+//! sync, so a sealed segment is exactly its records. No sync is added
+//! for the trim: a sealed segment that comes back zero-tailed after a
+//! power loss still reads as a clean end (see Recovery).
 //!
 //! Who commits when:
 //!
@@ -77,10 +96,22 @@
 //! ## Recovery
 //!
 //! [`ShardLog::open`] replays the newest checkpoint, then every segment
-//! at or above its id in order, LWW-merging records. The first invalid
-//! record ends recovery: the segment is physically truncated to the
-//! last valid record and any later segments are deleted — recovery
-//! keeps **exactly the durable prefix**, and appends continue from it.
+//! at or above its id in order, LWW-merging records. What follows a
+//! segment's last valid record decides the rest:
+//!
+//! * **All zeros** (or nothing): the unused part of a zero step — a
+//!   clean end. Nothing is truncated or counted as torn, the next
+//!   segment is read on, and in the active segment commits resume at
+//!   the end of the records.
+//! * **Any non-zero byte**: a torn tail. The segment is physically
+//!   truncated to its last valid record and every later segment is
+//!   deleted.
+//!
+//! No valid record starts with a zero length, so a zero remainder hides
+//! no record. When only some pages of a batch reached the file, the
+//! batch's records wholly before its first lost byte are kept, by
+//! either rule. So recovery keeps **exactly the durable prefix**, and
+//! commits continue from it.
 
 use crate::store::Versioned;
 use rfh_obs::MetricsRegistry;
@@ -88,6 +119,7 @@ use rfh_ring::splitmix64;
 use rfh_types::{Result as RfhResult, RfhError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -105,17 +137,27 @@ const MAX_RECORD: u32 = 1 << 26;
 const PENDING_KEEP: usize = 4096;
 /// Checkpoints stream through a buffer flushed at this size.
 const CKPT_CHUNK: usize = 64 << 10;
+/// The active segment grows by this many zero bytes at a time (by
+/// `segment_bytes`, when that is smaller), ahead of the commits that
+/// overwrite them: one commit per step changes the file's size.
+const ZERO_STEP: usize = 256 << 10;
+/// What a step is written from: static, so growing allocates nothing.
+static ZEROS: [u8; ZERO_STEP] = [0; ZERO_STEP];
 
 /// Where a checkpoint's records go: called once per `(key, seq, value)`.
 pub type RecordSink<'a> = dyn FnMut(u64, u64, &[u8]) -> io::Result<()> + 'a;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, hand-rolled: the container has no
-// registry access, so no crc crate.
+// CRC-32 (IEEE 802.3), slice-by-16, hand-rolled: the build is offline,
+// so no crc crate.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC register after byte `b` and then `k` zero bytes, so the
+/// sixteen bytes of a chunk are folded in with sixteen independent
+/// lookups instead of a chain of sixteen dependent ones.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -124,17 +166,41 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `data` — the checksum guarding every WAL record.
+/// Sixteen bytes per step, then the remainder a byte at a time; the
+/// result is the plain bytewise CRC's, bit for bit.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(16);
+    for chunk in &mut chunks {
+        // The register overlaps the chunk's first four bytes; the
+        // other twelve enter the tables as they are.
+        let head = c ^ u32::from_le_bytes(chunk[..4].try_into().expect("16-byte chunk"));
+        let mut next = 0;
+        for (i, &b) in chunk.iter().enumerate() {
+            let byte = if i < 4 { (head >> (8 * i)) as u8 } else { b };
+            next ^= CRC_TABLES[15 - i][byte as usize];
+        }
+        c = next;
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -226,6 +292,9 @@ pub struct StorageStats {
     pub records_appended: AtomicU64,
     /// Bytes appended to segments (headers included).
     pub bytes_appended: AtomicU64,
+    /// Zero bytes written to grow active segments ahead of their
+    /// records (commits then overwrite them in place).
+    pub bytes_zeroed: AtomicU64,
     /// `fdatasync` calls issued by the fsync policy.
     pub fsyncs: AtomicU64,
     /// Commits that landed at least one record (`records_appended /
@@ -275,6 +344,8 @@ pub struct StorageSnapshot {
     pub records_appended: u64,
     /// See [`StorageStats::bytes_appended`].
     pub bytes_appended: u64,
+    /// See [`StorageStats::bytes_zeroed`].
+    pub bytes_zeroed: u64,
     /// See [`StorageStats::fsyncs`].
     pub fsyncs: u64,
     /// See [`StorageStats::commits`].
@@ -307,6 +378,7 @@ impl StorageSnapshot {
         self.segments_written += o.segments_written;
         self.records_appended += o.records_appended;
         self.bytes_appended += o.bytes_appended;
+        self.bytes_zeroed += o.bytes_zeroed;
         self.fsyncs += o.fsyncs;
         self.commits += o.commits;
         self.commit_us += o.commit_us;
@@ -326,6 +398,7 @@ impl StorageSnapshot {
         registry.counter_total("serve.storage.segments_written", self.segments_written);
         registry.counter_total("serve.storage.records_appended", self.records_appended);
         registry.counter_total("serve.storage.bytes_appended", self.bytes_appended);
+        registry.counter_total("serve.storage.bytes_zeroed", self.bytes_zeroed);
         registry.counter_total("serve.storage.fsyncs", self.fsyncs);
         registry.counter_total("serve.storage.commits", self.commits);
         registry.counter_total("serve.storage.commit_us", self.commit_us);
@@ -348,6 +421,7 @@ impl StorageStats {
             segments_written: self.segments_written.load(Ordering::Relaxed),
             records_appended: self.records_appended.load(Ordering::Relaxed),
             bytes_appended: self.bytes_appended.load(Ordering::Relaxed),
+            bytes_zeroed: self.bytes_zeroed.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             commit_us: self.commit_us.load(Ordering::Relaxed),
@@ -425,8 +499,8 @@ fn file_id(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
 }
 
-/// The append-only log of one hash-range shard: rotating segment files
-/// plus the newest checkpoint. All mutation happens behind the owning
+/// The log of one hash-range shard: rotating segment files plus the
+/// newest checkpoint. All mutation happens behind the owning
 /// [`NodeWal`]'s per-shard mutex.
 #[derive(Debug)]
 pub struct ShardLog {
@@ -438,7 +512,12 @@ pub struct ShardLog {
     /// their own).
     seg_id: u64,
     file: File,
+    /// Bytes of records in the active segment: where the next commit
+    /// writes.
     file_bytes: u64,
+    /// Length of the active segment file: its records, then zeros up
+    /// to here.
+    file_len: u64,
     /// Records landed in the segment since the last sync.
     records_since_sync: u64,
     /// Records appended since the last checkpoint, across rotations.
@@ -508,11 +587,13 @@ impl ShardLog {
             }
         }
 
-        // Segments at or above the checkpoint floor, in id order. The
-        // first invalid record ends the durable prefix: truncate there,
-        // drop everything after.
+        // Segments at or above the checkpoint floor, in id order. An
+        // all-zero remainder after the last valid record is the unused
+        // part of a zero step: a clean end. Anything else there ends the
+        // durable prefix: truncate to it, drop every later segment.
         let mut open_id: Option<u64> = None;
         let mut open_bytes = 0u64;
+        let mut open_len = 0u64;
         let mut cut = false;
         for (i, &id) in seg_ids.iter().enumerate() {
             let path = seg_path(&dir, id);
@@ -522,10 +603,12 @@ impl ShardLog {
             }
             let data = fs::read(&path)?;
             let valid = scan_records(&data, &mut lww);
-            if valid < data.len() {
+            let mut len = data.len();
+            if data[valid..].iter().any(|&b| b != 0) {
                 stats.torn_tails_truncated.fetch_add(1, Ordering::Relaxed);
                 let f = OpenOptions::new().write(true).open(&path)?;
                 f.set_len(valid as u64)?;
+                len = valid;
                 cut = true; // later segments are past the durable prefix
             }
             // A gap in segment ids means the tail was lost wholesale
@@ -536,19 +619,25 @@ impl ShardLog {
             }
             open_id = Some(id);
             open_bytes = valid as u64;
+            open_len = len as u64;
         }
 
-        // Position the active segment: continue the last one if it has
-        // room, else start the next id.
+        // Position the active segment: continue the last one after its
+        // records if it has room, else start the next id.
         let (seg_id, fresh) = match open_id {
             Some(id) if open_bytes < segment_bytes => (id, false),
             Some(id) => (id + 1, true),
             None => (ckpt_floor.unwrap_or(0), true),
         };
-        let file = OpenOptions::new().create(true).append(true).open(seg_path(&dir, seg_id))?;
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(fresh)
+            .open(seg_path(&dir, seg_id))?;
         if fresh {
             stats.segments_written.fetch_add(1, Ordering::Relaxed);
             open_bytes = 0;
+            open_len = 0;
         }
 
         stats.recovery_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -560,6 +649,7 @@ impl ShardLog {
             seg_id,
             file,
             file_bytes: open_bytes,
+            file_len: open_len,
             records_since_sync: 0,
             records_since_ckpt: 0,
             pending: Vec::new(),
@@ -589,16 +679,24 @@ impl ShardLog {
         self.pending_records += 1;
     }
 
-    /// Land everything pending: one `write`, then one `fdatasync` if
-    /// the policy asks for it, then rotation if the segment is full.
-    /// With nothing pending this is free.
+    /// Land everything pending: one positional `write` over zeros the
+    /// segment already holds (growing it by whole zero steps first when
+    /// the batch would run past them), then one `fdatasync` if the
+    /// policy asks for it, then rotation if the segment is full. With
+    /// nothing pending this is free.
     pub fn commit(&mut self) -> io::Result<()> {
         if self.pending_records == 0 {
             return Ok(());
         }
         let t0 = std::time::Instant::now();
-        self.file.write_all(&self.pending)?;
         let (records, bytes) = (self.pending_records, self.pending.len() as u64);
+        let step = self.segment_bytes.clamp(1, ZERO_STEP as u64);
+        while self.file_len < self.file_bytes + bytes {
+            self.file.write_all_at(&ZEROS[..step as usize], self.file_len)?;
+            self.file_len += step;
+            self.stats.bytes_zeroed.fetch_add(step, Ordering::Relaxed);
+        }
+        self.file.write_all_at(&self.pending, self.file_bytes)?;
         if self.pending.capacity() > PENDING_KEEP {
             self.pending = Vec::new();
         } else {
@@ -700,15 +798,23 @@ impl ShardLog {
     }
 
     fn rotate(&mut self) -> io::Result<()> {
-        // Seal the outgoing segment, unless the commit just before has
-        // synced everything in it (always, under `always`).
+        // Seal the outgoing segment: trim its zero tail, then sync,
+        // unless the commit just before has synced every record in it
+        // (always, under `always`). The trim alone is never synced.
+        if self.file_len > self.file_bytes {
+            self.file.set_len(self.file_bytes)?;
+        }
         if self.policy != FsyncPolicy::Never && self.records_since_sync > 0 {
             self.sync()?;
         }
         self.seg_id += 1;
-        self.file =
-            OpenOptions::new().create(true).append(true).open(seg_path(&self.dir, self.seg_id))?;
+        self.file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(seg_path(&self.dir, self.seg_id))?;
         self.file_bytes = 0;
+        self.file_len = 0;
         self.stats.segments_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -864,10 +970,42 @@ mod tests {
         ShardLog::open(dir.to_path_buf(), FsyncPolicy::Never, 1 << 20, Arc::default()).unwrap()
     }
 
+    /// The byte-at-a-time CRC the sliced one must reproduce bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..4096 + 16).map(|_| next() as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "length {len}");
+        }
+        for start in 0..16 {
+            for _ in 0..16 {
+                let len = (next() % 4097) as usize;
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start}, length {len}");
+            }
+        }
     }
 
     #[test]
@@ -900,11 +1038,13 @@ mod tests {
                 log.append(k, 1, b"value").unwrap();
             }
         }
-        // Tear the tail mid-record.
+        // Tear the tail mid-record: the last record's final page never
+        // reached the file, and reads back as the zeros it overwrote.
         let seg = seg_path(&dir, 0);
-        let len = fs::metadata(&seg).unwrap().len();
+        let records_end = 10 * (HEADER as u64 + 16 + 5);
+        assert!(fs::metadata(&seg).unwrap().len() > records_end, "written prefix + zero tail");
         let f = OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(len - 3).unwrap();
+        f.write_all_at(&[0; 3], records_end - 3).unwrap();
         drop(f);
 
         let after = Arc::new(StorageStats::default());
@@ -922,6 +1062,77 @@ mod tests {
         drop(log);
         let (_, recovered) = open(&dir);
         assert_eq!(recovered.len(), 10);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_zero_tail_is_a_clean_end() {
+        let dir = scratch_dir("zerotail");
+        let record = HEADER as u64 + 16 + 5;
+        {
+            let (mut log, _) = open(&dir);
+            for k in 0..10u64 {
+                log.append(k, 1, b"value").unwrap();
+            }
+        }
+        let seg = seg_path(&dir, 0);
+        let len = fs::metadata(&seg).unwrap().len();
+        assert_eq!(len, ZERO_STEP as u64, "one zero step holds the ten records");
+
+        let stats = Arc::new(StorageStats::default());
+        let (mut log, recovered) =
+            ShardLog::open(dir.clone(), FsyncPolicy::Never, 1 << 20, Arc::clone(&stats)).unwrap();
+        assert_eq!(recovered.len(), 10);
+        let snap = stats.snapshot();
+        assert_eq!(snap.torn_tails_truncated, 0, "zeros after the records are not a torn tail");
+        assert_eq!(snap.segments_written, 0, "the active segment is continued, not replaced");
+        assert_eq!(fs::metadata(&seg).unwrap().len(), len, "nothing truncated");
+
+        // The next commit lands right after the records, inside the
+        // zeros, and grows nothing.
+        log.append(10, 1, b"after").unwrap();
+        drop(log);
+        let data = fs::read(&seg).unwrap();
+        assert_eq!(data.len() as u64, len);
+        assert_eq!(stats.snapshot().bytes_zeroed, 0, "the step had room");
+        let mut keys = Vec::new();
+        let end = scan_records(&data, |k, _, _| keys.push(k));
+        assert_eq!(end as u64, 11 * record);
+        assert_eq!(keys, (0..11).collect::<Vec<u64>>());
+        assert!(data[end..].iter().all(|&b| b == 0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_sealed_segment_is_exactly_its_records() {
+        let dir = scratch_dir("sealed");
+        let stats = Arc::new(StorageStats::default());
+        let (mut log, _) =
+            ShardLog::open(dir.clone(), FsyncPolicy::Always, 4096, Arc::clone(&stats)).unwrap();
+        // 29-byte records: the 142nd crosses 4096 and rotates.
+        for k in 0..142u64 {
+            log.append(k, 1, b"value").unwrap();
+        }
+        assert_eq!(stats.snapshot().segments_written, 2);
+        log.append(142, 1, b"value").unwrap();
+        drop(log);
+        let sealed = fs::read(seg_path(&dir, 0)).unwrap();
+        assert_eq!(
+            sealed.len(),
+            142 * 29,
+            "no zero tail: a reader that knows no zero rule cuts nothing"
+        );
+        assert_eq!(scan_records(&sealed, |_, _, _| {}), sealed.len());
+        assert_eq!(
+            fs::metadata(seg_path(&dir, 1)).unwrap().len(),
+            4096,
+            "the active one is one step"
+        );
+        assert_eq!(
+            stats.snapshot().bytes_zeroed,
+            3 * 4096,
+            "two steps for the first, one for the next"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,8 @@
 //! Property tests for the durable log: recovery keeps exactly the
-//! durable prefix under arbitrary byte-level tail damage, a crash at
-//! any byte of a group commit loses only records of that (unacked)
-//! batch, the fsync policy counts landed records, checkpoints never
+//! durable prefix under arbitrary byte-level damage of the records or
+//! of the zero tail after them, a crash at any byte of a group commit —
+//! or pages of it lost — loses only records of that (unacked) batch,
+//! the fsync policy counts landed records, checkpoints never
 //! change what replay reconstructs, and merging recovered segments is
 //! order-independent — the same LWW algebra as the store.
 
@@ -19,6 +20,27 @@ use rfh_serve::wal::{FsyncPolicy, PersistenceConfig, ShardLog, StorageStats};
 /// `[len u32][crc u32]` header + `[key u64][seq u64]` + value.
 const HEADER: usize = 8;
 const FIXED: usize = 16;
+/// How far an active 1 MiB segment grows at a time, in zeros.
+const ZERO_STEP: usize = 256 << 10;
+
+/// Byte offset of each record's end, records laid back to back.
+fn record_ends(records: &[(u64, u64, Vec<u8>)]) -> Vec<usize> {
+    records
+        .iter()
+        .scan(0usize, |pos, (_, _, v)| {
+            *pos += HEADER + FIXED + v.len();
+            Some(*pos)
+        })
+        .collect()
+}
+
+fn zeros(bytes: &[u8]) -> bool {
+    first_nonzero(bytes).is_none()
+}
+
+fn first_nonzero(bytes: &[u8]) -> Option<usize> {
+    bytes.iter().position(|&b| b != 0)
+}
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -74,9 +96,10 @@ fn shuffled<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Damage the log tail anywhere — truncate at an arbitrary byte, or
-    /// flip an arbitrary byte — and recovery returns exactly the
-    /// records that lie wholly before the damage, twice in a row.
+    /// Damage the log anywhere, zero tail included — truncate at an
+    /// arbitrary byte, or flip an arbitrary byte — and recovery returns
+    /// exactly the records that lie wholly before the damage, twice in a
+    /// row.
     #[test]
     fn tail_damage_recovers_exactly_the_valid_prefix(
         raw in proptest::collection::vec(
@@ -84,6 +107,7 @@ proptest! {
             1..40,
         ),
         at in any::<prop::sample::Index>(),
+        in_zero_tail in any::<bool>(),
         truncate in any::<bool>(),
         mask in (1u32..=255).prop_map(|m| m as u8),
     ) {
@@ -99,17 +123,15 @@ proptest! {
 
         // Byte offset of each record boundary in the single segment.
         let seg = dir.join("seg-00000000.wal");
-        let mut ends = Vec::with_capacity(records.len());
-        let mut pos = 0usize;
-        for (_, _, v) in &records {
-            pos += HEADER + FIXED + v.len();
-            ends.push(pos);
-        }
+        let ends = record_ends(&records);
+        let pos = *ends.last().unwrap();
         let data = fs::read(&seg).unwrap();
-        prop_assert_eq!(data.len(), pos, "the segment is exactly the appended records");
+        prop_assert_eq!(data.len(), ZERO_STEP, "the records sit in one zero step");
+        prop_assert!(zeros(&data[pos..]), "the written prefix is followed by zeros only");
 
-        // Damage the tail at an arbitrary byte offset.
-        let cut = at.index(data.len() + 1);
+        // Damage at an arbitrary byte offset, of the records or of the
+        // zero tail (drawn separately: the tail dwarfs the records).
+        let cut = if in_zero_tail { pos + at.index(data.len() - pos + 1) } else { at.index(pos) };
         let expect_prefix: usize;
         if truncate || cut == data.len() {
             // Records wholly before the cut survive.
@@ -139,9 +161,11 @@ proptest! {
     }
 
     /// Any interleaving of buffer and commit, then a crash at any byte
-    /// of the batch in flight: recovery returns every committed record
-    /// and, of the batch whose acks never left, exactly the records
-    /// that reached the file whole — nothing else, twice in a row.
+    /// of the batch in flight — the rest of the batch still the zeros
+    /// it was to overwrite, or the file cut short there — and recovery
+    /// returns every committed record and, of the batch whose acks never
+    /// left, exactly the records that reached the file whole — nothing
+    /// else, twice in a row.
     #[test]
     fn a_crash_mid_batch_loses_only_uncommitted_records(
         raw in proptest::collection::vec(
@@ -150,6 +174,7 @@ proptest! {
         ),
         commit_after in proptest::collection::vec(any::<bool>(), 40),
         at in any::<prop::sample::Index>(),
+        truncate in any::<bool>(),
     ) {
         let records = seq_records(raw);
         let dir = scratch_dir("batch");
@@ -176,21 +201,96 @@ proptest! {
             // file: land it here, keep only some byte prefix below.
             log.commit().unwrap();
         }
-        let ends: Vec<usize> = records
-            .iter()
-            .scan(0usize, |pos, (_, _, v)| {
-                *pos += HEADER + FIXED + v.len();
-                Some(*pos)
-            })
-            .collect();
+        let ends = record_ends(&records);
         let durable = if committed == 0 { 0 } else { ends[committed - 1] };
-        let data = fs::read(&seg).unwrap();
-        prop_assert_eq!(data.len(), *ends.last().unwrap());
-        let cut = durable + at.index(data.len() - durable + 1);
-        fs::write(&seg, &data[..cut]).unwrap();
+        let end = *ends.last().unwrap();
+        let mut data = fs::read(&seg).unwrap();
+        prop_assert_eq!(data.len(), ZERO_STEP, "written prefix + zero tail");
+        prop_assert!(zeros(&data[end..]));
+        let cut = durable + at.index(end - durable + 1);
+        let lost = if truncate {
+            data.truncate(cut);
+            cut
+        } else {
+            // A lost byte that was a zero anyway loses nothing.
+            let lost = first_nonzero(&data[cut..end]).map_or(end, |i| cut + i);
+            data[cut..end].fill(0);
+            lost
+        };
+        fs::write(&seg, &data).unwrap();
 
-        let survivors = ends.iter().filter(|&&e| e <= cut).count();
+        let survivors = ends.iter().filter(|&&e| e <= lost).count();
         prop_assert!(survivors >= committed, "a committed record can never be cut");
+        let expected = lww(&records[..survivors]);
+        let (_, recovered) = open(&dir);
+        prop_assert_eq!(&as_map(recovered), &expected);
+        let (_, again) = open(&dir);
+        prop_assert_eq!(&as_map(again), &expected, "recovery is idempotent");
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Lost pages: synced records, then a batch that lands unsynced and
+    /// of which arbitrary byte ranges never reach the disk, reading back
+    /// as the zeros they were to overwrite. Recovery keeps every synced
+    /// record and, of the batch, exactly the records wholly before its
+    /// first damaged byte — twice in a row.
+    #[test]
+    fn lost_pages_of_an_unsynced_batch_lose_only_that_batch(
+        synced_raw in proptest::collection::vec(
+            (0u64..8, proptest::collection::vec(any::<u8>(), 0..20)),
+            0..20,
+        ),
+        batch_raw in proptest::collection::vec(
+            (0u64..8, proptest::collection::vec(any::<u8>(), 0..20)),
+            1..30,
+        ),
+        holes in proptest::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            1..4,
+        ),
+    ) {
+        let synced = synced_raw.len();
+        let records = seq_records(synced_raw.into_iter().chain(batch_raw).collect());
+        let dir = scratch_dir("pages");
+        {
+            let (mut log, _) =
+                ShardLog::open(dir.clone(), FsyncPolicy::Always, 1 << 20, Arc::default())
+                    .unwrap();
+            for (k, s, v) in &records[..synced] {
+                log.append(*k, *s, v).unwrap();
+            }
+        }
+        {
+            // A later incarnation resumes in the zero tail and lands
+            // one batch without syncing it.
+            let (mut log, _) =
+                ShardLog::open(dir.clone(), FsyncPolicy::Never, 1 << 20, Arc::default())
+                    .unwrap();
+            for (k, s, v) in &records[synced..] {
+                log.buffer(*k, *s, v);
+            }
+            log.commit().unwrap();
+        }
+        let ends = record_ends(&records);
+        let durable = if synced == 0 { 0 } else { ends[synced - 1] };
+        let end = *ends.last().unwrap();
+        let seg = dir.join("seg-00000000.wal");
+        let mut data = fs::read(&seg).unwrap();
+        prop_assert_eq!(data.len(), ZERO_STEP);
+        let mut damaged = end;
+        for (a, b) in holes {
+            let (x, y) = (a.index(end - durable), b.index(end - durable));
+            let (lo, hi) = (durable + x.min(y), durable + x.max(y) + 1);
+            if let Some(i) = first_nonzero(&data[lo..hi]) {
+                damaged = damaged.min(lo + i);
+            }
+            data[lo..hi].fill(0);
+        }
+        fs::write(&seg, &data).unwrap();
+
+        let survivors = ends.iter().filter(|&&e| e <= damaged).count();
+        prop_assert!(survivors >= synced, "a synced record can never be lost");
         let expected = lww(&records[..survivors]);
         let (_, recovered) = open(&dir);
         prop_assert_eq!(&as_map(recovered), &expected);
@@ -335,7 +435,7 @@ proptest! {
 
 /// Rotation is decided at commit: a batch lands whole in the active
 /// segment, however far past `segment_bytes` it runs, and the segment
-/// rotates once afterwards.
+/// rotates once afterwards, sealed to exactly its records.
 #[test]
 fn rotation_fires_at_commit_granularity() {
     let dir = scratch_dir("rotate");
@@ -352,7 +452,12 @@ fn rotation_fires_at_commit_granularity() {
     assert_eq!(fs::metadata(dir.join("seg-00000000.wal")).unwrap().len(), 40 * 64);
     log.append(99, 1, b"next").unwrap();
     drop(log);
-    assert_eq!(fs::metadata(dir.join("seg-00000001.wal")).unwrap().len(), 28);
+    // A 256-byte segment grows in 256-byte steps: the next record,
+    // then zeros.
+    let active = fs::read(dir.join("seg-00000001.wal")).unwrap();
+    assert_eq!(active.len(), 256);
+    assert!(!zeros(&active[..28]) && zeros(&active[28..]), "written prefix + zero tail");
+    assert_eq!(stats.snapshot().bytes_zeroed, 11 * 256);
     let (_, recovered) = open(&dir);
     assert_eq!(recovered.len(), 41);
     fs::remove_dir_all(&dir).unwrap();
