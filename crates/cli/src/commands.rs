@@ -5,8 +5,8 @@ use rfh_core::PolicyKind;
 use rfh_experiments::table1 as table1_mod;
 use rfh_obs::{Metric, MetricsRegistry, Recorder, TraceRecorder};
 use rfh_serve::{
-    render_dashboard, run_loadgen_with, Cluster, ClusterConfig, DataPlane, LoadGenConfig,
-    PersistenceConfig, ServeClient, TelemetryRing,
+    render_dashboard, run_loadgen_with, Cluster, ClusterConfig, LoadGenConfig, PersistenceConfig,
+    ServeClient, TelemetryRing,
 };
 use rfh_sim::{report, run_comparison_observed, ObsOptions, SimParams, Simulation};
 use rfh_topology::paper_topology;
@@ -340,24 +340,10 @@ pub fn trace(opts: &Options) -> Result<String> {
 }
 
 fn cluster_config(opts: &Options, key: &'static str) -> Result<ClusterConfig> {
-    let mut cfg = match opts.get(key) {
-        None => ClusterConfig::default(),
-        Some(path) => ClusterConfig::from_toml_str(&std::fs::read_to_string(path)?)?,
-    };
-    // `--data-plane` wins over the config file, like the other CLI
-    // overrides.
-    cfg.data_plane = match opts.get("data-plane").map(String::as_str) {
-        None => cfg.data_plane,
-        Some("reactor") => DataPlane::Reactor,
-        Some("threaded") => DataPlane::Threaded,
-        Some(other) => {
-            return Err(RfhError::InvalidConfig {
-                parameter: "data-plane",
-                reason: format!("{other:?} is not one of reactor|threaded"),
-            })
-        }
-    };
-    Ok(cfg)
+    match opts.get(key) {
+        None => Ok(ClusterConfig::default()),
+        Some(path) => ClusterConfig::from_toml_str(&std::fs::read_to_string(path)?),
+    }
 }
 
 /// `rfh serve`: run a live loopback cluster under the online RFH
@@ -373,10 +359,7 @@ fn cluster_config(opts: &Options, key: &'static str) -> Result<ClusterConfig> {
 /// `rfh watch`; `--timeline FILE` dumps the controller's tick-sample
 /// ring as JSONL at shutdown; `--faults PLAN.toml` runs a chaos plan
 /// against the live cluster (one control tick = one plan epoch),
-/// including `restart_after` kill-then-restart cycles;
-/// `--data-plane reactor|threaded` picks how node sockets are served
-/// (epoll event loops by default, thread-per-connection as the
-/// differential baseline).
+/// including `restart_after` kill-then-restart cycles.
 pub fn serve(opts: &Options) -> Result<String> {
     let mut cfg = cluster_config(opts, "config")?;
     if let Some(dir) = opts.get("persist-dir") {
@@ -478,7 +461,7 @@ pub fn watch(opts: &Options) -> Result<String> {
 /// percentiles, and the acked-write verification. With
 /// `--connect ADDRFILE` it targets a cluster started by `rfh serve
 /// --addr-file`; without it, it self-hosts one (shaped by
-/// `--cluster-config` and `--data-plane`, chaos from `--faults`) for
+/// `--cluster-config`, chaos from `--faults`) for
 /// the duration of the run. `--config` is the loadgen TOML, `--ops N`
 /// overrides the op count, `--pipeline N` keeps up to N frames in
 /// flight per closed-loop worker connection, `--report FILE` writes

@@ -134,8 +134,6 @@ SERVING OPTIONS:
     --ops N               override the loadgen operation count
     --pipeline N          loadgen closed-loop pipeline depth: each worker keeps
                           up to N frames in flight per connection (default 1)
-    --data-plane P        serve/self-hosted data plane: reactor (epoll event
-                          loops, the default) or threaded (one thread per conn)
     --report FILE         write the loadgen report as JSON
 
 TELEMETRY OPTIONS:

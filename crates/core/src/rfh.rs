@@ -977,11 +977,6 @@ impl RfhPolicy {
         self
     }
 
-    /// Set the placement variant in place.
-    pub fn set_placement(&mut self, placement: PlacementMode) {
-        self.placement = placement;
-    }
-
     /// The trace/report label for the current placement variant.
     fn label(&self) -> &'static str {
         match self.placement {
@@ -990,15 +985,9 @@ impl RfhPolicy {
         }
     }
 
-    /// Fan the per-partition evaluation out over `pool` — decisions are
+    /// Attach (or detach) the decision-pass worker pool in place: the
+    /// per-partition evaluation fans out over it, and decisions are
     /// bit-identical to the serial pass for any pool size.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Attach (or detach) the decision-pass worker pool in place.
     pub fn set_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
         self.pool = pool;
     }

@@ -154,8 +154,8 @@ impl Drop for Poller {
     }
 }
 
-/// Non-Linux stub: the reactor data plane is epoll-only; callers fall
-/// back to the threaded plane when construction fails.
+/// Non-Linux stub: the poller is epoll-only, so construction fails;
+/// crates that merely link this one still compile elsewhere.
 #[cfg(not(target_os = "linux"))]
 impl Poller {
     pub fn new() -> io::Result<Poller> {

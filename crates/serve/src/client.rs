@@ -161,8 +161,8 @@ struct InflightOp {
 /// A datacenter-local client that keeps up to `depth` frames in flight
 /// on one connection.
 ///
-/// Replies correlate by order: coordinators release acks in arrival
-/// order on both data planes, so the n-th ack answers the n-th
+/// Replies correlate by order: the reactor releases acks in arrival
+/// order, so the n-th ack answers the n-th
 /// outstanding request. Traced frames double-check this by comparing
 /// the echoed op-ID. On a broken connection or an `Unavailable` ack the
 /// client rotates coordinators and replays the whole window — safe

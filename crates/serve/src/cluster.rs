@@ -3,12 +3,12 @@
 //! [`Cluster::start`] builds the scaled paper topology, places
 //! partitions on the consistent-hash ring, floor-replicates them to
 //! `r_min` copies (so a single-server kill never strands a partition),
-//! then turns every topology server into a node thread behind its own
-//! loopback TCP listener and starts the online control loop.
+//! then binds one loopback TCP listener per topology server, hands them
+//! all to the epoll reactor threads and starts the online control loop.
 //!
 //! ## Shared state
 //!
-//! The data plane (either driver of the coordinator) and the control
+//! The data plane (the reactor driving the coordinator) and the control
 //! plane (the RFH loop) meet in [`Shared`]:
 //!
 //! * `alive[i]` — fail-stop flags; a killed node accepts connections
@@ -33,11 +33,10 @@
 use crate::config::ClusterConfig;
 use crate::control::{ControlStats, Controller};
 use crate::http;
-use crate::node;
+use crate::reactor::ReactorPlane;
 use crate::store::{partition_of, NodeStore, Versioned};
 use crate::telemetry::{ClusterTelemetry, TickSample};
 use crate::wal::StorageSnapshot;
-use crate::wire::Conn;
 use rfh_core::{Action, ReplicaManager, RfhPolicy};
 use rfh_faults::FaultPlan;
 use rfh_obs::{MetricsRegistry, SpanLog};
@@ -49,9 +48,9 @@ use rfh_topology::{scaled_paper_topology, Topology};
 use rfh_types::{PartitionId, Result, RfhError, ServerId};
 use rfh_workload::SharedLoad;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 /// Monotonic counters the data plane bumps per request.
@@ -71,7 +70,7 @@ pub struct Counters {
     pub acks_unavailable: AtomicU64,
 }
 
-/// State shared between node threads and the control loop.
+/// State shared between the reactor threads and the control loop.
 pub(crate) struct Shared {
     /// Partition count (shape of `routes`, `route_epochs`, `load`).
     pub partitions: u32,
@@ -95,8 +94,6 @@ pub(crate) struct Shared {
     pub stores: Vec<NodeStore>,
     /// Listener address of each node.
     pub addrs: Vec<SocketAddr>,
-    /// Per-source-node pools of idle peer connections.
-    pub peers: Vec<Mutex<HashMap<usize, Vec<Conn<TcpStream>>>>>,
     /// Request counters.
     pub counters: Counters,
     /// The telemetry plane (no per-node state when disabled).
@@ -128,7 +125,6 @@ impl Shared {
             load: SharedLoad::zeros(partitions, topo.datacenters().len() as u32),
             stores,
             addrs,
-            peers: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             counters: Counters::default(),
             telemetry: if telemetry {
                 ClusterTelemetry::on(n, partitions)
@@ -313,12 +309,8 @@ impl ServeSummary {
 pub struct Cluster {
     shared: Arc<Shared>,
     infos: Vec<NodeInfo>,
-    /// Threaded-plane accept threads (empty under the reactor plane).
-    listeners: Vec<JoinHandle<()>>,
-    /// Threaded-plane connection handlers (empty under the reactor plane).
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// The epoll data plane, when `data_plane = "reactor"`.
-    reactor: Option<crate::reactor::ReactorPlane>,
+    /// The epoll data plane serving every node's listener.
+    reactor: ReactorPlane,
     control: JoinHandle<ControlStats>,
     /// Per-node `/metrics` endpoints (empty when telemetry is off).
     metrics_addrs: Vec<SocketAddr>,
@@ -365,7 +357,7 @@ impl Cluster {
                 });
             }
         }
-        let mut listeners_raw = Vec::with_capacity(n);
+        let mut listeners = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         for i in 0..n {
             let want = match bind_addrs {
@@ -376,7 +368,7 @@ impl Cluster {
                 .map_err(|e| RfhError::Io(format!("bind loopback listener {want}: {e}")))?;
             l.set_nonblocking(true).map_err(|e| RfhError::Io(e.to_string()))?;
             addrs.push(l.local_addr().map_err(|e| RfhError::Io(e.to_string()))?);
-            listeners_raw.push(l);
+            listeners.push(l);
         }
 
         // Durable mode: open (and recover) every node's WAL before the
@@ -419,31 +411,8 @@ impl Cluster {
             })
             .collect();
 
-        let handlers = Arc::new(Mutex::new(Vec::new()));
-        let mut listeners = Vec::new();
-        let mut reactor = None;
-        // The reactor plane is epoll-only; elsewhere the config value
-        // silently degrades to the (portable) threaded plane.
-        let use_reactor =
-            config.data_plane == crate::config::DataPlane::Reactor && cfg!(target_os = "linux");
-        if use_reactor {
-            reactor = Some(
-                crate::reactor::ReactorPlane::start(Arc::clone(&shared), listeners_raw)
-                    .map_err(|e| RfhError::Io(format!("start reactor plane: {e}")))?,
-            );
-        } else {
-            listeners.reserve(n);
-            for (i, l) in listeners_raw.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let handlers = Arc::clone(&handlers);
-                listeners.push(
-                    std::thread::Builder::new()
-                        .name(format!("rfh-node-{i}"))
-                        .spawn(move || node::run_listener(i, l, shared, handlers))
-                        .map_err(|e| RfhError::Io(format!("spawn node thread: {e}")))?,
-                );
-            }
-        }
+        let reactor = ReactorPlane::start(Arc::clone(&shared), listeners)
+            .map_err(|e| RfhError::Io(format!("start reactor plane: {e}")))?;
 
         // Telemetry exposition: one tiny HTTP/1.0 endpoint per node
         // plus one for the controller. Disabled ⇒ nothing binds and no
@@ -500,8 +469,6 @@ impl Cluster {
         Ok(Cluster {
             shared,
             infos,
-            listeners,
-            handlers,
             reactor,
             control,
             metrics_addrs,
@@ -575,26 +542,17 @@ impl Cluster {
         self.shared.telemetry.timeline_jsonl()
     }
 
-    /// Stop everything: control loop first (one final tick), then
-    /// listeners and handlers. Returns the run's accounting.
+    /// Stop everything: control loop first (one final tick), then the
+    /// reactors and the metrics endpoints. Returns the run's accounting.
     pub fn shutdown(self) -> Result<ServeSummary> {
         self.shared.shutdown.store(true, Ordering::Release);
         let stats = self
             .control
             .join()
             .map_err(|_| RfhError::Simulation("control loop panicked".into()))?;
-        for h in self.listeners {
-            h.join().map_err(|_| RfhError::Simulation("node listener panicked".into()))?;
-        }
-        if let Some(plane) = self.reactor {
-            plane.shutdown()?;
-        }
+        self.reactor.shutdown()?;
         for h in self.http_threads {
             h.join().map_err(|_| RfhError::Simulation("metrics endpoint panicked".into()))?;
-        }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handlers lock"));
-        for h in handlers {
-            h.join().map_err(|_| RfhError::Simulation("connection handler panicked".into()))?;
         }
         let c = &self.shared.counters;
         let alive_nodes = self.shared.alive.iter().filter(|a| a.load(Ordering::Acquire)).count();
@@ -708,8 +666,8 @@ fn reconcile_recovered(
 /// libc symbols std itself links. Accepted connections inherit the
 /// flag; without it on *both* incarnations' sockets, a process
 /// restarted after `SIGKILL` cannot rebind its old port until the
-/// kernel retires the dead incarnation's `TIME-WAIT` entries.
-#[cfg(unix)]
+/// kernel retires the dead incarnation's `TIME-WAIT` entries. The
+/// constants and the `sockaddr_in` layout are Linux's.
 fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
     use std::os::fd::FromRawFd;
 
@@ -741,6 +699,10 @@ fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
             "node listeners are IPv4 loopback only",
         ));
     };
+    // SAFETY: the calls take plain integers and pointers to `one` and
+    // `sa`, which outlive them, with their exact sizes. The fd is this
+    // function's alone: closed on every error path, and on success
+    // owned solely by the returned listener.
     unsafe {
         let fd = socket(AF_INET, SOCK_STREAM, 0);
         if fd < 0 {
@@ -764,12 +726,6 @@ fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
         }
         Ok(TcpListener::from_raw_fd(fd))
     }
-}
-
-/// Non-unix fallback: a plain bind (no restart-rebind guarantee).
-#[cfg(not(unix))]
-fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
-    TcpListener::bind(addr)
 }
 
 /// The control plane `config` describes, ready to tick: the scaled
@@ -827,13 +783,13 @@ fn floor_replicate(
     manager.begin_epoch();
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{PipelinedClient, ServeClient};
     use crate::wal::{FsyncPolicy, PersistenceConfig};
     use crate::wire::{AckStatus, Frame};
-    use crate::{DataPlane, GetOutcome};
+    use crate::GetOutcome;
 
     /// Group commit end to end: a pipelined client at depth 32 against
     /// a durable reactor cluster with `fsync = always`. Batching must
@@ -856,7 +812,6 @@ mod tests {
                 fsync: FsyncPolicy::Always,
                 ..PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())
             }),
-            data_plane: DataPlane::Reactor,
             ..ClusterConfig::default()
         };
         let cluster = Cluster::start(&cfg, FaultPlan::default()).unwrap();
@@ -908,28 +863,5 @@ mod tests {
         let summary = cluster.shutdown().unwrap();
         assert_eq!(summary.acks_unavailable, 0, "{}", summary.render());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Connection churn on the threaded plane: the handler list tracks
-    /// open connections, not every connection the node ever accepted.
-    #[test]
-    fn threaded_plane_reaps_finished_connection_handlers() {
-        let cfg = ClusterConfig {
-            servers_per_rack: 1,
-            partitions: 16,
-            data_plane: DataPlane::Threaded,
-            ..ClusterConfig::default()
-        };
-        let cluster = Cluster::start(&cfg, FaultPlan::default()).unwrap();
-        let addr = cluster.node_infos()[0].addr;
-        for key in 0..200u64 {
-            // The round-trip proves this connection's handler is up
-            // before the drop ends it.
-            let mut conn = crate::wire::Conn::new(std::net::TcpStream::connect(addr).unwrap());
-            assert!(matches!(conn.roundtrip(&Frame::Get { key }).unwrap(), Frame::Ack { .. }));
-        }
-        let held = cluster.handlers.lock().unwrap().len();
-        assert!(held <= 16, "{held} handler threads held after 200 closed connections");
-        cluster.shutdown().unwrap();
     }
 }

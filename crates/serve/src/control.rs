@@ -71,7 +71,7 @@ struct TickCounters {
     violations: u64,
 }
 
-/// The data-plane half of a tick: what the pipeline's epoch does to
+/// The data plane's half of a tick: what the pipeline's epoch does to
 /// the running cluster.
 struct LiveHost {
     shared: Arc<Shared>,
@@ -271,7 +271,7 @@ impl Controller {
     }
 
     /// The control plane's registry: serve.* lifetime totals, the
-    /// data-plane request counters, and the pipeline's own series.
+    /// data plane's request counters, and the pipeline's own series.
     /// Built fresh from totals every call, so republishing per tick
     /// (and re-scraping) is idempotent.
     fn build_registry(&self) -> MetricsRegistry {

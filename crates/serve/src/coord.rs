@@ -1,5 +1,5 @@
 //! The coordinator: the one rule by which a node serves a client `Get`
-//! or `Put` (RFH §II-B), written once and driven by both data planes.
+//! or `Put` (RFH §II-B), written once and driven by the data plane.
 //!
 //! A [`Coordinator`] is a sans-IO state machine for one client request.
 //! Its inputs are the request itself ([`serve_frame`]), each forward's
@@ -10,9 +10,8 @@
 //! local store, and buffers local replica writes on the driver's
 //! [`TurnCommits`] — but it owns no socket, thread or timer, and every
 //! decision uses the `now` its driver passes in. The epoll reactor
-//! turns steps into peer-channel tickets and timer-wheel entries, the
-//! threaded plane into blocking round-trips and sleeps, and the unit
-//! tests below into nothing at all.
+//! turns steps into peer-channel tickets and timer-wheel entries, and
+//! the unit tests below into nothing at all.
 //!
 //! ## Writes without a lock
 //!
@@ -46,8 +45,7 @@
 //! skipping dead replicas and moving on from a failed forward.
 
 use crate::cluster::Shared;
-use crate::node::TurnCommits;
-use crate::store::partition_of;
+use crate::store::{partition_of, TurnCommits};
 use crate::telemetry::{PhaseTimings, ReqKind};
 use crate::wire::{AckStatus, Frame};
 use rfh_obs::SpanEvent;
@@ -166,7 +164,7 @@ pub(crate) fn serve_frame(
             (request(ReqKind::ForwardPut), ack(AckStatus::Ok, seq))
         }
         // An unsolicited ack is a protocol violation; answer with
-        // Unavailable rather than crashing the handler.
+        // Unavailable rather than dropping the connection.
         Frame::Ack { .. } => return (None, Step::Reply(ack(AckStatus::Unavailable, 0))),
     };
     // Served synchronously: the handle phase is the store work just

@@ -3,19 +3,21 @@
 //! A live key-value serving runtime on the RFH stack: the offline
 //! simulator's control plane (ring placement, `TrafficEngine`
 //! accounting, the real `RfhPolicy`, fault injection, repair queue,
-//! invariant auditor) driving a real cluster of node threads behind
-//! loopback TCP listeners.
+//! invariant auditor) driving a real cluster of nodes behind loopback
+//! TCP listeners, served by epoll reactor threads.
+//!
+//! The serving runtime is Linux-only: the reactor is built on epoll and
+//! eventfd, and node listeners bind through Linux's socket constants.
 //!
 //! * [`wire`] — the length-prefixed binary protocol
 //!   (get/put/forward/ack).
-//! * [`store`] — per-node LWW shard maps and the key → partition hash.
+//! * [`store`] — per-node LWW shard maps, the key → partition hash, and
+//!   the turn commits that batch a reactor turn's WAL syncs.
 //! * [`wal`] — the optional log-structured durable backend: per-shard
 //!   segment logs, checkpoints, and torn-tail-truncating recovery.
 //! * [`cluster`] — startup, shared state, clean shutdown.
 //! * `coord` (internal) — the coordinator: how a node serves a client
-//!   get or put, as one sans-IO state machine both data planes drive.
-//! * `node` (internal) — the threaded data plane (listener and handler
-//!   threads) and the turn commits both planes share.
+//!   get or put, as one sans-IO state machine the data plane drives.
 //! * `reactor` (internal) — the epoll data plane.
 //! * `control` (internal) — the online RFH loop; its lifetime totals
 //!   surface as [`ControlStats`].
@@ -43,7 +45,6 @@ mod control;
 mod coord;
 pub mod http;
 pub mod loadgen;
-mod node;
 mod reactor;
 pub mod store;
 pub mod telemetry;
@@ -52,7 +53,7 @@ pub mod wire;
 
 pub use client::{CompletedOp, GetOutcome, PipelinedClient, ServeClient};
 pub use cluster::{Cluster, NodeInfo, ServeSummary};
-pub use config::{ArrivalMode, ClusterConfig, DataPlane, LoadGenConfig};
+pub use config::{ArrivalMode, ClusterConfig, LoadGenConfig};
 pub use control::ControlStats;
 pub use loadgen::{run_loadgen, run_loadgen_with, LoadReport};
 pub use telemetry::{render_dashboard, TelemetryRing, TickSample};

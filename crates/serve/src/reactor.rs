@@ -5,8 +5,8 @@
 //! pipelined — a client may keep many frames in flight, and replies are
 //! released strictly in arrival order so an untraced pipeline
 //! correlates acks by position (traced frames additionally echo their
-//! op-ID). At pipeline depth 1 the wire traffic is frame-for-frame
-//! identical to the threaded plane's.
+//! op-ID). At pipeline depth 1 that is the plain request/response
+//! exchange the blocking `ServeClient` speaks.
 //!
 //! What to do with a request is not decided here: every inbound frame
 //! goes to `coord::serve_frame`, and every client `Get`/`Put` is a
@@ -37,10 +37,10 @@
 //! ## Peer channels
 //!
 //! Coordinator → replica forwards share one nonblocking connection per
-//! (coordinator node, peer node) pair per reactor thread, replacing the
-//! threaded plane's blocking connection pool. Replies correlate by FIFO
-//! order: the replica serves forwards synchronously in arrival order,
-//! so the n-th ack on a channel answers the n-th outstanding ticket.
+//! (coordinator node, peer node) pair per reactor thread. Replies
+//! correlate by FIFO order: the replica serves forwards synchronously
+//! in arrival order, so the n-th ack on a channel answers the n-th
+//! outstanding ticket.
 //! Op-IDs still ride traced forwards — they are the *span-chain*
 //! correlation token, not the transport's. A channel that errors,
 //! closes, or dawdles past the peer timeout fails all its tickets
@@ -49,21 +49,18 @@
 
 use crate::cluster::Shared;
 use crate::coord::{self, Coordinator, Step};
-use crate::node::{self, TurnCommits};
+use crate::store::TurnCommits;
 use crate::wire::{Frame, MAX_FRAME};
+use rfh_reactor::{Event, FrameReader, Poller, TimerWheel, Waker, WriteQueue};
 use rfh_types::{Result, RfhError, ServerId};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-#[cfg(unix)]
-use rfh_reactor::{Event, FrameReader, Poller, TimerWheel, Waker, WriteQueue};
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
 
 /// Cap on reactor threads: beyond a few, loopback serving is syscall-
 /// bound, not CPU-bound, and more loops just shuffle cache lines.
@@ -82,14 +79,20 @@ const SCAN_INTERVAL: Duration = Duration::from_millis(250);
 /// if the waker write itself were lost.
 const MAX_IDLE: Duration = Duration::from_millis(100);
 
-/// The running reactor pool. Created by `Cluster::start_bound` when
-/// `data_plane = "reactor"`; joined at cluster shutdown.
+/// How long a peer channel's oldest ticket may wait for its ack.
+const PEER_TIMEOUT: Duration = Duration::from_millis(2_000);
+
+/// Cluster-wide connection counter; a connection's id picks its
+/// telemetry shard, spreading concurrent connections over the shards.
+static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The running reactor pool. Created by `Cluster::start_bound`; joined
+/// at cluster shutdown.
 pub(crate) struct ReactorPlane {
     threads: Vec<JoinHandle<()>>,
     wakers: Vec<Waker>,
 }
 
-#[cfg(unix)]
 impl ReactorPlane {
     /// Spawn `min(cores, 4)` reactor threads and deal the node
     /// listeners out round-robin. Each listener's connections are
@@ -132,17 +135,6 @@ impl ReactorPlane {
     }
 }
 
-#[cfg(not(unix))]
-impl ReactorPlane {
-    pub fn start(_shared: Arc<Shared>, _listeners: Vec<TcpListener>) -> io::Result<ReactorPlane> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "reactor plane requires epoll"))
-    }
-
-    pub fn shutdown(self) -> Result<()> {
-        Ok(())
-    }
-}
-
 /// Stable handle to one in-flight coordinated operation: the client
 /// connection's slot, its generation (slots are reused; a stale
 /// generation means the connection died and the result is discarded),
@@ -155,7 +147,6 @@ struct OpRef {
 }
 
 /// One outstanding forward on a peer channel, completed FIFO.
-#[cfg(unix)]
 struct Ticket {
     op: OpRef,
     target: ServerId,
@@ -172,7 +163,6 @@ struct PendingOp {
     reply: Option<Frame>,
 }
 
-#[cfg(unix)]
 struct ClientConn {
     node: usize,
     conn_id: u64,
@@ -187,13 +177,12 @@ struct ClientConn {
     pending: VecDeque<PendingOp>,
 }
 
-#[cfg(unix)]
 impl ClientConn {
     /// A freshly accepted (already nonblocking) connection to `node`.
     fn new(node: usize, gen: u64, stream: TcpStream) -> ClientConn {
         ClientConn {
             node,
-            conn_id: node::next_conn_id(),
+            conn_id: CONN_SEQ.fetch_add(1, Ordering::Relaxed),
             gen,
             stream,
             reader: FrameReader::new(MAX_FRAME),
@@ -207,7 +196,6 @@ impl ClientConn {
     }
 }
 
-#[cfg(unix)]
 struct PeerChan {
     owner: usize,
     peer: usize,
@@ -219,14 +207,12 @@ struct PeerChan {
     tickets: VecDeque<Ticket>,
 }
 
-#[cfg(unix)]
 enum Entry {
     Listener { node: usize, listener: TcpListener },
     Client(ClientConn),
     Peer(PeerChan),
 }
 
-#[cfg(unix)]
 struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
@@ -247,7 +233,6 @@ struct Reactor {
     commits: TurnCommits,
 }
 
-#[cfg(unix)]
 fn resolve(entries: &mut [Option<Entry>], op: OpRef) -> Option<&mut PendingOp> {
     match entries.get_mut(op.slot)?.as_mut()? {
         Entry::Client(c) if c.gen == op.gen => c.pending.iter_mut().find(|p| p.op_seq == op.op_seq),
@@ -255,7 +240,6 @@ fn resolve(entries: &mut [Option<Entry>], op: OpRef) -> Option<&mut PendingOp> {
     }
 }
 
-#[cfg(unix)]
 impl Reactor {
     fn new(
         shared: Arc<Shared>,
@@ -457,9 +441,9 @@ impl Reactor {
             }
         }
         if eof {
-            // The client finished sending. Like the threaded plane we
-            // stop serving it, but let already-pipelined work drain:
-            // replies still flush, and the conn closes once idle.
+            // The client finished sending: stop reading from it, but
+            // let already-pipelined work drain — replies still flush,
+            // and the conn closes once idle.
             let done = {
                 let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut)
                 else {
@@ -557,9 +541,8 @@ impl Reactor {
     }
 
     /// Flush the front-complete prefix of a connection's pipeline into
-    /// its write queue. In-order release is what keeps depth-1 behaviour
-    /// identical to the threaded plane and lets untraced pipelined
-    /// clients correlate acks by position.
+    /// its write queue. In-order release is what lets untraced
+    /// pipelined clients correlate acks by position.
     fn release(&mut self, slot: usize) {
         let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
             return;
@@ -720,7 +703,7 @@ impl Reactor {
         for (slot, entry) in self.entries.iter().enumerate() {
             if let Some(Entry::Peer(ch)) = entry {
                 if let Some(t) = ch.tickets.front() {
-                    if now.duration_since(t.sent_at) > node::PEER_TIMEOUT {
+                    if now.duration_since(t.sent_at) > PEER_TIMEOUT {
                         expired.push(slot);
                     }
                 }
@@ -842,17 +825,100 @@ impl Reactor {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::control_plane;
     use crate::config::ClusterConfig;
-    use crate::store::NodeStore;
+    use crate::store::{partition_of, NodeStore};
     use crate::wal::{FsyncPolicy, PersistenceConfig};
     use crate::wire::AckStatus;
     use rfh_faults::FaultPlan;
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Event-loop passes — `run`'s body without the timers — until
+    /// `done` holds.
+    fn pump_until(reactor: &mut Reactor, mut done: impl FnMut(&Reactor) -> bool) {
+        let mut events = Vec::new();
+        for _ in 0..500 {
+            if done(reactor) {
+                return;
+            }
+            reactor.poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+            for ev in events.drain(..) {
+                reactor.handle_event(ev);
+            }
+            reactor.flush_dirty();
+        }
+        panic!("the reactor never reached the awaited state");
+    }
+
+    fn open_clients(reactor: &Reactor) -> usize {
+        reactor.entries.iter().filter(|e| matches!(e, Some(Entry::Client(_)))).count()
+    }
+
+    /// Connection churn: 200 clients connect, get one key each and hang
+    /// up, and the slot table stays at listener + one client slot,
+    /// because a closed connection's slot is reused. Then the node dies:
+    /// its listener still accepts, but drops the connection unserved —
+    /// the client reads EOF — and allocates no slot for it.
+    #[test]
+    fn closed_connections_reuse_their_slot_and_a_dead_node_accepts_then_drops() {
+        let cfg = ClusterConfig { servers_per_rack: 1, partitions: 16, ..ClusterConfig::default() };
+        let pipeline = control_plane(&cfg, &FaultPlan::default()).unwrap();
+        let nodes = pipeline.topology().server_count();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stores = (0..nodes).map(|_| NodeStore::new()).collect();
+        let shared = Arc::new(Shared::new(false, &pipeline, stores, vec![addr; nodes]));
+        let mut reactor =
+            Reactor::new(Arc::clone(&shared), vec![(0, listener)], Waker::new().unwrap()).unwrap();
+
+        // A key node 0 holds a replica of: its get is answered locally,
+        // so no peer channel takes a slot.
+        let on_node_0 = |k: &u64| {
+            shared.route(partition_of(*k, shared.partitions)).iter().any(|s| s.index() == 0)
+        };
+        let key = (0..).find(on_node_0).unwrap();
+        shared.stores[0].put(key, 1, b"v");
+        let get = Frame::Get { key }.encode();
+        let ack = Frame::Ack { status: AckStatus::Ok, seq: 1, value: b"v".to_vec() }.encode();
+        let served = |r: &Reactor| {
+            r.entries.iter().any(|e| {
+                matches!(e, Some(Entry::Client(c))
+                    if c.next_op_seq == 1 && c.pending.is_empty() && c.wq.is_empty())
+            })
+        };
+
+        for round in 0..200 {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            client.write_all(&get).unwrap();
+            pump_until(&mut reactor, served);
+            let mut got = vec![0u8; ack.len()];
+            client.read_exact(&mut got).unwrap();
+            assert_eq!(got, ack, "round {round}");
+            drop(client);
+            pump_until(&mut reactor, |r| open_clients(r) == 0);
+            assert_eq!((reactor.entries.len(), reactor.free.len()), (2, 1), "round {round}");
+        }
+        assert_eq!(reactor.gen_seq, 200, "one slot allocation per connection");
+
+        shared.alive[0].store(false, Ordering::Release);
+        let client = TcpStream::connect(addr).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 64];
+        pump_until(&mut reactor, |_| match (&client).read(&mut buf) {
+            Ok(0) => true,
+            Ok(n) => panic!("a dead node sent {n} bytes"),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+            Err(e) => panic!("expected EOF from a dead node, got {e}"),
+        });
+        assert_eq!(reactor.gen_seq, 200, "a dead node allocates no slot");
+        assert_eq!((reactor.entries.len(), reactor.free.len()), (2, 1));
+    }
 
     /// Fail-stop through the overlapped commit. A turn owes six shards
     /// and holds an ack in a client's write queue; one shard's commit

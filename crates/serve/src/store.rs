@@ -18,23 +18,30 @@
 //! everything pending on a shard with one write and one policy sync.
 //! [`NodeStore::put`] and [`NodeStore::merge`] do both before they
 //! return ("logged before return": the control loop and outside
-//! callers). The data planes call the halves separately: they buffer a
-//! turn's puts and commit each dirtied shard once before any of the
-//! turn's replies is sent — a reactor's event-loop turn with its shards
-//! concurrent, one [`NodeStore::commit_log`] per sync worker job,
-//! checkpoints after; a threaded handler's one request — so an ack
-//! still means "flushed on every live replica" (see the durability
-//! contract in [`crate::wal`]). Between the halves a write is readable
-//! but not durable — the read-uncommitted window.
+//! callers). The data plane calls the halves separately through
+//! `TurnCommits`: it buffers a reactor turn's puts and commits each
+//! dirtied shard once before any of the turn's replies is sent — the
+//! turn's shards concurrently, one [`NodeStore::commit_log`] per sync
+//! worker job, checkpoints after — so an ack still means "flushed on
+//! every live replica" (see the durability contract in [`crate::wal`]).
+//! Between the halves a write is readable but not durable — the
+//! read-uncommitted window.
 //!
 //! Lock order is WAL shard → store map, everywhere (put, merge,
 //! commit's checkpoint, replay), so the paths cannot deadlock.
 
 use crate::wal::{NodeWal, PersistenceConfig, RecordSink, StorageStats};
+use rfh_pool::WorkerPool;
 use rfh_ring::splitmix64;
 use rfh_types::{PartitionId, Result as RfhResult, RfhError};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// Sync workers per reactor thread. Throughput is flat past this: the
+/// kernel folds concurrent `fdatasync`s into shared journal commits.
+const SYNC_WORKERS: usize = 8;
 
 /// The partition a key belongs to. Hash-distributes the key space over
 /// `partitions` buckets.
@@ -249,9 +256,79 @@ impl NodeStore {
     }
 }
 
+/// The WAL shards a turn — one reactor event-loop pass — has buffered
+/// puts on and still owes a commit: `(node, shard)` pairs, a few dozen
+/// at most. No ack may reach a socket while this is non-empty.
+#[derive(Default)]
+pub(crate) struct TurnCommits {
+    shards: Vec<(usize, usize)>,
+    /// This reactor's sync workers, spawned by the first turn that owes
+    /// more than one shard — never on a cluster without a WAL. One pool
+    /// per reactor: `WorkerPool::run` admits one batch at a time.
+    pool: Option<WorkerPool>,
+}
+
+impl TurnCommits {
+    /// Apply a replica write to `node`'s store, buffering its log
+    /// record and noting the shard for [`commit`](Self::commit).
+    pub fn put(&mut self, stores: &[NodeStore], node: usize, key: u64, seq: u64, value: &[u8]) {
+        if let (_, Some(shard)) = stores[node].put_buffered(key, seq, value) {
+            if !self.shards.contains(&(node, shard)) {
+                self.shards.push((node, shard));
+            }
+        }
+    }
+
+    /// Whether nothing is owed.
+    pub fn is_empty(&self) -> bool {
+        self.shards.is_empty()
+    }
+
+    /// One write and one policy sync per noted shard, all shards at
+    /// once: returns when the last of them has landed, so the turn
+    /// waits for about one sync, not their sum. Each job takes its
+    /// shard's lock on the worker and holds no other, so two reactors
+    /// committing the same shards cannot deadlock; a commit that fails
+    /// panics on its worker and the pool re-raises it here once the
+    /// batch has drained, which keeps WAL I/O errors fail-stop.
+    /// Checkpoints that fall due are written on this thread after the
+    /// barrier: a worker that allocates a checkpoint's buffers grows a
+    /// malloc arena of its own. A lone shard commits on this thread.
+    pub fn commit(&mut self, stores: &[NodeStore]) {
+        let Some(&(lead, _)) = self.shards.first() else {
+            return;
+        };
+        let t0 = Instant::now();
+        if let [(node, shard)] = self.shards[..] {
+            stores[node].commit(shard);
+        } else {
+            let mut due = vec![false; self.shards.len()];
+            let jobs = (self.shards.iter().zip(&mut due))
+                .map(|(&(node, shard), due)| {
+                    Box::new(move || *due = stores[node].commit_log(shard)) as Box<_>
+                })
+                .collect();
+            self.pool.get_or_insert_with(|| WorkerPool::named("rfh-sync", SYNC_WORKERS)).run(jobs);
+            for (&(node, shard), _) in self.shards.iter().zip(due).filter(|&(_, due)| due) {
+                stores[node].commit(shard);
+            }
+        }
+        if let Some(stats) = stores[lead].storage() {
+            stats.commit_batches.fetch_add(1, Ordering::Relaxed);
+            stats.commit_batch_shards.fetch_add(self.shards.len() as u64, Ordering::Relaxed);
+            stats.commit_batch_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        }
+        // Only now: a commit that unwinds is still owed.
+        self.shards.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{FsyncPolicy, StorageSnapshot};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn partition_of_is_stable_and_in_range() {
@@ -364,7 +441,7 @@ mod tests {
     #[test]
     fn merge_commits_once_per_shard_not_once_per_entry() {
         let cfg = PersistenceConfig {
-            fsync: crate::wal::FsyncPolicy::Always,
+            fsync: FsyncPolicy::Always,
             range_shards: 2,
             ..scratch_cfg("merge")
         };
@@ -404,6 +481,156 @@ mod tests {
         assert_eq!(appended, 1, "the stale write changed nothing and cost no log bytes");
         s.restart_from_disk().unwrap();
         assert_eq!(s.get(5).unwrap().seq, 9);
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    /// `nodes` fresh durable stores: `fsync = always`, 2 shards each,
+    /// a checkpoint every 8 records so that turns cross that path too.
+    fn durable_stores(tag: &str, nodes: usize) -> (PersistenceConfig, Vec<NodeStore>) {
+        let cfg = PersistenceConfig {
+            fsync: FsyncPolicy::Always,
+            checkpoint_every: 8,
+            ..scratch_cfg(tag)
+        };
+        let stores = (0..nodes).map(|n| NodeStore::durable(&cfg, n).unwrap()).collect();
+        (cfg, stores)
+    }
+
+    fn storage_sum(stores: &[NodeStore]) -> StorageSnapshot {
+        let mut sum = StorageSnapshot::default();
+        for s in stores {
+            sum.add(s.storage().expect("durable").snapshot());
+        }
+        sum
+    }
+
+    /// A turn over 3 nodes × 2 shards costs what the serial loop cost —
+    /// one sync per dirtied shard — in one batch, and every record it
+    /// buffered is on disk when `commit` returns.
+    #[test]
+    fn a_turns_commit_syncs_every_dirtied_shard_once_and_all_records_land() {
+        let (cfg, stores) = durable_stores("batch", 3);
+        let mut turn = TurnCommits::default();
+        // A lone shard is a batch of one, committed on this thread.
+        turn.put(&stores, 1, 7, 1, b"lone");
+        turn.commit(&stores);
+        let sum = storage_sum(&stores);
+        assert_eq!((sum.fsyncs, sum.commit_batches, sum.commit_batch_shards), (1, 1, 1), "{sum:?}");
+        assert!(turn.pool.is_none(), "one shard needs no worker");
+
+        for node in 0..3 {
+            for key in 0..40u64 {
+                turn.put(&stores, node, key, key + 2, &key.to_le_bytes());
+            }
+        }
+        assert_eq!(turn.shards.len(), 6, "40 keys reach both range shards of every node");
+        turn.commit(&stores);
+        assert!(turn.is_empty());
+        assert!(turn.pool.is_some());
+        let sum = storage_sum(&stores);
+        assert_eq!((sum.fsyncs, sum.commits, sum.records_appended), (7, 7, 121), "{sum:?}");
+        assert_eq!((sum.commit_batches, sum.commit_batch_shards), (2, 7), "{sum:?}");
+        assert_eq!(sum.checkpoints_written, 6, "each shard took ≥ 8 records: {sum:?}");
+
+        drop(stores);
+        for node in 0..3 {
+            let reopened = NodeStore::durable(&cfg, node).unwrap();
+            assert_eq!(reopened.len(), 40, "node {node}");
+            for key in 0..40u64 {
+                let want = Versioned { seq: key + 2, value: key.to_le_bytes().to_vec() };
+                assert_eq!(reopened.get(key), Some(want), "node {node} key {key}");
+            }
+        }
+        std::fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    /// With the WAL off a turn owes nothing, so it never has workers.
+    #[test]
+    fn memory_stores_owe_no_commit_and_spawn_no_sync_worker() {
+        let stores = [NodeStore::new(), NodeStore::new()];
+        let mut turn = TurnCommits::default();
+        for key in 0..40u64 {
+            turn.put(&stores, (key % 2) as usize, key, 1, b"v");
+        }
+        assert!(turn.is_empty());
+        turn.commit(&stores);
+        assert!(turn.pool.is_none());
+        assert_eq!(stores[0].len() + stores[1].len(), 40);
+    }
+
+    /// Two reactors' worth of turns, each with its own pool, dirty the
+    /// same four shards in opposite first-touch order and commit at the
+    /// same moment, 1 000 times. Jobs lock one shard each, on the
+    /// worker, so no order of touching can deadlock them — and every
+    /// record of every round must be on disk at the end.
+    #[test]
+    fn opposite_touch_orders_on_shared_shards_neither_deadlock_nor_lose_writes() {
+        const ROUNDS: u64 = 1_000;
+        let (cfg, stores) = durable_stores("order", 2);
+        // Two keys per range shard, one for each thread (the shard of a
+        // key is the same on every node).
+        let mut keys: [Vec<u64>; 2] = Default::default();
+        for key in 0.. {
+            let (_, shard) = stores[0].put_buffered(key, 0, b"");
+            let of_shard = &mut keys[shard.expect("durable")];
+            if of_shard.len() < 2 {
+                of_shard.push(key);
+            }
+            if keys.iter().all(|k| k.len() == 2) {
+                break;
+            }
+        }
+        let mine = |t: usize| [keys[0][t], keys[1][t]];
+
+        // Plain threads, not a scope: a scope would wait for the very
+        // threads whose deadlock the timeout is there to report.
+        let stores = Arc::new(stores);
+        let start = Arc::new(Barrier::new(2));
+        let (done_tx, done_rx) = mpsc::channel();
+        let threads: Vec<_> = (0..2)
+            .map(|t| {
+                let (stores, start, done_tx) = (stores.clone(), start.clone(), done_tx.clone());
+                let mut touches: Vec<(usize, u64)> =
+                    (0..2).flat_map(|node| mine(t).map(|key| (node, key))).collect();
+                if t == 1 {
+                    touches.reverse();
+                }
+                std::thread::spawn(move || {
+                    let mut turn = TurnCommits::default();
+                    for round in 1..=ROUNDS {
+                        for &(node, key) in &touches {
+                            turn.put(&stores, node, key, round, &round.to_le_bytes());
+                        }
+                        start.wait();
+                        turn.commit(&stores);
+                        assert!(turn.is_empty());
+                    }
+                    done_tx.send(()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("two turns committing the same shards deadlocked");
+        }
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        let stores = Arc::into_inner(stores).expect("both threads joined");
+
+        let sum = storage_sum(&stores);
+        assert_eq!(sum.commit_batches, 2 * ROUNDS);
+        assert_eq!(sum.commit_batch_shards, 2 * ROUNDS * 4);
+        assert!(sum.checkpoints_written >= ROUNDS / 2, "{sum:?}");
+        drop(stores);
+        for node in 0..2 {
+            let reopened = NodeStore::durable(&cfg, node).unwrap();
+            for t in 0..2 {
+                for key in mine(t) {
+                    let want = Versioned { seq: ROUNDS, value: ROUNDS.to_le_bytes().to_vec() };
+                    assert_eq!(reopened.get(key), Some(want), "node {node} key {key}");
+                }
+            }
+        }
         std::fs::remove_dir_all(&cfg.dir).unwrap();
     }
 }

@@ -1,17 +1,17 @@
 //! The serve telemetry plane: server-side phase histograms, the
 //! controller's time-series ring, and the `rfh watch` dashboard model.
 //!
-//! Everything here is measured **where the work happens** — in the node
-//! threads and the control loop — not at the client. Per request the
+//! Everything here is measured **where the work happens** — in the
+//! reactor threads and the control loop — not at the client. Per request the
 //! data plane records three phases:
 //!
 //! * **queue** — time a put spent deferred behind an odd route epoch
-//!   (its partition mid-transfer), on both data planes,
+//!   (its partition mid-transfer),
 //! * **forward** — summed peer round-trips issued by the coordinator,
 //! * **handle** — everything else (local store work, framing).
 //!
 //! Recording is mutex-sharded: each connection hashes onto one of
-//! [`TELEMETRY_SHARDS`] shards, so concurrent handlers rarely contend
+//! [`TELEMETRY_SHARDS`] shards, so concurrent reactors rarely contend
 //! on the same lock. Request counters and per-partition hit counters
 //! are plain relaxed atomics. With telemetry disabled no shard exists
 //! and the per-request cost is one branch.

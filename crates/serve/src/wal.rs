@@ -63,16 +63,15 @@
 //!
 //! Who commits when:
 //!
-//! * Both data planes buffer every replica write of a *turn* — the
+//! * The data plane buffers every replica write of a *turn* — the
 //!   coordinator's local write and every `ForwardPut` served — and
-//!   commit each shard it dirtied once before any reply of the turn
-//!   reaches a socket. A reactor turn is one event-loop pass, whose
+//!   commits each shard it dirtied once before any reply of the turn
+//!   reaches a socket. A turn is one reactor event-loop pass, whose
 //!   shards commit concurrently on its sync workers after the turn's
 //!   events and before its socket flush, while the turn's acks still
-//!   sit in write queues; a threaded handler's turn is one request,
-//!   committed before its reply is sent. So **no ack, client or
-//!   forward, is written to a socket before every record its put
-//!   caused on this node is written and synced per policy**. Forward
+//!   sit in write queues. So **no ack, client or forward, is written
+//!   to a socket before every record its put caused on this node is
+//!   written and synced per policy**. Forward
 //!   *requests* carry no acknowledgement and may leave before the
 //!   commit.
 //! * Everything else — `NodeStore::put` called from outside, `merge` —
@@ -310,8 +309,8 @@ pub struct StorageStats {
     /// Microseconds inside `fdatasync` alone (policy syncs and
     /// rotation's; checkpoint files excluded), summed like `commit_us`.
     pub sync_us: AtomicU64,
-    /// Turn commits (a reactor's event-loop pass, a threaded handler's
-    /// request): one per turn that owed any shard a commit.
+    /// Turn commits (one per reactor event-loop pass that owed any
+    /// shard a commit).
     /// The three `commit_batch_*` counters of a turn land on the node
     /// whose shard leads the batch, so they are exact summed over the
     /// cluster and a sample per node.

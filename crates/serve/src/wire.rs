@@ -373,26 +373,6 @@ impl<S: Read + Write> Conn<S> {
             }
         }
     }
-
-    /// Send a request and block for its single [`Frame::Ack`].
-    pub fn roundtrip(&mut self, frame: &Frame) -> io::Result<Frame> {
-        self.roundtrip_traced(frame, None).map(|(ack, _)| ack)
-    }
-
-    /// Send a request stamped with `op_id` and block for its single
-    /// [`Frame::Ack`], returning the op-ID the ack echoed back.
-    pub fn roundtrip_traced(
-        &mut self,
-        frame: &Frame,
-        op_id: Option<u64>,
-    ) -> io::Result<(Frame, Option<u64>)> {
-        self.send_traced(frame, op_id)?;
-        match self.recv_envelope()? {
-            Some((ack @ Frame::Ack { .. }, echoed)) => Ok((ack, echoed)),
-            Some((other, _)) => Err(bad(format!("expected an ack, got {other:?}"))),
-            None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before ack")),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 
 use rfh_faults::FaultPlan;
 use rfh_serve::{
-    run_loadgen, ArrivalMode, Cluster, ClusterConfig, DataPlane, GetOutcome, LoadGenConfig,
-    PersistenceConfig, ServeClient,
+    run_loadgen, ArrivalMode, Cluster, ClusterConfig, GetOutcome, LoadGenConfig, PersistenceConfig,
+    ServeClient,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -27,7 +27,6 @@ fn durable_cluster(dir: &Path) -> ClusterConfig {
         threads: 1,
         telemetry: true,
         persistence: Some(PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())),
-        data_plane: DataPlane::Reactor,
         ..ClusterConfig::default()
     }
 }
@@ -54,16 +53,14 @@ fn small_load(ops: u64) -> LoadGenConfig {
 
 /// The restart verb under live load: SIGKILL-equivalent at tick 3,
 /// relaunch two ticks later replaying the node's log. No acked write
-/// may be lost, and the replay must actually recover records — on
-/// both data planes, since each commits its replica writes through
-/// the same turn before replying.
-fn kill_then_restart_on(plane: DataPlane) {
-    let dir = scratch_dir(&format!("restart-{plane:?}"));
+/// may be lost, and the replay must actually recover records.
+#[test]
+fn kill_then_restart_replays_the_log_without_losing_acked_writes() {
+    let dir = scratch_dir("restart");
     let plan =
         FaultPlan::from_toml_str("[[at]]\nepoch = 3\nfail_servers = [5]\nrestart_after = 2\n")
             .unwrap();
-    let cfg = ClusterConfig { data_plane: plane, ..durable_cluster(&dir) };
-    let cluster = Cluster::start(&cfg, plan).unwrap();
+    let cluster = Cluster::start(&durable_cluster(&dir), plan).unwrap();
     let report = run_loadgen(&small_load(1_200), cluster.node_infos()).unwrap();
     // Let the restart tick run before tearing down.
     std::thread::sleep(std::time::Duration::from_millis(400));
@@ -90,16 +87,6 @@ fn kill_then_restart_on(plane: DataPlane) {
     assert_eq!(summary.invariant_violations, 0, "auditor findings:\n{}", summary.render());
 
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn kill_then_restart_replays_the_log_without_losing_acked_writes() {
-    kill_then_restart_on(DataPlane::Reactor);
-}
-
-#[test]
-fn threaded_plane_kill_then_restart_replays_the_log_without_losing_acked_writes() {
-    kill_then_restart_on(DataPlane::Threaded);
 }
 
 /// Whole-cluster crash: stop every node, relaunch over the same data

@@ -1,16 +1,14 @@
 //! End-to-end smoke tests: a real loopback cluster served by the
 //! online RFH control loop, driven by the load generator, with and
 //! without chaos. The headline assertion everywhere: **zero lost
-//! acknowledged writes** — proven on both data planes, since the
-//! threaded plane is the differential baseline for the reactor.
+//! acknowledged writes**.
 
 use rfh_faults::FaultPlan;
 use rfh_serve::{
-    run_loadgen, ArrivalMode, Cluster, ClusterConfig, DataPlane, GetOutcome, LoadGenConfig,
-    ServeClient,
+    run_loadgen, ArrivalMode, Cluster, ClusterConfig, GetOutcome, LoadGenConfig, ServeClient,
 };
 
-fn small_cluster(plane: DataPlane) -> ClusterConfig {
+fn small_cluster() -> ClusterConfig {
     ClusterConfig {
         servers_per_rack: 1, // 10 DCs × 2 racks × 1 = 20 nodes
         partitions: 16,
@@ -20,7 +18,6 @@ fn small_cluster(plane: DataPlane) -> ClusterConfig {
         threads: 1,
         telemetry: true,
         persistence: None,
-        data_plane: plane,
         ..ClusterConfig::default()
     }
 }
@@ -42,10 +39,9 @@ fn small_load(ops: u64) -> LoadGenConfig {
 }
 
 /// Healthy-cluster workload: every op completes, every acked write is
-/// readable, and the control loop's summary is clean. Run under both
-/// planes so their externally visible outputs stay interchangeable.
-fn no_loss_on(plane: DataPlane, pipeline: u64) {
-    let cluster = Cluster::start(&small_cluster(plane), FaultPlan::default()).unwrap();
+/// readable, and the control loop's summary is clean.
+fn no_loss_on(pipeline: u64) {
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let cfg = LoadGenConfig { pipeline, ..small_load(600) };
     let report = run_loadgen(&cfg, cluster.node_infos()).unwrap();
     let summary = cluster.shutdown().unwrap();
@@ -66,29 +62,17 @@ fn no_loss_on(plane: DataPlane, pipeline: u64) {
 
 #[test]
 fn serves_reads_and_writes_without_loss() {
-    no_loss_on(DataPlane::Reactor, 1);
-}
-
-#[test]
-fn threaded_plane_serves_reads_and_writes_without_loss() {
-    no_loss_on(DataPlane::Threaded, 1);
+    no_loss_on(1);
 }
 
 #[test]
 fn pipelined_closed_loop_loses_nothing() {
-    no_loss_on(DataPlane::Reactor, 8);
-}
-
-#[test]
-fn threaded_plane_accepts_pipelined_clients() {
-    // The pipelined client is plane-agnostic: the threaded plane's
-    // per-connection handler serves frames in arrival order too.
-    no_loss_on(DataPlane::Threaded, 4);
+    no_loss_on(8);
 }
 
 #[test]
 fn open_loop_mode_measures_latency() {
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let cfg = LoadGenConfig {
         mode: ArrivalMode::Open,
         workers: 2,
@@ -105,11 +89,10 @@ fn open_loop_mode_measures_latency() {
 }
 
 /// Kill one server two ticks in (≈100 ms with a 50 ms interval), while
-/// the load generator is still writing. Zero acked writes may be lost
-/// on either plane — both drive the same route-epoch validation.
-fn kill_without_loss_on(plane: DataPlane, pipeline: u64) {
+/// the load generator is still writing. Zero acked writes may be lost.
+fn kill_without_loss_on(pipeline: u64) {
     let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 2\nfail_servers = [5]\n").unwrap();
-    let cluster = Cluster::start(&small_cluster(plane), plan).unwrap();
+    let cluster = Cluster::start(&small_cluster(), plan).unwrap();
     // Deeper pipelines drain the op budget much faster; scale it so the
     // workload still overlaps the kill at tick 2 (≈100 ms in).
     let cfg = LoadGenConfig { pipeline, ..small_load(1_200 * pipeline.max(1)) };
@@ -128,17 +111,12 @@ fn kill_without_loss_on(plane: DataPlane, pipeline: u64) {
 
 #[test]
 fn survives_a_server_kill_without_losing_acked_writes() {
-    kill_without_loss_on(DataPlane::Reactor, 1);
-}
-
-#[test]
-fn threaded_plane_survives_a_server_kill() {
-    kill_without_loss_on(DataPlane::Threaded, 1);
+    kill_without_loss_on(1);
 }
 
 #[test]
 fn pipelined_load_survives_a_server_kill() {
-    kill_without_loss_on(DataPlane::Reactor, 8);
+    kill_without_loss_on(8);
 }
 
 /// A plan file naming a server the topology does not have must not be
@@ -147,7 +125,7 @@ fn pipelined_load_survives_a_server_kill() {
 #[test]
 fn a_fault_plan_naming_an_unknown_server_is_surfaced_and_serving_continues() {
     let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 1\nfail_servers = [9999]\n").unwrap();
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), plan).unwrap();
+    let cluster = Cluster::start(&small_cluster(), plan).unwrap();
     // Let the bad epoch tick first, so the whole workload runs after it.
     while cluster.timeline().len() < 3 {
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -176,7 +154,7 @@ fn a_fault_plan_naming_an_unknown_server_is_surfaced_and_serving_continues() {
 fn data_survives_across_direct_client_use() {
     // Drive the client API directly (not through the load generator):
     // write through one datacenter, read through another.
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let nodes = cluster.node_infos().to_vec();
     let mut writer = ServeClient::new(&nodes, 0, 0).unwrap();
     let mut reader = ServeClient::new(&nodes, 7, 0).unwrap();
@@ -199,10 +177,10 @@ fn data_survives_across_direct_client_use() {
 
 /// Depth-1 wire compatibility: the plain blocking client (the legacy
 /// protocol, one frame outstanding) works unchanged against the
-/// reactor plane, and cross-plane data round-trips byte-identically.
+/// reactor plane, and its data round-trips byte-identically.
 #[test]
 fn legacy_client_is_wire_compatible_with_the_reactor_plane() {
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let nodes = cluster.node_infos().to_vec();
     let mut c = ServeClient::new(&nodes, 3, 0).unwrap();
     c.put(99, 5, b"depth-one").unwrap();
@@ -218,7 +196,7 @@ fn legacy_client_is_wire_compatible_with_the_reactor_plane() {
 
 #[test]
 fn addr_file_roundtrips_through_client_parser() {
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let text = cluster.render_addr_file();
     let parsed = ServeClient::parse_addr_file(&text).unwrap();
     assert_eq!(parsed, cluster.node_infos());

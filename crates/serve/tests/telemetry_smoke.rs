@@ -4,15 +4,11 @@
 
 use rfh_faults::FaultPlan;
 use rfh_serve::{
-    http, render_dashboard, run_loadgen_with, ArrivalMode, Cluster, ClusterConfig, DataPlane,
-    LoadGenConfig, TelemetryRing,
+    http, render_dashboard, run_loadgen_with, ArrivalMode, Cluster, ClusterConfig, LoadGenConfig,
+    TelemetryRing,
 };
 
 fn small_cluster(telemetry: bool) -> ClusterConfig {
-    plane_cluster(telemetry, DataPlane::Reactor)
-}
-
-fn plane_cluster(telemetry: bool, plane: DataPlane) -> ClusterConfig {
     ClusterConfig {
         servers_per_rack: 1, // 10 DCs × 2 racks × 1 = 20 nodes
         partitions: 16,
@@ -22,7 +18,6 @@ fn plane_cluster(telemetry: bool, plane: DataPlane) -> ClusterConfig {
         threads: 1,
         telemetry,
         persistence: None,
-        data_plane: plane,
         ..ClusterConfig::default()
     }
 }
@@ -133,12 +128,11 @@ fn metrics_endpoints_serve_required_series_and_stay_monotone() {
 }
 
 /// Trace every op and demand at least one complete
-/// client → coordinate → forward span chain. Parameterized over the
-/// data plane (and pipeline depth) because the reactor records the
-/// same spans from event-loop callbacks that the threaded plane
-/// records inline — the chains must look identical.
-fn span_chains_on(plane: DataPlane, pipeline: u64) {
-    let cluster = Cluster::start(&plane_cluster(true, plane), FaultPlan::default()).unwrap();
+/// client → coordinate → forward span chain, at the given pipeline
+/// depth: the reactor records the spans from event-loop callbacks, and
+/// a deep pipeline must not tangle the chains.
+fn span_chains_on(pipeline: u64) {
+    let cluster = Cluster::start(&small_cluster(true), FaultPlan::default()).unwrap();
     let spans = cluster.span_log();
     // Trace every op: with r_min-replicated partitions on a 20-node
     // cluster, coordinated puts always forward to peer replicas.
@@ -178,17 +172,12 @@ fn span_chains_on(plane: DataPlane, pipeline: u64) {
 
 #[test]
 fn traced_puts_yield_complete_span_chains() {
-    span_chains_on(DataPlane::Reactor, 1);
-}
-
-#[test]
-fn threaded_plane_yields_identical_span_chains() {
-    span_chains_on(DataPlane::Threaded, 1);
+    span_chains_on(1);
 }
 
 #[test]
 fn pipelined_traced_ops_keep_their_span_chains() {
-    span_chains_on(DataPlane::Reactor, 8);
+    span_chains_on(8);
 }
 
 #[test]
