@@ -142,6 +142,16 @@ impl ReplicaManager {
         self.migr_out.fill(0);
     }
 
+    /// Bytes of heap the replica map holds, by allocation capacity.
+    /// O(partitions): meant for occasional collection, not every epoch.
+    pub fn heap_bytes(&self) -> usize {
+        let sets = self.replica_sets.capacity() * std::mem::size_of::<Vec<ServerId>>()
+            + self.replica_sets.iter().map(|set| set.capacity()).sum::<usize>()
+                * std::mem::size_of::<ServerId>();
+        sets + self.storage_used.capacity() * std::mem::size_of::<Bytes>()
+            + (self.repl_out.capacity() + self.migr_out.capacity()) * std::mem::size_of::<u64>()
+    }
+
     /// Apply a WAN bandwidth cut: scale the per-epoch replication and
     /// migration budgets by factors in (0, 1]. `(1.0, 1.0)` restores
     /// the healthy backbone. Values outside (0, 1] are clamped.

@@ -102,6 +102,12 @@ pub trait ReplicationPolicy {
     /// agent overrides it to corrupt its WAN transport.
     fn set_message_loss(&mut self, _probability: f64) {}
 
+    /// Bytes of heap the policy's own state holds, by allocation
+    /// capacity. The default (stateless policies) is zero.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+
     /// Whether partition `p` must stay in the sparse engine's active set
     /// next epoch even if nobody queries it.
     ///

@@ -124,6 +124,11 @@ impl ReplicationPolicy for RequestOrientedPolicy {
         "Request"
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.rates.capacity() * std::mem::size_of::<f64>()
+            + self.stamps.capacity() * std::mem::size_of::<u64>()
+    }
+
     fn decide(&mut self, ctx: &EpochContext<'_>, manager: &ReplicaManager) -> Vec<Action> {
         match ctx.active {
             Some(active) => self.update_rates_active(ctx.load, active),

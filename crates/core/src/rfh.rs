@@ -123,6 +123,18 @@ pub trait TrafficView {
     }
 }
 
+/// Heap bytes of a std `HashMap`: its bucket array (one entry and one
+/// control byte per bucket, a power of two at most 8/7 of the capacity)
+/// plus a group of trailing control bytes.
+fn hash_map_bytes<K, V>(map: &std::collections::HashMap<K, V>) -> usize {
+    let buckets = match map.capacity() {
+        0 => return 0,
+        cap if cap < 8 => (cap + 1).next_power_of_two(),
+        cap => (cap * 8 / 7).next_power_of_two(),
+    };
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
+}
+
 /// The shared decision tree state-machine: grace periods, idle streaks,
 /// migration cooldowns, and the Fig. 2 logic itself — parameterized over
 /// a [`TrafficView`].
@@ -130,7 +142,12 @@ pub trait TrafficView {
 pub struct RfhDecisionCore {
     grace_epochs: u64,
     /// `(partition, server) → creation epoch` for grace tracking.
+    /// Entries past their grace are swept out (see
+    /// [`note_birth`](Self::note_birth)), so the map holds the births
+    /// of the last two grace periods at most.
     born: std::collections::HashMap<(u32, u32), u64>,
+    /// Epoch of the last sweep of `born`.
+    born_swept: u64,
     /// Per-partition migration cooldown (see [`MIGRATION_COOLDOWN`]).
     last_migration: std::collections::HashMap<u32, u64>,
     /// Consecutive epochs each replica has satisfied eq. 15 (see
@@ -144,9 +161,17 @@ impl RfhDecisionCore {
         RfhDecisionCore {
             grace_epochs,
             born: std::collections::HashMap::new(),
+            born_swept: 0,
             last_migration: std::collections::HashMap::new(),
             idle_streak: std::collections::HashMap::new(),
         }
+    }
+
+    /// Bytes of heap the decision state holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        hash_map_bytes(&self.born)
+            + hash_map_bytes(&self.last_migration)
+            + hash_map_bytes(&self.idle_streak)
     }
 
     fn in_grace(&self, epoch: Epoch, p: PartitionId, s: ServerId) -> bool {
@@ -154,6 +179,17 @@ impl RfhDecisionCore {
     }
 
     fn note_birth(&mut self, epoch: Epoch, actions: &[Action]) {
+        // Forget births whose grace has run out, including those of
+        // replicas pruned off dead servers. `in_grace` reads a missing
+        // entry exactly like an expired one, so this changes no
+        // decision; sweeping at most once per grace period keeps the
+        // O(born) scan amortised.
+        let now = epoch.raw();
+        if now >= self.born_swept + self.grace_epochs.max(1) {
+            let grace = self.grace_epochs;
+            self.born.retain(|_, &mut b| now < b + grace);
+            self.born_swept = now;
+        }
         for a in actions {
             match *a {
                 Action::Replicate { partition, target } => {
@@ -1005,6 +1041,10 @@ impl ReplicationPolicy for RfhPolicy {
         self.label()
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.core.heap_bytes()
+    }
+
     fn decide(&mut self, ctx: &EpochContext<'_>, manager: &ReplicaManager) -> Vec<Action> {
         let r_min =
             min_replica_count(ctx.config.failure_rate, ctx.config.min_availability) as usize;
@@ -1361,6 +1401,44 @@ mod tests {
             }
         }
         assert_eq!(manager.replica_count(p), 2, "healed WAN resumes eq. 15");
+    }
+
+    #[test]
+    fn born_keeps_only_births_still_in_grace() {
+        let grace = 5;
+        let mut core = RfhDecisionCore::new(grace);
+        let births = |from: u64, to: u64| (from..=to).map(|e| 1 + e % 3).sum::<u64>() as usize;
+        for e in 0..200u64 {
+            // 1–3 fresh replicas per epoch, none of them ever removed
+            // (as when prune_dead drops them behind the core's back).
+            let actions: Vec<Action> = (0..1 + e % 3)
+                .map(|k| Action::Replicate {
+                    partition: PartitionId::new((e * 3 + k) as u32),
+                    target: ServerId::new(k as u32),
+                })
+                .collect();
+            core.note_birth(Epoch(e), &actions);
+            // Right after a sweep, exactly the births of the last grace
+            // period survive; between sweeps, at most two periods' worth.
+            let swept = core.born_swept == e && e > 0;
+            let window = if swept { grace } else { 2 * grace };
+            let bound = births(e.saturating_sub(window - 1), e);
+            assert!(core.born.len() <= bound, "epoch {e}: {} > {bound}", core.born.len());
+            if swept {
+                assert_eq!(core.born.len(), bound, "epoch {e}: a sweep keeps the in-grace births");
+            }
+        }
+        assert!(core.born_swept >= 195, "sweeps keep running");
+        // Grace 0 protects nothing, so nothing outlives its epoch.
+        let mut core = RfhDecisionCore::new(0);
+        for e in 0..10u64 {
+            let a = Action::Replicate {
+                partition: PartitionId::new(e as u32),
+                target: ServerId::new(0),
+            };
+            core.note_birth(Epoch(e), &[a]);
+            assert_eq!(core.born.len(), 1);
+        }
     }
 
     #[test]

@@ -123,6 +123,17 @@ impl InvariantAuditor {
         }
     }
 
+    /// Bytes of heap the auditor holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.armed.capacity()
+            + self.stuck_reported.capacity()
+            + self.under_since.capacity() * std::mem::size_of::<Option<u64>>()
+            + self.violations.capacity() * std::mem::size_of::<Violation>()
+            + self.violations.iter().map(|v| v.detail.capacity()).sum::<usize>()
+            + self.scratch.capacity() * std::mem::size_of::<ServerId>()
+            + (self.watch.capacity() + self.watch_spare.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Record that a fault hit the cluster at `epoch`: injected
     /// failures, link cuts, or scripted workload events. Excuses
     /// under-replication dips near this epoch and restarts the repair

@@ -242,33 +242,18 @@ pub fn recovery_epochs(metrics: &Metrics, fail_epoch: u64, tolerance: f64) -> Op
 }
 
 /// Compute the mean replica utilization of eq. (23) for one epoch:
-/// every `(partition, server)` pair that hosts replica capacity
-/// contributes `min(1, served / capacity)`; the mean is over replicas.
+/// every replica slot (a server hosting capacity for a partition)
+/// contributes `min(1, served / capacity)`; the mean is over slots.
+/// `accounts` must come from a pass over `view`.
 pub fn mean_utilization(view: &PlacementView, accounts: &TrafficAccounts) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for p_idx in 0..view.partitions() {
-        let p = PartitionId::new(p_idx);
-        let served = accounts.served(p);
-        for s in view.replica_servers(p) {
-            let cap = view.capacity(p, s);
-            debug_assert!(cap > 0.0);
-            total += (served[s.index()] / cap).min(1.0);
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
+    utilization_over(view, accounts, (0..view.partitions()).map(PartitionId::new))
 }
 
 /// [`mean_utilization`] over a sparse active set: only the replicas of
 /// `active` partitions can have served anything this epoch, so every
 /// skipped replica contributes an exact `+0.0` term to the numerator —
 /// the additive identity on this non-negative accumulator — while the
-/// denominator comes from the view's O(1) cell counter. Bit-identical
+/// denominator comes from the view's O(1) slot counter. Bit-identical
 /// to the dense scan whenever the sparse invariant holds (every
 /// partition with served traffic is in `active`, ascending).
 pub fn mean_utilization_active(
@@ -276,21 +261,27 @@ pub fn mean_utilization_active(
     accounts: &TrafficAccounts,
     active: &[u32],
 ) -> f64 {
+    utilization_over(view, accounts, active.iter().map(|&p| PartitionId::new(p)))
+}
+
+/// Utilization terms of `parts`' slots (partitions in the given order,
+/// slots in ascending server order) over every slot of the view.
+fn utilization_over(
+    view: &PlacementView,
+    accounts: &TrafficAccounts,
+    parts: impl Iterator<Item = PartitionId>,
+) -> f64 {
     let mut total = 0.0;
-    for &pu in active {
-        let p = PartitionId::new(pu);
-        let served = accounts.served(p);
-        for s in view.replica_servers(p) {
-            let cap = view.capacity(p, s);
-            debug_assert!(cap > 0.0);
-            total += (served[s.index()] / cap).min(1.0);
+    for p in parts {
+        let (slots, served) = (view.slots(p), accounts.served(p));
+        debug_assert_eq!(slots.len(), served.len(), "accounts from a pass over another view");
+        for (slot, &served) in slots.iter().zip(served) {
+            total += (served / slot.capacity).min(1.0);
         }
     }
-    let count = view.nonzero_cells();
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
+    match view.slot_count() {
+        0 => 0.0,
+        count => total / count as f64,
     }
 }
 

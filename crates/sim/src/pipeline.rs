@@ -207,6 +207,9 @@ pub struct EpochPipeline {
     /// Per-phase epoch timer; disabled (one branch per phase) by default.
     pub(crate) profiler: Profiler,
     epoch: u64,
+    /// Heap bytes of the last query matrix [`Self::run_epoch`] read
+    /// (the caller owns it; kept for [`Self::heap_bytes_by_owner`]).
+    load_bytes: usize,
     /// Archive restores since the last snapshot: every one is a
     /// data-loss event; the retried ones also count as repairs.
     pending_data_loss: usize,
@@ -260,6 +263,7 @@ impl EpochPipeline {
             recorder: Arc::new(NullRecorder),
             profiler: Profiler::new(false),
             epoch: 0,
+            load_bytes: 0,
             pending_data_loss: 0,
             pending_repairs: 0,
             fault_shortfall: 0,
@@ -368,6 +372,27 @@ impl EpochPipeline {
         }
         registry.gauge(&format!("{prefix}.replicas_total"), self.manager.total_replicas() as f64);
         self.engine.stats().collect_metrics(registry);
+        for (owner, bytes) in self.heap_bytes_by_owner() {
+            registry.gauge(&format!("sim.bytes.{owner}"), bytes as f64);
+        }
+    }
+
+    /// The epoch state's heap, by owner, from allocation capacities:
+    /// the placement view, the traffic accounts, the rest of the
+    /// traffic engine, the smoother, the replica map, the last query
+    /// matrix, the auditor and the policy. Exported as `sim.bytes.*`
+    /// gauges by [`Self::collect_metrics`]. O(partitions).
+    fn heap_bytes_by_owner(&self) -> [(&'static str, usize); 8] {
+        [
+            ("view", self.view.heap_bytes()),
+            ("accounts", self.engine.accounts().heap_bytes()),
+            ("engine", self.engine.heap_bytes()),
+            ("smoother", self.smoother.heap_bytes()),
+            ("manager", self.manager.heap_bytes()),
+            ("load", self.load_bytes),
+            ("auditor", self.auditor.heap_bytes()),
+            ("policy", self.policy.heap_bytes()),
+        ]
     }
 
     /// Drive the fault plan for this epoch: inject what is due, follow
@@ -470,6 +495,7 @@ impl EpochPipeline {
     /// return its snapshot.
     pub fn run_epoch<H: EpochHost>(&mut self, load: &QueryLoad, host: &mut H) -> EpochSnapshot {
         let ev_t0 = self.profiler.start();
+        self.load_bytes = load.heap_bytes();
         self.retry_restores(host);
         self.manager.begin_epoch();
         // Chaos availability accounting, as the cluster stands entering

@@ -48,6 +48,13 @@ impl RouteTable {
         Self::default()
     }
 
+    /// Bytes of heap the table holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.hops.capacity() * std::mem::size_of::<DatacenterId>()
+            + self.cum_ms.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Refresh against `topo` if its generation has moved since the
     /// last build (always builds on first use). Returns whether a
     /// rebuild happened. All buffers are reused across rebuilds.

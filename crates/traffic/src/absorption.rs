@@ -18,6 +18,10 @@
 //! residual* — demand the current replica set cannot absorb, which is
 //! what drives the replication decisions.
 //!
+//! The pass records what each partition's replicas served per replica
+//! slot of the [`PlacementView`], not per server: a partition's served
+//! row is as long as its replica set.
+//!
 //! The pass also accounts response latency: a query's response time is
 //! one round trip from its requester datacenter to the datacenter that
 //! served it (link latencies from the topology), plus
@@ -30,6 +34,7 @@
 
 use crate::grid::Grid;
 use crate::placement::PlacementView;
+use crate::slots::{SlotRows, SlotRowsMut};
 use rfh_topology::Topology;
 use rfh_types::{DatacenterId, PartitionId, ServerId};
 use rfh_workload::QueryLoad;
@@ -42,10 +47,12 @@ pub const INTRA_DC_LATENCY_MS: f64 = 1.0;
 
 /// Everything the traffic pass learns about one epoch.
 ///
-/// The three per-cell accounts are partition-major and private: a
+/// The three per-partition accounts are partition-major and private: a
 /// partition's cells are read as one row ([`dc_traffic`](Self::dc_traffic),
 /// [`dc_outflow`](Self::dc_outflow), [`served`](Self::served)), so no
-/// caller spells the index arithmetic.
+/// caller spells the index arithmetic. The two per-datacenter rows are
+/// dense; the served row has one cell per replica slot of the
+/// [`PlacementView`] the pass read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficAccounts {
     /// Residual query flow arriving at each datacenter (`tr_ikt` summed
@@ -57,14 +64,14 @@ pub struct TrafficAccounts {
     /// of §I; zero at the terminal hop). Same shape as `dc_traffic`.
     dc_outflow: Grid,
     /// Queries actually served by replicas: one row per partition, one
-    /// cell per server.
-    served: Grid,
+    /// cell per replica slot, aligned with [`PlacementView::slots`].
+    served: SlotRows<f64>,
     /// Residual demand per partition that no replica (including the
     /// holder) could serve this epoch.
     pub unserved: Vec<f64>,
     /// Datacenter of each partition's holder at the time of the pass.
     ///
-    /// Dense passes rebuild every entry; sparse passes only re-assign
+    /// Dense passes rewrite every entry; sparse passes only re-assign
     /// the entries of active partitions (an inactive partition's holder
     /// cannot have moved since the pass that last wrote it, because
     /// every placement action marks its partition dirty).
@@ -92,7 +99,7 @@ impl TrafficAccounts {
         TrafficAccounts {
             dc_traffic: Grid::zeros(0, 0),
             dc_outflow: Grid::zeros(0, 0),
-            served: Grid::zeros(0, 0),
+            served: SlotRows::new(0),
             unserved: Vec::new(),
             holder_dc: Vec::new(),
             server_loads: Vec::new(),
@@ -104,17 +111,23 @@ impl TrafficAccounts {
         }
     }
 
-    /// Reshape for a fresh pass and zero every account, reusing all
-    /// backing allocations.
+    /// Reshape for a fresh pass and zero every account, reusing the
+    /// backing allocations. Served rows come back empty: the pass gives
+    /// each its slot count ([`align_served`](Self::align_served)).
     pub(crate) fn reset(&mut self, n_dcs: usize, n_parts: usize, n_servers: usize) {
         self.dc_traffic.reset(n_parts, n_dcs);
         self.dc_outflow.reset(n_parts, n_dcs);
-        self.served.reset(n_parts, n_servers);
+        self.served.reshape(n_parts);
         self.unserved.clear();
         self.unserved.resize(n_parts, 0.0);
         self.holder_dc.clear();
+        self.holder_dc.resize(n_parts, DatacenterId::new(0));
         self.server_loads.clear();
         self.server_loads.resize(n_servers, 0.0);
+        self.clear_totals();
+    }
+
+    fn clear_totals(&mut self) {
         self.hops_weighted = 0.0;
         self.latency_weighted_ms = 0.0;
         self.sla_within = 0.0;
@@ -127,7 +140,7 @@ impl TrafficAccounts {
     /// All other per-partition cells are already zero by the sparse
     /// invariant — a partition outside the active set carries no load —
     /// so this is equivalent to [`reset`](Self::reset) at the same shape
-    /// in O(prev × (datacenters + servers)) instead of O(partitions).
+    /// in O(prev × (datacenters + slots)) instead of O(partitions).
     /// `holder_dc` is deliberately left alone: it is a persistent map in
     /// sparse mode, not a per-pass account.
     pub(crate) fn clear_sparse(&mut self, prev: &[u32]) {
@@ -139,16 +152,25 @@ impl TrafficAccounts {
             self.unserved[p] = 0.0;
         }
         self.server_loads.fill(0.0);
-        self.hops_weighted = 0.0;
-        self.latency_weighted_ms = 0.0;
-        self.sla_within = 0.0;
-        self.served_total = 0.0;
-        self.unserved_total = 0.0;
+        self.clear_totals();
+    }
+
+    /// Give each of `parts`' served rows one zero cell per replica slot
+    /// `view` holds for it, so the pass can write slot `i`'s service
+    /// into cell `i`.
+    pub(crate) fn align_served(
+        &mut self,
+        view: &PlacementView,
+        parts: impl Iterator<Item = usize>,
+    ) {
+        for p in parts {
+            self.served.reset_row(p, view.slots(PartitionId::new(p as u32)).len());
+        }
     }
 
     /// `(datacenters, partitions, servers)` the accounts are shaped for.
     pub(crate) fn shape(&self) -> (usize, usize, usize) {
-        (self.dc_traffic.cols(), self.dc_traffic.rows(), self.served.cols())
+        (self.dc_traffic.cols(), self.dc_traffic.rows(), self.server_loads.len())
     }
 
     /// Arrival traffic of partition `p` at every datacenter, indexed by
@@ -165,33 +187,56 @@ impl TrafficAccounts {
         self.dc_outflow.row(p.index())
     }
 
-    /// Queries of partition `p` served by every server, indexed by
-    /// server id.
+    /// Queries of partition `p` served by each of its replica slots:
+    /// cell `i` belongs to `view.slots(p)[i]` of the view the pass read.
     #[inline]
     pub fn served(&self, p: PartitionId) -> &[f64] {
         self.served.row(p.index())
     }
 
-    /// Write access to one partition's three rows, in accessor order
-    /// (arrival, forwarding, served), for the engine's merge.
-    pub(crate) fn rows_mut(&mut self, p: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        (self.dc_traffic.row_mut(p), self.dc_outflow.row_mut(p), self.served.row_mut(p))
+    /// Writable access to every partition's accounts, for the engine's
+    /// shards to split and fill.
+    pub(crate) fn window(&mut self) -> AccountsWindow<'_> {
+        AccountsWindow {
+            first: 0,
+            n_dcs: self.dc_traffic.cols(),
+            dc_traffic: self.dc_traffic.as_mut_slice(),
+            dc_outflow: self.dc_outflow.as_mut_slice(),
+            served: self.served.window(),
+            unserved: &mut self.unserved,
+            holder_dc: &mut self.holder_dc,
+        }
     }
 
-    /// Recompute the per-server load cache: each server's served cells
-    /// over `parts` (ascending partition ids), added one partition after
-    /// the other from `0.0`. This is the one definition of `l_i`: a
-    /// partition left out of `parts` must have an all-zero served row,
-    /// which makes its terms exact `+0.0`, so the dense pass (every
-    /// partition) and the sparse pass (the active ones) agree bit for
-    /// bit.
-    pub(crate) fn fold_server_loads(&mut self, parts: impl Iterator<Item = usize>) {
+    /// Recompute the per-server load cache: each replica slot's served
+    /// cell over `parts` (ascending partition ids), added one partition
+    /// after the other from `0.0`. This is the one definition of `l_i`:
+    /// a partition left out of `parts` must have an all-zero served row,
+    /// and a server without a slot of a partition would have added an
+    /// exact `+0.0` — the additive identity on this non-negative sum —
+    /// so the dense pass (every partition) and the sparse pass (the
+    /// active ones) agree bit for bit.
+    pub(crate) fn fold_server_loads(
+        &mut self,
+        view: &PlacementView,
+        parts: impl Iterator<Item = usize>,
+    ) {
         self.server_loads.fill(0.0);
         for p in parts {
-            for (load, &served) in self.server_loads.iter_mut().zip(self.served.row(p)) {
-                *load += served;
+            let slots = view.slots(PartitionId::new(p as u32));
+            for (slot, &served) in slots.iter().zip(self.served.row(p)) {
+                self.server_loads[slot.server.index()] += served;
             }
         }
+    }
+
+    /// Bytes of heap the accounts hold, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.dc_traffic.heap_bytes()
+            + self.dc_outflow.heap_bytes()
+            + self.served.heap_bytes()
+            + (self.unserved.capacity() + self.server_loads.capacity()) * 8
+            + self.holder_dc.capacity() * std::mem::size_of::<DatacenterId>()
     }
 
     /// Traffic arriving at the holder of partition `p` (`tr_iit`,
@@ -255,6 +300,75 @@ impl TrafficAccounts {
     }
 }
 
+/// Writable access to the partitions from `first` on of a
+/// [`TrafficAccounts`]: every per-partition account, cut by
+/// [`split_at`](Self::split_at) into disjoint partition ranges, one
+/// per shard of the traffic pass.
+pub(crate) struct AccountsWindow<'a> {
+    first: usize,
+    n_dcs: usize,
+    dc_traffic: &'a mut [f64],
+    dc_outflow: &'a mut [f64],
+    served: SlotRowsMut<'a, f64>,
+    unserved: &'a mut [f64],
+    holder_dc: &'a mut [DatacenterId],
+}
+
+/// One partition's writable accounts.
+pub(crate) struct PartitionAccounts<'w> {
+    pub(crate) dc_traffic: &'w mut [f64],
+    pub(crate) dc_outflow: &'w mut [f64],
+    pub(crate) served: &'w mut [f64],
+    pub(crate) unserved: &'w mut f64,
+    pub(crate) holder_dc: &'w mut DatacenterId,
+}
+
+impl<'a> AccountsWindow<'a> {
+    /// Split into the partitions before `p` and those from `p` on.
+    pub(crate) fn split_at(self, p: usize) -> (Self, Self) {
+        let (local, n_dcs) = (p - self.first, self.n_dcs);
+        let (tr_lo, tr_hi) = self.dc_traffic.split_at_mut(local * n_dcs);
+        let (of_lo, of_hi) = self.dc_outflow.split_at_mut(local * n_dcs);
+        let (served_lo, served_hi) = self.served.split_at(p);
+        let (un_lo, un_hi) = self.unserved.split_at_mut(local);
+        let (hd_lo, hd_hi) = self.holder_dc.split_at_mut(local);
+        (
+            AccountsWindow {
+                first: self.first,
+                n_dcs,
+                dc_traffic: tr_lo,
+                dc_outflow: of_lo,
+                served: served_lo,
+                unserved: un_lo,
+                holder_dc: hd_lo,
+            },
+            AccountsWindow {
+                first: p,
+                n_dcs,
+                dc_traffic: tr_hi,
+                dc_outflow: of_hi,
+                served: served_hi,
+                unserved: un_hi,
+                holder_dc: hd_hi,
+            },
+        )
+    }
+
+    /// Partition `p`'s accounts (a partition id inside this window).
+    #[inline]
+    pub(crate) fn partition(&mut self, p: usize) -> PartitionAccounts<'_> {
+        let (local, n_dcs) = (p - self.first, self.n_dcs);
+        let cells = local * n_dcs..(local + 1) * n_dcs;
+        PartitionAccounts {
+            dc_traffic: &mut self.dc_traffic[cells.clone()],
+            dc_outflow: &mut self.dc_outflow[cells],
+            served: self.served.row_mut(p),
+            unserved: &mut self.unserved[local],
+            holder_dc: &mut self.holder_dc[local],
+        }
+    }
+}
+
 /// Run the traffic pass for one epoch.
 ///
 /// `view` must describe the same cluster as `topo` (same server count)
@@ -314,6 +428,13 @@ mod tests {
         ServerId::new(i)
     }
 
+    /// Queries of `p` served by server `srv`, through the view's slots.
+    fn served_on(acc: &TrafficAccounts, view: &PlacementView, p: PartitionId, srv: u32) -> f64 {
+        let slots = view.slots(p);
+        assert_eq!(slots.len(), acc.served(p).len(), "one served cell per replica slot");
+        slots.iter().position(|slot| slot.server == s(srv)).map_or(0.0, |i| acc.served(p)[i])
+    }
+
     /// Holder on server 0 (DC A) with given capacity; queries from C.
     fn view_with(capacities: &[(u32, f64)]) -> PlacementView {
         let mut v = PlacementView::new(1, 3, vec![s(0)]);
@@ -337,7 +458,7 @@ mod tests {
         assert_eq!(acc.dc_traffic(p0())[0], 10.0);
         assert_eq!(acc.holder_traffic(p0()), 10.0);
         // Holder serves everything: 2 hops each.
-        assert_eq!(acc.served(p0())[0], 10.0);
+        assert_eq!(served_on(&acc, &view, p0(), 0), 10.0);
         assert_eq!(acc.served_total(), 10.0);
         assert_eq!(acc.unserved_total(), 0.0);
         assert_eq!(acc.mean_path_length(), 2.0);
@@ -354,8 +475,8 @@ mod tests {
         assert_eq!(acc.dc_traffic(p0())[2], 10.0, "requester sees all");
         assert_eq!(acc.dc_traffic(p0())[1], 10.0, "traffic *arriving* at B is still 10");
         assert_eq!(acc.dc_traffic(p0())[0], 4.0, "eq. 4: residual after B's capacity");
-        assert_eq!(acc.served(p0())[1], 6.0);
-        assert_eq!(acc.served(p0())[0], 4.0);
+        assert_eq!(served_on(&acc, &view, p0(), 1), 6.0);
+        assert_eq!(served_on(&acc, &view, p0(), 0), 4.0);
         // 6 queries at hop 1, 4 at hop 2 → mean 1.4.
         assert!((acc.mean_path_length() - 1.4).abs() < 1e-12);
     }
@@ -367,7 +488,7 @@ mod tests {
         load.add(p0(), d(2), 5);
         let view = view_with(&[(0, 100.0), (2, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served(p0())[2], 5.0);
+        assert_eq!(served_on(&acc, &view, p0(), 2), 5.0);
         assert_eq!(acc.mean_path_length(), 0.0);
         assert_eq!(acc.dc_traffic(p0())[1], 0.0, "nothing forwarded");
         assert_eq!(acc.holder_traffic(p0()), 0.0);
@@ -383,8 +504,8 @@ mod tests {
         load.add(p0(), d(0), 8);
         let view = view_with(&[(0, 100.0), (2, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served(p0())[2], 0.0);
-        assert_eq!(acc.served(p0())[0], 8.0);
+        assert_eq!(served_on(&acc, &view, p0(), 2), 0.0);
+        assert_eq!(served_on(&acc, &view, p0(), 0), 8.0);
         assert_eq!(acc.mean_path_length(), 0.0, "holder is local to requester");
     }
 
@@ -399,8 +520,8 @@ mod tests {
         let acc = compute_traffic(&topo, &load, &view);
         // B's own 4 queries absorb locally; C's 4 find only 2 left at B,
         // 1 at the holder, and 1 is unserved.
-        assert_eq!(acc.served(p0())[1], 6.0);
-        assert_eq!(acc.served(p0())[0], 1.0);
+        assert_eq!(served_on(&acc, &view, p0(), 1), 6.0);
+        assert_eq!(served_on(&acc, &view, p0(), 0), 1.0);
         assert_eq!(acc.unserved[0], 1.0);
         assert_eq!(acc.unserved_total(), 1.0);
         assert_eq!(acc.served_total(), 7.0);
@@ -414,8 +535,8 @@ mod tests {
         load.add(p0(), d(2), 10);
         let view = view_with(&[(0, 100.0), (1, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served(p0())[1], 0.0, "dead replica is skipped");
-        assert_eq!(acc.served(p0())[0], 10.0);
+        assert_eq!(served_on(&acc, &view, p0(), 1), 0.0, "dead replica is skipped");
+        assert_eq!(served_on(&acc, &view, p0(), 0), 10.0);
     }
 
     #[test]
@@ -443,8 +564,8 @@ mod tests {
         view.add_capacity(PartitionId::new(0), s(0), 100.0);
         view.add_capacity(PartitionId::new(1), s(2), 100.0);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served(p0())[0], 5.0);
-        assert_eq!(acc.served(PartitionId::new(1))[2], 7.0);
+        assert_eq!(served_on(&acc, &view, p0(), 0), 5.0);
+        assert_eq!(served_on(&acc, &view, PartitionId::new(1), 2), 7.0);
         assert_eq!(acc.server_load(s(0)), 5.0);
         assert_eq!(acc.server_load(s(2)), 7.0);
         assert_eq!(acc.server_load(s(1)), 0.0);

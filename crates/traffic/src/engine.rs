@@ -1,9 +1,9 @@
 //! The reusable per-epoch traffic engine.
 //!
 //! [`compute_traffic`](crate::absorption::compute_traffic) allocates
-//! its whole working set — three grids, the remaining-capacity matrix,
-//! and a routing path per `(requester, holder)` pair — on every call.
-//! Inside a simulation that pass runs once per epoch per policy, so the
+//! its whole working set — the accounts, the shard scratch, and a
+//! routing path per `(requester, holder)` pair — on every call. Inside
+//! a simulation that pass runs once per epoch per policy, so the
 //! allocations and the repeated shortest-path walks dominate the hot
 //! loop.
 //!
@@ -12,20 +12,25 @@
 //! * a [`RouteTable`] caching every DC pair's path *and* the cumulative
 //!   latency at each hop, refreshed only when the topology's
 //!   [`generation`](rfh_topology::Topology::generation) moves;
-//! * per-generation membership caches (each server's datacenter, each
-//!   datacenter's alive servers in `server_ids()` order);
-//! * a capacity index keyed on [`PlacementView::version`]: which
-//!   servers are worth visiting per `(partition, datacenter)` pair;
-//! * per-shard working buffers, zeroed in place each pass.
+//! * per-generation membership caches: each server's datacenter, and
+//!   each alive server's *visit rank* — its position in the
+//!   datacenters' `server_ids()` orders laid end to end;
+//! * per-shard scratch and subtotals, reused pass after pass.
+//!
+//! The view's replica slots serve as the capacity index: at each hop
+//! the pass visits the partition's alive slots in that datacenter,
+//! ordered by visit rank. The order is the datacenter's `server_ids()`
+//! order, not server-id order: a joined server gets the next id but
+//! sits in rack 0, ahead of older servers.
 //!
 //! ## Sharded pass, canonical merge
 //!
 //! Partitions are independent in the traffic pass: remaining capacity
-//! is a per-partition row, every grid write lands in that partition's
-//! row of the (partition-major) accounts, and the within-partition
-//! accounting order (requesters ascending, hops in path order, indexed
-//! servers in visit order) fixes every cell's value exactly. Only five
-//! scalar totals (`hops_weighted`, `latency_weighted_ms`, `sla_within`,
+//! is per partition, every account write lands in that partition's rows
+//! of the (partition-major) accounts, and the within-partition
+//! accounting order (requesters ascending, hops in path order, slots in
+//! visit order) fixes every cell's value exactly. Only five scalar
+//! totals (`hops_weighted`, `latency_weighted_ms`, `sla_within`,
 //! `served_total`, `unserved_total`) and the per-server loads cross
 //! partitions, and `f64` addition is not associative — so the engine
 //! defines their *canonical* value as per-partition terms folded in
@@ -33,22 +38,27 @@
 //!
 //! The pass therefore runs as contiguous partition shards (one shard
 //! serially; [`account_sharded`](TrafficEngine::account_sharded) fans
-//! shards out over a [`WorkerPool`]) followed by a serial merge that
-//! walks shards — hence partitions — in ascending order. Serial and
-//! parallel execution share the shard code and the merge, so the output
-//! is bit-identical for any thread count (property-tested in
-//! `tests/prop_parallel.rs`), and `compute_traffic` (a one-shot,
-//! single-shard engine) stays the semantic reference.
+//! shards out over a [`WorkerPool`]). The shards' partitions are
+//! ascending, so each shard owns a contiguous range of account rows and
+//! writes them in place; it keeps only four per-partition subtotals
+//! aside. A serial fold then walks shards — hence partitions — in
+//! ascending order. Serial and parallel execution share the shard code
+//! and the fold, so the output is bit-identical for any thread count
+//! (property-tested in `tests/prop_parallel.rs`), and `compute_traffic`
+//! (a one-shot, single-shard engine) stays the semantic reference.
 
 use rfh_obs::MetricsRegistry;
 use rfh_pool::{shard_bounds, WorkerPool};
 use rfh_topology::{RouteTable, Topology};
-use rfh_types::{DatacenterId, PartitionId, ServerId};
+use rfh_types::{DatacenterId, PartitionId};
 use rfh_workload::QueryLoad;
 
-use crate::absorption::{TrafficAccounts, INTRA_DC_LATENCY_MS, SLA_TARGET_MS};
-use crate::grid::Grid;
+use crate::absorption::{AccountsWindow, TrafficAccounts, INTRA_DC_LATENCY_MS, SLA_TARGET_MS};
 use crate::placement::PlacementView;
+
+/// [`TrafficEngine::visit_rank`] of a server the pass never visits
+/// (down, or outside the topology).
+const NOT_VISITED: u32 = u32::MAX;
 
 /// A stateful traffic pass: all buffers preallocated, routes cached.
 ///
@@ -64,23 +74,15 @@ pub struct TrafficEngine {
     synced: Option<u64>,
     /// Datacenter of each server, indexed by server id.
     server_dc: Vec<DatacenterId>,
-    /// Alive servers of each datacenter, in `server_ids()` order —
-    /// the exact order the legacy pass visits them.
-    dc_alive: Vec<Vec<ServerId>>,
-    /// Per-(partition, datacenter) segment bounds into
-    /// [`cap_servers`](Self::cap_servers): `partition * n_dcs + dc`
-    /// and the next entry delimit that pair's capacity-bearing servers.
-    cap_offsets: Vec<u32>,
-    /// Alive servers holding non-zero capacity, grouped per
-    /// (partition, datacenter) in visit order. Skipping the rest up
-    /// front is behavior-neutral: the pass performs no arithmetic on a
-    /// zero-capacity server.
-    cap_servers: Vec<ServerId>,
-    /// [`PlacementView::version`] the capacity index above was built
-    /// for: while neither it nor the topology generation moves, the
-    /// index stays valid and each pass only reloads the indexed cells.
+    /// Each alive server's position in the datacenters' `server_ids()`
+    /// orders laid end to end (datacenter-major), indexed by server id;
+    /// [`NOT_VISITED`] for a dead server. Sorting a partition's slots by
+    /// it yields the legacy visit order within every datacenter.
+    visit_rank: Vec<u32>,
+    /// [`PlacementView::version`] the last dense pass read; `None`
+    /// after a sparse pass. Only classifies passes for [`EngineStats`].
     view_version: Option<u64>,
-    /// Per-shard working buffers; one shard on the serial path.
+    /// Per-shard scratch and subtotals; one shard on the serial path.
     shards: Vec<Shard>,
     accounts: TrafficAccounts,
     /// Active set of the previous *sparse* pass: the partitions whose
@@ -92,10 +94,18 @@ pub struct TrafficEngine {
     stats: EngineStats,
 }
 
-/// Shard-local working state for a contiguous partition range
-/// `[lo, hi)`. Everything a shard writes during the pass lands here;
-/// the global accounts are assembled afterwards by the canonical merge.
-#[derive(Debug, Clone)]
+/// One alive replica slot of the partition being processed.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    rank: u32,
+    dc: DatacenterId,
+    slot: u32,
+}
+
+/// Shard-local state for a contiguous position range `[lo, hi)`. The
+/// shard writes its partitions' accounts in place; here it keeps only
+/// scratch and the subtotals the canonical fold needs.
+#[derive(Debug, Clone, Default)]
 struct Shard {
     /// First position of the shard's partition range (a global
     /// partition index on the dense path; an index into the pass's
@@ -103,76 +113,38 @@ struct Shard {
     lo: usize,
     /// One past the last position.
     hi: usize,
-    /// Remaining per-server capacity scratch for the partition being
-    /// processed. Partitions are sequential within a shard and each one
-    /// loads its indexed cells before reading them, so one row serves
-    /// the whole shard; stale cells are never read.
+    /// The alive slots of the partition being processed, by visit rank.
+    visits: Vec<Visit>,
+    /// Remaining capacity per slot of the partition being processed.
     remaining: Vec<f64>,
-    /// Per-(local partition, datacenter) arrival traffic, partition-
-    /// major like the global accounts: the merge copies whole rows.
-    dc_traffic: Grid,
-    /// Per-(local partition, datacenter) forwarding traffic.
-    dc_outflow: Grid,
-    /// Served events `(server, take)` of the whole shard in emission
-    /// order, replayed into the global served rows by the merge. All
-    /// events for one `(partition, server)` cell occur within one
-    /// partition's pass, so replay-in-order reproduces the cell bit for
-    /// bit.
-    served: Vec<(u32, f64)>,
-    /// Where each local partition's events start in `served`, plus the
-    /// total at the end (`span + 1` entries once the pass has run).
-    served_offsets: Vec<usize>,
-    /// Holder datacenter per local partition.
-    holder_dc: Vec<DatacenterId>,
-    /// Unserved residual per local partition. The partition's
-    /// contribution to `unserved_total` is this same subtotal.
-    unserved: Vec<f64>,
-    /// Per-partition subtotals of the cross-partition scalars.
+    /// Per-position subtotals of the cross-partition scalars.
     hops_weighted: Vec<f64>,
     latency_weighted_ms: Vec<f64>,
     sla_within: Vec<f64>,
     served_total: Vec<f64>,
 }
 
-impl Default for Shard {
-    fn default() -> Self {
-        Shard {
-            lo: 0,
-            hi: 0,
-            remaining: Vec::new(),
-            dc_traffic: Grid::zeros(0, 0),
-            dc_outflow: Grid::zeros(0, 0),
-            served: Vec::new(),
-            served_offsets: Vec::new(),
-            holder_dc: Vec::new(),
-            unserved: Vec::new(),
-            hops_weighted: Vec::new(),
-            latency_weighted_ms: Vec::new(),
-            sla_within: Vec::new(),
-            served_total: Vec::new(),
-        }
-    }
-}
-
 impl Shard {
-    /// Point this shard at `[lo, hi)` and (re)shape its buffers. Grid
-    /// reshapes zero-fill; contents are otherwise left stale — the pass
-    /// re-derives everything it reads.
-    fn layout(&mut self, lo: usize, hi: usize, n_dcs: usize, n_servers: usize) {
+    /// Point this shard at `[lo, hi)` and size its subtotals. Contents
+    /// are left stale — the pass writes every one it reads.
+    fn layout(&mut self, lo: usize, hi: usize) {
         self.lo = lo;
         self.hi = hi;
         let span = hi - lo;
-        self.remaining.resize(n_servers, 0.0);
-        if self.dc_traffic.rows() != span || self.dc_traffic.cols() != n_dcs {
-            self.dc_traffic.reset(span, n_dcs);
-            self.dc_outflow.reset(span, n_dcs);
-        }
-        self.holder_dc.resize(span, DatacenterId::new(0));
-        self.unserved.resize(span, 0.0);
         self.hops_weighted.resize(span, 0.0);
         self.latency_weighted_ms.resize(span, 0.0);
         self.sla_within.resize(span, 0.0);
         self.served_total.resize(span, 0.0);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.visits.capacity() * std::mem::size_of::<Visit>()
+            + (self.remaining.capacity()
+                + self.hops_weighted.capacity()
+                + self.latency_weighted_ms.capacity()
+                + self.sla_within.capacity()
+                + self.served_total.capacity())
+                * std::mem::size_of::<f64>()
     }
 }
 
@@ -181,31 +153,41 @@ impl Shard {
 struct PassCtx<'a> {
     routes: &'a RouteTable,
     server_dc: &'a [DatacenterId],
-    cap_offsets: &'a [u32],
-    cap_servers: &'a [ServerId],
-    n_dcs: usize,
+    visit_rank: &'a [u32],
     load: &'a QueryLoad,
     view: &'a PlacementView,
     /// Sparse pass: positions map through this active list to global
-    /// partition ids, and the capacity index is keyed by *position*.
-    /// Dense pass (`None`): position == partition id.
+    /// partition ids. Dense pass (`None`): position == partition id.
     parts: Option<&'a [u32]>,
 }
 
-/// Cache-effectiveness counters of a [`TrafficEngine`]: how often the
-/// per-epoch pass got away with the fast capacity-restore path versus
-/// paying a topology rebuild or a full capacity re-index.
+impl PassCtx<'_> {
+    /// Partition at position `pos`.
+    #[inline]
+    fn partition(&self, pos: usize) -> usize {
+        match self.parts {
+            Some(parts) => parts[pos] as usize,
+            None => pos,
+        }
+    }
+}
+
+/// Cache-effectiveness counters of a [`TrafficEngine`]: how often a
+/// dense pass met the placement and membership the previous one saw,
+/// and how much work the sparse passes skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Traffic passes run ([`TrafficEngine::account`] calls).
     pub passes: u64,
     /// Route/membership cache rebuilds (topology generation moved).
     pub topo_rebuilds: u64,
-    /// Full capacity-index sweeps (rebuild, reshape, or the
-    /// [`PlacementView::version`] stamp moved).
+    /// Dense passes over a placement or membership the previous dense
+    /// pass did not see (the topology was rebuilt, the
+    /// [`PlacementView::version`] stamp moved, or a sparse pass came
+    /// between).
     pub index_rebuilds: u64,
-    /// Fast-path passes: index valid, only consumed capacities restored
-    /// — the capacity sweep was skipped entirely.
+    /// Dense passes over the same placement and membership as the
+    /// dense pass before.
     pub fast_restores: u64,
     /// Sparse passes run ([`TrafficEngine::account_active`] calls),
     /// also counted in [`passes`](Self::passes).
@@ -247,9 +229,7 @@ impl TrafficEngine {
             routes: RouteTable::new(),
             synced: None,
             server_dc: Vec::new(),
-            dc_alive: Vec::new(),
-            cap_offsets: Vec::new(),
-            cap_servers: Vec::new(),
+            visit_rank: Vec::new(),
             view_version: None,
             shards: Vec::new(),
             accounts: TrafficAccounts::empty(),
@@ -268,6 +248,17 @@ impl TrafficEngine {
         self.synced
     }
 
+    /// Bytes of heap the engine holds besides its
+    /// [`accounts`](Self::accounts), by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.routes.heap_bytes()
+            + self.server_dc.capacity() * std::mem::size_of::<DatacenterId>()
+            + self.visit_rank.capacity() * std::mem::size_of::<u32>()
+            + self.shards.capacity() * std::mem::size_of::<Shard>()
+            + self.shards.iter().map(Shard::heap_bytes).sum::<usize>()
+            + self.sparse_prev.as_ref().map_or(0, |prev| prev.capacity() * 4)
+    }
+
     /// Refresh route + membership caches if `topo`'s generation moved
     /// (or on first use). Called by [`account`](Self::account); exposed
     /// for tests and for callers that want to pay the rebuild outside
@@ -279,18 +270,14 @@ impl TrafficEngine {
         }
         self.server_dc.clear();
         self.server_dc.extend(topo.servers().iter().map(|s| s.datacenter));
-
-        let n_dcs = topo.datacenters().len();
-        self.dc_alive.truncate(n_dcs);
-        while self.dc_alive.len() < n_dcs {
-            self.dc_alive.push(Vec::new());
-        }
-        for (d, alive) in self.dc_alive.iter_mut().enumerate() {
-            alive.clear();
-            let dc = topo.datacenter(DatacenterId::new(d as u32)).expect("dense dc ids");
+        self.visit_rank.clear();
+        self.visit_rank.resize(topo.server_count(), NOT_VISITED);
+        let mut rank = 0;
+        for dc in topo.datacenters() {
             for server in dc.server_ids() {
                 if topo.servers()[server.index()].alive {
-                    alive.push(server);
+                    self.visit_rank[server.index()] = rank;
+                    rank += 1;
                 }
             }
         }
@@ -317,7 +304,7 @@ impl TrafficEngine {
 
     /// [`account`](Self::account), with the shard passes fanned out
     /// over `pool` (one contiguous partition shard per worker). The
-    /// merge is serial and walks partitions in ascending order, so the
+    /// fold is serial and walks partitions in ascending order, so the
     /// result is bit-identical to the serial pass for any pool size.
     pub fn account_sharded(
         &mut self,
@@ -346,61 +333,27 @@ impl TrafficEngine {
         debug_assert_eq!(view.servers() as usize, n_servers);
 
         self.accounts.reset(n_dcs, n_parts, n_servers);
+        self.accounts.align_served(view, 0..n_parts);
         // A dense pass rewrites every cell; the sparse partial-clear
         // bookkeeping no longer describes the accounts.
         self.sparse_prev = None;
-        let shape_ok = self.cap_offsets.len() == n_parts * n_dcs + 1;
-        if rebuilt || !shape_ok || self.view_version != Some(view.version()) {
+        if rebuilt || self.view_version != Some(view.version()) {
             self.stats.index_rebuilds += 1;
-            // Full sweep: index which servers are worth visiting — most
-            // (partition, datacenter) pairs hold no capacity at all, and
-            // the one-shot pass burns its time discovering that inside
-            // the hot loop. The shard passes load remaining capacity
-            // from this index each epoch.
-            self.cap_servers.clear();
-            self.cap_offsets.clear();
-            self.cap_offsets.reserve(n_parts * n_dcs + 1);
-            for p_idx in 0..n_parts {
-                let caps = view.partition_capacities(PartitionId::new(p_idx as u32));
-                for alive in &self.dc_alive {
-                    self.cap_offsets.push(self.cap_servers.len() as u32);
-                    for &server in alive {
-                        if caps[server.index()] > 0.0 {
-                            self.cap_servers.push(server);
-                        }
-                    }
-                }
-            }
-            self.cap_offsets.push(self.cap_servers.len() as u32);
             self.view_version = Some(view.version());
         } else {
             self.stats.fast_restores += 1;
         }
 
-        // Lay the shards out over the partitions. The serial path is
-        // the one-shard case of the same code, which is what makes
-        // serial ≡ parallel structural rather than coincidental.
-        let n_shards = pool.map_or(1, WorkerPool::size).max(1);
-        self.shards.resize_with(n_shards, Shard::default);
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            let (lo, hi) = shard_bounds(n_parts, n_shards, k);
-            shard.layout(lo, hi, n_dcs, n_servers);
-        }
-
         let ctx = PassCtx {
             routes: &self.routes,
             server_dc: &self.server_dc,
-            cap_offsets: &self.cap_offsets,
-            cap_servers: &self.cap_servers,
-            n_dcs,
+            visit_rank: &self.visit_rank,
             load,
             view,
             parts: None,
         };
-        run_shards(&mut self.shards, &ctx, pool);
-        merge_shards(&mut self.accounts, &self.shards, None);
-
-        self.accounts.fold_server_loads(0..n_parts);
+        run_pass(&mut self.shards, &mut self.accounts, &ctx, n_parts, pool);
+        self.accounts.fold_server_loads(view, 0..n_parts);
 
         &self.accounts
     }
@@ -412,18 +365,22 @@ impl TrafficEngine {
     /// ## Contract
     ///
     /// `active` must contain **every partition with non-zero load this
-    /// epoch** (supersets are fine). Under that contract the result is
-    /// bit-identical to a dense [`account`](Self::account) pass on every
-    /// account the callers read: an inactive partition carries zero
-    /// load, so the dense pass would write exact zeros into its cells
-    /// (which the sparse invariant already guarantees) and contribute
-    /// exact `+0.0` terms to the five cross-partition scalars and the
-    /// per-server load sums — the additive identity on these
+    /// epoch** (supersets are fine) and every partition whose slots in
+    /// `view` changed since the last pass. Under that contract the result
+    /// is bit-identical to a dense [`account`](Self::account) pass on
+    /// every account the callers read: an inactive partition carries
+    /// zero load, so the dense pass would write exact zeros into its
+    /// cells (which the sparse invariant already guarantees) and
+    /// contribute exact `+0.0` terms to the five cross-partition scalars
+    /// and the per-server load sums — the additive identity on these
     /// non-negative accumulators. The one deliberate exception is
     /// [`TrafficAccounts::holder_dc`], which sparse passes maintain as a
     /// persistent map: an inactive partition keeps its last-written
     /// holder datacenter (still correct — placement changes dirty their
     /// partition) instead of being re-derived each pass.
+    ///
+    /// Once the accounts have their shape, a pass over an unchanged
+    /// placement allocates nothing.
     pub fn account_active(
         &mut self,
         topo: &Topology,
@@ -437,7 +394,7 @@ impl TrafficEngine {
     /// [`account_active`](Self::account_active) with the shard passes
     /// fanned out over `pool`, sharding the *active list* instead of the
     /// full partition range. Bit-identical to the serial sparse pass for
-    /// any pool size (same shard code, same ascending canonical merge).
+    /// any pool size (same shard code, same ascending canonical fold).
     pub fn account_active_sharded(
         &mut self,
         topo: &Topology,
@@ -485,60 +442,29 @@ impl TrafficEngine {
         match self.sparse_prev.take() {
             Some(mut prev) if shape_ok => {
                 self.accounts.clear_sparse(&prev);
+                self.accounts.align_served(view, active.iter().map(|&p| p as usize));
                 prev.clear();
                 prev.extend_from_slice(active);
                 self.sparse_prev = Some(prev);
             }
             _ => {
                 self.accounts.reset(n_dcs, n_parts, n_servers);
-                // holder_dc is a persistent map on the sparse path.
-                self.accounts.holder_dc.resize(n_parts, DatacenterId::new(0));
+                self.accounts.align_served(view, 0..n_parts);
                 self.sparse_prev = Some(active.to_vec());
             }
         }
-
-        // Build the capacity index over the active list, keyed by
-        // *position* — the same per-partition build order as the dense
-        // index, restricted to the partitions this pass visits. The
-        // dense index cache is clobbered, so drop its validity stamp.
-        self.cap_servers.clear();
-        self.cap_offsets.clear();
-        self.cap_offsets.reserve(active.len() * n_dcs + 1);
-        for &pu in active {
-            let caps = view.partition_capacities(PartitionId::new(pu));
-            for alive in &self.dc_alive {
-                self.cap_offsets.push(self.cap_servers.len() as u32);
-                for &server in alive {
-                    if caps[server.index()] > 0.0 {
-                        self.cap_servers.push(server);
-                    }
-                }
-            }
-        }
-        self.cap_offsets.push(self.cap_servers.len() as u32);
         self.view_version = None;
-
-        let n_shards = pool.map_or(1, WorkerPool::size).max(1);
-        self.shards.resize_with(n_shards, Shard::default);
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            let (lo, hi) = shard_bounds(active.len(), n_shards, k);
-            shard.layout(lo, hi, n_dcs, n_servers);
-        }
 
         let ctx = PassCtx {
             routes: &self.routes,
             server_dc: &self.server_dc,
-            cap_offsets: &self.cap_offsets,
-            cap_servers: &self.cap_servers,
-            n_dcs,
+            visit_rank: &self.visit_rank,
             load,
             view,
             parts: Some(active),
         };
-        run_shards(&mut self.shards, &ctx, pool);
-        merge_shards(&mut self.accounts, &self.shards, Some(active));
-
-        self.accounts.fold_server_loads(active.iter().map(|&p| p as usize));
+        run_pass(&mut self.shards, &mut self.accounts, &ctx, active.len(), pool);
+        self.accounts.fold_server_loads(view, active.iter().map(|&p| p as usize));
 
         &self.accounts
     }
@@ -557,116 +483,107 @@ impl TrafficEngine {
     }
 }
 
-/// Run every shard, fanned out over `pool` when one is given and worth
-/// using. Shared by the dense and sparse passes.
-fn run_shards(shards: &mut [Shard], ctx: &PassCtx<'_>, pool: Option<&WorkerPool>) {
+/// Lay the shards out over `positions`, run them — fanned out over
+/// `pool` when one is given and worth using — and fold their subtotals
+/// into `acc`. Shared by the dense and sparse passes; the serial path
+/// is the one-shard case of the same code, which is what makes serial
+/// ≡ parallel structural rather than coincidental.
+fn run_pass(
+    shards: &mut Vec<Shard>,
+    acc: &mut TrafficAccounts,
+    ctx: &PassCtx<'_>,
+    positions: usize,
+    pool: Option<&WorkerPool>,
+) {
+    let n_shards = pool.map_or(1, WorkerPool::size).max(1);
+    shards.resize_with(n_shards, Shard::default);
+    for (k, shard) in shards.iter_mut().enumerate() {
+        let (lo, hi) = shard_bounds(positions, n_shards, k);
+        shard.layout(lo, hi);
+    }
+
+    let n_parts = acc.shape().1;
+    let mut window = acc.window();
     match pool {
-        Some(pool) if shards.len() > 1 => {
+        Some(pool) if n_shards > 1 => {
+            // Positions ascend with partitions, so shard k owns the
+            // account rows from its first partition up to the next
+            // shard's first partition.
+            let mut windows = Vec::with_capacity(n_shards);
+            for shard in &shards[1..] {
+                let cut = if shard.lo < positions { ctx.partition(shard.lo) } else { n_parts };
+                let (head, tail) = window.split_at(cut);
+                windows.push(head);
+                window = tail;
+            }
+            windows.push(window);
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shards
                 .iter_mut()
-                .map(|shard| {
-                    Box::new(move || run_shard(ctx, shard)) as Box<dyn FnOnce() + Send + '_>
+                .zip(windows)
+                .map(|(shard, mut window)| {
+                    Box::new(move || run_shard(ctx, shard, &mut window))
+                        as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
             pool.run(jobs);
         }
         _ => {
-            for shard in shards {
-                run_shard(ctx, shard);
+            for shard in shards.iter_mut() {
+                run_shard(ctx, shard, &mut window);
             }
         }
     }
-}
 
-/// Canonical merge: shards ascending — hence positions, hence
-/// partitions ascending — regardless of how many shards ran or on which
-/// threads they finished. On the sparse path (`parts` given) positions
-/// map through the active list and `holder_dc` is written by index into
-/// the persistent map; the dense path rebuilds `holder_dc` by push.
-fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32]>) {
-    for shard in shards {
+    // Canonical fold: shards ascending — hence positions, hence
+    // partitions ascending — regardless of how many shards ran or on
+    // which threads they finished.
+    for shard in shards.iter() {
         for (i, pos) in (shard.lo..shard.hi).enumerate() {
-            let p_idx = match parts {
-                Some(ps) => {
-                    let p_idx = ps[pos] as usize;
-                    acc.holder_dc[p_idx] = shard.holder_dc[i];
-                    p_idx
-                }
-                None => {
-                    acc.holder_dc.push(shard.holder_dc[i]);
-                    pos
-                }
-            };
-            // The global rows were just reset, and an untouched shard
-            // cell is the same `+0.0` (the pass only adds positive
-            // amounts), so whole-row copies write what cell-wise ones
-            // would.
-            let (tr, of, served) = acc.rows_mut(p_idx);
-            tr.copy_from_slice(shard.dc_traffic.row(i));
-            of.copy_from_slice(shard.dc_outflow.row(i));
-            let events = shard.served_offsets[i]..shard.served_offsets[i + 1];
-            for &(server, take) in &shard.served[events] {
-                served[server as usize] += take;
-            }
-            acc.unserved[p_idx] = shard.unserved[i];
             acc.hops_weighted += shard.hops_weighted[i];
             acc.latency_weighted_ms += shard.latency_weighted_ms[i];
             acc.sla_within += shard.sla_within[i];
             acc.served_total += shard.served_total[i];
-            acc.unserved_total += shard.unserved[i];
+            acc.unserved_total += acc.unserved[ctx.partition(pos)];
         }
     }
 }
 
 /// The accounting pass over one shard's positions. Reads only the
-/// shared [`PassCtx`]; writes only shard-local buffers. The
-/// within-partition order is the legacy accounting order — requesters
-/// ascending, hops in path order, indexed servers in visit order — so
-/// every per-partition quantity is computed by the exact `f64` sequence
-/// the one-shot pass uses, on the dense and sparse paths alike.
-fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
+/// shared [`PassCtx`]; writes only the shard's own account rows and
+/// subtotals. The within-partition order is the legacy accounting order
+/// — requesters ascending, hops in path order, slots in visit order —
+/// so every per-partition quantity is computed by the exact `f64`
+/// sequence the one-shot pass uses, on the dense and sparse paths
+/// alike.
+fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'_>) {
     let Shard {
         lo,
         hi,
+        visits,
         remaining,
-        dc_traffic,
-        dc_outflow,
-        served,
-        served_offsets,
-        holder_dc,
-        unserved,
         hops_weighted,
         latency_weighted_ms,
         sla_within,
         served_total,
     } = shard;
-    let n_dcs = ctx.n_dcs;
-    served.clear();
-    served_offsets.clear();
 
     for (i, pos) in (*lo..*hi).enumerate() {
-        let p_idx = match ctx.parts {
-            Some(parts) => parts[pos] as usize,
-            None => pos,
-        };
+        let p_idx = ctx.partition(pos);
         let p = PartitionId::new(p_idx as u32);
-        let caps = ctx.view.partition_capacities(p);
-        let rem_row = remaining.as_mut_slice();
-        // Load remaining capacity for the indexed cells only; stale
-        // cells (including leftovers from this shard's previous
-        // partition) are never read because the absorption loop below
-        // visits indexed servers exclusively. The index is keyed by
-        // position: on the dense path position == partition id.
-        let seg_start = ctx.cap_offsets[pos * n_dcs] as usize;
-        let seg_end = ctx.cap_offsets[(pos + 1) * n_dcs] as usize;
-        for &server in &ctx.cap_servers[seg_start..seg_end] {
-            rem_row[server.index()] = caps[server.index()];
+        let slots = ctx.view.slots(p);
+        // The slots worth visiting: alive servers, in visit order.
+        visits.clear();
+        remaining.clear();
+        for (slot, s) in slots.iter().enumerate() {
+            remaining.push(s.capacity);
+            let rank = ctx.visit_rank.get(s.server.index()).copied().unwrap_or(NOT_VISITED);
+            if rank != NOT_VISITED {
+                visits.push(Visit { rank, dc: ctx.server_dc[s.server.index()], slot: slot as u32 });
+            }
         }
-        let tr_row = dc_traffic.row_mut(i);
-        let of_row = dc_outflow.row_mut(i);
-        tr_row.fill(0.0);
-        of_row.fill(0.0);
-        served_offsets.push(served.len());
+        visits.sort_unstable_by_key(|v| v.rank);
+
+        let acc = window.partition(p_idx);
         let mut unserved_p = 0.0;
         let mut hops_p = 0.0;
         let mut latency_p = 0.0;
@@ -675,7 +592,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
 
         let holder = ctx.view.holder(p);
         let hdc = ctx.server_dc.get(holder.index()).copied().unwrap_or(DatacenterId::new(0));
-        holder_dc[i] = hdc;
+        *acc.holder_dc = hdc;
 
         for j_idx in 0..ctx.load.datacenters() {
             let j = DatacenterId::new(j_idx);
@@ -697,22 +614,19 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
                 let lat_ms = cum_ms[hop];
                 // eq. 4/5: the node's traffic is the residual
                 // reaching it.
-                tr_row[dc.index()] += residual;
-                // Replicas in this datacenter absorb what they can:
-                // only the prefiltered capacity-bearing servers,
-                // in the same order the legacy pass visits them.
-                let seg = pos * n_dcs + dc.index();
-                let servers = &ctx.cap_servers
-                    [ctx.cap_offsets[seg] as usize..ctx.cap_offsets[seg + 1] as usize];
-                for &server in servers {
-                    let cap = &mut rem_row[server.index()];
+                acc.dc_traffic[dc.index()] += residual;
+                // Replicas in this datacenter absorb what they can, in
+                // the datacenter's visit order.
+                for visit in visits.iter().filter(|v| v.dc == dc) {
+                    let slot = visit.slot as usize;
+                    let cap = &mut remaining[slot];
                     if *cap <= 0.0 {
                         continue;
                     }
                     let take = cap.min(residual);
                     if take > 0.0 {
                         *cap -= take;
-                        served.push((server.0, take));
+                        acc.served[slot] += take;
                         hops_p += hop as f64 * take;
                         let rtt = 2.0 * lat_ms + INTRA_DC_LATENCY_MS;
                         latency_p += rtt * take;
@@ -733,7 +647,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
                 // forwarding traffic (the terminal hop forwards
                 // nothing).
                 if hop + 1 < hops.len() {
-                    of_row[dc.index()] += residual;
+                    acc.dc_outflow[dc.index()] += residual;
                 }
             }
             served_p += served_here;
@@ -744,13 +658,12 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
             }
         }
 
-        unserved[i] = unserved_p;
+        *acc.unserved = unserved_p;
         hops_weighted[i] = hops_p;
         latency_weighted_ms[i] = latency_p;
         sla_within[i] = sla_p;
         served_total[i] = served_p;
     }
-    served_offsets.push(served.len());
 }
 
 #[cfg(test)]
@@ -758,7 +671,7 @@ mod tests {
     use super::*;
     use crate::absorption::compute_traffic;
     use rfh_topology::TopologyBuilder;
-    use rfh_types::{Continent, GeoPoint};
+    use rfh_types::{Continent, GeoPoint, ServerId};
     use rfh_workload::QueryLoad;
 
     /// Chain A(0) — B(1) — C(2), one server per datacenter.

@@ -1,12 +1,13 @@
 //! Dense 2-D arrays.
 //!
-//! The traffic pass is the simulator's hot loop; all its state is dense
-//! `rows × cols` matrices stored flat and row-major. Every user in this
-//! crate puts the *partition* on the row axis — up to 10⁶ rows of a few
-//! dozen datacenter or server cells each — so everything the pass knows
-//! about one partition is one contiguous row, and a sparse epoch that
-//! visits a few percent of the partitions touches a few percent of the
-//! memory.
+//! The traffic pass keeps its per-datacenter state — arrival and
+//! forwarding traffic — as dense `rows × cols` matrices stored flat and
+//! row-major, with the *partition* on the row axis: up to 10⁶ rows of
+//! one cell per datacenter. Everything the pass knows about one
+//! partition's datacenters is one contiguous row, and a sparse epoch
+//! that visits a few percent of the partitions touches a few percent of
+//! the memory. Per-replica state is not dense: it lives in
+//! [`SlotRows`](crate::slots::SlotRows), one cell per replica slot.
 
 /// A dense row-major 2-D array of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,52 +33,11 @@ impl Grid {
         self.cols
     }
 
-    #[inline]
-    fn idx(&self, r: usize, c: usize) -> usize {
-        debug_assert!(
-            r < self.rows && c < self.cols,
-            "({r},{c}) out of {}×{}",
-            self.rows,
-            self.cols
-        );
-        r * self.cols + c
-    }
-
-    /// Read one cell.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data[self.idx(r, c)]
-    }
-
-    /// Write one cell.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self.idx(r, c);
-        self.data[i] = v;
-    }
-
-    /// Add to one cell.
-    #[inline]
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        let i = self.idx(r, c);
-        self.data[i] += v;
-    }
-
     /// One row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         let start = r * self.cols;
         &self.data[start..start + self.cols]
-    }
-
-    /// Sum of one row.
-    pub fn row_sum(&self, r: usize) -> f64 {
-        self.row(r).iter().sum()
-    }
-
-    /// Reset every cell to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Reshape to `rows × cols` and zero every cell, reusing the
@@ -95,6 +55,17 @@ impl Grid {
         let start = r * self.cols;
         &mut self.data[start..start + self.cols]
     }
+
+    /// Every cell, row-major, as one mutable slice (for cutting the grid
+    /// into disjoint row ranges).
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Bytes of heap the grid holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]
@@ -110,47 +81,16 @@ mod tests {
     }
 
     #[test]
-    fn set_add_get() {
-        let mut g = Grid::zeros(2, 2);
-        g.set(0, 1, 5.0);
-        g.add(0, 1, 2.5);
-        g.add(1, 0, 1.0);
-        assert_eq!(g.get(0, 1), 7.5);
-        assert_eq!(g.get(1, 0), 1.0);
-        assert_eq!(g.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn rows_and_row_sums() {
-        let mut g = Grid::zeros(2, 3);
-        g.set(0, 0, 1.0);
-        g.set(0, 2, 2.0);
-        g.set(1, 2, 4.0);
-        assert_eq!(g.row(0), &[1.0, 0.0, 2.0]);
-        assert_eq!(g.row_sum(0), 3.0);
-        assert_eq!(g.row_sum(1), 4.0);
-    }
-
-    #[test]
-    fn clear_keeps_shape() {
-        let mut g = Grid::zeros(2, 2);
-        g.set(1, 1, 9.0);
-        g.clear();
-        assert_eq!(g.row(1), &[0.0, 0.0]);
-        assert_eq!(g.rows(), 2);
-    }
-
-    #[test]
     fn reset_reshapes_and_zeroes() {
         let mut g = Grid::zeros(2, 2);
-        g.set(1, 1, 9.0);
+        g.row_mut(1)[1] = 9.0;
         g.reset(3, 4);
         assert_eq!((g.rows(), g.cols()), (3, 4));
-        assert_eq!(g.row_sum(1), 0.0, "the old (1, 1) cell is gone");
-        g.set(2, 3, 1.0);
+        assert_eq!(g.row(1), &[0.0; 4], "the old (1, 1) cell is gone");
+        g.row_mut(2)[3] = 1.0;
         g.reset(2, 2);
         assert_eq!((g.rows(), g.cols()), (2, 2));
-        assert_eq!(g.row_sum(0) + g.row_sum(1), 0.0);
+        assert_eq!(g.as_mut_slice(), &[0.0; 4]);
     }
 
     #[test]
@@ -159,13 +99,13 @@ mod tests {
         g.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(g.row(1), &[1.0, 2.0, 3.0]);
         assert_eq!(g.row(0), &[0.0, 0.0, 0.0]);
+        assert_eq!(g.as_mut_slice(), &[0.0, 0.0, 0.0, 1.0, 2.0, 3.0], "row-major");
     }
 
     #[test]
     #[should_panic]
-    #[cfg(debug_assertions)]
-    fn out_of_bounds_panics_in_debug() {
+    fn out_of_bounds_row_panics() {
         let g = Grid::zeros(2, 2);
-        let _ = g.get(2, 0);
+        let _ = g.row(2);
     }
 }

@@ -13,14 +13,24 @@
 //! randomly-placed replicas achieve poor utilization and why placing
 //! replicas at high-traffic path conjunctions ("traffic hubs") works.
 //!
-//! * [`grid`] — dense 2-D arrays used by the accounting pass.
+//! The epoch state comes in two shapes. Per-datacenter rows (arrival
+//! and forwarding traffic, their EWMAs) are dense: one cell per
+//! datacenter. Per-replica state (the placement view's capacities, the
+//! queries each replica served) is kept per *replica slot*, so it grows
+//! with the replicas a partition has, not with the servers the cluster
+//! has.
+//!
+//! * [`grid`] — dense 2-D arrays for the per-datacenter rows.
+//! * [`slots`] — replica-slot rows: a few inline slots per partition,
+//!   spilled when a partition has more.
 //! * [`placement`] — the per-epoch view of where replicas are and how
-//!   much capacity each offers.
+//!   much capacity each offers, one slot per hosting server.
 //! * [`absorption`] — the traffic pass semantics and the one-shot
 //!   [`compute_traffic`] entry point.
-//! * [`engine`] — the reusable [`TrafficEngine`]: route-cached,
-//!   zero-allocation accounting for callers that run the pass every
-//!   epoch.
+//! * [`engine`] — the reusable [`TrafficEngine`]: route-cached
+//!   accounting for callers that run the pass every epoch; a sparse
+//!   pass over an unchanged placement allocates nothing (checked by
+//!   `rfh-sim`'s allocation ledger).
 //! * [`smoothing`] — the EWMA state of eqs. (9)–(11): smoothed system
 //!   query averages `q̄_it` and smoothed per-node traffic `t̄r_ikt`.
 
@@ -30,10 +40,12 @@ pub mod absorption;
 pub mod engine;
 pub mod grid;
 pub mod placement;
+pub mod slots;
 pub mod smoothing;
 
 pub use absorption::{compute_traffic, TrafficAccounts};
 pub use engine::{EngineStats, TrafficEngine};
 pub use grid::Grid;
-pub use placement::PlacementView;
+pub use placement::{PlacementView, Slot};
+pub use slots::SlotRows;
 pub use smoothing::TrafficSmoother;

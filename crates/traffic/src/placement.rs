@@ -1,13 +1,14 @@
 //! The per-epoch placement view the traffic pass reads.
 //!
 //! The replica manager (in `rfh-core`) owns the authoritative replica
-//! map; each epoch it renders this flattened view: for every
-//! `(partition, server)` pair, the total query-processing capacity the
-//! replicas of that partition on that server offer this epoch
-//! (`Σ_l C_ikl` in the paper's notation, zero when the server hosts no
-//! replica of the partition), plus each partition's primary holder.
+//! map; each epoch it renders this view: for every partition, one
+//! replica slot per server that hosts it — the server and the total
+//! query-processing capacity its replicas of the partition offer this
+//! epoch (`Σ_l C_ikl` in the paper's notation) — plus each partition's
+//! primary holder. Slots are sorted by server id and stored as
+//! [`SlotRows`], so the view costs memory per replica, not per server.
 
-use crate::grid::Grid;
+use crate::slots::SlotRows;
 use rfh_types::{PartitionId, ServerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,18 +21,29 @@ fn next_version() -> u64 {
     NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Flattened placement + capacity view for one epoch.
+/// One replica slot: a server hosting the partition and the capacity
+/// its replicas offer, queries/epoch (always positive).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Slot {
+    /// The hosting server.
+    pub server: ServerId,
+    /// Σ over the server's replicas of the partition of per-replica
+    /// capacity.
+    pub capacity: f64,
+}
+
+/// Placement + capacity view for one epoch.
 #[derive(Debug, Clone)]
 pub struct PlacementView {
-    /// `capacity[partition][server]` = Σ over replicas of per-replica
-    /// capacity, queries/epoch.
-    capacity: Grid,
+    /// Each partition's replica slots, ascending by server id.
+    slots: SlotRows<Slot>,
     /// Primary holder server of each partition.
     holders: Vec<ServerId>,
-    /// Number of `(partition, server)` cells with positive capacity,
-    /// maintained on every mutation so sparse consumers can learn the
-    /// replica-cell population without an O(partitions × servers) scan.
-    nonzero: usize,
+    /// Servers of the cluster the view describes.
+    servers: u32,
+    /// Slots over all partitions, maintained on every mutation so
+    /// sparse consumers learn the replica-slot population in O(1).
+    slot_count: usize,
     /// Content stamp, see [`version`](Self::version).
     version: u64,
 }
@@ -39,7 +51,7 @@ pub struct PlacementView {
 impl PartialEq for PlacementView {
     /// Content equality: the version stamp is bookkeeping, not state.
     fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity && self.holders == other.holders
+        self.servers == other.servers && self.holders == other.holders && self.slots == other.slots
     }
 }
 
@@ -49,9 +61,10 @@ impl PlacementView {
     pub fn new(partitions: u32, servers: u32, holders: Vec<ServerId>) -> Self {
         assert_eq!(holders.len(), partitions as usize, "one holder per partition required");
         PlacementView {
-            capacity: Grid::zeros(partitions as usize, servers as usize),
+            slots: SlotRows::new(partitions as usize),
             holders,
-            nonzero: 0,
+            servers,
+            slot_count: 0,
             version: next_version(),
         }
     }
@@ -67,12 +80,12 @@ impl PlacementView {
 
     /// Number of partitions.
     pub fn partitions(&self) -> u32 {
-        self.capacity.rows() as u32
+        self.slots.rows() as u32
     }
 
     /// Number of servers.
     pub fn servers(&self) -> u32 {
-        self.capacity.cols() as u32
+        self.servers
     }
 
     /// Primary holder of a partition.
@@ -81,42 +94,49 @@ impl PlacementView {
         self.holders[p.index()]
     }
 
-    /// Capacity of partition `p` replicas on server `s`.
+    /// Partition `p`'s replica slots, ascending by server id.
     #[inline]
-    pub fn capacity(&self, p: PartitionId, s: ServerId) -> f64 {
-        self.capacity.get(p.index(), s.index())
+    pub fn slots(&self, p: PartitionId) -> &[Slot] {
+        self.slots.row(p.index())
     }
 
-    /// Add replica capacity for `(p, s)`.
+    /// Capacity of partition `p` replicas on server `s` (zero when `s`
+    /// hosts none).
+    pub fn capacity(&self, p: PartitionId, s: ServerId) -> f64 {
+        let slots = self.slots(p);
+        slots.binary_search_by_key(&s, |slot| slot.server).map_or(0.0, |i| slots[i].capacity)
+    }
+
+    /// Add replica capacity for `(p, s)`. Zero capacity on a server
+    /// without a slot adds no slot.
     pub fn add_capacity(&mut self, p: PartitionId, s: ServerId, queries_per_epoch: f64) {
         debug_assert!(queries_per_epoch >= 0.0);
-        if queries_per_epoch > 0.0 && self.capacity.get(p.index(), s.index()) == 0.0 {
-            self.nonzero += 1;
+        match self.slots(p).binary_search_by_key(&s, |slot| slot.server) {
+            Ok(i) => self.slots.row_mut(p.index())[i].capacity += queries_per_epoch,
+            Err(i) if queries_per_epoch > 0.0 => {
+                self.slots.insert(p.index(), i, Slot { server: s, capacity: queries_per_epoch });
+                self.slot_count += 1;
+            }
+            Err(_) => {}
         }
-        self.capacity.add(p.index(), s.index(), queries_per_epoch);
         self.version = next_version();
-    }
-
-    /// Per-server capacities for one partition.
-    #[inline]
-    pub fn partition_capacities(&self, p: PartitionId) -> &[f64] {
-        self.capacity.row(p.index())
     }
 
     /// Total capacity provisioned for a partition across the cluster.
     pub fn partition_capacity_total(&self, p: PartitionId) -> f64 {
-        self.capacity.row_sum(p.index())
+        self.slots(p).iter().map(|slot| slot.capacity).sum()
     }
 
-    /// Reshape in place to `partitions × servers`, zeroing all capacity
+    /// Reshape in place to `partitions × servers`, dropping every slot
     /// and resetting every holder to server 0 (callers re-set holders
-    /// before use). Reuses both backing allocations — this is the
+    /// before use). Reuses the backing allocations — this is the
     /// "rebuild" half of delta maintenance when the cluster shape moved.
     pub fn reset(&mut self, partitions: u32, servers: u32) {
-        self.capacity.reset(partitions as usize, servers as usize);
+        self.slots.reshape(partitions as usize);
         self.holders.clear();
         self.holders.resize(partitions as usize, ServerId::new(0));
-        self.nonzero = 0;
+        self.servers = servers;
+        self.slot_count = 0;
         self.version = next_version();
     }
 
@@ -126,37 +146,35 @@ impl PlacementView {
         self.version = next_version();
     }
 
-    /// Zero one partition's capacity row (delta update: callers then
-    /// re-add the partition's current replica capacities).
+    /// Drop one partition's slots (delta update: callers then re-add
+    /// the partition's current replica capacities).
     pub fn clear_partition(&mut self, p: PartitionId) {
-        let row = self.capacity.row_mut(p.index());
-        self.nonzero -= row.iter().filter(|&&c| c > 0.0).count();
-        row.fill(0.0);
+        self.slot_count -= self.slots(p).len();
+        self.slots.reset_row(p.index(), 0);
         self.version = next_version();
     }
 
-    /// Number of `(partition, server)` cells holding positive capacity —
-    /// exactly the cells [`replica_servers`](Self::replica_servers)
-    /// would yield over all partitions, in O(1).
+    /// Replica slots over all partitions, in O(1).
     #[inline]
-    pub fn nonzero_cells(&self) -> usize {
-        self.nonzero
+    pub fn slot_count(&self) -> usize {
+        self.slot_count
     }
 
-    /// Servers hosting any replica of `p` (capacity > 0), ascending id.
+    /// Servers hosting any replica of `p`, ascending id.
     pub fn replica_servers(&self, p: PartitionId) -> impl Iterator<Item = ServerId> + '_ {
-        self.capacity
-            .row(p.index())
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0.0)
-            .map(|(s, _)| ServerId::new(s as u32))
+        self.slots(p).iter().map(|slot| slot.server)
+    }
+
+    /// Bytes of heap the view holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.heap_bytes() + self.holders.capacity() * std::mem::size_of::<ServerId>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slots::INLINE_SLOTS;
 
     fn p(i: u32) -> PartitionId {
         PartitionId::new(i)
@@ -179,15 +197,35 @@ mod tests {
     #[test]
     fn capacities_accumulate() {
         let mut v = PlacementView::new(2, 3, vec![s(0), s(2)]);
+        v.add_capacity(p(0), s(2), 20.0);
         v.add_capacity(p(0), s(1), 10.0);
         v.add_capacity(p(0), s(1), 5.0);
-        v.add_capacity(p(0), s(2), 20.0);
         assert_eq!(v.capacity(p(0), s(1)), 15.0);
         assert_eq!(v.partition_capacity_total(p(0)), 35.0);
-        assert_eq!(v.partition_capacities(p(0)), &[0.0, 15.0, 20.0]);
+        assert_eq!(
+            v.slots(p(0)),
+            &[Slot { server: s(1), capacity: 15.0 }, Slot { server: s(2), capacity: 20.0 }]
+        );
         let hosts: Vec<u32> = v.replica_servers(p(0)).map(u32::from).collect();
         assert_eq!(hosts, vec![1, 2]);
         assert_eq!(v.partition_capacity_total(p(1)), 0.0, "partitions are independent");
+    }
+
+    #[test]
+    fn wide_replica_sets_spill_and_stay_sorted() {
+        let servers = 3 * INLINE_SLOTS as u32;
+        let mut v = PlacementView::new(3, servers, vec![s(0); 3]);
+        // Descending adds: every insert lands at the front.
+        for srv in (0..servers).rev() {
+            v.add_capacity(p(1), s(srv), 1.0 + srv as f64);
+        }
+        v.add_capacity(p(2), s(4), 2.0);
+        let hosts: Vec<u32> = v.replica_servers(p(1)).map(u32::from).collect();
+        assert_eq!(hosts, (0..servers).collect::<Vec<_>>());
+        assert_eq!(v.capacity(p(1), s(7)), 8.0);
+        assert_eq!(v.slot_count(), servers as usize + 1);
+        assert_eq!(v.slots(p(0)), &[], "neighbours keep their own rows");
+        assert_eq!(v.slots(p(2)), &[Slot { server: s(4), capacity: 2.0 }]);
     }
 
     #[test]
@@ -224,24 +262,24 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_cells_tracks_every_mutation() {
+    fn slot_count_tracks_every_mutation() {
         let mut v = PlacementView::new(3, 4, vec![s(0), s(1), s(2)]);
         let recount = |v: &PlacementView| {
             (0..v.partitions()).map(|pi| v.replica_servers(p(pi)).count()).sum::<usize>()
         };
-        assert_eq!(v.nonzero_cells(), 0);
+        assert_eq!(v.slot_count(), 0);
         v.add_capacity(p(0), s(1), 10.0);
-        v.add_capacity(p(0), s(1), 5.0); // same cell: no new entry
+        v.add_capacity(p(0), s(1), 5.0); // same server: no new slot
         v.add_capacity(p(0), s(2), 1.0);
         v.add_capacity(p(2), s(3), 2.0);
-        v.add_capacity(p(1), s(0), 0.0); // zero capacity is not a cell
-        assert_eq!(v.nonzero_cells(), 3);
-        assert_eq!(v.nonzero_cells(), recount(&v));
+        v.add_capacity(p(1), s(0), 0.0); // zero capacity is not a slot
+        assert_eq!(v.slot_count(), 3);
+        assert_eq!(v.slot_count(), recount(&v));
         v.clear_partition(p(0));
-        assert_eq!(v.nonzero_cells(), 1);
-        assert_eq!(v.nonzero_cells(), recount(&v));
+        assert_eq!(v.slot_count(), 1);
+        assert_eq!(v.slot_count(), recount(&v));
         v.reset(2, 4);
-        assert_eq!(v.nonzero_cells(), 0);
+        assert_eq!(v.slot_count(), 0);
     }
 
     #[test]

@@ -1,0 +1,256 @@
+//! Replica-slot rows: per-partition state that is proportional to the
+//! partition's replicas, not to the cluster's servers.
+//!
+//! A partition holds a handful of replicas while the cluster holds
+//! dozens to thousands of servers, so a dense `[partition][server]` row
+//! is almost all zeros. [`SlotRows`] keeps each row as a short list of
+//! slots instead: [`INLINE_SLOTS`] cells per row stored flat and
+//! row-major, and a sorted spill list for the rows that outgrow them.
+//! The inline width is fixed — never the largest row — so one
+//! flash-crowd partition with dozens of replicas spills alone instead
+//! of widening every row.
+//!
+//! A row's cells are always one contiguous slice, whichever side holds
+//! them. A row that has spilled stays spilled until the next
+//! [`reshape`](SlotRows::reshape), so a partition that re-renders every
+//! epoch reuses its spill allocation.
+
+/// Slots stored inline per row.
+pub const INLINE_SLOTS: usize = 4;
+
+/// `lens` marker of a row that lives in the spill list.
+const SPILLED: u8 = u8::MAX;
+
+/// Variable-length rows of `T` cells: inline when short, spilled when
+/// long. Equality is row content, not layout.
+#[derive(Debug, Clone)]
+pub struct SlotRows<T> {
+    /// Per row: its length while inline (`0..=INLINE_SLOTS`), or
+    /// [`SPILLED`].
+    lens: Vec<u8>,
+    /// [`INLINE_SLOTS`] cells per row.
+    inline: Vec<T>,
+    /// Spilled rows, ascending by row index.
+    spill: Vec<(u32, Vec<T>)>,
+}
+
+impl<T: Copy + Default + PartialEq> PartialEq for SlotRows<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows() == other.rows() && (0..self.rows()).all(|r| self.row(r) == other.row(r))
+    }
+}
+
+impl<T: Copy + Default> SlotRows<T> {
+    /// `rows` empty rows.
+    pub fn new(rows: usize) -> Self {
+        let mut s = SlotRows { lens: Vec::new(), inline: Vec::new(), spill: Vec::new() };
+        s.reshape(rows);
+        s
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Reshape to `rows` empty rows, reusing the inline allocations.
+    pub fn reshape(&mut self, rows: usize) {
+        self.lens.clear();
+        self.lens.resize(rows, 0);
+        self.inline.clear();
+        self.inline.resize(rows * INLINE_SLOTS, T::default());
+        self.spill.clear();
+    }
+
+    fn spill_index(spill: &[(u32, Vec<T>)], r: usize) -> usize {
+        spill.binary_search_by_key(&(r as u32), |(row, _)| *row).expect("spilled row is listed")
+    }
+
+    /// Row `r`'s cells.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[T] {
+        match self.lens[r] {
+            SPILLED => &self.spill[Self::spill_index(&self.spill, r)].1,
+            n => &self.inline[r * INLINE_SLOTS..r * INLINE_SLOTS + n as usize],
+        }
+    }
+
+    /// Row `r`'s cells, writable.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
+        match self.lens[r] {
+            SPILLED => {
+                let i = Self::spill_index(&self.spill, r);
+                &mut self.spill[i].1
+            }
+            n => &mut self.inline[r * INLINE_SLOTS..r * INLINE_SLOTS + n as usize],
+        }
+    }
+
+    /// Give row `r` exactly `n` cells, every one `T::default()`.
+    pub fn reset_row(&mut self, r: usize, n: usize) {
+        match self.lens[r] {
+            SPILLED => {
+                let i = Self::spill_index(&self.spill, r);
+                let cells = &mut self.spill[i].1;
+                cells.clear();
+                cells.resize(n, T::default());
+            }
+            _ if n <= INLINE_SLOTS => {
+                self.lens[r] = n as u8;
+                self.inline[r * INLINE_SLOTS..(r + 1) * INLINE_SLOTS].fill(T::default());
+            }
+            _ => self.spill_row(r, vec![T::default(); n]),
+        }
+    }
+
+    /// Insert `value` at position `at` of row `r`.
+    pub fn insert(&mut self, r: usize, at: usize, value: T) {
+        match self.lens[r] {
+            SPILLED => {
+                let i = Self::spill_index(&self.spill, r);
+                self.spill[i].1.insert(at, value);
+            }
+            n if (n as usize) < INLINE_SLOTS => {
+                let cells = &mut self.inline[r * INLINE_SLOTS..(r + 1) * INLINE_SLOTS];
+                cells.copy_within(at..n as usize, at + 1);
+                cells[at] = value;
+                self.lens[r] = n + 1;
+            }
+            _ => {
+                let mut cells = Vec::with_capacity(2 * INLINE_SLOTS);
+                cells.extend_from_slice(self.row(r));
+                cells.insert(at, value);
+                self.spill_row(r, cells);
+            }
+        }
+    }
+
+    /// Move inline row `r` to the spill list, holding `cells`.
+    fn spill_row(&mut self, r: usize, cells: Vec<T>) {
+        let at = self.spill.partition_point(|(row, _)| (*row as usize) < r);
+        self.spill.insert(at, (r as u32, cells));
+        self.lens[r] = SPILLED;
+    }
+
+    /// Bytes of heap the rows hold, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        let cell = std::mem::size_of::<T>();
+        self.lens.capacity()
+            + self.inline.capacity() * cell
+            + self.spill.capacity() * std::mem::size_of::<(u32, Vec<T>)>()
+            + self.spill.iter().map(|(_, cells)| cells.capacity() * cell).sum::<usize>()
+    }
+
+    /// A writable window over every row, for splitting into disjoint
+    /// row ranges (see [`SlotRowsMut::split_at`]).
+    pub fn window(&mut self) -> SlotRowsMut<'_, T> {
+        SlotRowsMut { first: 0, lens: &self.lens, inline: &mut self.inline, spill: &mut self.spill }
+    }
+}
+
+/// Writable access to the rows `first..first + lens.len()` of a
+/// [`SlotRows`]: cells can be written, rows cannot change length.
+/// Disjoint windows can be handed to different threads.
+#[derive(Debug)]
+pub struct SlotRowsMut<'a, T> {
+    first: usize,
+    lens: &'a [u8],
+    inline: &'a mut [T],
+    spill: &'a mut [(u32, Vec<T>)],
+}
+
+impl<'a, T: Copy + Default> SlotRowsMut<'a, T> {
+    /// Split into the rows before `r` and the rows from `r` on (`r` is
+    /// a row index of the whole table, inside this window).
+    pub fn split_at(self, r: usize) -> (Self, Self) {
+        let local = r - self.first;
+        let (lens_lo, lens_hi) = self.lens.split_at(local);
+        let (inline_lo, inline_hi) = self.inline.split_at_mut(local * INLINE_SLOTS);
+        let cut = self.spill.partition_point(|(row, _)| (*row as usize) < r);
+        let (spill_lo, spill_hi) = self.spill.split_at_mut(cut);
+        (
+            SlotRowsMut { first: self.first, lens: lens_lo, inline: inline_lo, spill: spill_lo },
+            SlotRowsMut { first: r, lens: lens_hi, inline: inline_hi, spill: spill_hi },
+        )
+    }
+
+    /// Row `r`'s cells (a row index of the whole table).
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
+        let local = r - self.first;
+        match self.lens[local] {
+            SPILLED => {
+                let i = SlotRows::spill_index(self.spill, r);
+                &mut self.spill[i].1
+            }
+            n => &mut self.inline[local * INLINE_SLOTS..local * INLINE_SLOTS + n as usize],
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_grow_inline_then_spill_and_keep_order() {
+        let mut rows = SlotRows::<u32>::new(3);
+        for v in [50, 10, 30, 20] {
+            let at = rows.row(1).partition_point(|&x| x < v);
+            rows.insert(1, at, v);
+        }
+        assert_eq!(rows.row(1), &[10, 20, 30, 50]);
+        assert_eq!(rows.spill.len(), 0, "four cells still fit inline");
+        rows.insert(1, 4, 60);
+        rows.insert(1, 0, 5);
+        assert_eq!(rows.row(1), &[5, 10, 20, 30, 50, 60]);
+        assert_eq!(rows.spill.len(), 1);
+        assert!(rows.row(0).is_empty() && rows.row(2).is_empty(), "neighbours untouched");
+
+        // A spilled row stays spilled when it shrinks, and still reads
+        // as one slice.
+        rows.reset_row(1, 2);
+        assert_eq!(rows.row(1), &[0, 0]);
+        assert_eq!(rows.spill.len(), 1);
+        rows.row_mut(1)[1] = 7;
+        assert_eq!(rows.row(1), &[0, 7]);
+
+        rows.reshape(2);
+        assert_eq!(rows.rows(), 2);
+        assert!(rows.row(1).is_empty() && rows.spill.is_empty());
+    }
+
+    #[test]
+    fn equality_ignores_layout() {
+        let mut spilled = SlotRows::<u32>::new(2);
+        for v in 0..6 {
+            spilled.insert(0, v, v as u32);
+        }
+        spilled.reset_row(0, 1);
+        let mut inline = SlotRows::<u32>::new(2);
+        inline.reset_row(0, 1);
+        assert_eq!(spilled, inline);
+        inline.row_mut(0)[0] = 1;
+        assert_ne!(spilled, inline);
+    }
+
+    #[test]
+    fn windows_split_rows_and_spill_alike() {
+        let mut rows = SlotRows::<u32>::new(5);
+        rows.reset_row(0, 2);
+        rows.reset_row(1, 6);
+        rows.reset_row(3, 9);
+        rows.reset_row(4, 1);
+        let (mut lo, rest) = rows.window().split_at(2);
+        let (mut mid, mut hi) = rest.split_at(4);
+        lo.row_mut(0)[1] = 1;
+        lo.row_mut(1)[5] = 2;
+        mid.row_mut(3)[8] = 3;
+        hi.row_mut(4)[0] = 4;
+        assert_eq!(rows.row(0), &[0, 1]);
+        assert_eq!(rows.row(1)[5], 2);
+        assert_eq!(rows.row(3)[8], 3);
+        assert_eq!(rows.row(4), &[4]);
+    }
+}

@@ -209,6 +209,13 @@ impl TrafficSmoother {
         self.traffic_row(p).sum::<f64>() / self.dcs as f64
     }
 
+    /// Bytes of heap the smoother holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        (self.q_avg.capacity() + self.traffic.capacity() + self.outflow.capacity())
+            * std::mem::size_of::<f64>()
+            + (self.stamps.capacity() + self.dc_reset_pass.capacity()) * std::mem::size_of::<u64>()
+    }
+
     /// Forget the traffic history of one datacenter (used when all its
     /// servers failed: stale history must not drive decisions after
     /// recovery).
@@ -238,9 +245,8 @@ mod tests {
     fn accounts(dcs: usize, parts: usize, cells: &[(usize, usize, f64)]) -> TrafficAccounts {
         let mut acc = TrafficAccounts::empty();
         acc.reset(dcs, parts, 1);
-        acc.holder_dc.resize(parts, DatacenterId::new(0));
         for &(dc, pp, v) in cells {
-            acc.rows_mut(pp).0[dc] = v;
+            acc.window().partition(pp).dc_traffic[dc] = v;
         }
         acc
     }

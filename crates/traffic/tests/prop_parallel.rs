@@ -63,9 +63,9 @@ proptest! {
         let legacy = compute_traffic(&topo, &load, &view);
         let pool = WorkerPool::new(workers);
         let mut engine = TrafficEngine::new();
-        // Two passes through the same engine: the first builds the
-        // capacity index, the second restores it from cache — both
-        // sharded paths must match the legacy pass.
+        // Two passes through the same engine: the first sizes its
+        // buffers, the second reuses them — both sharded passes must
+        // match the legacy pass.
         prop_assert_eq!(engine.account_sharded(&topo, &load, &view, &pool), &legacy);
         prop_assert_eq!(engine.account_sharded(&topo, &load, &view, &pool), &legacy);
     }

@@ -70,11 +70,12 @@ proptest! {
         let topo = topo();
         let (load, view) = build(&setup);
         let acc = compute_traffic(&topo, &load, &view);
-        for p in 0..PARTITIONS {
-            for s in 0..SERVERS {
-                let served = acc.served(PartitionId::new(p))[s as usize];
-                let cap = view.capacity(PartitionId::new(p), ServerId::new(s));
-                prop_assert!(served <= cap + 1e-9, "server {s} over-served {served} > {cap}");
+        for p in (0..PARTITIONS).map(PartitionId::new) {
+            prop_assert_eq!(acc.served(p).len(), view.slots(p).len());
+            for (slot, &served) in view.slots(p).iter().zip(acc.served(p)) {
+                let cap = view.capacity(p, slot.server);
+                prop_assert_eq!(cap, slot.capacity);
+                prop_assert!(served <= cap + 1e-9, "{} over-served {served} > {cap}", slot.server);
             }
         }
     }

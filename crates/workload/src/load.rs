@@ -60,6 +60,12 @@ impl QueryLoad {
         self.dcs
     }
 
+    /// Bytes of heap the matrix holds, by allocation capacity.
+    pub fn heap_bytes(&self) -> usize {
+        (self.counts.capacity() + self.touched.capacity() + self.row_nonzero.capacity())
+            * std::mem::size_of::<u32>()
+    }
+
     #[inline]
     fn idx(&self, p: PartitionId, j: DatacenterId) -> usize {
         debug_assert!(p.0 < self.partitions && j.0 < self.dcs);
