@@ -15,6 +15,8 @@
 //! * [`blocking`] — the per-server Erlang-B blocking probabilities
 //!   (eq. 18) RFH uses to pick a concrete server inside a datacenter.
 //! * [`rfh`] — the RFH decision tree itself.
+//! * [`decision_state`] — its per-replica idle streaks and birth grace,
+//!   one row per partition.
 //! * [`random`] — the random baseline (Dynamo-style ring successors,
 //!   geographically random; refs [4][21][22]).
 //! * [`owner`] — the owner-oriented baseline (maximize availability
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod blocking;
+pub mod decision_state;
 pub mod manager;
 pub mod owner;
 pub mod policy;
@@ -37,6 +40,7 @@ mod test_support;
 pub mod thresholds;
 
 pub use blocking::server_blocking_probabilities;
+pub use decision_state::DecisionState;
 pub use manager::{AppliedAction, PruneOutcome, ReplicaManager};
 pub use owner::OwnerOrientedPolicy;
 pub use policy::{Action, EpochContext, PolicyKind, ReplicationPolicy};

@@ -38,6 +38,7 @@
 //! information. With a control plane that delivers within the epoch the
 //! two produce identical decisions (asserted by integration tests).
 
+use crate::decision_state::DecisionState;
 use crate::manager::ReplicaManager;
 use crate::policy::{Action, EpochContext, ReplicationPolicy};
 use crate::selection::{accepting_servers_in_dc, least_blocked_in_dc, most_spread_in_dc};
@@ -50,6 +51,7 @@ use rfh_stats::min_replica_count;
 use rfh_topology::Topology;
 use rfh_traffic::PlacementView;
 use rfh_types::{DatacenterId, Epoch, PartitionId, ServerId, Thresholds};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Consecutive suicide-candidate epochs required before a replica dies.
@@ -140,74 +142,25 @@ fn hash_map_bytes<K, V>(map: &std::collections::HashMap<K, V>) -> usize {
 /// a [`TrafficView`].
 #[derive(Debug, Clone, Default)]
 pub struct RfhDecisionCore {
-    grace_epochs: u64,
-    /// `(partition, server) → creation epoch` for grace tracking.
-    /// Entries past their grace are swept out (see
-    /// [`note_birth`](Self::note_birth)), so the map holds the births
-    /// of the last two grace periods at most.
-    born: std::collections::HashMap<(u32, u32), u64>,
-    /// Epoch of the last sweep of `born`.
-    born_swept: u64,
+    /// Per-replica idle streaks (see [`SUICIDE_PATIENCE`]) and birth
+    /// grace, one row per partition.
+    state: DecisionState,
     /// Per-partition migration cooldown (see [`MIGRATION_COOLDOWN`]).
     last_migration: std::collections::HashMap<u32, u64>,
-    /// Consecutive epochs each replica has satisfied eq. 15 (see
-    /// [`SUICIDE_PATIENCE`]).
-    idle_streak: std::collections::HashMap<(u32, u32), u32>,
 }
 
 impl RfhDecisionCore {
     /// Core with the given suicide grace period.
     pub fn new(grace_epochs: u64) -> Self {
         RfhDecisionCore {
-            grace_epochs,
-            born: std::collections::HashMap::new(),
-            born_swept: 0,
+            state: DecisionState::new(grace_epochs),
             last_migration: std::collections::HashMap::new(),
-            idle_streak: std::collections::HashMap::new(),
         }
     }
 
     /// Bytes of heap the decision state holds, by allocation capacity.
     pub fn heap_bytes(&self) -> usize {
-        hash_map_bytes(&self.born)
-            + hash_map_bytes(&self.last_migration)
-            + hash_map_bytes(&self.idle_streak)
-    }
-
-    fn in_grace(&self, epoch: Epoch, p: PartitionId, s: ServerId) -> bool {
-        self.born.get(&(p.0, s.0)).is_some_and(|&b| epoch.raw() < b + self.grace_epochs)
-    }
-
-    fn note_birth(&mut self, epoch: Epoch, actions: &[Action]) {
-        // Forget births whose grace has run out, including those of
-        // replicas pruned off dead servers. `in_grace` reads a missing
-        // entry exactly like an expired one, so this changes no
-        // decision; sweeping at most once per grace period keeps the
-        // O(born) scan amortised.
-        let now = epoch.raw();
-        if now >= self.born_swept + self.grace_epochs.max(1) {
-            let grace = self.grace_epochs;
-            self.born.retain(|_, &mut b| now < b + grace);
-            self.born_swept = now;
-        }
-        for a in actions {
-            match *a {
-                Action::Replicate { partition, target } => {
-                    self.born.insert((partition.0, target.0), epoch.raw());
-                    self.idle_streak.remove(&(partition.0, target.0));
-                }
-                Action::Migrate { partition, from, to } => {
-                    self.born.remove(&(partition.0, from.0));
-                    self.born.insert((partition.0, to.0), epoch.raw());
-                    self.idle_streak.remove(&(partition.0, from.0));
-                    self.idle_streak.remove(&(partition.0, to.0));
-                }
-                Action::Suicide { partition, server } => {
-                    self.born.remove(&(partition.0, server.0));
-                    self.idle_streak.remove(&(partition.0, server.0));
-                }
-            }
-        }
+        self.state.heap_bytes() + hash_map_bytes(&self.last_migration)
     }
 
     /// Traffic hubs for `p`: forwarding datacenters (holder's excluded)
@@ -285,16 +238,8 @@ impl RfhDecisionCore {
         recorder: &dyn Recorder,
         policy: &'static str,
     ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for p_idx in 0..manager.partitions() {
-            let p = PartitionId::new(p_idx);
-            let d = self.decide_partition(
-                epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, p,
-            );
-            self.absorb(epoch, p, d, &mut actions);
-        }
-        self.note_birth(epoch, &actions);
-        actions
+        let all = 0..manager.partitions();
+        self.decide_serial(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, all)
     }
 
     /// [`decide_all`](Self::decide_all) with the per-partition
@@ -328,62 +273,20 @@ impl RfhDecisionCore {
             return self
                 .decide_all(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy);
         }
-        let traced = recorder.enabled();
-        let n_shards = pool.size().min(n);
-        struct ShardOut {
-            lo: u32,
-            hi: u32,
-            events: BufferedRecorder,
-            decisions: Vec<PartitionDecision>,
-        }
-        let mut outs: Vec<ShardOut> = (0..n_shards)
-            .map(|k| {
-                let (lo, hi) = shard_bounds(n, n_shards, k);
-                ShardOut {
-                    lo: lo as u32,
-                    hi: hi as u32,
-                    events: BufferedRecorder::new(traced),
-                    decisions: Vec::with_capacity(hi - lo),
-                }
-            })
-            .collect();
-        {
-            let core: &RfhDecisionCore = self;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = outs
-                .iter_mut()
-                .map(|out| {
-                    Box::new(move || {
-                        for p_idx in out.lo..out.hi {
-                            let d = core.decide_partition(
-                                epoch,
-                                t,
-                                r_min,
-                                topo,
-                                manager,
-                                snapshot,
-                                view as &dyn TrafficView,
-                                &out.events,
-                                policy,
-                                PartitionId::new(p_idx),
-                            );
-                            out.decisions.push(d);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(jobs);
-        }
-        let mut actions = Vec::new();
-        for out in outs {
-            for event in out.events.drain() {
-                recorder.decision(event);
-            }
-            for (i, d) in out.decisions.into_iter().enumerate() {
-                self.absorb(epoch, PartitionId::new(out.lo + i as u32), d, &mut actions);
-            }
-        }
-        self.note_birth(epoch, &actions);
-        actions
+        self.decide_pooled(
+            epoch,
+            t,
+            r_min,
+            topo,
+            manager,
+            snapshot,
+            view,
+            recorder,
+            policy,
+            n,
+            |i| i as u32,
+            pool,
+        )
     }
 
     /// Run the decision tree for the partitions in `active` only
@@ -410,16 +313,8 @@ impl RfhDecisionCore {
         active: &[u32],
     ) -> Vec<Action> {
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active set must be sorted");
-        let mut actions = Vec::new();
-        for &p_idx in active {
-            let p = PartitionId::new(p_idx);
-            let d = self.decide_partition(
-                epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, p,
-            );
-            self.absorb(epoch, p, d, &mut actions);
-        }
-        self.note_birth(epoch, &actions);
-        actions
+        let set = active.iter().copied();
+        self.decide_serial(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, set)
     }
 
     /// [`decide_set`](Self::decide_set) with the per-partition
@@ -448,14 +343,94 @@ impl RfhDecisionCore {
                 epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, active,
             );
         }
+        self.decide_pooled(
+            epoch,
+            t,
+            r_min,
+            topo,
+            manager,
+            snapshot,
+            view,
+            recorder,
+            policy,
+            n,
+            |i| active[i],
+            pool,
+        )
+    }
+
+    /// The serial pass over `partitions` (ascending): evaluate one
+    /// partition, absorb it, go on to the next.
+    #[allow(clippy::too_many_arguments)]
+    fn decide_serial(
+        &mut self,
+        epoch: Epoch,
+        t: &Thresholds,
+        r_min: usize,
+        topo: &Topology,
+        manager: &ReplicaManager,
+        snapshot: &PlacementView,
+        view: &dyn TrafficView,
+        recorder: &dyn Recorder,
+        policy: &'static str,
+        partitions: impl Iterator<Item = u32>,
+    ) -> Vec<Action> {
+        self.state.presize(manager.partitions());
+        // One evaluation's streak updates at a time, in one buffer.
+        let mut streaks = Vec::new();
+        let mut actions = Vec::new();
+        for p_idx in partitions {
+            let p = PartitionId::new(p_idx);
+            streaks.clear();
+            let d = self.decide_partition(
+                epoch,
+                t,
+                r_min,
+                topo,
+                manager,
+                snapshot,
+                view,
+                recorder,
+                policy,
+                p,
+                &mut streaks,
+            );
+            self.absorb(epoch, p, d, &streaks, &mut actions);
+        }
+        self.state.note_births(epoch, &actions);
+        actions
+    }
+
+    /// The pooled pass over the `n` partitions `partition_at(0..n)`
+    /// (ascending): contiguous shards of positions are evaluated on the
+    /// workers, then absorbed here in position order.
+    #[allow(clippy::too_many_arguments)]
+    fn decide_pooled(
+        &mut self,
+        epoch: Epoch,
+        t: &Thresholds,
+        r_min: usize,
+        topo: &Topology,
+        manager: &ReplicaManager,
+        snapshot: &PlacementView,
+        view: &(dyn TrafficView + Sync),
+        recorder: &dyn Recorder,
+        policy: &'static str,
+        n: usize,
+        partition_at: impl Fn(usize) -> u32 + Sync,
+        pool: &WorkerPool,
+    ) -> Vec<Action> {
+        self.state.presize(manager.partitions());
         let traced = recorder.enabled();
         let n_shards = pool.size().min(n);
         struct ShardOut {
-            /// Positions into `active` this shard covers.
+            /// Positions this shard covers.
             lo: usize,
             hi: usize,
             events: BufferedRecorder,
             decisions: Vec<PartitionDecision>,
+            /// The shard's streak updates, each decision's a range.
+            streaks: Vec<(ServerId, u32)>,
         }
         let mut outs: Vec<ShardOut> = (0..n_shards)
             .map(|k| {
@@ -465,16 +440,18 @@ impl RfhDecisionCore {
                     hi,
                     events: BufferedRecorder::new(traced),
                     decisions: Vec::with_capacity(hi - lo),
+                    streaks: Vec::new(),
                 }
             })
             .collect();
         {
             let core: &RfhDecisionCore = self;
+            let partition_at = &partition_at;
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = outs
                 .iter_mut()
                 .map(|out| {
                     Box::new(move || {
-                        for &pu in &active[out.lo..out.hi] {
+                        for i in out.lo..out.hi {
                             let d = core.decide_partition(
                                 epoch,
                                 t,
@@ -485,7 +462,8 @@ impl RfhDecisionCore {
                                 view as &dyn TrafficView,
                                 &out.events,
                                 policy,
-                                PartitionId::new(pu),
+                                PartitionId::new(partition_at(i)),
+                                &mut out.streaks,
                             );
                             out.decisions.push(d);
                         }
@@ -500,29 +478,17 @@ impl RfhDecisionCore {
                 recorder.decision(event);
             }
             for (i, d) in out.decisions.into_iter().enumerate() {
-                self.absorb(epoch, PartitionId::new(active[out.lo + i]), d, &mut actions);
+                let p = PartitionId::new(partition_at(out.lo + i));
+                let streaks = &out.streaks[d.streaks.clone()];
+                self.absorb(epoch, p, d, streaks, &mut actions);
             }
         }
-        self.note_birth(epoch, &actions);
+        self.state.note_births(epoch, &actions);
         actions
     }
 
-    /// Whether any non-primary replica of `p` still has an idle streak
-    /// below the [`SUICIDE_PATIENCE`] bar (or none at all) — i.e. the
-    /// suicide state-machine for `p` has not yet saturated.
-    fn any_streak_unsaturated(
-        &self,
-        manager: &ReplicaManager,
-        holder: ServerId,
-        p: PartitionId,
-    ) -> bool {
-        manager.replicas(p).iter().any(|&s| {
-            s != holder
-                && self.idle_streak.get(&(p.0, s.0)).copied().unwrap_or(0) < SUICIDE_PATIENCE
-        })
-    }
-
-    /// Evaluate the decision tree for one partition, read-only.
+    /// Evaluate the decision tree for one partition, read-only, appending
+    /// its idle-streak updates to `streaks`.
     ///
     /// All state `decide_all` historically mutated mid-loop is keyed by
     /// partition (idle streaks by `(partition, server)`, the migration
@@ -543,6 +509,7 @@ impl RfhDecisionCore {
         recorder: &dyn Recorder,
         policy: &'static str,
         p: PartitionId,
+        streaks: &mut Vec<(ServerId, u32)>,
     ) -> PartitionDecision {
         let replica_dc = |s: ServerId| topo.servers()[s.index()].datacenter;
         let traced = recorder.enabled();
@@ -553,24 +520,24 @@ impl RfhDecisionCore {
 
         // Update idle streaks for every non-primary replica (eq. 15
         // sampled per epoch; suicide waits for a sustained streak).
+        let first = streaks.len();
         for &s in manager.replicas(p) {
             if s == holder {
                 continue;
             }
             let tr = view.traffic(replica_dc(s), p);
-            let key = (p.0, s.0);
-            if suicide_candidate(t, tr, q_avg) {
-                // Saturate at the patience bar: the suicide gate only
-                // asks `streak >= SUICIDE_PATIENCE`, and a capped streak
-                // makes re-evaluating a long-idle partition idempotent —
-                // the invariant the sparse engine's freeze rests on.
-                let next =
-                    (self.idle_streak.get(&key).copied().unwrap_or(0) + 1).min(SUICIDE_PATIENCE);
-                d.streaks.push((key, Some(next)));
+            // Saturate at the patience bar: the suicide gate only asks
+            // `streak >= SUICIDE_PATIENCE`, and a capped streak makes
+            // re-evaluating a long-idle partition idempotent — the
+            // invariant the sparse engine's freeze rests on.
+            let next = if suicide_candidate(t, tr, q_avg) {
+                (self.state.streak(p, s) + 1).min(SUICIDE_PATIENCE)
             } else {
-                d.streaks.push((key, None));
-            }
+                0
+            };
+            streaks.push((s, next));
         }
+        d.streaks = first..streaks.len();
 
         // ── 1. Availability floor ─────────────────────────────────
         if manager.replica_count(p) < r_min {
@@ -633,7 +600,7 @@ impl RfhDecisionCore {
                             .iter()
                             .copied()
                             .filter(|&s| s != holder)
-                            .filter(|&s| !self.in_grace(epoch, p, s))
+                            .filter(|&s| !self.state.in_grace(epoch, p, s))
                             .filter(|&s| {
                                 let dc = replica_dc(s);
                                 dc != hub_dc && !hubs.iter().any(|&(h, _)| h == dc)
@@ -733,19 +700,19 @@ impl RfhDecisionCore {
         let reachable_count = manager.replicas(p).iter().filter(|&&s| reachable(s)).count();
         if reachable_count > r_min {
             // This epoch's streak values: the updates computed above,
-            // not yet absorbed into the map (the serial loop updated
-            // the map just before reading it — same values).
-            let streak_of = |s: ServerId| {
-                d.streaks.iter().find(|(k, _)| *k == (p.0, s.0)).and_then(|(_, v)| *v)
-            };
+            // not yet absorbed into the rows (the serial loop updated
+            // the state just before reading it — same values).
+            let fresh = &streaks[d.streaks.clone()];
+            let streak_of =
+                |s: ServerId| fresh.iter().find(|&&(srv, _)| srv == s).map_or(0, |&(_, n)| n);
             let doomed = manager
                 .replicas(p)
                 .iter()
                 .copied()
                 .filter(|&s| s != holder)
                 .filter(|&s| reachable(s))
-                .filter(|&s| !self.in_grace(epoch, p, s))
-                .filter(|&s| streak_of(s).is_some_and(|n| n >= SUICIDE_PATIENCE))
+                .filter(|&s| !self.state.in_grace(epoch, p, s))
+                .filter(|&s| streak_of(s) >= SUICIDE_PATIENCE)
                 .map(|s| (s, view.traffic(replica_dc(s), p)))
                 .min_by(|a, b| {
                     a.1.partial_cmp(&b.1)
@@ -776,25 +743,18 @@ impl RfhDecisionCore {
         d
     }
 
-    /// Fold one partition's evaluation back into the core's state, in
-    /// partition order — the serial half of the snapshot/apply split.
+    /// Fold one partition's evaluation, and the streak updates it
+    /// appended, back into the core's state, in partition order — the
+    /// serial half of the snapshot/apply split.
     fn absorb(
         &mut self,
         epoch: Epoch,
         p: PartitionId,
         d: PartitionDecision,
+        streaks: &[(ServerId, u32)],
         actions: &mut Vec<Action>,
     ) {
-        for (key, streak) in d.streaks {
-            match streak {
-                Some(n) => {
-                    self.idle_streak.insert(key, n);
-                }
-                None => {
-                    self.idle_streak.remove(&key);
-                }
-            }
-        }
+        self.state.set_streaks(epoch, p, streaks);
         if d.migrated {
             self.last_migration.insert(p.0, epoch.raw());
         }
@@ -809,13 +769,39 @@ impl RfhDecisionCore {
 /// order.
 #[derive(Debug, Default)]
 struct PartitionDecision {
-    /// `(partition, server) →` new idle-streak value (`None`: the
-    /// streak broke and the entry is removed).
-    streaks: Vec<((u32, u32), Option<u32>)>,
+    /// Where the evaluation appended its `(server, idle streak)`
+    /// updates in the pass's streak buffer (0: the streak broke).
+    streaks: Range<usize>,
     /// At most one structural action per partition per epoch.
     action: Option<Action>,
     /// The action is a migration: stamp the cooldown on absorb.
     migrated: bool,
+}
+
+/// `dc`'s WAN neighbours over up links, closest first (ties toward the
+/// lower id): the bootstrap probe order. Each step scans the adjacency
+/// for the next-closest neighbour instead of sorting a copy, so a probe
+/// that stops at the first neighbour able to take a copy — the usual
+/// case — costs one scan and no allocation. Latencies are positive, so
+/// `total_cmp` orders them as `<` does, and its total order ends the
+/// walk after every neighbour.
+fn neighbours_by_latency(
+    topo: &Topology,
+    dc: DatacenterId,
+) -> impl Iterator<Item = DatacenterId> + '_ {
+    let closer = |a: &(DatacenterId, f64), b: &(DatacenterId, f64)| {
+        a.1.total_cmp(&b.1).then_with(|| a.0 .0.cmp(&b.0 .0))
+    };
+    let mut last: Option<(DatacenterId, f64)> = None;
+    std::iter::from_fn(move || {
+        let next = topo
+            .graph()
+            .neighbours(dc)
+            .filter(|n| last.is_none_or(|l| closer(n, &l).is_gt()))
+            .min_by(closer)?;
+        last = Some(next);
+        Some(next.0)
+    })
 }
 
 /// The neighbour-probe bootstrap placement both agents use for
@@ -830,14 +816,9 @@ pub fn bootstrap_candidate_near(
     p: PartitionId,
     holder_dc: DatacenterId,
 ) -> Option<ServerId> {
-    let mut neighbours: Vec<(DatacenterId, f64)> = topo.graph().neighbours(holder_dc).collect();
-    neighbours.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0 .0.cmp(&b.0 .0))
-    });
-    neighbours
-        .into_iter()
-        .find_map(|(dc, _)| best_candidate_in_dc(topo, manager, blocking, use_blocking, p, dc))
-        .or_else(|| best_candidate_in_dc(topo, manager, blocking, use_blocking, p, holder_dc))
+    neighbours_by_latency(topo, holder_dc)
+        .chain([holder_dc])
+        .find_map(|dc| best_candidate_in_dc(topo, manager, blocking, use_blocking, p, dc))
 }
 
 /// The best accepting server in a datacenter under the blocking-choice
@@ -930,27 +911,9 @@ impl TrafficView for CentralizedView<'_> {
             PlacementMode::DomainSpread => {
                 // Same neighbour-probe order as the stock bootstrap;
                 // only the in-datacenter server choice is spread-aware.
-                let mut neighbours: Vec<(DatacenterId, f64)> =
-                    self.ctx.topo.graph().neighbours(holder_dc).collect();
-                neighbours.sort_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0 .0.cmp(&b.0 .0))
-                });
-                neighbours
-                    .into_iter()
-                    .find_map(|(dc, _)| {
-                        most_spread_in_dc(self.ctx.topo, self.manager, p, dc, self.ctx.blocking)
-                    })
-                    .or_else(|| {
-                        most_spread_in_dc(
-                            self.ctx.topo,
-                            self.manager,
-                            p,
-                            holder_dc,
-                            self.ctx.blocking,
-                        )
-                    })
+                neighbours_by_latency(self.ctx.topo, holder_dc).chain([holder_dc]).find_map(|dc| {
+                    most_spread_in_dc(self.ctx.topo, self.manager, p, dc, self.ctx.blocking)
+                })
             }
         }
     }
@@ -1134,7 +1097,7 @@ impl ReplicationPolicy for RfhPolicy {
             return true;
         }
         let holder = manager.holder(p);
-        if self.core.any_streak_unsaturated(manager, holder, p) {
+        if self.core.state.any_streak_unsaturated(p, holder, manager.replicas(p)) {
             return true;
         }
         manager.replicas(p).iter().any(|&s| {
@@ -1405,39 +1368,53 @@ mod tests {
 
     #[test]
     fn born_keeps_only_births_still_in_grace() {
-        let grace = 5;
-        let mut core = RfhDecisionCore::new(grace);
-        let births = |from: u64, to: u64| (from..=to).map(|e| 1 + e % 3).sum::<u64>() as usize;
+        // Four partitions gain a replica every epoch and none is ever
+        // removed (as when prune_dead drops replicas behind the core's
+        // back), so only the grace running out retires a birth.
+        let (grace, servers) = (5, 11u64);
+        let mut state = DecisionState::new(grace);
+        let mut last_birth = std::collections::HashMap::new();
+        let mut settled_bytes = None;
         for e in 0..200u64 {
-            // 1–3 fresh replicas per epoch, none of them ever removed
-            // (as when prune_dead drops them behind the core's back).
-            let actions: Vec<Action> = (0..1 + e % 3)
-                .map(|k| Action::Replicate {
-                    partition: PartitionId::new((e * 3 + k) as u32),
-                    target: ServerId::new(k as u32),
+            let actions: Vec<Action> = (0..4u64)
+                .map(|p| Action::Replicate {
+                    partition: PartitionId::new(p as u32),
+                    target: ServerId::new(((e * 3 + p * 5) % servers) as u32),
                 })
                 .collect();
-            core.note_birth(Epoch(e), &actions);
-            // Right after a sweep, exactly the births of the last grace
-            // period survive; between sweeps, at most two periods' worth.
-            let swept = core.born_swept == e && e > 0;
-            let window = if swept { grace } else { 2 * grace };
-            let bound = births(e.saturating_sub(window - 1), e);
-            assert!(core.born.len() <= bound, "epoch {e}: {} > {bound}", core.born.len());
-            if swept {
-                assert_eq!(core.born.len(), bound, "epoch {e}: a sweep keeps the in-grace births");
+            state.note_births(Epoch(e), &actions);
+            for a in &actions {
+                if let Action::Replicate { partition, target } = *a {
+                    last_birth.insert((partition, target), e);
+                }
+            }
+            for p in (0..4).map(PartitionId::new) {
+                let mut live = 0;
+                for s in (0..servers as u32).map(ServerId::new) {
+                    let expected = last_birth.get(&(p, s)).is_some_and(|&b| e < b + grace);
+                    assert_eq!(state.in_grace(Epoch(e), p, s), expected, "epoch {e}: {p} on {s}");
+                    live += usize::from(expected);
+                }
+                // A written row holds exactly its births still in grace.
+                assert_eq!(state.cells_in(p), live, "epoch {e}: {p}");
+            }
+            // Once every row has reached its width, the state stops
+            // growing: expired births make room for fresh ones.
+            if e == 4 * grace {
+                settled_bytes = Some(state.heap_bytes());
+            }
+            if let Some(bytes) = settled_bytes {
+                assert_eq!(state.heap_bytes(), bytes, "epoch {e}: the state grew");
             }
         }
-        assert!(core.born_swept >= 195, "sweeps keep running");
         // Grace 0 protects nothing, so nothing outlives its epoch.
-        let mut core = RfhDecisionCore::new(0);
+        let mut state = DecisionState::new(0);
         for e in 0..10u64 {
-            let a = Action::Replicate {
-                partition: PartitionId::new(e as u32),
-                target: ServerId::new(0),
-            };
-            core.note_birth(Epoch(e), &[a]);
-            assert_eq!(core.born.len(), 1);
+            let p = PartitionId::new(e as u32);
+            let a = Action::Replicate { partition: p, target: ServerId::new(0) };
+            state.note_births(Epoch(e), &[a]);
+            assert!(!state.in_grace(Epoch(e), p, ServerId::new(0)));
+            assert_eq!(state.cells_in(p), 0);
         }
     }
 

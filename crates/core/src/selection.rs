@@ -3,6 +3,7 @@
 use crate::manager::ReplicaManager;
 use rfh_topology::Topology;
 use rfh_types::{DatacenterId, PartitionId, ServerId};
+use std::cmp::Ordering;
 
 /// Alive servers in `dc` that can accept a replica of `p` (not hosting
 /// one already, storage under φ), ascending id.
@@ -12,18 +13,31 @@ pub(crate) fn accepting_servers_in_dc(
     p: PartitionId,
     dc: DatacenterId,
 ) -> Vec<ServerId> {
-    topo.alive_servers_in(dc).map(|s| s.id).filter(|&s| manager.can_accept(p, s)).collect()
+    accepting_in_dc(topo, manager, p, dc).collect()
+}
+
+/// [`accepting_servers_in_dc`] without collecting them.
+fn accepting_in_dc<'a>(
+    topo: &'a Topology,
+    manager: &'a ReplicaManager,
+    p: PartitionId,
+    dc: DatacenterId,
+) -> impl Iterator<Item = ServerId> + 'a {
+    topo.alive_servers_in(dc).map(|s| s.id).filter(move |&s| manager.can_accept(p, s))
+}
+
+/// Order by blocking probability, lowest first.
+fn by_blocking(blocking: &[f64], a: ServerId, b: ServerId) -> Ordering {
+    blocking[a.index()].partial_cmp(&blocking[b.index()]).unwrap_or(Ordering::Equal)
 }
 
 /// The candidate with the lowest blocking probability (ties toward the
 /// lower id, so selection is deterministic).
-pub(crate) fn least_blocked(candidates: &[ServerId], blocking: &[f64]) -> Option<ServerId> {
-    candidates.iter().copied().min_by(|&a, &b| {
-        blocking[a.index()]
-            .partial_cmp(&blocking[b.index()])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.cmp(&b))
-    })
+pub(crate) fn least_blocked(
+    candidates: impl IntoIterator<Item = ServerId>,
+    blocking: &[f64],
+) -> Option<ServerId> {
+    candidates.into_iter().min_by(|&a, &b| by_blocking(blocking, a, b).then_with(|| a.cmp(&b)))
 }
 
 /// The least-blocked accepting server in `dc`, if any.
@@ -34,8 +48,7 @@ pub(crate) fn least_blocked_in_dc(
     dc: DatacenterId,
     blocking: &[f64],
 ) -> Option<ServerId> {
-    let candidates = accepting_servers_in_dc(topo, manager, p, dc);
-    least_blocked(&candidates, blocking)
+    least_blocked(accepting_in_dc(topo, manager, p, dc), blocking)
 }
 
 /// The accepting server in `dc` that maximizes failure-domain spread
@@ -54,30 +67,26 @@ pub(crate) fn most_spread_in_dc(
     // Rooms and racks are dense per-datacenter indices, so occupancy
     // only compares within `dc`; rack keys carry the room to stay
     // robust to per-room rack numbering.
-    let occupied: Vec<(u32, u32)> = manager
-        .replicas(p)
-        .iter()
-        .map(|&s| &topo.servers()[s.index()])
-        .filter(|s| s.datacenter == dc)
-        .map(|s| (s.room.0, s.rack.0))
-        .collect();
-    accepting_servers_in_dc(topo, manager, p, dc).into_iter().min_by(|&a, &b| {
-        let key = |s: ServerId| {
-            let srv = &topo.servers()[s.index()];
-            let room_taken = occupied.iter().any(|&(room, _)| room == srv.room.0);
-            let rack_taken =
-                occupied.iter().any(|&(room, rack)| room == srv.room.0 && rack == srv.rack.0);
-            (room_taken, rack_taken)
-        };
-        key(a)
-            .cmp(&key(b))
-            .then_with(|| {
-                blocking[a.index()]
-                    .partial_cmp(&blocking[b.index()])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| a.cmp(&b))
-    })
+    let occupied = || {
+        manager
+            .replicas(p)
+            .iter()
+            .map(|&s| &topo.servers()[s.index()])
+            .filter(|s| s.datacenter == dc)
+            .map(|s| (s.room.0, s.rack.0))
+    };
+    let taken = |s: ServerId| {
+        let srv = &topo.servers()[s.index()];
+        let room_taken = occupied().any(|(room, _)| room == srv.room.0);
+        let rack_taken = occupied().any(|(room, rack)| room == srv.room.0 && rack == srv.rack.0);
+        (room_taken, rack_taken)
+    };
+    accepting_in_dc(topo, manager, p, dc)
+        .map(|s| (taken(s), s))
+        .min_by(|&(ka, a), &(kb, b)| {
+            ka.cmp(&kb).then_with(|| by_blocking(blocking, a, b)).then_with(|| a.cmp(&b))
+        })
+        .map(|(_, s)| s)
 }
 
 /// Every alive server able to accept a replica of `p`, cluster-wide.
@@ -126,10 +135,10 @@ mod tests {
     fn least_blocked_breaks_ties_by_id() {
         let ids = [ServerId::new(2), ServerId::new(1)];
         let blocking = [0.9, 0.1, 0.1];
-        assert_eq!(least_blocked(&ids, &blocking), Some(ServerId::new(1)));
-        assert_eq!(least_blocked(&[], &blocking), None);
+        assert_eq!(least_blocked(ids, &blocking), Some(ServerId::new(1)));
+        assert_eq!(least_blocked([], &blocking), None);
         let blocking2 = [0.9, 0.5, 0.1];
-        assert_eq!(least_blocked(&ids, &blocking2), Some(ServerId::new(2)));
+        assert_eq!(least_blocked(ids, &blocking2), Some(ServerId::new(2)));
     }
 
     #[test]

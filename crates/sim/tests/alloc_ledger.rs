@@ -140,8 +140,8 @@ fn sim_costs_stay_within_the_ledger() {
     let topo = scaled_paper_topology(2, cfg.capacity_spread, 42).unwrap();
     let dcs = topo.datacenters().len() as u32;
 
-    // 1. Peak live heap per partition, from construction through the
-    //    warm-up.
+    // 1. Peak live heap per partition and allocations, from
+    //    construction through the warm-up.
     let start = tally();
     reset_peak();
     let mut sim = Simulation::with_topology(params(), topo).unwrap();
@@ -150,6 +150,7 @@ fn sim_costs_stay_within_the_ledger() {
     }
     let warm = tally();
     let peak_per_partition = (warm.peak - start.live) as u64 / u64::from(PARTITIONS);
+    let warm_up_allocs = warm.allocs - start.allocs;
 
     // 2. The by-owner byte gauges account for what is live.
     let live = (warm.live - start.live) as f64;
@@ -196,6 +197,7 @@ fn sim_costs_stay_within_the_ledger() {
     let pass_allocs = tally().allocs - before;
 
     println!("peak_bytes_per_partition {peak_per_partition}");
+    println!("warm_up_allocs {warm_up_allocs}");
     println!("allocs_per_steady_epoch {allocs_per_epoch}");
     println!("account_active_allocs {pass_allocs}");
     println!("live {live} owned {owned} share {:.3}", owned / live);
@@ -203,6 +205,10 @@ fn sim_costs_stay_within_the_ledger() {
     assert!(
         peak_per_partition <= ledger("peak_bytes_per_partition"),
         "peak live heap {peak_per_partition} B/partition is over the ledger"
+    );
+    assert!(
+        warm_up_allocs <= ledger("warm_up_allocs"),
+        "{warm_up_allocs} allocations from construction through warm-up is over the ledger"
     );
     assert!(
         allocs_per_epoch <= ledger("allocs_per_steady_epoch"),

@@ -4,45 +4,51 @@
 //! A partition holds a handful of replicas while the cluster holds
 //! dozens to thousands of servers, so a dense `[partition][server]` row
 //! is almost all zeros. [`SlotRows`] keeps each row as a short list of
-//! slots instead: [`INLINE_SLOTS`] cells per row stored flat and
-//! row-major, and a sorted spill list for the rows that outgrow them.
-//! The inline width is fixed — never the largest row — so one
-//! flash-crowd partition with dozens of replicas spills alone instead
-//! of widening every row.
+//! slots instead: `N` cells per row stored flat and row-major
+//! ([`INLINE_SLOTS`] unless the owner picks another width), and a
+//! sorted spill list for the rows that outgrow them. The inline width
+//! is fixed — never the largest row — so one flash-crowd partition with
+//! dozens of replicas spills alone instead of widening every row.
 //!
 //! A row's cells are always one contiguous slice, whichever side holds
 //! them. A row that has spilled stays spilled until the next
 //! [`reshape`](SlotRows::reshape), so a partition that re-renders every
 //! epoch reuses its spill allocation.
 
-/// Slots stored inline per row.
+/// Slots stored inline per row by default.
 pub const INLINE_SLOTS: usize = 4;
 
 /// `lens` marker of a row that lives in the spill list.
 const SPILLED: u8 = u8::MAX;
 
-/// Variable-length rows of `T` cells: inline when short, spilled when
-/// long. Equality is row content, not layout.
+/// Variable-length rows of `T` cells: up to `N` inline, spilled when
+/// longer. Equality is row content, not layout.
 #[derive(Debug, Clone)]
-pub struct SlotRows<T> {
-    /// Per row: its length while inline (`0..=INLINE_SLOTS`), or
-    /// [`SPILLED`].
+pub struct SlotRows<T, const N: usize = INLINE_SLOTS> {
+    /// Per row: its length while inline (`0..=N`), or [`SPILLED`].
     lens: Vec<u8>,
-    /// [`INLINE_SLOTS`] cells per row.
+    /// `N` cells per row.
     inline: Vec<T>,
     /// Spilled rows, ascending by row index.
     spill: Vec<(u32, Vec<T>)>,
 }
 
-impl<T: Copy + Default + PartialEq> PartialEq for SlotRows<T> {
+impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for SlotRows<T, N> {
     fn eq(&self, other: &Self) -> bool {
         self.rows() == other.rows() && (0..self.rows()).all(|r| self.row(r) == other.row(r))
     }
 }
 
-impl<T: Copy + Default> SlotRows<T> {
+impl<T: Copy + Default, const N: usize> Default for SlotRows<T, N> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<T: Copy + Default, const N: usize> SlotRows<T, N> {
     /// `rows` empty rows.
     pub fn new(rows: usize) -> Self {
+        const { assert!(N < SPILLED as usize, "inline width collides with the spill marker") };
         let mut s = SlotRows { lens: Vec::new(), inline: Vec::new(), spill: Vec::new() };
         s.reshape(rows);
         s
@@ -58,8 +64,17 @@ impl<T: Copy + Default> SlotRows<T> {
         self.lens.clear();
         self.lens.resize(rows, 0);
         self.inline.clear();
-        self.inline.resize(rows * INLINE_SLOTS, T::default());
+        self.inline.resize(rows * N, T::default());
         self.spill.clear();
+    }
+
+    /// Append empty rows until there are `rows`, keeping every
+    /// existing row as it is.
+    pub fn grow(&mut self, rows: usize) {
+        if rows > self.lens.len() {
+            self.lens.resize(rows, 0);
+            self.inline.resize(rows * N, T::default());
+        }
     }
 
     fn spill_index(spill: &[(u32, Vec<T>)], r: usize) -> usize {
@@ -71,7 +86,7 @@ impl<T: Copy + Default> SlotRows<T> {
     pub fn row(&self, r: usize) -> &[T] {
         match self.lens[r] {
             SPILLED => &self.spill[Self::spill_index(&self.spill, r)].1,
-            n => &self.inline[r * INLINE_SLOTS..r * INLINE_SLOTS + n as usize],
+            n => &self.inline[r * N..r * N + n as usize],
         }
     }
 
@@ -83,7 +98,7 @@ impl<T: Copy + Default> SlotRows<T> {
                 let i = Self::spill_index(&self.spill, r);
                 &mut self.spill[i].1
             }
-            n => &mut self.inline[r * INLINE_SLOTS..r * INLINE_SLOTS + n as usize],
+            n => &mut self.inline[r * N..r * N + n as usize],
         }
     }
 
@@ -96,9 +111,9 @@ impl<T: Copy + Default> SlotRows<T> {
                 cells.clear();
                 cells.resize(n, T::default());
             }
-            _ if n <= INLINE_SLOTS => {
+            _ if n <= N => {
                 self.lens[r] = n as u8;
-                self.inline[r * INLINE_SLOTS..(r + 1) * INLINE_SLOTS].fill(T::default());
+                self.inline[r * N..(r + 1) * N].fill(T::default());
             }
             _ => self.spill_row(r, vec![T::default(); n]),
         }
@@ -111,17 +126,38 @@ impl<T: Copy + Default> SlotRows<T> {
                 let i = Self::spill_index(&self.spill, r);
                 self.spill[i].1.insert(at, value);
             }
-            n if (n as usize) < INLINE_SLOTS => {
-                let cells = &mut self.inline[r * INLINE_SLOTS..(r + 1) * INLINE_SLOTS];
+            n if (n as usize) < N => {
+                let cells = &mut self.inline[r * N..(r + 1) * N];
                 cells.copy_within(at..n as usize, at + 1);
                 cells[at] = value;
                 self.lens[r] = n + 1;
             }
             _ => {
-                let mut cells = Vec::with_capacity(2 * INLINE_SLOTS);
+                let mut cells = Vec::with_capacity(2 * N);
                 cells.extend_from_slice(self.row(r));
                 cells.insert(at, value);
                 self.spill_row(r, cells);
+            }
+        }
+    }
+
+    /// Keep only the cells of row `r` for which `keep` holds, in order.
+    pub fn retain(&mut self, r: usize, mut keep: impl FnMut(&T) -> bool) {
+        match self.lens[r] {
+            SPILLED => {
+                let i = Self::spill_index(&self.spill, r);
+                self.spill[i].1.retain(keep);
+            }
+            n => {
+                let cells = &mut self.inline[r * N..r * N + n as usize];
+                let mut kept = 0;
+                for i in 0..cells.len() {
+                    if keep(&cells[i]) {
+                        cells[kept] = cells[i];
+                        kept += 1;
+                    }
+                }
+                self.lens[r] = kept as u8;
             }
         }
     }
@@ -144,7 +180,7 @@ impl<T: Copy + Default> SlotRows<T> {
 
     /// A writable window over every row, for splitting into disjoint
     /// row ranges (see [`SlotRowsMut::split_at`]).
-    pub fn window(&mut self) -> SlotRowsMut<'_, T> {
+    pub fn window(&mut self) -> SlotRowsMut<'_, T, N> {
         SlotRowsMut { first: 0, lens: &self.lens, inline: &mut self.inline, spill: &mut self.spill }
     }
 }
@@ -153,20 +189,20 @@ impl<T: Copy + Default> SlotRows<T> {
 /// [`SlotRows`]: cells can be written, rows cannot change length.
 /// Disjoint windows can be handed to different threads.
 #[derive(Debug)]
-pub struct SlotRowsMut<'a, T> {
+pub struct SlotRowsMut<'a, T, const N: usize = INLINE_SLOTS> {
     first: usize,
     lens: &'a [u8],
     inline: &'a mut [T],
     spill: &'a mut [(u32, Vec<T>)],
 }
 
-impl<'a, T: Copy + Default> SlotRowsMut<'a, T> {
+impl<'a, T: Copy + Default, const N: usize> SlotRowsMut<'a, T, N> {
     /// Split into the rows before `r` and the rows from `r` on (`r` is
     /// a row index of the whole table, inside this window).
     pub fn split_at(self, r: usize) -> (Self, Self) {
         let local = r - self.first;
         let (lens_lo, lens_hi) = self.lens.split_at(local);
-        let (inline_lo, inline_hi) = self.inline.split_at_mut(local * INLINE_SLOTS);
+        let (inline_lo, inline_hi) = self.inline.split_at_mut(local * N);
         let cut = self.spill.partition_point(|(row, _)| (*row as usize) < r);
         let (spill_lo, spill_hi) = self.spill.split_at_mut(cut);
         (
@@ -181,10 +217,10 @@ impl<'a, T: Copy + Default> SlotRowsMut<'a, T> {
         let local = r - self.first;
         match self.lens[local] {
             SPILLED => {
-                let i = SlotRows::spill_index(self.spill, r);
+                let i = SlotRows::<T, N>::spill_index(self.spill, r);
                 &mut self.spill[i].1
             }
-            n => &mut self.inline[local * INLINE_SLOTS..local * INLINE_SLOTS + n as usize],
+            n => &mut self.inline[local * N..local * N + n as usize],
         }
     }
 }
@@ -219,6 +255,31 @@ mod tests {
         rows.reshape(2);
         assert_eq!(rows.rows(), 2);
         assert!(rows.row(1).is_empty() && rows.spill.is_empty());
+    }
+
+    #[test]
+    fn narrow_rows_retain_and_grow_in_place() {
+        let mut rows = SlotRows::<u32, 2>::new(2);
+        rows.insert(0, 0, 1);
+        rows.insert(0, 1, 2);
+        assert_eq!(rows.spill.len(), 0, "two cells fit a width-2 row");
+        rows.insert(0, 2, 3);
+        assert_eq!((rows.row(0), rows.spill.len()), (&[1, 2, 3][..], 1));
+        rows.retain(0, |&v| v != 2);
+        assert_eq!(rows.row(0), &[1, 3], "a spilled row keeps order as it shrinks");
+        rows.insert(1, 0, 7);
+        rows.insert(1, 1, 8);
+        rows.retain(1, |&v| v == 8);
+        assert_eq!(rows.row(1), &[8], "an inline row compacts to its front");
+
+        rows.grow(4);
+        assert_eq!(rows.rows(), 4);
+        assert_eq!((rows.row(0), rows.row(1)), (&[1, 3][..], &[8][..]), "growing keeps rows");
+        assert!(rows.row(2).is_empty() && rows.row(3).is_empty());
+        rows.grow(3);
+        assert_eq!(rows.rows(), 4, "growing never shrinks");
+        rows.insert(3, 0, 9);
+        assert_eq!(rows.row(3), &[9]);
     }
 
     #[test]
