@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing.
 //!
-//! Grammar: `<command> (--key value | --flag)*`. Value options take
+//! Grammar: `<command> [word] (--key value | --flag)*`, where only
+//! `experiments` takes the positional word. Value options take
 //! exactly one value; flags ([`FLAGS`]) take none. Unknown options are
 //! rejected at parse time (commands validate which options they accept
 //! semantically).
@@ -54,10 +55,16 @@ const KNOWN: [&str; 31] = [
 /// Valueless options, stored as `"true"` when present.
 pub const FLAGS: [&str; 1] = ["profile"];
 
-/// Split an argument list into `(command, options)`.
-pub fn parse(argv: &[String]) -> Result<(String, Options)> {
-    let mut it = argv.iter();
+/// Split an argument list into `(command, word, options)`. `word` is
+/// the one positional argument `experiments` takes (the experiment
+/// name); every other command takes options only.
+pub fn parse(argv: &[String]) -> Result<(String, Option<String>, Options)> {
+    let mut it = argv.iter().peekable();
     let command = it.next().cloned().unwrap_or_default();
+    let word = match command.as_str() {
+        "experiments" => it.next_if(|a| !a.starts_with("--")).cloned(),
+        _ => None,
+    };
     let mut opts = Options::new();
     while let Some(arg) = it.next() {
         let Some(key) = arg.strip_prefix("--") else {
@@ -84,7 +91,7 @@ pub fn parse(argv: &[String]) -> Result<(String, Options)> {
         };
         opts.insert(key.to_string(), value.clone());
     }
-    Ok((command, opts))
+    Ok((command, word, opts))
 }
 
 /// Whether a valueless flag (one of [`FLAGS`]) was given.
@@ -278,27 +285,32 @@ mod tests {
 
     #[test]
     fn parses_command_and_options() {
-        let (cmd, opts) = parse(&argv("run --policy owner --epochs 99")).unwrap();
+        let (cmd, _, opts) = parse(&argv("run --policy owner --epochs 99")).unwrap();
         assert_eq!(cmd, "run");
         assert_eq!(opts.get("policy").unwrap(), "owner");
         assert_eq!(epochs(&opts).unwrap(), 99);
         assert_eq!(seed(&opts).unwrap(), 42, "default seed");
         assert_eq!(policy(&opts).unwrap(), PolicyKind::OwnerOriented);
+
+        let (cmd, word, opts) = parse(&argv("experiments fig3 --seed 7")).unwrap();
+        assert_eq!((cmd.as_str(), word.as_deref()), ("experiments", Some("fig3")));
+        assert_eq!(seed(&opts).unwrap(), 7);
+        assert!(parse(&argv("experiments fig3 fig4")).is_err(), "one word only");
     }
 
     #[test]
     fn empty_argv_is_help() {
-        let (cmd, opts) = parse(&[]).unwrap();
+        let (cmd, _, opts) = parse(&[]).unwrap();
         assert_eq!(cmd, "");
         assert!(opts.is_empty());
     }
 
     #[test]
     fn profile_flag_takes_no_value() {
-        let (_, opts) = parse(&argv("run --profile --epochs 3")).unwrap();
+        let (_, _, opts) = parse(&argv("run --profile --epochs 3")).unwrap();
         assert!(flag(&opts, "profile"));
         assert_eq!(epochs(&opts).unwrap(), 3, "--profile must not eat the next token");
-        let (_, opts) = parse(&argv("run --epochs 3")).unwrap();
+        let (_, _, opts) = parse(&argv("run --epochs 3")).unwrap();
         assert!(!flag(&opts, "profile"));
     }
 
@@ -312,67 +324,67 @@ mod tests {
         let retired = ["data", "plane"].join("-");
         let err = parse(&argv(&format!("loadgen --{retired} reactor"))).unwrap_err().to_string();
         assert!(err.contains(&format!("unknown option --{retired}")), "{err}");
-        let (_, opts) = parse(&argv("run --epochs twelve")).unwrap();
+        let (_, _, opts) = parse(&argv("run --epochs twelve")).unwrap();
         assert!(epochs(&opts).is_err(), "non-numeric value");
     }
 
     #[test]
     fn fault_plan_option_loads_and_overrides_seed() {
-        let (_, o) = parse(&argv("run")).unwrap();
+        let (_, _, o) = parse(&argv("run")).unwrap();
         assert!(fault_plan(&o).unwrap().is_empty(), "no --faults means no chaos");
-        let (_, o) = parse(&argv("run --fault-seed 9")).unwrap();
+        let (_, _, o) = parse(&argv("run --fault-seed 9")).unwrap();
         assert!(fault_plan(&o).unwrap().is_empty(), "a seed alone injects nothing");
 
         let dir = std::env::temp_dir().join(format!("rfh_fault_args_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("plan.toml");
         std::fs::write(&file, "seed = 4\n\n[[at]]\nepoch = 10\nfail_dc = 3\n").unwrap();
-        let (_, o) = parse(&argv(&format!("run --faults {}", file.display()))).unwrap();
+        let (_, _, o) = parse(&argv(&format!("run --faults {}", file.display()))).unwrap();
         let plan = fault_plan(&o).unwrap();
         assert_eq!(plan.seed, 4);
         assert_eq!(plan.scheduled.len(), 1);
-        let (_, o) =
+        let (_, _, o) =
             parse(&argv(&format!("run --faults {} --fault-seed 99", file.display()))).unwrap();
         assert_eq!(fault_plan(&o).unwrap().seed, 99, "--fault-seed wins over the file");
 
-        let (_, o) = parse(&argv("run --faults /nonexistent/plan.toml")).unwrap();
+        let (_, _, o) = parse(&argv("run --faults /nonexistent/plan.toml")).unwrap();
         assert!(fault_plan(&o).is_err(), "missing plan file errors cleanly");
         std::fs::write(&file, "epoch = broken [[").unwrap();
-        let (_, o) = parse(&argv(&format!("run --faults {}", file.display()))).unwrap();
+        let (_, _, o) = parse(&argv(&format!("run --faults {}", file.display()))).unwrap();
         assert!(fault_plan(&o).is_err(), "malformed plan errors cleanly");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn partitions_skew_and_engine_options() {
-        let (_, o) = parse(&argv("run")).unwrap();
+        let (_, _, o) = parse(&argv("run")).unwrap();
         assert_eq!(partitions(&o).unwrap(), None, "no override by default");
         assert_eq!(skew(&o).unwrap(), None);
         assert_eq!(engine(&o).unwrap(), EngineMode::Sparse, "sparse is the default");
 
-        let (_, o) = parse(&argv("run --partitions 1000000 --skew 1.1 --engine dense")).unwrap();
+        let (_, _, o) = parse(&argv("run --partitions 1000000 --skew 1.1 --engine dense")).unwrap();
         assert_eq!(partitions(&o).unwrap(), Some(1_000_000));
         assert_eq!(skew(&o).unwrap(), Some(1.1));
         assert_eq!(engine(&o).unwrap(), EngineMode::Dense);
-        let (_, o) = parse(&argv("run --engine sparse")).unwrap();
+        let (_, _, o) = parse(&argv("run --engine sparse")).unwrap();
         assert_eq!(engine(&o).unwrap(), EngineMode::Sparse);
 
         // u32 overflow is rejected up front with a pointed message.
-        let (_, o) = parse(&argv("run --partitions 4294967296")).unwrap();
+        let (_, _, o) = parse(&argv("run --partitions 4294967296")).unwrap();
         let err = partitions(&o).unwrap_err().to_string();
         assert!(err.contains("u32"), "overflow message names the limit: {err}");
-        let (_, o) = parse(&argv("run --partitions 4294967295")).unwrap();
+        let (_, _, o) = parse(&argv("run --partitions 4294967295")).unwrap();
         assert_eq!(partitions(&o).unwrap(), Some(u32::MAX), "the max id itself is fine");
-        let (_, o) = parse(&argv("run --partitions 0")).unwrap();
+        let (_, _, o) = parse(&argv("run --partitions 0")).unwrap();
         assert!(partitions(&o).is_err(), "zero partitions rejected");
-        let (_, o) = parse(&argv("run --partitions many")).unwrap();
+        let (_, _, o) = parse(&argv("run --partitions many")).unwrap();
         assert!(partitions(&o).is_err(), "non-numeric rejected");
 
-        let (_, o) = parse(&argv("run --skew -0.5")).unwrap();
+        let (_, _, o) = parse(&argv("run --skew -0.5")).unwrap();
         assert!(skew(&o).is_err(), "negative skew rejected");
-        let (_, o) = parse(&argv("run --skew inf")).unwrap();
+        let (_, _, o) = parse(&argv("run --skew inf")).unwrap();
         assert!(skew(&o).is_err(), "non-finite skew rejected");
-        let (_, o) = parse(&argv("run --engine turbo")).unwrap();
+        let (_, _, o) = parse(&argv("run --engine turbo")).unwrap();
         assert!(engine(&o).is_err(), "unknown engine rejected");
     }
 
@@ -385,46 +397,46 @@ mod tests {
             ("owner", PolicyKind::OwnerOriented),
             ("request", PolicyKind::RequestOriented),
         ] {
-            let (_, o) = parse(&argv(&format!("run --policy {name}"))).unwrap();
+            let (_, _, o) = parse(&argv(&format!("run --policy {name}"))).unwrap();
             assert_eq!(policy(&o).unwrap(), expect);
         }
-        let (_, o) = parse(&argv("run --policy dynamo")).unwrap();
+        let (_, _, o) = parse(&argv("run --policy dynamo")).unwrap();
         assert!(policy(&o).is_err());
 
-        let (_, o) = parse(&argv("run --scenario flash")).unwrap();
+        let (_, _, o) = parse(&argv("run --scenario flash")).unwrap();
         assert!(matches!(scenario(&o).unwrap(), Scenario::FlashCrowd(_)));
-        let (_, o) = parse(&argv("run --scenario weird")).unwrap();
+        let (_, _, o) = parse(&argv("run --scenario weird")).unwrap();
         assert!(scenario(&o).is_err());
-        let (_, o) = parse(&argv("run")).unwrap();
+        let (_, _, o) = parse(&argv("run")).unwrap();
         assert!(matches!(scenario(&o).unwrap(), Scenario::RandomEven));
     }
 
     #[test]
     fn placement_selects_the_spread_variant() {
-        let (_, o) = parse(&argv("run --placement domain-spread")).unwrap();
+        let (_, _, o) = parse(&argv("run --placement domain-spread")).unwrap();
         assert_eq!(policy(&o).unwrap(), PolicyKind::DomainSpread);
-        let (_, o) = parse(&argv("run --policy rfh --placement domain-spread")).unwrap();
+        let (_, _, o) = parse(&argv("run --policy rfh --placement domain-spread")).unwrap();
         assert_eq!(policy(&o).unwrap(), PolicyKind::DomainSpread);
-        let (_, o) = parse(&argv("run --policy spread --placement domain-spread")).unwrap();
+        let (_, _, o) = parse(&argv("run --policy spread --placement domain-spread")).unwrap();
         assert_eq!(policy(&o).unwrap(), PolicyKind::DomainSpread);
-        let (_, o) = parse(&argv("run --policy rfh --placement traffic")).unwrap();
+        let (_, _, o) = parse(&argv("run --policy rfh --placement traffic")).unwrap();
         assert_eq!(policy(&o).unwrap(), PolicyKind::Rfh);
-        let (_, o) = parse(&argv("run --policy random --placement domain-spread")).unwrap();
+        let (_, _, o) = parse(&argv("run --policy random --placement domain-spread")).unwrap();
         assert!(policy(&o).is_err(), "spread placement is an RFH variant");
-        let (_, o) = parse(&argv("run --placement diagonal")).unwrap();
+        let (_, _, o) = parse(&argv("run --placement diagonal")).unwrap();
         assert!(policy(&o).is_err(), "unknown placement rejected");
     }
 
     #[test]
     fn link_budget_selects_the_planner() {
-        let (_, o) = parse(&argv("run")).unwrap();
+        let (_, _, o) = parse(&argv("run")).unwrap();
         assert_eq!(planner(&o).unwrap(), PlannerConfig::default(), "no budget by default");
-        let (_, o) = parse(&argv("run --link-budget 1048576")).unwrap();
+        let (_, _, o) = parse(&argv("run --link-budget 1048576")).unwrap();
         assert_eq!(planner(&o).unwrap(), PlannerConfig::budgeted(1 << 20));
         assert!(parse(&argv("run --planner on")).is_err(), "the on/off knob is gone");
-        let (_, o) = parse(&argv("run --link-budget 0")).unwrap();
+        let (_, _, o) = parse(&argv("run --link-budget 0")).unwrap();
         assert!(planner(&o).is_err(), "zero budget rejected");
-        let (_, o) = parse(&argv("run --link-budget lots")).unwrap();
+        let (_, _, o) = parse(&argv("run --link-budget lots")).unwrap();
         assert!(planner(&o).is_err(), "non-numeric budget rejected");
     }
 }

@@ -40,6 +40,19 @@ pub fn table1(_opts: &Options) -> Result<String> {
     Ok(table1_mod::render(&SimConfig::default()))
 }
 
+/// `rfh experiments <name> [--seed N]`: one of the paper's figures or
+/// an extension experiment ([`rfh_experiments::NAMES`]). `--seed`
+/// defaults to 42, except for `sweep`, whose base seed defaults to
+/// 1000.
+pub fn experiments(name: Option<&str>, opts: &Options) -> Result<String> {
+    let name = name.unwrap_or_default();
+    let seed = match name {
+        "sweep" => args::numeric(opts, "seed", rfh_experiments::sweep::DEFAULT_BASE_SEED)?,
+        _ => args::seed(opts)?,
+    };
+    rfh_experiments::run(name, seed)
+}
+
 /// `rfh topology`: sites, servers, links, and the routes of the paper's
 /// running example.
 pub fn topology(opts: &Options) -> Result<String> {
@@ -524,7 +537,7 @@ mod tests {
 
     fn opts(s: &str) -> Options {
         let argv: Vec<String> = s.split_whitespace().map(str::to_string).collect();
-        parse(&argv).unwrap().1
+        parse(&argv).unwrap().2
     }
 
     #[test]

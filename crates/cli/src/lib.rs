@@ -6,6 +6,9 @@
 //!
 //! ```text
 //! rfh table1                                  print Table I
+//! rfh experiments <name> [--seed N]           a paper figure (fig3..fig10, all:
+//!                                             every figure + CSVs under results/)
+//!                                             or an extension experiment
 //! rfh topology [--seed N]                     inspect the 10-DC world and its routes
 //! rfh run [--policy rfh] [--scenario flash]   one simulation, summary + optional CSV
 //!         [--epochs N] [--seed N] [--csv FILE]
@@ -50,9 +53,10 @@ use rfh_types::RfhError;
 /// name). Returns the text to print, or an error whose message is shown
 /// to the user with exit code 1.
 pub fn run(argv: &[String]) -> Result<String, RfhError> {
-    let (command, opts) = args::parse(argv)?;
+    let (command, word, opts) = args::parse(argv)?;
     match command.as_str() {
         "table1" => commands::table1(&opts),
+        "experiments" => commands::experiments(word.as_deref(), &opts),
         "topology" => commands::topology(&opts),
         "run" => commands::run_one(&opts),
         "compare" => commands::compare(&opts),
@@ -78,6 +82,8 @@ USAGE:
 
 COMMANDS:
     table1        print Table I (environment and parameter setting)
+    experiments   regenerate a paper figure or run an extension experiment
+                  (rfh experiments <name> [--seed N]; names below)
     topology      inspect the paper's 10-datacenter world and WAN routes
     run           run one policy and print its steady-state summary
     compare       run all four policies over an identical workload
@@ -146,8 +152,16 @@ TELEMETRY OPTIONS:
     --connect ADDR          `watch` polls this controller's /timeline endpoint
     --interval-ms N         `watch` poll interval                    (default 500)
 
-The figure-by-figure harness lives in the experiment binaries:
-    cargo run -p rfh-experiments --bin all | fig3..fig10 | table1 | ablations | sla
+EXPERIMENTS (rfh experiments <name> [--seed N]; figures write CSVs under results/):
+    all           Table I, Figs. 3-10 with their shape checks, and the claim summary
+    fig3..fig10   one figure: its charts and shape checks
+    ablations     RFH design-choice ablations (alpha, gamma, suicide, migration, eq. 18)
+    sla           300 ms SLA attainment per policy
+    availability  data loss under recurring failure waves
+    chaos         correlated vs uncorrelated vs gray faults
+    domains       failure-domain placement and the link-budget ladder
+    scalability   10 -> 72 datacenters: cost per epoch and quality
+    sweep         the ordering claims over 12 seeds (--seed is the first; default 1000)
 ";
 
 #[cfg(test)]
@@ -162,6 +176,27 @@ mod tests {
     fn help_paths() {
         assert_eq!(run(&[]).unwrap(), HELP);
         assert_eq!(run(&argv("help")).unwrap(), HELP);
+        for name in rfh_experiments::NAMES.iter().filter(|n| !n.starts_with("fig")) {
+            assert!(HELP.contains(&format!("\n    {name} ")), "help omits experiment {name}");
+        }
+    }
+
+    #[test]
+    fn experiments_reject_a_malformed_seed() {
+        let err = run(&argv("experiments fig10 --seed notaseed")).unwrap_err().to_string();
+        assert!(err.contains("\"notaseed\" is not a non-negative integer"), "{err}");
+        let err = run(&argv("experiments sweep --seed x")).unwrap_err().to_string();
+        assert!(err.contains("\"x\""), "{err}");
+    }
+
+    #[test]
+    fn unknown_experiment_lists_the_names() {
+        for line in ["experiments nosuch", "experiments"] {
+            let err = run(&argv(line)).unwrap_err().to_string();
+            for name in rfh_experiments::NAMES {
+                assert!(err.contains(name), "{line:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!   choice (eq. 18).
 
 use crate::figures::base_params;
+use crate::steady;
 use rfh_core::{PolicyKind, RfhPolicy};
 use rfh_sim::{SimResult, Simulation};
 use rfh_types::{FlashCrowdConfig, Result};
 use rfh_workload::Scenario;
+use std::fmt::Write as _;
 
 /// Epochs per ablation run (flash-crowd schedule).
 pub const ABLATION_EPOCHS: u64 = 400;
@@ -30,14 +32,6 @@ pub struct AblationResult {
     pub label: String,
     /// The run.
     pub result: SimResult,
-}
-
-impl AblationResult {
-    /// Steady-state (last-quarter) mean of a metric.
-    pub fn tail(&self, metric: &str) -> f64 {
-        let s = self.result.metrics.series(metric).expect("metric exists");
-        s.mean_over(s.len() * 3 / 4, s.len())
-    }
 }
 
 fn flash_params(seed: u64) -> rfh_sim::SimParams {
@@ -129,21 +123,39 @@ pub const ABLATION_METRICS: [&str; 6] = [
 ];
 
 /// Render an ablation family as an aligned table.
-pub fn render(title: &str, results: &[AblationResult]) -> String {
+pub fn render(title: &str, results: &[AblationResult]) -> Result<String> {
     let mut out = format!("== ablation: {title} ==\n");
-    out.push_str(&format!("{:24}", "variant"));
+    let _ = write!(out, "{:24}", "variant");
     for m in ABLATION_METRICS {
-        out.push_str(&format!(" {m:>18}"));
+        let _ = write!(out, " {m:>18}");
     }
     out.push('\n');
     for r in results {
-        out.push_str(&format!("{:24}", r.label));
+        let _ = write!(out, "{:24}", r.label);
         for m in ABLATION_METRICS {
-            out.push_str(&format!(" {:>18.2}", r.tail(m)));
+            let _ = write!(out, " {:>18.2}", steady(&r.result, m)?);
         }
         out.push('\n');
     }
-    out
+    Ok(out)
+}
+
+type AblationFamily = fn(u64) -> Result<Vec<AblationResult>>;
+
+/// `rfh experiments ablations`: every ablation family's table.
+pub fn report(seed: u64) -> Result<String> {
+    let families: [(&str, AblationFamily); 5] = [
+        ("alpha (traffic smoothing, eqs. 10-11)", ablation_alpha),
+        ("gamma (hub threshold, eq. 13)", ablation_gamma),
+        ("suicide (eq. 15)", ablation_suicide),
+        ("migration (eq. 16)", ablation_migration),
+        ("blocking-probability choice (eq. 18)", ablation_blocking),
+    ];
+    let mut out = String::new();
+    for (title, family) in families {
+        let _ = writeln!(out, "{}", render(title, &family(seed)?)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -165,7 +177,7 @@ mod tests {
                 profile: None,
             },
         };
-        let table = render("demo", &[fake]);
+        let table = render("demo", &[fake]).unwrap();
         assert!(table.contains("ablation: demo"));
         assert!(table.contains("x=1"));
         assert!(table.contains("utilization"));

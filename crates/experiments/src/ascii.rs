@@ -1,4 +1,4 @@
-//! Terminal line charts for the experiment binaries.
+//! Terminal line charts for the experiment reports.
 //!
 //! The paper's figures are line charts of one metric over epochs for the
 //! four algorithms; the harness renders the same curves as ASCII so a

@@ -5,13 +5,15 @@
 //! size and count what replication is ultimately for: partitions that
 //! lost every replica (data-loss events, restored from cold archive in
 //! the simulator) and the demand that went unserved while the fleet
-//! rebuilt. Optional argument: RNG seed.
+//! rebuilt.
 
+use crate::figures::base_params;
+use crate::{series, steady};
 use rfh_core::PolicyKind;
-use rfh_experiments::figures::base_params;
-use rfh_experiments::output::seed_from_args;
 use rfh_sim::{run_comparison, SimParams};
+use rfh_types::Result;
 use rfh_workload::{ClusterEvent, EventSchedule, Scenario};
+use std::fmt::Write as _;
 
 const EPOCHS: u64 = 300;
 /// A failure wave every this many epochs, full recovery halfway after.
@@ -30,45 +32,40 @@ fn params_with_waves(burst: usize, seed: u64) -> SimParams {
     p
 }
 
-fn main() -> rfh_types::Result<()> {
-    let seed = seed_from_args();
-    println!(
+/// `rfh experiments availability`: data loss, end replica count,
+/// unserved demand and SLA per policy under waves of 10, 30 and 50
+/// failing servers.
+pub fn report(seed: u64) -> Result<String> {
+    let mut out = format!(
         "Recurring failure waves (every {WAVE_PERIOD} epochs, recovery after \
          {}), {EPOCHS} epochs, seed {seed}.\n\
-         data-loss = partitions that lost every replica (lower is better)\n",
+         data-loss = partitions that lost every replica (lower is better)\n\n",
         WAVE_PERIOD / 2
     );
     for burst in [10usize, 30, 50] {
         let cmp = run_comparison(&params_with_waves(burst, seed))?;
-        println!("== {burst} servers per wave ==");
-        println!(
+        let _ = writeln!(out, "== {burst} servers per wave ==");
+        let _ = writeln!(
+            out,
             "{:8} {:>10} {:>14} {:>14} {:>12}",
             "policy", "data-loss", "replicas(end)", "unserved/ep", "SLA %"
         );
         for kind in PolicyKind::ALL {
-            let m = &cmp.require(kind)?.metrics;
-            let series = |name: &str| {
-                m.series(name).ok_or_else(|| {
-                    rfh_types::RfhError::Simulation(format!(
-                        "{} run has no {name} series",
-                        kind.name()
-                    ))
-                })
-            };
-            let last = |name: &str| series(name).map(|s| s.last().unwrap_or(0.0));
-            let tail = |name: &str| series(name).map(|s| s.mean_over(s.len() * 3 / 4, s.len()));
-            println!(
+            let r = cmp.require(kind)?;
+            let last = |name| series(r, name).map(|s| s.last().unwrap_or(0.0));
+            let _ = writeln!(
+                out,
                 "{:8} {:>10.0} {:>14.0} {:>14.2} {:>12.1}",
                 kind.name(),
                 last("data_loss_total")?,
                 last("replicas_total")?,
-                tail("unserved")?,
-                tail("sla_300ms")? * 100.0,
+                steady(r, "unserved")?,
+                steady(r, "sla_300ms")? * 100.0,
             );
         }
-        println!();
+        out.push('\n');
     }
-    println!(
+    out.push_str(
         "Data loss needs every replica of a partition inside one failure wave, so the \
          baselines' over-provisioned fleets (6–14 copies of even the coldest \
          partition) are nearly immune, while RFH keeps cold partitions at exactly the \
@@ -76,7 +73,7 @@ fn main() -> rfh_types::Result<()> {
          together with probability ≈ 0.25, and RFH pays in restores. That is the \
          efficiency/durability trade of Figs. 3–5 seen from the other side: the floor \
          is a knob (raise `min_availability`, eq. 14) — the paper's own worked example \
-         is what sets it to 2."
+         is what sets it to 2.\n",
     );
-    Ok(())
+    Ok(out)
 }

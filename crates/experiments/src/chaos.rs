@@ -17,15 +17,16 @@
 //! For each profile it reports time-to-repair (epochs until the replica
 //! count returns within 5% of its pre-fault level), durability
 //! (data-loss restores), deferred-transfer accounting (dead letters)
-//! and the invariant auditor's verdict. Optional argument: RNG seed.
+//! and the invariant auditor's verdict.
 
+use crate::figures::base_params;
+use crate::{series, steady};
 use rfh_core::PolicyKind;
-use rfh_experiments::figures::base_params;
-use rfh_experiments::output::seed_from_args;
 use rfh_faults::{ChurnConfig, FaultAction, FaultPlan};
 use rfh_sim::{recovery_epochs, run_comparison, SimParams};
-use rfh_types::DatacenterId;
+use rfh_types::{DatacenterId, Result};
 use rfh_workload::Scenario;
+use std::fmt::Write as _;
 
 const EPOCHS: u64 = 300;
 const FAIL_EPOCH: u64 = 100;
@@ -68,12 +69,14 @@ fn chaos_params(plan: FaultPlan, seed: u64) -> SimParams {
     p
 }
 
-fn main() -> rfh_types::Result<()> {
-    let seed = seed_from_args();
-    println!(
+/// `rfh experiments chaos`: time-to-repair, data loss, repairs, dead
+/// letters, auditor violations and SLA per policy under the three fault
+/// profiles.
+pub fn report(seed: u64) -> Result<String> {
+    let mut out = format!(
         "Availability under chaos: all four policies, {EPOCHS} epochs, seed {seed}.\n\
          Faults start at epoch {FAIL_EPOCH}; time-to-repair counts epochs until the\n\
-         replica count is back within 5% of its pre-fault level.\n"
+         replica count is back within 5% of its pre-fault level.\n\n"
     );
     let profiles: [(&str, FaultPlan); 3] = [
         ("correlated", correlated_plan()),
@@ -82,8 +85,9 @@ fn main() -> rfh_types::Result<()> {
     ];
     for (name, plan) in profiles {
         let cmp = run_comparison(&chaos_params(plan, seed))?;
-        println!("== {name} ==");
-        println!(
+        let _ = writeln!(out, "== {name} ==");
+        let _ = writeln!(
+            out,
             "{:8} {:>14} {:>10} {:>9} {:>13} {:>11} {:>9}",
             "policy",
             "time-to-repair",
@@ -94,22 +98,14 @@ fn main() -> rfh_types::Result<()> {
             "SLA %"
         );
         for kind in PolicyKind::ALL {
-            let m = &cmp.require(kind)?.metrics;
-            let series = |name: &str| {
-                m.series(name).ok_or_else(|| {
-                    rfh_types::RfhError::Simulation(format!(
-                        "{} run has no {name} series",
-                        kind.name()
-                    ))
-                })
-            };
-            let last = |name: &str| series(name).map(|s| s.last().unwrap_or(0.0));
-            let sla = series("sla_300ms").map(|s| s.mean_over(s.len() * 3 / 4, s.len()))?;
-            let ttr = match recovery_epochs(m, FAIL_EPOCH, 0.05) {
+            let r = cmp.require(kind)?;
+            let last = |name| series(r, name).map(|s| s.last().unwrap_or(0.0));
+            let ttr = match recovery_epochs(&r.metrics, FAIL_EPOCH, 0.05) {
                 Some(n) => format!("{n}"),
                 None => "—".to_string(),
             };
-            println!(
+            let _ = writeln!(
+                out,
                 "{:8} {:>14} {:>10.0} {:>9.0} {:>13.0} {:>11.0} {:>9.1}",
                 kind.name(),
                 ttr,
@@ -117,19 +113,19 @@ fn main() -> rfh_types::Result<()> {
                 last("repairs_total")?,
                 last("dead_letters_total")?,
                 last("invariant_violations")?,
-                sla * 100.0,
+                steady(r, "sla_300ms")? * 100.0,
             );
         }
-        println!();
+        out.push('\n');
     }
-    println!(
+    out.push_str(
         "Correlated outages hit RFH where it is lean: cold partitions sit at the \
          eq.-14 floor r_min = 2, so losing a whole datacenter can take both copies of \
          a partition that random churn of the same magnitude would almost never claim \
          at once. The deferred-transfer queue keeps the WAN partition an availability \
          event rather than a correctness one — transfers into the island wait with \
          backoff and land after the heal — and the auditor stays at zero: every dip \
-         has a recorded fault cause and reconverges within its repair window."
+         has a recorded fault cause and reconverges within its repair window.\n",
     );
-    Ok(())
+    Ok(out)
 }

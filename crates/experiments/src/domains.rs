@@ -24,15 +24,15 @@
 //!
 //! A second table runs RFH with the transfer planner at decreasing
 //! per-link budgets, showing admission control trading repair speed for
-//! bounded WAN traffic. Optional argument: RNG seed.
+//! bounded WAN traffic.
 
+use crate::figures::base_params;
 use rfh_core::PolicyKind;
-use rfh_experiments::figures::base_params;
-use rfh_experiments::output::seed_from_args;
 use rfh_faults::{FaultAction, FaultPlan};
 use rfh_sim::{recovery_epochs, PlannerConfig, Simulation};
-use rfh_types::{DatacenterId, RackId, RoomId};
+use rfh_types::{DatacenterId, FlashCrowdConfig, RackId, Result, RoomId};
 use rfh_workload::Scenario;
+use std::fmt::Write as _;
 
 const EPOCHS: u64 = 340;
 /// Start of the datacenter sweep (its first outage anchors ttr).
@@ -78,9 +78,8 @@ struct Run {
     deferred: u64,
 }
 
-fn run(kind: PolicyKind, planner: PlannerConfig, seed: u64) -> rfh_types::Result<Run> {
-    let mut p =
-        base_params(Scenario::FlashCrowd(rfh_types::FlashCrowdConfig::default()), EPOCHS, seed);
+fn run(kind: PolicyKind, planner: PlannerConfig, seed: u64) -> Result<Run> {
+    let mut p = base_params(Scenario::FlashCrowd(FlashCrowdConfig::default()), EPOCHS, seed);
     p.policy = kind;
     p.faults = outage_plan();
     let mut sim = Simulation::new(p)?.with_planner(planner);
@@ -99,23 +98,26 @@ fn ttr_text(ttr: Option<u64>) -> String {
     ttr.map_or_else(|| "-".to_string(), |t| t.to_string())
 }
 
-fn main() -> rfh_types::Result<()> {
-    let seed = seed_from_args();
-    println!(
+/// `rfh experiments domains`: availability and spread per placement
+/// policy under the outage sweep, then RFH under shrinking link budgets.
+pub fn report(seed: u64) -> Result<String> {
+    let mut out = format!(
         "Correlated-outage availability, {EPOCHS} epochs, seed {seed}.\n\
          Outages: every rack in turn from epoch 80, every datacenter in \
          turn from {DC_FAIL} (4-epoch outages, healed between).\n\
-         unavail / sub-r_min are partition-epoch counts (lower is better).\n"
+         unavail / sub-r_min are partition-epoch counts (lower is better).\n\n"
     );
 
-    println!("== placement ==");
-    println!(
+    out.push_str("== placement ==\n");
+    let _ = writeln!(
+        out,
         "{:8} {:>8} {:>10} {:>10} {:>8} {:>6}",
         "policy", "unavail", "sub-r_min", "peak<r_min", "spread", "ttr"
     );
     for kind in PolicyKind::WITH_SPREAD {
         let r = run(kind, PlannerConfig::default(), seed)?;
-        println!(
+        let _ = writeln!(
+            out,
             "{:8} {:>8} {:>10} {:>10} {:>8.3} {:>6}",
             kind.name(),
             r.unavailable,
@@ -126,8 +128,9 @@ fn main() -> rfh_types::Result<()> {
         );
     }
 
-    println!("\n== transfer planner (RFH) ==");
-    println!(
+    out.push_str("\n== transfer planner (RFH) ==\n");
+    let _ = writeln!(
+        out,
         "{:>14} {:>9} {:>9} {:>10} {:>10} {:>6}",
         "link budget", "admitted", "deferred", "unavail", "sub-r_min", "ttr"
     );
@@ -138,7 +141,8 @@ fn main() -> rfh_types::Result<()> {
     ];
     for (label, planner) in budgets {
         let r = run(PolicyKind::Rfh, planner, seed)?;
-        println!(
+        let _ = writeln!(
+            out,
             "{:>14} {:>9} {:>9} {:>10} {:>10} {:>6}",
             label,
             r.admitted,
@@ -148,5 +152,5 @@ fn main() -> rfh_types::Result<()> {
             ttr_text(r.ttr),
         );
     }
-    Ok(())
+    Ok(out)
 }

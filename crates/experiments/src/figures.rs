@@ -1,11 +1,12 @@
 //! Per-figure experiment runners.
 //!
-//! Each `figN` function reruns the simulations behind the corresponding
-//! paper figure and returns the comparison(s); the binaries print the
-//! curves and write CSVs. The run lengths follow the paper's x-axes:
+//! Figs. 3–9 are rows of [`FIGURES`], all read from the one pair of
+//! comparisons [`both_settings`] runs; Fig. 10 is its own run
+//! ([`fig10`]). The run lengths follow the paper's x-axes:
 //! 250 epochs under random query, 400 under flash crowd, 500 for the
 //! failure/recovery experiment.
 
+use crate::shapes::{self, ShapeCheck};
 use rfh_core::PolicyKind;
 use rfh_sim::{run_comparison, ComparisonResult, SimParams, SimResult, Simulation};
 use rfh_types::{FlashCrowdConfig, Result, SimConfig};
@@ -23,22 +24,76 @@ pub const FIG10_FAIL_EPOCH: u64 = 290;
 /// Fig. 10: servers removed.
 pub const FIG10_FAIL_SERVERS: usize = 30;
 
-/// A figure's regenerated data: the random-query comparison and (when
-/// the figure has a flash-crowd panel) the flash-crowd comparison.
+/// The data behind Figs. 3–9: one seeded four-policy comparison under
+/// random query and one under flash crowd. Every figure plots metrics
+/// of these same two runs, so one pair serves all seven.
 #[derive(Debug, Clone)]
 pub struct FigureRun {
+    /// Comparison under random query (panel (a)-style).
+    pub random: ComparisonResult,
+    /// Comparison under flash crowd (panel (b)-style).
+    pub flash: ComparisonResult,
+}
+
+/// One of Figs. 3–9: what it plots and which of the paper's claims it
+/// checks against a [`FigureRun`].
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
     /// Figure id, e.g. `"fig3"`.
     pub id: &'static str,
     /// Human caption from the paper.
     pub caption: &'static str,
     /// Metric series names (from `rfh_sim::Metrics`) the figure plots.
     pub metrics: &'static [&'static str],
-    /// Comparison under random query (panel (a)-style).
-    pub random: ComparisonResult,
-    /// Comparison under flash crowd (panel (b)-style), if the figure has
-    /// one.
-    pub flash: Option<ComparisonResult>,
+    /// The figure's shape checks.
+    pub check: fn(&FigureRun) -> Result<Vec<ShapeCheck>>,
 }
+
+/// Figs. 3–9, in paper order.
+pub const FIGURES: [Figure; 7] = [
+    Figure {
+        id: "fig3",
+        caption: "Replica utilization rate",
+        metrics: &["utilization"],
+        check: shapes::check_fig3,
+    },
+    Figure {
+        id: "fig4",
+        caption: "Replica number (total and average per partition)",
+        metrics: &["replicas_total", "replicas_avg"],
+        check: shapes::check_fig4,
+    },
+    Figure {
+        id: "fig5",
+        caption: "Replication cost (total and average per replica)",
+        metrics: &["replication_cost", "replication_cost_avg"],
+        check: shapes::check_fig5,
+    },
+    Figure {
+        id: "fig6",
+        caption: "Migration times (total and average per replica)",
+        metrics: &["migrations_total", "migrations_avg"],
+        check: shapes::check_fig6,
+    },
+    Figure {
+        id: "fig7",
+        caption: "Migration cost (total and average per replica)",
+        metrics: &["migration_cost", "migration_cost_avg"],
+        check: shapes::check_fig7,
+    },
+    Figure {
+        id: "fig8",
+        caption: "Load imbalance",
+        metrics: &["load_imbalance"],
+        check: shapes::check_fig8,
+    },
+    Figure {
+        id: "fig9",
+        caption: "Lookup path length",
+        metrics: &["path_length"],
+        check: shapes::check_fig9,
+    },
+];
 
 /// Parameters shared by every figure run.
 pub fn base_params(scenario: Scenario, epochs: u64, seed: u64) -> SimParams {
@@ -54,75 +109,15 @@ pub fn base_params(scenario: Scenario, epochs: u64, seed: u64) -> SimParams {
     }
 }
 
-fn both_settings(
-    id: &'static str,
-    caption: &'static str,
-    metrics: &'static [&'static str],
-    seed: u64,
-) -> Result<FigureRun> {
+/// Run the two comparisons behind Figs. 3–9.
+pub fn both_settings(seed: u64) -> Result<FigureRun> {
     let random = run_comparison(&base_params(Scenario::RandomEven, RANDOM_EPOCHS, seed))?;
     let flash = run_comparison(&base_params(
         Scenario::FlashCrowd(FlashCrowdConfig::default()),
         FLASH_EPOCHS,
         seed,
     ))?;
-    Ok(FigureRun { id, caption, metrics, random, flash: Some(flash) })
-}
-
-/// Fig. 3: replica utilization rate under (a) random query and (b) flash
-/// crowd.
-pub fn fig3(seed: u64) -> Result<FigureRun> {
-    both_settings("fig3", "Replica utilization rate", &["utilization"], seed)
-}
-
-/// Fig. 4: total and per-partition replica number under both settings.
-pub fn fig4(seed: u64) -> Result<FigureRun> {
-    both_settings(
-        "fig4",
-        "Replica number (total and average per partition)",
-        &["replicas_total", "replicas_avg"],
-        seed,
-    )
-}
-
-/// Fig. 5: total and average replication cost under both settings.
-pub fn fig5(seed: u64) -> Result<FigureRun> {
-    both_settings(
-        "fig5",
-        "Replication cost (total and average per replica)",
-        &["replication_cost", "replication_cost_avg"],
-        seed,
-    )
-}
-
-/// Fig. 6: total and average migration times under both settings.
-pub fn fig6(seed: u64) -> Result<FigureRun> {
-    both_settings(
-        "fig6",
-        "Migration times (total and average per replica)",
-        &["migrations_total", "migrations_avg"],
-        seed,
-    )
-}
-
-/// Fig. 7: total and average migration cost under both settings.
-pub fn fig7(seed: u64) -> Result<FigureRun> {
-    both_settings(
-        "fig7",
-        "Migration cost (total and average per replica)",
-        &["migration_cost", "migration_cost_avg"],
-        seed,
-    )
-}
-
-/// Fig. 8: load imbalance (eq. 25) under both settings.
-pub fn fig8(seed: u64) -> Result<FigureRun> {
-    both_settings("fig8", "Load imbalance", &["load_imbalance"], seed)
-}
-
-/// Fig. 9: lookup path length under both settings.
-pub fn fig9(seed: u64) -> Result<FigureRun> {
-    both_settings("fig9", "Lookup path length", &["path_length"], seed)
+    Ok(FigureRun { random, flash })
 }
 
 /// Fig. 10: RFH node failure and recovery — 30 random servers fail at
@@ -157,19 +152,7 @@ mod tests {
     #[test]
     fn quick_comparison_has_all_metrics_figures_need() {
         let cmp = run_comparison(&quick(Scenario::RandomEven, 10)).unwrap();
-        for metric in [
-            "utilization",
-            "replicas_total",
-            "replicas_avg",
-            "replication_cost",
-            "replication_cost_avg",
-            "migrations_total",
-            "migrations_avg",
-            "migration_cost",
-            "migration_cost_avg",
-            "load_imbalance",
-            "path_length",
-        ] {
+        for metric in FIGURES.iter().flat_map(|f| f.metrics) {
             for kind in PolicyKind::ALL {
                 assert!(
                     cmp.of(kind).is_some_and(|r| r.metrics.series(metric).is_some()),

@@ -4,15 +4,16 @@
 //! Absolute values cannot match (our substrate is a reconstruction, not
 //! the authors' simulator), so each check encodes *who wins, roughly by
 //! how much, and where the crossovers are*. Checks are used three ways:
-//! by the figure binaries (printed next to the charts), by the
+//! by `rfh experiments` (printed next to the charts), by the
 //! integration tests (asserted), and by EXPERIMENTS.md (the recorded
 //! outcomes). Two checks are known deviations and marked as such — see
 //! EXPERIMENTS.md for the analysis.
 
 use crate::figures::{FigureRun, FIG10_FAIL_EPOCH};
+use crate::series;
 use rfh_core::PolicyKind;
 use rfh_sim::{ComparisonResult, SimResult};
-use rfh_types::{Result, RfhError};
+use rfh_types::Result;
 
 /// Outcome of one qualitative check.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,23 +55,12 @@ impl ShapeCheck {
 
 /// Validate up front that a comparison carries all four policies, so
 /// the per-check accessors below cannot fail mid-way: a sliced or
-/// hand-built comparison yields an [`RfhError`] instead of a panic.
+/// hand-built comparison yields an [`rfh_types::RfhError`] instead of a panic.
 fn require_all(cmp: &ComparisonResult) -> Result<()> {
     for kind in PolicyKind::ALL {
         cmp.require(kind)?;
     }
     Ok(())
-}
-
-/// The flash-crowd panel of a figure, or an [`RfhError`] naming the
-/// figure when it is missing.
-fn flash_panel<'a>(run: &'a FigureRun, fig: &str) -> Result<&'a ComparisonResult> {
-    let f = run
-        .flash
-        .as_ref()
-        .ok_or_else(|| RfhError::Simulation(format!("{fig} needs a flash-crowd panel")))?;
-    require_all(f)?;
-    Ok(f)
 }
 
 /// Mean of a metric's final quarter for one policy — the steady state
@@ -97,7 +87,8 @@ fn fmt_all(cmp: &ComparisonResult, metric: &str) -> String {
 pub fn check_fig3(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig3")?;
+    let f = &run.flash;
+    require_all(f)?;
     let util = |c: &ComparisonResult, k| tail(c, k, "utilization");
     let mut checks = vec![
         ShapeCheck::new(
@@ -154,7 +145,8 @@ pub fn check_fig3(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 pub fn check_fig4(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig4")?;
+    let f = &run.flash;
+    require_all(f)?;
     let total = |c: &ComparisonResult, k| tail(c, k, "replicas_total");
     let rfh_r = total(r, PolicyKind::Rfh);
     let rfh_f = total(f, PolicyKind::Rfh);
@@ -193,7 +185,8 @@ pub fn check_fig4(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 pub fn check_fig5(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig5")?;
+    let f = &run.flash;
+    require_all(f)?;
     let total = |c: &ComparisonResult, k| tail(c, k, "replication_cost");
     let avg = |c: &ComparisonResult, k| tail(c, k, "replication_cost_avg");
     Ok(vec![
@@ -234,7 +227,8 @@ pub fn check_fig5(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 pub fn check_fig6(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig6")?;
+    let f = &run.flash;
+    require_all(f)?;
     let m = |c: &ComparisonResult, k| tail(c, k, "migrations_total");
     Ok(vec![
         ShapeCheck::new(
@@ -263,7 +257,8 @@ pub fn check_fig6(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 pub fn check_fig7(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig7")?;
+    let f = &run.flash;
+    require_all(f)?;
     let m = |c: &ComparisonResult, k| tail(c, k, "migration_cost");
     Ok(vec![
         ShapeCheck::new(
@@ -290,7 +285,8 @@ pub fn check_fig7(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 pub fn check_fig8(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig8")?;
+    let f = &run.flash;
+    require_all(f)?;
     let lb = |c: &ComparisonResult, k| tail(c, k, "load_imbalance");
     let rfh_best_or_close =
         PolicyKind::ALL.iter().all(|&k| lb(r, PolicyKind::Rfh) <= lb(r, k) * 1.25);
@@ -316,7 +312,8 @@ pub fn check_fig8(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 pub fn check_fig9(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
     let r = &run.random;
     require_all(r)?;
-    let f = flash_panel(run, "fig9")?;
+    let f = &run.flash;
+    require_all(f)?;
     let pl = |c: &ComparisonResult, k| tail(c, k, "path_length");
     let drop_check = |c: &ComparisonResult, k: PolicyKind| {
         let s = c.of(k).unwrap().metrics.series("path_length").unwrap();
@@ -354,14 +351,8 @@ pub fn check_fig9(run: &FigureRun) -> Result<Vec<ShapeCheck>> {
 
 /// Fig. 10 claims (single RFH run with the epoch-290 mass failure).
 pub fn check_fig10(result: &SimResult) -> Result<Vec<ShapeCheck>> {
-    let series = |name: &str| {
-        result
-            .metrics
-            .series(name)
-            .ok_or_else(|| RfhError::Simulation(format!("fig10 run has no {name} series")))
-    };
-    let replicas = series("replicas_total")?;
-    let alive = series("alive_servers")?;
+    let replicas = series(result, "replicas_total")?;
+    let alive = series(result, "alive_servers")?;
     let fail = FIG10_FAIL_EPOCH as usize;
     let before = replicas.mean_over(fail - 10, fail);
     let at = replicas.get(fail).unwrap_or(0.0);
@@ -382,7 +373,7 @@ pub fn check_fig10(result: &SimResult) -> Result<Vec<ShapeCheck>> {
     ])
 }
 
-/// Render a check list as a text block for the binaries.
+/// Render a check list as a text block for the reports.
 pub fn render_checks(checks: &[ShapeCheck]) -> String {
     let mut out = String::new();
     for c in checks {

@@ -8,12 +8,21 @@
 //! mean ± standard deviation, then re-evaluates the paper's ordering
 //! claims on the *means*.
 
-use crate::figures::base_params;
+use crate::figures::{base_params, RANDOM_EPOCHS};
+use crate::steady;
 use rfh_core::PolicyKind;
-use rfh_sim::{run_comparison, ComparisonResult};
+use rfh_obs::Profiler;
+use rfh_sim::run_comparison;
 use rfh_stats::Welford;
-use rfh_types::Result;
+use rfh_types::{Result, RfhError};
 use rfh_workload::Scenario;
+use std::fmt::Write as _;
+
+/// Seeds [`report`] sweeps, consecutive from its base seed.
+pub const SEEDS: u64 = 12;
+
+/// [`report`]'s base seed when none is given.
+pub const DEFAULT_BASE_SEED: u64 = 1000;
 
 /// Metrics the sweep aggregates.
 pub const SWEEP_METRICS: [&str; 6] = [
@@ -52,13 +61,6 @@ impl SweepResult {
     }
 }
 
-fn tail(cmp: &ComparisonResult, kind: PolicyKind, metric: &str) -> Result<f64> {
-    let s = cmp.require(kind)?.metrics.series(metric).ok_or_else(|| {
-        rfh_types::RfhError::Simulation(format!("{} run has no {metric} series", kind.name()))
-    })?;
-    Ok(s.mean_over(s.len() * 3 / 4, s.len()))
-}
-
 /// Run the comparison over `seeds` in parallel and aggregate.
 ///
 /// Each worker produces its per-seed cell values independently; the
@@ -75,7 +77,8 @@ pub fn sweep(scenario: Scenario, epochs: u64, seeds: &[u64]) -> Result<SweepResu
         PolicyKind::ALL
             .iter()
             .map(|&kind| {
-                SWEEP_METRICS.iter().map(|&metric| tail(&cmp, kind, metric)).collect::<Result<_>>()
+                let r = cmp.require(kind)?;
+                SWEEP_METRICS.iter().map(|&metric| steady(r, metric)).collect()
             })
             .collect()
     };
@@ -135,6 +138,54 @@ pub fn ordering_claims(r: &SweepResult) -> Vec<(String, bool)> {
             m(RequestOriented) >= m(Rfh) && m(Random) == 0.0 && m(OwnerOriented) == 0.0,
         ),
     ]
+}
+
+/// `rfh experiments sweep`: the four-way comparison over [`SEEDS`]
+/// seeds from `base`, mean ± stddev per metric and the ordering claims
+/// on the means. A claim that fails is an error carrying the count.
+pub fn report(base: u64) -> Result<String> {
+    let seeds: Vec<u64> = (base..base + SEEDS).collect();
+    let mut out = format!(
+        "sweeping {SEEDS} seeds ({}..{}), {RANDOM_EPOCHS} epochs each, random query\n\n",
+        base,
+        base + SEEDS - 1
+    );
+    let mut prof = Profiler::new(true);
+    let result = prof.time("sweep", || sweep(Scenario::RandomEven, RANDOM_EPOCHS, &seeds))?;
+    let secs = prof.report().total_nanos() as f64 / 1e9;
+    let _ = writeln!(out, "({SEEDS} four-way comparisons in {secs:.1} s)\n");
+
+    out.push_str("steady state, mean ± stddev over seeds:\n");
+    let _ = write!(out, "{:22}", "metric");
+    for kind in PolicyKind::ALL {
+        let _ = write!(out, " {:>19}", kind.name());
+    }
+    out.push('\n');
+    for metric in SWEEP_METRICS {
+        let _ = write!(out, "{metric:22}");
+        for kind in PolicyKind::ALL {
+            let c = result.cell(kind, metric);
+            let _ = write!(out, " {:>11.2} ±{:>6.2}", c.mean, c.stddev);
+        }
+        out.push('\n');
+    }
+
+    out.push_str("\nordering claims on the means:\n");
+    let mut failed = Vec::new();
+    for (claim, holds) in ordering_claims(&result) {
+        let _ = writeln!(out, "  [{}] {claim}", if holds { "PASS" } else { "FAIL" });
+        if !holds {
+            failed.push(claim);
+        }
+    }
+    if !failed.is_empty() {
+        return Err(RfhError::Simulation(format!(
+            "{} of the sweep's ordering claims failed: {}",
+            failed.len(),
+            failed.join("; ")
+        )));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

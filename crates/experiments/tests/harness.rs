@@ -4,45 +4,48 @@
 use proptest::prelude::*;
 use rfh_core::PolicyKind;
 use rfh_experiments::ascii;
-use rfh_experiments::figures::{base_params, FigureRun};
+use rfh_experiments::figures::{base_params, FigureRun, FIGURES};
 use rfh_experiments::output::persist_figure;
 use rfh_sim::run_comparison;
+use rfh_types::FlashCrowdConfig;
 use rfh_workload::Scenario;
 
 fn tiny_run() -> FigureRun {
-    let mut params = base_params(Scenario::RandomEven, 6, 3);
-    params.config.partitions = 4;
-    let random = run_comparison(&params).unwrap();
+    let tiny = |scenario| {
+        let mut params = base_params(scenario, 6, 3);
+        params.config.partitions = 4;
+        run_comparison(&params).unwrap()
+    };
     FigureRun {
-        id: "figtest",
-        caption: "test",
-        metrics: &["utilization", "replicas_total"],
-        random,
-        flash: None,
+        random: tiny(Scenario::RandomEven),
+        flash: tiny(Scenario::FlashCrowd(FlashCrowdConfig::default())),
     }
 }
 
 #[test]
 fn persisted_figure_csvs_parse_back() {
     let run = tiny_run();
+    let fig = &FIGURES[1]; // Fig. 4: two metrics per panel
     let root = std::env::temp_dir().join(format!("rfh_harness_{}", std::process::id()));
-    persist_figure(&run, &root).unwrap();
-    for metric in run.metrics {
-        let path = root.join("figtest/random").join(format!("{metric}.csv"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next().unwrap(), "epoch,Request,Owner,Random,RFH");
-        let rows: Vec<&str> = lines.collect();
-        assert_eq!(rows.len(), 6, "{metric}: one row per epoch");
-        // Every value in the CSV matches the in-memory series.
-        for (epoch, row) in rows.iter().enumerate() {
-            let cells: Vec<&str> = row.split(',').collect();
-            assert_eq!(cells[0], epoch.to_string());
-            for (ci, kind) in PolicyKind::ALL.iter().enumerate() {
-                let series = run.random.of(*kind).unwrap().metrics.series(metric).unwrap();
-                let expect = series.get(epoch).unwrap();
-                let got: f64 = cells[ci + 1].parse().unwrap();
-                assert_eq!(got, expect, "{metric} epoch {epoch} policy {kind}");
+    persist_figure(fig, &run, &root).unwrap();
+    for (panel, cmp) in [("random", &run.random), ("flash", &run.flash)] {
+        for metric in fig.metrics {
+            let path = root.join(fig.id).join(panel).join(format!("{metric}.csv"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut lines = text.lines();
+            assert_eq!(lines.next().unwrap(), "epoch,Request,Owner,Random,RFH");
+            let rows: Vec<&str> = lines.collect();
+            assert_eq!(rows.len(), 6, "{metric}: one row per epoch");
+            // Every value in the CSV matches the in-memory series.
+            for (epoch, row) in rows.iter().enumerate() {
+                let cells: Vec<&str> = row.split(',').collect();
+                assert_eq!(cells[0], epoch.to_string());
+                for (ci, kind) in PolicyKind::ALL.iter().enumerate() {
+                    let series = cmp.of(*kind).unwrap().metrics.series(metric).unwrap();
+                    let expect = series.get(epoch).unwrap();
+                    let got: f64 = cells[ci + 1].parse().unwrap();
+                    assert_eq!(got, expect, "{panel} {metric} epoch {epoch} policy {kind}");
+                }
             }
         }
     }

@@ -40,7 +40,6 @@ use crate::wal::StorageSnapshot;
 use rfh_core::{Action, ReplicaManager, RfhPolicy};
 use rfh_faults::FaultPlan;
 use rfh_obs::{MetricsRegistry, SpanLog};
-use rfh_pool::WorkerPool;
 use rfh_ring::ConsistentHashRing;
 use rfh_sim::{initial_placement, EpochPipeline};
 use rfh_stats::min_replica_count;
@@ -738,10 +737,8 @@ pub(crate) fn control_plane(config: &ClusterConfig, faults: &FaultPlan) -> Resul
     let (ring, mut manager) = initial_placement(&cfg, &topo)?;
     let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
     floor_replicate(&topo, &ring, &mut manager, cfg.partitions, r_min);
-    let pool = (config.threads > 1).then(|| Arc::new(WorkerPool::new(config.threads as usize)));
-    let mut policy = RfhPolicy::new().with_placement(config.placement);
-    policy.set_pool(pool.clone());
-    Ok(EpochPipeline::new(cfg, topo, ring, manager, Box::new(policy), faults, pool)
+    let policy = RfhPolicy::new().with_placement(config.placement);
+    Ok(EpochPipeline::new(cfg, topo, ring, manager, Box::new(policy), faults, None)
         .with_planner(config.planner()))
 }
 

@@ -24,11 +24,6 @@ pub struct ClusterConfig {
     pub control_interval_ms: u64,
     /// Per-server capacity spread (Table I's heterogeneity).
     pub capacity_spread: f64,
-    /// Worker threads for the control loop's hot path (traffic pass
-    /// and RFH decision pass). `1` keeps the tick single-threaded; any
-    /// value produces the same decisions from the same drained
-    /// counters.
-    pub threads: u64,
     /// Server-side telemetry plane: per-node phase histograms, the
     /// controller timeline ring, and the `/metrics` HTTP endpoints.
     /// Disabled, no metrics listener binds and no per-request recording
@@ -59,7 +54,6 @@ impl Default for ClusterConfig {
             seed: 42,
             control_interval_ms: 200,
             capacity_spread: 0.25,
-            threads: 1,
             telemetry: true,
             persistence: None,
             placement: PlacementMode::Traffic,
@@ -101,9 +95,6 @@ impl ClusterConfig {
         if self.control_interval_ms == 0 {
             return Err(err("control_interval_ms must be at least 1"));
         }
-        if self.threads == 0 {
-            return Err(err("threads must be at least 1"));
-        }
         if let Some(p) = &self.persistence {
             p.validate()?;
         }
@@ -120,7 +111,6 @@ impl ClusterConfig {
     /// seed = 42
     /// control_interval_ms = 200
     /// capacity_spread = 0.25
-    /// threads = 1
     /// telemetry = true
     /// placement = "traffic"    # or "domain-spread"
     /// link_budget_bytes = 1048576   # per-WAN-link per-tick; absent = no cap
@@ -184,12 +174,6 @@ impl ClusterConfig {
                         .as_u64()
                         .filter(|&x| x >= 1)
                         .ok_or_else(|| e("control_interval_ms wants an int ≥ 1".into()))?
-                }
-                "threads" => {
-                    cfg.threads = val
-                        .as_u64()
-                        .filter(|&x| x >= 1)
-                        .ok_or_else(|| e("threads wants an int ≥ 1".into()))?
                 }
                 "capacity_spread" => {
                     cfg.capacity_spread = val
@@ -536,13 +520,17 @@ mod tests {
 
     #[test]
     fn retired_plane_key_is_rejected_and_pipeline_keys_parse() {
-        // The retired key is spelled in pieces: CI keeps its name out
-        // of the sources.
-        let retired = ["data", "plane"].join("_");
-        let err = ClusterConfig::from_toml_str(&format!("{retired} = \"reactor\"\n"))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains(&format!("unknown serve key {retired:?}")), "{err}");
+        // The retired plane key is spelled in pieces: CI keeps its name
+        // out of the sources. `threads` sized a control-loop pool that
+        // is gone too.
+        for (retired, value) in
+            [(["data", "plane"].join("_"), "\"reactor\""), ("threads".into(), "2")]
+        {
+            let err = ClusterConfig::from_toml_str(&format!("{retired} = {value}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("unknown serve key {retired:?}")), "{err}");
+        }
 
         assert_eq!(LoadGenConfig::default().pipeline, 1);
         let l = LoadGenConfig::from_toml_str("pipeline = 8\n").unwrap();

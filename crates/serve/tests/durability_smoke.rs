@@ -24,7 +24,6 @@ fn durable_cluster(dir: &Path) -> ClusterConfig {
         seed: 7,
         control_interval_ms: 50,
         capacity_spread: 0.25,
-        threads: 1,
         telemetry: true,
         persistence: Some(PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())),
         ..ClusterConfig::default()

@@ -15,7 +15,6 @@ fn small_cluster() -> ClusterConfig {
         seed: 7,
         control_interval_ms: 50,
         capacity_spread: 0.25,
-        threads: 1,
         telemetry: true,
         persistence: None,
         ..ClusterConfig::default()

@@ -6,9 +6,9 @@
 //!
 //! The experiment-scale version of this comparison (full Table I
 //! config, every policy, the planner budget ladder) lives in
-//! `cargo run -p rfh-experiments --bin domains`; this test pins the
-//! relation itself at a small deterministic scale so CI catches any
-//! regression in the spread heuristic or the availability accounting.
+//! `rfh experiments domains`; this test pins the relation itself at a
+//! small deterministic scale so CI catches any regression in the
+//! spread heuristic or the availability accounting.
 
 use rfh_core::PolicyKind;
 use rfh_faults::{FaultAction, FaultPlan};

@@ -22,7 +22,7 @@
 //! | [`net`] | `rfh-net` | the §II-B control plane: traffic reports over the WAN |
 //! | [`faults`] | `rfh-faults` | deterministic fault plans, chaos injection, invariant auditing |
 //! | [`sim`] | `rfh-sim` | the epoch simulator and the four-way comparison runner |
-//! | [`experiments`] | `rfh-experiments` | per-figure regeneration harnesses |
+//! | [`experiments`] | `rfh-experiments` | the paper's figures and the extension experiments behind `rfh experiments <name>` |
 //!
 //! ## Quickstart
 //!

@@ -1,37 +1,17 @@
 //! Full-scale reproduction check: regenerate the data behind every
 //! figure at the paper's scale and assert the qualitative claims
-//! (who wins, where the crossovers are) — the same checks the
-//! experiment binaries print.
+//! (who wins, where the crossovers are) — the same checks
+//! `rfh experiments` prints.
 
-use rfh::experiments::figures::{base_params, FigureRun, FLASH_EPOCHS, RANDOM_EPOCHS};
-use rfh::experiments::{figures, shapes};
-use rfh::prelude::*;
-
-/// Run the two underlying comparisons once and reuse them for every
-/// figure's checks (figs. 3–9 all plot metrics of the same two runs).
-fn shared_run() -> FigureRun {
-    let random = run_comparison(&base_params(Scenario::RandomEven, RANDOM_EPOCHS, 42))
-        .expect("random-query comparison runs");
-    let flash = run_comparison(&base_params(
-        Scenario::FlashCrowd(FlashCrowdConfig::default()),
-        FLASH_EPOCHS,
-        42,
-    ))
-    .expect("flash-crowd comparison runs");
-    FigureRun { id: "all", caption: "shared", metrics: &[], random, flash: Some(flash) }
-}
+use rfh::experiments::{figures, shapes, FIGURES};
 
 #[test]
 fn figures_3_to_9_reproduce_paper_claims() {
-    let run = shared_run();
+    let run = figures::both_settings(42).expect("the two comparisons run");
     let mut all = Vec::new();
-    all.extend(shapes::check_fig3(&run).expect("fig3 checks run"));
-    all.extend(shapes::check_fig4(&run).expect("fig4 checks run"));
-    all.extend(shapes::check_fig5(&run).expect("fig5 checks run"));
-    all.extend(shapes::check_fig6(&run).expect("fig6 checks run"));
-    all.extend(shapes::check_fig7(&run).expect("fig7 checks run"));
-    all.extend(shapes::check_fig8(&run).expect("fig8 checks run"));
-    all.extend(shapes::check_fig9(&run).expect("fig9 checks run"));
+    for fig in &FIGURES {
+        all.extend((fig.check)(&run).unwrap_or_else(|e| panic!("{} checks run: {e}", fig.id)));
+    }
     let failures: Vec<String> = all
         .iter()
         .filter(|c| !c.acceptable())
