@@ -18,7 +18,7 @@ pub type Options = BTreeMap<String, String>;
 
 /// Options recognised anywhere (commands ignore what they don't use but
 /// typos should not pass silently).
-const KNOWN: [&str; 31] = [
+const KNOWN: [&str; 30] = [
     "persist-dir",
     "placement",
     "link-budget",
@@ -27,7 +27,6 @@ const KNOWN: [&str; 31] = [
     "scenario",
     "epochs",
     "seed",
-    "threads",
     "partitions",
     "skew",
     "engine",
@@ -165,29 +164,22 @@ pub fn scenario(opts: &Options) -> Result<Scenario> {
     }
 }
 
-/// `--epochs` (default 250).
+/// `--epochs` (default 250). Zero is rejected: a run of no epochs has
+/// no steady state to report and a trace of none cannot be replayed.
 pub fn epochs(opts: &Options) -> Result<u64> {
-    numeric(opts, "epochs", 250)
+    let n = numeric(opts, "epochs", 250)?;
+    if n == 0 {
+        return Err(RfhError::InvalidConfig {
+            parameter: "epochs",
+            reason: "--epochs must be at least 1".into(),
+        });
+    }
+    Ok(n)
 }
 
 /// `--seed` (default 42).
 pub fn seed(opts: &Options) -> Result<u64> {
     numeric(opts, "seed", 42)
-}
-
-/// `--threads` (default: the machine's available parallelism). Worker
-/// threads for the epoch hot path; results are bit-identical for any
-/// value, so the default trades nothing for speed.
-pub fn threads(opts: &Options) -> Result<usize> {
-    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n = numeric(opts, "threads", default as u64)?;
-    if n == 0 {
-        return Err(RfhError::InvalidConfig {
-            parameter: "threads",
-            reason: "--threads must be at least 1".into(),
-        });
-    }
-    Ok(n as usize)
 }
 
 /// `--partitions N`: override the config's partition count. Partition
@@ -324,8 +316,15 @@ mod tests {
         let retired = ["data", "plane"].join("-");
         let err = parse(&argv(&format!("loadgen --{retired} reactor"))).unwrap_err().to_string();
         assert!(err.contains(&format!("unknown option --{retired}")), "{err}");
+        // The retired worker-count option, spelled in pieces likewise.
+        let retired = ["thr", "eads"].concat();
+        let err = parse(&argv(&format!("run --{retired} 2"))).unwrap_err().to_string();
+        assert!(err.contains(&format!("unknown option --{retired}")), "{err}");
         let (_, _, opts) = parse(&argv("run --epochs twelve")).unwrap();
         assert!(epochs(&opts).is_err(), "non-numeric value");
+        let (_, _, opts) = parse(&argv("run --epochs 0")).unwrap();
+        let err = epochs(&opts).unwrap_err().to_string();
+        assert!(err.contains("--epochs must be at least 1"), "{err}");
     }
 
     #[test]

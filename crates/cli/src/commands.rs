@@ -31,7 +31,7 @@ fn params(opts: &Options) -> Result<SimParams> {
         seed: args::seed(opts)?,
         events: EventSchedule::new(),
         faults: args::fault_plan(opts)?,
-        threads: args::threads(opts)?,
+        threads: 1,
     })
 }
 

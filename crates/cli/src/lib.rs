@@ -12,7 +12,6 @@
 //! rfh topology [--seed N]                     inspect the 10-DC world and its routes
 //! rfh run [--policy rfh] [--scenario flash]   one simulation, summary + optional CSV
 //!         [--epochs N] [--seed N] [--csv FILE]
-//!         [--threads N]                        parallel epoch engine (bit-identical)
 //!         [--partitions N] [--skew S]          scale knobs (1M-partition runs)
 //!         [--engine dense|sparse]              epoch engine (bit-identical)
 //!         [--placement domain-spread]          failure-domain-aware placement
@@ -99,8 +98,6 @@ COMMON OPTIONS:
     --scenario  random | flash | popularity           (default random)
     --epochs N                                        (default 250)
     --seed N                                          (default 42)
-    --threads N       worker threads for the epoch hot path; results are
-                      bit-identical for any value (default: all cores)
     --partitions N    override the partition count (default 64); partition
                       ids are u32, larger values are rejected up front
     --skew S          override the workload's Zipf skew exponent (default 0.8)

@@ -277,7 +277,7 @@ impl ReplicaManager {
                     topo.server_distance_km(source, target)?.max(MIN_COST_DISTANCE_KM);
                 Ok(AppliedAction {
                     action,
-                    cost: self.transfer_cost(distance_km, self.repl_bw, topo),
+                    cost: self.transfer_cost(distance_km, self.repl_bw),
                     distance_km,
                 })
             }
@@ -316,7 +316,7 @@ impl ReplicaManager {
                 let distance_km = topo.server_distance_km(from, to)?.max(MIN_COST_DISTANCE_KM);
                 Ok(AppliedAction {
                     action,
-                    cost: self.transfer_cost(distance_km, self.migr_bw, topo),
+                    cost: self.transfer_cost(distance_km, self.migr_bw),
                     distance_km,
                 })
             }
@@ -379,12 +379,10 @@ impl ReplicaManager {
         Ok(())
     }
 
-    /// eq. (1): `c = d·f·s/b`. The failure rate comes from the topology
-    /// config indirectly; it is passed down at construction via the cost
-    /// closure — here we read it from the simulation config snapshot the
-    /// manager was built with (same value for all servers, per Table I).
-    fn transfer_cost(&self, distance_km: f64, bandwidth: u64, _topo: &Topology) -> f64 {
-        // f is injected via `cost_failure_rate`; see `set_failure_rate`.
+    /// eq. (1): `c = d·f·s/b`, with `f` the config's `failure_rate`
+    /// read at construction (one value for all servers, per Table I)
+    /// and `s` its partition size.
+    fn transfer_cost(&self, distance_km: f64, bandwidth: u64) -> f64 {
         distance_km * self.failure_rate * self.partition_size.as_u64() as f64 / bandwidth as f64
     }
 

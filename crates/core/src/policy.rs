@@ -30,7 +30,7 @@ pub struct EpochContext<'a> {
     pub blocking: &'a [f64],
     /// The frozen placement snapshot the traffic pass ran against —
     /// consistent with `manager` at decide time (no mutation happens
-    /// between render and decide), and what the parallel decision pass
+    /// between render and decide), and what the decision pass
     /// evaluates partitions against.
     pub view: &'a PlacementView,
     /// Simulation parameters (Table I).

@@ -45,14 +45,11 @@ use crate::selection::{accepting_servers_in_dc, least_blocked_in_dc, most_spread
 use crate::thresholds::{
     holder_overloaded, is_traffic_hub, migration_beneficial, suicide_candidate,
 };
-use rfh_obs::{BufferedRecorder, DecisionEvent, DecisionKind, Recorder, Trigger};
-use rfh_pool::{shard_bounds, WorkerPool};
+use rfh_obs::{DecisionEvent, DecisionKind, Recorder, Trigger};
 use rfh_stats::min_replica_count;
 use rfh_topology::Topology;
 use rfh_traffic::PlacementView;
 use rfh_types::{DatacenterId, Epoch, PartitionId, ServerId, Thresholds};
-use std::ops::Range;
-use std::sync::Arc;
 
 /// Consecutive suicide-candidate epochs required before a replica dies.
 pub const SUICIDE_PATIENCE: u32 = 4;
@@ -216,7 +213,9 @@ impl RfhDecisionCore {
             .or_else(|| view.bootstrap_candidate(p, holder_dc))
     }
 
-    /// Run the decision tree for every partition, serially.
+    /// Run the decision tree for the partitions in `active` (sorted
+    /// ascending), or for every partition when `active` is `None`:
+    /// evaluate one partition, absorb it, go on to the next.
     ///
     /// `snapshot` is the frozen per-epoch placement view decisions are
     /// evaluated against; `manager` supplies the replica sets it was
@@ -225,81 +224,14 @@ impl RfhDecisionCore {
     /// [`DecisionEvent`] carrying the model inputs that fired, labelled
     /// `policy` — observation-only, so the decisions are identical
     /// under any recorder.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_all(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &dyn TrafficView,
-        recorder: &dyn Recorder,
-        policy: &'static str,
-    ) -> Vec<Action> {
-        let all = 0..manager.partitions();
-        self.decide_serial(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, all)
-    }
-
-    /// [`decide_all`](Self::decide_all) with the per-partition
-    /// evaluation fanned out over `pool`.
     ///
-    /// Partitions are split into contiguous shards (one per worker).
-    /// Workers evaluate their partitions read-only against the frozen
-    /// `snapshot` and record trace events into per-shard
-    /// [`BufferedRecorder`]s; the coordinator then walks shards — hence
-    /// partitions — in ascending order, forwarding events to the real
-    /// recorder and absorbing each partition's state updates, exactly
-    /// as the serial loop would have. Actions, decision-core state, and
-    /// the recorder's event sequence are therefore bit-identical to
-    /// [`decide_all`](Self::decide_all) for any pool size.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_all_pooled(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &(dyn TrafficView + Sync),
-        recorder: &dyn Recorder,
-        policy: &'static str,
-        pool: &WorkerPool,
-    ) -> Vec<Action> {
-        let n = manager.partitions() as usize;
-        if pool.size() <= 1 || n <= 1 {
-            return self
-                .decide_all(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy);
-        }
-        self.decide_pooled(
-            epoch,
-            t,
-            r_min,
-            topo,
-            manager,
-            snapshot,
-            view,
-            recorder,
-            policy,
-            n,
-            |i| i as u32,
-            pool,
-        )
-    }
-
-    /// Run the decision tree for the partitions in `active` only
-    /// (sorted ascending), serially.
-    ///
-    /// The sparse-engine counterpart of [`decide_all`](Self::decide_all):
-    /// partitions outside `active` are frozen — the caller vouches (via
-    /// [`ReplicationPolicy::keeps_live`]) that evaluating them would
+    /// A partition left out of `active` is frozen — the caller vouches
+    /// (via [`ReplicationPolicy::keeps_live`]) that evaluating it would
     /// change nothing. Because evaluation and absorption walk `active`
     /// ascending, actions, state updates and trace events for the
-    /// active partitions are byte-identical to the dense sweep's.
+    /// active partitions are byte-identical to the full sweep's.
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_set(
+    pub fn decide(
         &mut self,
         epoch: Epoch,
         t: &Thresholds,
@@ -310,78 +242,19 @@ impl RfhDecisionCore {
         view: &dyn TrafficView,
         recorder: &dyn Recorder,
         policy: &'static str,
-        active: &[u32],
+        active: Option<&[u32]>,
     ) -> Vec<Action> {
-        debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active set must be sorted");
-        let set = active.iter().copied();
-        self.decide_serial(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, set)
-    }
-
-    /// [`decide_set`](Self::decide_set) with the per-partition
-    /// evaluation fanned out over `pool`, sharding the *active list*
-    /// (not the partition space). Bit-identical to the serial sparse
-    /// pass for any pool size, by the same snapshot/absorb argument as
-    /// [`decide_all_pooled`](Self::decide_all_pooled).
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_set_pooled(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &(dyn TrafficView + Sync),
-        recorder: &dyn Recorder,
-        policy: &'static str,
-        active: &[u32],
-        pool: &WorkerPool,
-    ) -> Vec<Action> {
-        let n = active.len();
-        if pool.size() <= 1 || n <= 1 {
-            return self.decide_set(
-                epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, active,
-            );
-        }
-        self.decide_pooled(
-            epoch,
-            t,
-            r_min,
-            topo,
-            manager,
-            snapshot,
-            view,
-            recorder,
-            policy,
-            n,
-            |i| active[i],
-            pool,
-        )
-    }
-
-    /// The serial pass over `partitions` (ascending): evaluate one
-    /// partition, absorb it, go on to the next.
-    #[allow(clippy::too_many_arguments)]
-    fn decide_serial(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &dyn TrafficView,
-        recorder: &dyn Recorder,
-        policy: &'static str,
-        partitions: impl Iterator<Item = u32>,
-    ) -> Vec<Action> {
+        debug_assert!(
+            active.is_none_or(|a| a.windows(2).all(|w| w[0] < w[1])),
+            "active set must be sorted"
+        );
         self.state.presize(manager.partitions());
+        let n = active.map_or(manager.partitions() as usize, <[u32]>::len);
         // One evaluation's streak updates at a time, in one buffer.
         let mut streaks = Vec::new();
         let mut actions = Vec::new();
-        for p_idx in partitions {
-            let p = PartitionId::new(p_idx);
-            streaks.clear();
+        for i in 0..n {
+            let p = PartitionId::new(active.map_or(i as u32, |a| a[i]));
             let d = self.decide_partition(
                 epoch,
                 t,
@@ -401,101 +274,14 @@ impl RfhDecisionCore {
         actions
     }
 
-    /// The pooled pass over the `n` partitions `partition_at(0..n)`
-    /// (ascending): contiguous shards of positions are evaluated on the
-    /// workers, then absorbed here in position order.
-    #[allow(clippy::too_many_arguments)]
-    fn decide_pooled(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &(dyn TrafficView + Sync),
-        recorder: &dyn Recorder,
-        policy: &'static str,
-        n: usize,
-        partition_at: impl Fn(usize) -> u32 + Sync,
-        pool: &WorkerPool,
-    ) -> Vec<Action> {
-        self.state.presize(manager.partitions());
-        let traced = recorder.enabled();
-        let n_shards = pool.size().min(n);
-        struct ShardOut {
-            /// Positions this shard covers.
-            lo: usize,
-            hi: usize,
-            events: BufferedRecorder,
-            decisions: Vec<PartitionDecision>,
-            /// The shard's streak updates, each decision's a range.
-            streaks: Vec<(ServerId, u32)>,
-        }
-        let mut outs: Vec<ShardOut> = (0..n_shards)
-            .map(|k| {
-                let (lo, hi) = shard_bounds(n, n_shards, k);
-                ShardOut {
-                    lo,
-                    hi,
-                    events: BufferedRecorder::new(traced),
-                    decisions: Vec::with_capacity(hi - lo),
-                    streaks: Vec::new(),
-                }
-            })
-            .collect();
-        {
-            let core: &RfhDecisionCore = self;
-            let partition_at = &partition_at;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = outs
-                .iter_mut()
-                .map(|out| {
-                    Box::new(move || {
-                        for i in out.lo..out.hi {
-                            let d = core.decide_partition(
-                                epoch,
-                                t,
-                                r_min,
-                                topo,
-                                manager,
-                                snapshot,
-                                view as &dyn TrafficView,
-                                &out.events,
-                                policy,
-                                PartitionId::new(partition_at(i)),
-                                &mut out.streaks,
-                            );
-                            out.decisions.push(d);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(jobs);
-        }
-        let mut actions = Vec::new();
-        for out in outs {
-            for event in out.events.drain() {
-                recorder.decision(event);
-            }
-            for (i, d) in out.decisions.into_iter().enumerate() {
-                let p = PartitionId::new(partition_at(out.lo + i));
-                let streaks = &out.streaks[d.streaks.clone()];
-                self.absorb(epoch, p, d, streaks, &mut actions);
-            }
-        }
-        self.state.note_births(epoch, &actions);
-        actions
-    }
-
-    /// Evaluate the decision tree for one partition, read-only, appending
-    /// its idle-streak updates to `streaks`.
+    /// Evaluate the decision tree for one partition, read-only, leaving
+    /// its idle-streak updates in `streaks`.
     ///
-    /// All state `decide_all` historically mutated mid-loop is keyed by
-    /// partition (idle streaks by `(partition, server)`, the migration
-    /// cooldown by partition), so evaluating partitions against `&self`
-    /// and absorbing the returned updates afterwards — in partition
-    /// order — reproduces the serial loop exactly. That is the property
-    /// the parallel pass rests on.
+    /// All state the decision tree mutates is keyed by partition (idle
+    /// streaks by `(partition, server)`, the migration cooldown by
+    /// partition), so evaluating a partition against `&self` and
+    /// absorbing the returned updates right after reproduces a loop
+    /// that mutated the state mid-evaluation.
     #[allow(clippy::too_many_arguments)]
     fn decide_partition(
         &self,
@@ -520,7 +306,7 @@ impl RfhDecisionCore {
 
         // Update idle streaks for every non-primary replica (eq. 15
         // sampled per epoch; suicide waits for a sustained streak).
-        let first = streaks.len();
+        streaks.clear();
         for &s in manager.replicas(p) {
             if s == holder {
                 continue;
@@ -537,7 +323,6 @@ impl RfhDecisionCore {
             };
             streaks.push((s, next));
         }
-        d.streaks = first..streaks.len();
 
         // ── 1. Availability floor ─────────────────────────────────
         if manager.replica_count(p) < r_min {
@@ -702,7 +487,7 @@ impl RfhDecisionCore {
             // This epoch's streak values: the updates computed above,
             // not yet absorbed into the rows (the serial loop updated
             // the state just before reading it — same values).
-            let fresh = &streaks[d.streaks.clone()];
+            let fresh: &[(ServerId, u32)] = streaks;
             let streak_of =
                 |s: ServerId| fresh.iter().find(|&&(srv, _)| srv == s).map_or(0, |&(_, n)| n);
             let doomed = manager
@@ -743,9 +528,9 @@ impl RfhDecisionCore {
         d
     }
 
-    /// Fold one partition's evaluation, and the streak updates it
-    /// appended, back into the core's state, in partition order — the
-    /// serial half of the snapshot/apply split.
+    /// Fold one partition's evaluation, and the streak updates it left,
+    /// back into the core's state, in partition order — the apply half
+    /// of the snapshot/apply split.
     fn absorb(
         &mut self,
         epoch: Epoch,
@@ -764,14 +549,11 @@ impl RfhDecisionCore {
     }
 }
 
-/// Everything evaluating one partition wants to change: applied by
-/// [`RfhDecisionCore::absorb`] on the coordinating thread, in partition
+/// Everything evaluating one partition wants to change besides its
+/// idle streaks: applied by [`RfhDecisionCore::absorb`], in partition
 /// order.
 #[derive(Debug, Default)]
 struct PartitionDecision {
-    /// Where the evaluation appended its `(server, idle streak)`
-    /// updates in the pass's streak buffer (0: the streak broke).
-    streaks: Range<usize>,
     /// At most one structural action per partition per epoch.
     action: Option<Action>,
     /// The action is a migration: stamp the cooldown on absorb.
@@ -941,9 +723,6 @@ pub struct RfhPolicy {
     /// in-datacenter server choice. Disabled by the `ablation_blocking`
     /// study, which falls back to the lowest-id accepting server.
     use_blocking: bool,
-    /// Worker pool for the parallel decision pass; `None` (or a
-    /// single-worker pool) keeps the pass on the calling thread.
-    pool: Option<Arc<WorkerPool>>,
     /// Server-selection variant; [`PlacementMode::Traffic`] is the
     /// paper's RFH.
     placement: PlacementMode,
@@ -961,7 +740,6 @@ impl RfhPolicy {
         RfhPolicy {
             core: RfhDecisionCore::new(grace_epochs),
             use_blocking: true,
-            pool: None,
             placement: PlacementMode::default(),
         }
     }
@@ -982,13 +760,6 @@ impl RfhPolicy {
             PlacementMode::Traffic => "RFH",
             PlacementMode::DomainSpread => "Spread",
         }
-    }
-
-    /// Attach (or detach) the decision-pass worker pool in place: the
-    /// per-partition evaluation fans out over it, and decisions are
-    /// bit-identical to the serial pass for any pool size.
-    pub fn set_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.pool = pool;
     }
 
     /// Disable (or re-enable) the blocking-probability server choice —
@@ -1018,56 +789,18 @@ impl ReplicationPolicy for RfhPolicy {
             use_blocking: self.use_blocking,
             placement: self.placement,
         };
-        match (self.pool.as_deref(), ctx.active) {
-            (Some(pool), Some(active)) if pool.size() > 1 => self.core.decide_set_pooled(
-                ctx.epoch,
-                &ctx.config.thresholds,
-                r_min,
-                ctx.topo,
-                manager,
-                ctx.view,
-                &view,
-                ctx.recorder,
-                label,
-                active,
-                pool,
-            ),
-            (_, Some(active)) => self.core.decide_set(
-                ctx.epoch,
-                &ctx.config.thresholds,
-                r_min,
-                ctx.topo,
-                manager,
-                ctx.view,
-                &view,
-                ctx.recorder,
-                label,
-                active,
-            ),
-            (Some(pool), None) if pool.size() > 1 => self.core.decide_all_pooled(
-                ctx.epoch,
-                &ctx.config.thresholds,
-                r_min,
-                ctx.topo,
-                manager,
-                ctx.view,
-                &view,
-                ctx.recorder,
-                label,
-                pool,
-            ),
-            (_, None) => self.core.decide_all(
-                ctx.epoch,
-                &ctx.config.thresholds,
-                r_min,
-                ctx.topo,
-                manager,
-                ctx.view,
-                &view,
-                ctx.recorder,
-                label,
-            ),
-        }
+        self.core.decide(
+            ctx.epoch,
+            &ctx.config.thresholds,
+            r_min,
+            ctx.topo,
+            manager,
+            ctx.view,
+            &view,
+            ctx.recorder,
+            label,
+            ctx.active,
+        )
     }
 
     fn keeps_live(

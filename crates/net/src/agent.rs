@@ -363,7 +363,7 @@ impl ReplicationPolicy for DistributedRfhPolicy {
         let view =
             ReportView { ctx, manager, tables: &self.tables, use_blocking: self.use_blocking };
         let decide_t0 = self.profiler.start();
-        let actions = self.core.decide_all(
+        let actions = self.core.decide(
             ctx.epoch,
             &ctx.config.thresholds,
             r_min,
@@ -373,6 +373,7 @@ impl ReplicationPolicy for DistributedRfhPolicy {
             &view,
             ctx.recorder,
             "RFH-dist",
+            None,
         );
         self.profiler.stop(PHASE_DECIDE, decide_t0);
         actions

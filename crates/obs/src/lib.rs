@@ -36,6 +36,6 @@ pub use profiler::{
     PhaseStat, ProfileReport, Profiler, PHASE_APPLY, PHASE_DECIDE, PHASE_EVENTS, PHASE_METRICS,
     PHASE_NETWORK, PHASE_SPARSE, PHASE_TRAFFIC, PHASE_WORKLOAD,
 };
-pub use recorder::{BufferedRecorder, NullRecorder, Recorder, TraceRecorder};
+pub use recorder::{NullRecorder, Recorder, TraceRecorder};
 pub use registry::{prometheus_name, Metric, MetricsRegistry};
 pub use span::{SpanEvent, SpanLog};

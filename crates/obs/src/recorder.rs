@@ -42,46 +42,6 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {}
 
-/// A per-worker event buffer for parallel decision passes.
-///
-/// Worker threads evaluating disjoint partition shards record into
-/// their own `BufferedRecorder`; the coordinator then
-/// [`drain`](Self::drain)s the buffers in canonical shard order and
-/// forwards the events to the real recorder. The emitted sequence is
-/// thereby identical to a serial pass for any thread count — the
-/// determinism contract of the parallel epoch engine.
-///
-/// `enabled` mirrors the downstream recorder's flag so instrumented
-/// code skips event assembly exactly when a serial pass would.
-#[derive(Debug, Default)]
-pub struct BufferedRecorder {
-    enabled: bool,
-    events: Mutex<Vec<DecisionEvent>>,
-}
-
-impl BufferedRecorder {
-    /// A buffer whose [`Recorder::enabled`] reports `enabled` —
-    /// pass the downstream recorder's flag through.
-    pub fn new(enabled: bool) -> Self {
-        BufferedRecorder { enabled, events: Mutex::new(Vec::new()) }
-    }
-
-    /// Take the buffered events in recording order.
-    pub fn drain(&self) -> Vec<DecisionEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Recorder for BufferedRecorder {
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn decision(&self, event: DecisionEvent) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).push(event);
-    }
-}
-
 #[derive(Debug, Default)]
 struct TraceState {
     /// Decisions awaiting their executor outcome, in proposal order.

@@ -1,15 +1,11 @@
 //! A fixed-size worker pool: run a batch of borrowed jobs, return when
 //! all of them have finished.
 //!
-//! Two users. A serve reactor hands a turn's WAL shard commits to a
-//! pool of its own so that their `fdatasync`s overlap: jobs that block
-//! rather than compute. The epoch engine shards its hot loops by
-//! partition and runs the shards on a pool; there determinism does not
-//! come from the pool — jobs finish in whatever order the scheduler
-//! likes — but from the callers' discipline: every job writes only to
-//! its own shard-local buffers, and the (serial) merge that follows
-//! reads them back in canonical partition order. The pool's only
-//! correctness obligations are the ones encoded here:
+//! One user: a serve reactor hands a turn's WAL shard commits to a
+//! pool of its own so that their `fdatasync`s overlap — jobs that block
+//! rather than compute. (The simulator's epoch runs on the calling
+//! thread.) Jobs finish in whatever order the scheduler likes; the
+//! pool's only correctness obligations are the ones encoded here:
 //! [`run`](WorkerPool::run) returns strictly after every submitted job
 //! has finished, and a panicking job resurfaces its panic on the
 //! caller's thread once the batch has drained.
@@ -38,8 +34,6 @@ enum Done {
 ///
 /// The pool is created once and reused for every batch; `run` blocks until
 /// the whole batch is done, so jobs may borrow from the caller's stack.
-/// Wrapped in `Arc`, one pool can serve several engine stages (traffic
-/// pass, decision pass) of the same run.
 pub struct WorkerPool {
     /// One private queue per worker: jobs are dealt round-robin.
     job_txs: Vec<Sender<Job>>,
@@ -152,21 +146,6 @@ fn worker_loop(jobs: Receiver<Job>, done: Sender<Done>) {
     }
 }
 
-/// Contiguous balanced split of `n_items` into `n_shards` ranges:
-/// shard `k` gets `[lo, hi)`. The first `n_items % n_shards` shards
-/// take one extra item; shards beyond `n_items` come out empty
-/// (`lo == hi`). Every caller that fans work out over the pool uses
-/// this split, so "canonical partition order" (ascending ids, shard 0
-/// first) is the same order serial code iterates in.
-pub fn shard_bounds(n_items: usize, n_shards: usize, shard: usize) -> (usize, usize) {
-    assert!(shard < n_shards, "shard index out of range");
-    let base = n_items / n_shards;
-    let extra = n_items % n_shards;
-    let lo = shard * base + shard.min(extra);
-    let hi = lo + base + usize::from(shard < extra);
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,38 +251,5 @@ mod tests {
         let mut hit = false;
         pool.run(vec![Box::new(|| hit = true) as Box<dyn FnOnce() + Send + '_>]);
         assert!(hit);
-    }
-
-    #[test]
-    fn shard_bounds_cover_exactly_once_in_order() {
-        for n_items in 0..40 {
-            for n_shards in 1..12 {
-                let mut next = 0;
-                for k in 0..n_shards {
-                    let (lo, hi) = shard_bounds(n_items, n_shards, k);
-                    assert_eq!(lo, next, "{n_items} items / {n_shards} shards, shard {k}");
-                    assert!(hi >= lo);
-                    next = hi;
-                }
-                assert_eq!(next, n_items, "ranges must cover all items");
-            }
-        }
-        // Balanced: sizes differ by at most one.
-        let sizes: Vec<usize> = (0..7)
-            .map(|k| {
-                let (lo, hi) = shard_bounds(16, 7, k);
-                hi - lo
-            })
-            .collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 16);
-        assert!(sizes.iter().all(|&s| s == 2 || s == 3), "{sizes:?}");
-        // More shards than items: the tail shards are empty, not absent.
-        let empties = (0..8)
-            .filter(|&k| {
-                let (lo, hi) = shard_bounds(3, 8, k);
-                lo == hi
-            })
-            .count();
-        assert_eq!(empties, 5);
     }
 }

@@ -738,7 +738,7 @@ pub(crate) fn control_plane(config: &ClusterConfig, faults: &FaultPlan) -> Resul
     let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
     floor_replicate(&topo, &ring, &mut manager, cfg.partitions, r_min);
     let policy = RfhPolicy::new().with_placement(config.placement);
-    Ok(EpochPipeline::new(cfg, topo, ring, manager, Box::new(policy), faults, None)
+    Ok(EpochPipeline::new(cfg, topo, ring, manager, Box::new(policy), faults)
         .with_planner(config.planner()))
 }
 

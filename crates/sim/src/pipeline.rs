@@ -35,7 +35,6 @@ use rfh_obs::{
     MetricsRegistry, NullRecorder, Profiler, Recorder, PHASE_APPLY, PHASE_DECIDE, PHASE_EVENTS,
     PHASE_METRICS, PHASE_SPARSE, PHASE_TRAFFIC,
 };
-use rfh_pool::WorkerPool;
 use rfh_ring::ConsistentHashRing;
 use rfh_stats::min_replica_count;
 use rfh_topology::Topology;
@@ -199,9 +198,6 @@ pub struct EpochPipeline {
     /// Cumulative partitions sparse epochs visited / skipped.
     sparse_dirty: u64,
     sparse_skipped: u64,
-    /// Shared worker pool for the traffic pass (the policy holds its own
-    /// handle for the decision pass); `None` keeps everything serial.
-    pool: Option<Arc<WorkerPool>>,
     /// Decision-event sink; [`NullRecorder`] unless traced.
     pub(crate) recorder: Arc<dyn Recorder>,
     /// Per-phase epoch timer; disabled (one branch per phase) by default.
@@ -228,8 +224,7 @@ pub struct EpochPipeline {
 impl EpochPipeline {
     /// A control plane over `topo` starting from `(ring, manager)`
     /// (see [`initial_placement`]), untraced, unprofiled, sparse, with
-    /// no link budget. `pool` parallelises the traffic pass; hand the
-    /// policy its own handle for the decision pass.
+    /// no link budget.
     pub fn new(
         cfg: SimConfig,
         topo: Topology,
@@ -237,7 +232,6 @@ impl EpochPipeline {
         manager: ReplicaManager,
         policy: Box<dyn ReplicationPolicy + Send>,
         faults: &FaultPlan,
-        pool: Option<Arc<WorkerPool>>,
     ) -> Self {
         let dc_count = topo.datacenters().len() as u32;
         let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
@@ -259,7 +253,6 @@ impl EpochPipeline {
             active_scratch: Vec::new(),
             sparse_dirty: 0,
             sparse_skipped: 0,
-            pool,
             recorder: Arc::new(NullRecorder),
             profiler: Profiler::new(false),
             epoch: 0,
@@ -566,13 +559,9 @@ impl EpochPipeline {
             }
         }
         self.dirty_parts.clear();
-        let accounts = match (active, &self.pool) {
-            (Some(a), Some(pool)) => {
-                self.engine.account_active_sharded(&self.topo, load, &self.view, a, pool)
-            }
-            (Some(a), None) => self.engine.account_active(&self.topo, load, &self.view, a),
-            (None, Some(pool)) => self.engine.account_sharded(&self.topo, load, &self.view, pool),
-            (None, None) => self.engine.account(&self.topo, load, &self.view),
+        let accounts = match active {
+            Some(a) => self.engine.account_active(&self.topo, load, &self.view, a),
+            None => self.engine.account(&self.topo, load, &self.view),
         };
         match active {
             Some(a) => self.smoother.update_active(load, accounts, a),

@@ -14,7 +14,6 @@ use rfh_faults::{FaultPlan, InvariantAuditor};
 use rfh_obs::{
     MetricsRegistry, ProfileReport, Profiler, Recorder, PHASE_EVENTS, PHASE_METRICS, PHASE_WORKLOAD,
 };
-use rfh_pool::WorkerPool;
 use rfh_ring::ConsistentHashRing;
 use rfh_topology::{paper_topology, Topology};
 use rfh_types::{PartitionId, Result, RfhError, ServerId, SimConfig};
@@ -43,10 +42,9 @@ pub struct SimParams {
     /// faults is bit-identical to one from before the fault layer
     /// existed.
     pub faults: FaultPlan,
-    /// Worker threads for the epoch hot path (traffic pass and RFH
-    /// decision pass). `0` or `1` keeps everything on the calling
-    /// thread; any value produces bit-identical results — parallelism
-    /// changes wall-clock only, never the run.
+    /// No effect: the epoch runs on the calling thread whatever this
+    /// holds. Kept so that code building `SimParams` by struct literal
+    /// (the repo benchmark does) still compiles.
     pub threads: usize,
 }
 
@@ -138,22 +136,13 @@ impl Simulation {
         let cfg = &params.config;
         let dc_count = topo.datacenters().len() as u32;
         let (ring, manager) = initial_placement(cfg, &topo)?;
-        let pool = (params.threads > 1).then(|| Arc::new(WorkerPool::new(params.threads)));
-        let policy = Self::build_policy(&params, dc_count, &ring, pool.as_ref());
+        let policy = Self::build_policy(&params, dc_count, &ring);
         Ok(Simulation {
             generator: params.workload_generator(dc_count),
             load_buf: QueryLoad::zeros(cfg.partitions, dc_count),
             event_rng: StdRng::seed_from_u64(params.seed ^ 0x4556_454E_5453), // "EVENTS"
             metrics: Metrics::new(cfg.partitions),
-            pipeline: EpochPipeline::new(
-                cfg.clone(),
-                topo,
-                ring,
-                manager,
-                policy,
-                &params.faults,
-                pool,
-            ),
+            pipeline: EpochPipeline::new(cfg.clone(), topo, ring, manager, policy, &params.faults),
             trace: None,
             params,
         })
@@ -212,13 +201,8 @@ impl Simulation {
         params: &SimParams,
         dc_count: u32,
         ring: &ConsistentHashRing,
-        pool: Option<&Arc<WorkerPool>>,
     ) -> Box<dyn ReplicationPolicy + Send> {
-        let rfh = |placement| {
-            let mut p = RfhPolicy::new().with_placement(placement);
-            p.set_pool(pool.cloned());
-            Box::new(p)
-        };
+        let rfh = |placement| Box::new(RfhPolicy::new().with_placement(placement));
         match params.policy {
             PolicyKind::Rfh => rfh(PlacementMode::default()),
             PolicyKind::DomainSpread => rfh(PlacementMode::DomainSpread),

@@ -82,7 +82,7 @@ fn pipeline(
     let cfg = SimConfig::default();
     let topo = paper_topology(cfg.capacity_spread, 42).unwrap();
     let (ring, manager) = initial_placement(&cfg, &topo).unwrap();
-    EpochPipeline::new(cfg, topo, ring, manager, policy, faults, None).with_planner(budget)
+    EpochPipeline::new(cfg, topo, ring, manager, policy, faults).with_planner(budget)
 }
 
 /// The actions the host saw land, by kind, against the snapshot's.

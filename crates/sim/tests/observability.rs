@@ -93,27 +93,6 @@ fn shared_recorder_attributes_events_to_the_right_policy() {
     }
 }
 
-/// Parallel decision passes buffer trace events per worker shard and
-/// flush them in canonical partition order — so with a recorder
-/// attached, a 4-thread run must stream exactly the JSONL of the
-/// 1-thread run (and 7 threads, coprime with the 16 partitions, too).
-#[test]
-fn trace_is_bit_identical_for_any_thread_count() {
-    let jsonl_at = |threads: usize| {
-        let params = SimParams { threads, ..base(Scenario::RandomEven) };
-        let rec = Arc::new(TraceRecorder::new());
-        let result = Simulation::new(params).unwrap().with_recorder(rec.clone()).run().unwrap();
-        (result, rec.to_jsonl())
-    };
-    let (serial, serial_jsonl) = jsonl_at(1);
-    assert!(!serial_jsonl.is_empty(), "30 traced RFH epochs must emit decisions");
-    for threads in [4, 7] {
-        let (result, jsonl) = jsonl_at(threads);
-        assert_eq!(serial, result, "{threads}-thread run diverged");
-        assert_eq!(serial_jsonl, jsonl, "{threads}-thread trace diverged");
-    }
-}
-
 #[test]
 fn trace_jsonl_is_wellformed() {
     let rec = Arc::new(TraceRecorder::new());

@@ -1,22 +1,19 @@
-//! The dense ≡ sparse ≡ parallel differential harness.
+//! The dense ≡ sparse differential harness.
 //!
-//! The epoch engine's contract is *bit-identity*: for either engine
-//! mode and any thread count, a run produces exactly the metric
-//! history, placement, decision trace, and rendered reports of the
-//! dense serial run — the sparse dirty-set walk and the sharded
-//! traffic pass may only change wall-clock. These tests drive the full
+//! The epoch engine's contract is *bit-identity*: in either engine
+//! mode, a run produces exactly the metric history, placement,
+//! decision trace, and rendered reports of the dense run — the sparse
+//! dirty-set walk may only change wall-clock. These tests drive the
 //! matrix (every policy, the domain-spread placement variant included,
-//! × {dense, sparse} × thread counts {1, 2, 4, 7} × several seeds,
-//! with and without a chaos fault plan) and compare:
+//! × several seeds, with and without a chaos fault plan) and compare
+//! the sparse run against the dense one on:
 //!
 //! * the [`SimResult`] (every metric series, profile excluded),
 //! * the final rendered [`PlacementView`] (replica placement content),
 //! * the decision-event JSONL trace, byte for byte,
 //! * the full per-epoch CSV report, byte for byte.
 //!
-//! 7 threads is deliberately coprime with the 16-partition count so
-//! shard boundaries land unevenly; 2 and 4 divide it exactly. The
-//! chaos plan matters doubly for the sparse engine: a datacenter
+//! The chaos plan matters doubly for the sparse engine: a datacenter
 //! outage prunes replicas from partitions that carry no queries, so
 //! cold partitions must re-enter the dirty set through the placement
 //! (not the workload) channel for the runs to stay identical.
@@ -30,10 +27,9 @@ use rfh_types::{DatacenterId, SimConfig};
 use rfh_workload::{EventSchedule, Scenario};
 use std::sync::Arc;
 
-const THREADS: [usize; 4] = [1, 2, 4, 7];
 const SEEDS: [u64; 3] = [7, 23, 4242];
 
-fn base(policy: PolicyKind, seed: u64, threads: usize) -> SimParams {
+fn base(policy: PolicyKind, seed: u64) -> SimParams {
     SimParams {
         config: SimConfig { partitions: 16, replica_capacity_mean: 5.0, ..SimConfig::default() },
         scenario: Scenario::RandomEven,
@@ -42,7 +38,7 @@ fn base(policy: PolicyKind, seed: u64, threads: usize) -> SimParams {
         seed,
         events: EventSchedule::new(),
         faults: FaultPlan::default(),
-        threads,
+        threads: 1,
     }
 }
 
@@ -69,11 +65,10 @@ fn chaos_plan() -> FaultPlan {
 fn run_once(
     policy: PolicyKind,
     seed: u64,
-    threads: usize,
     chaos: bool,
     engine: EngineMode,
 ) -> (SimResult, String, String, PlacementView) {
-    let mut p = base(policy, seed, threads);
+    let mut p = base(policy, seed);
     if chaos {
         p.faults = chaos_plan();
     }
@@ -97,50 +92,39 @@ fn assert_matrix(chaos: bool) {
     for policy in PolicyKind::WITH_SPREAD {
         for seed in SEEDS {
             let (dense, dense_csv, dense_trace, dense_view) =
-                run_once(policy, seed, 1, chaos, EngineMode::Dense);
-            for engine in [EngineMode::Dense, EngineMode::Sparse] {
-                for threads in THREADS {
-                    if engine == EngineMode::Dense && threads == 1 {
-                        continue; // that's the baseline itself
-                    }
-                    let (run, csv, trace, view) = run_once(policy, seed, threads, chaos, engine);
-                    let tag = format!(
-                        "{policy} seed {seed} {engine:?} threads {threads}{}",
-                        if chaos { " +chaos" } else { "" }
-                    );
-                    assert_eq!(dense, run, "SimResult diverged: {tag}");
-                    assert_eq!(dense_csv, csv, "CSV report diverged: {tag}");
-                    assert_eq!(dense_trace, trace, "decision trace diverged: {tag}");
-                    assert_eq!(dense_view, view, "final placement diverged: {tag}");
-                }
-            }
+                run_once(policy, seed, chaos, EngineMode::Dense);
+            let (run, csv, trace, view) = run_once(policy, seed, chaos, EngineMode::Sparse);
+            let tag = format!("{policy} seed {seed}{}", if chaos { " +chaos" } else { "" });
+            assert_eq!(dense, run, "SimResult diverged: {tag}");
+            assert_eq!(dense_csv, csv, "CSV report diverged: {tag}");
+            assert_eq!(dense_trace, trace, "decision trace diverged: {tag}");
+            assert_eq!(dense_view, view, "final placement diverged: {tag}");
         }
     }
 }
 
 #[test]
-fn engine_and_thread_matrix_is_bit_identical() {
+fn engine_matrix_is_bit_identical() {
     assert_matrix(false);
 }
 
 #[test]
-fn engine_and_thread_matrix_is_bit_identical_under_chaos() {
+fn engine_matrix_is_bit_identical_under_chaos() {
     assert_matrix(true);
 }
 
 /// The four-way comparison runner goes through the same engine; spot
 /// check that its per-metric CSV (the figure pipeline's input) is
-/// byte-identical too, dense serial vs sparse at a deliberately
-/// awkward thread count.
+/// byte-identical too, dense vs sparse.
 #[test]
-fn comparison_csv_is_engine_and_thread_invariant() {
+fn comparison_csv_is_engine_invariant() {
     use rfh_sim::{run_comparison_observed, ObsOptions};
     let dense = run_comparison_observed(
-        &base(PolicyKind::Rfh, 7, 1),
+        &base(PolicyKind::Rfh, 7),
         &ObsOptions { engine: EngineMode::Dense, ..Default::default() },
     )
     .unwrap();
-    let sparse = rfh_sim::run_comparison(&base(PolicyKind::Rfh, 7, 7)).unwrap();
+    let sparse = rfh_sim::run_comparison(&base(PolicyKind::Rfh, 7)).unwrap();
     for metric in ["utilization", "replicas_total", "unserved", "latency_ms"] {
         assert_eq!(
             report::comparison_csv(&dense, metric),

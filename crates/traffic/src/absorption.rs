@@ -34,7 +34,7 @@
 
 use crate::grid::Grid;
 use crate::placement::PlacementView;
-use crate::slots::{SlotRows, SlotRowsMut};
+use crate::slots::SlotRows;
 use rfh_topology::Topology;
 use rfh_types::{DatacenterId, PartitionId, ServerId};
 use rfh_workload::QueryLoad;
@@ -194,17 +194,15 @@ impl TrafficAccounts {
         self.served.row(p.index())
     }
 
-    /// Writable access to every partition's accounts, for the engine's
-    /// shards to split and fill.
-    pub(crate) fn window(&mut self) -> AccountsWindow<'_> {
-        AccountsWindow {
-            first: 0,
-            n_dcs: self.dc_traffic.cols(),
-            dc_traffic: self.dc_traffic.as_mut_slice(),
-            dc_outflow: self.dc_outflow.as_mut_slice(),
-            served: self.served.window(),
-            unserved: &mut self.unserved,
-            holder_dc: &mut self.holder_dc,
+    /// Partition `p`'s writable accounts, for the traffic pass to fill.
+    #[inline]
+    pub(crate) fn partition_mut(&mut self, p: usize) -> PartitionAccounts<'_> {
+        PartitionAccounts {
+            dc_traffic: self.dc_traffic.row_mut(p),
+            dc_outflow: self.dc_outflow.row_mut(p),
+            served: self.served.row_mut(p),
+            unserved: &mut self.unserved[p],
+            holder_dc: &mut self.holder_dc[p],
         }
     }
 
@@ -300,20 +298,6 @@ impl TrafficAccounts {
     }
 }
 
-/// Writable access to the partitions from `first` on of a
-/// [`TrafficAccounts`]: every per-partition account, cut by
-/// [`split_at`](Self::split_at) into disjoint partition ranges, one
-/// per shard of the traffic pass.
-pub(crate) struct AccountsWindow<'a> {
-    first: usize,
-    n_dcs: usize,
-    dc_traffic: &'a mut [f64],
-    dc_outflow: &'a mut [f64],
-    served: SlotRowsMut<'a, f64>,
-    unserved: &'a mut [f64],
-    holder_dc: &'a mut [DatacenterId],
-}
-
 /// One partition's writable accounts.
 pub(crate) struct PartitionAccounts<'w> {
     pub(crate) dc_traffic: &'w mut [f64],
@@ -321,52 +305,6 @@ pub(crate) struct PartitionAccounts<'w> {
     pub(crate) served: &'w mut [f64],
     pub(crate) unserved: &'w mut f64,
     pub(crate) holder_dc: &'w mut DatacenterId,
-}
-
-impl<'a> AccountsWindow<'a> {
-    /// Split into the partitions before `p` and those from `p` on.
-    pub(crate) fn split_at(self, p: usize) -> (Self, Self) {
-        let (local, n_dcs) = (p - self.first, self.n_dcs);
-        let (tr_lo, tr_hi) = self.dc_traffic.split_at_mut(local * n_dcs);
-        let (of_lo, of_hi) = self.dc_outflow.split_at_mut(local * n_dcs);
-        let (served_lo, served_hi) = self.served.split_at(p);
-        let (un_lo, un_hi) = self.unserved.split_at_mut(local);
-        let (hd_lo, hd_hi) = self.holder_dc.split_at_mut(local);
-        (
-            AccountsWindow {
-                first: self.first,
-                n_dcs,
-                dc_traffic: tr_lo,
-                dc_outflow: of_lo,
-                served: served_lo,
-                unserved: un_lo,
-                holder_dc: hd_lo,
-            },
-            AccountsWindow {
-                first: p,
-                n_dcs,
-                dc_traffic: tr_hi,
-                dc_outflow: of_hi,
-                served: served_hi,
-                unserved: un_hi,
-                holder_dc: hd_hi,
-            },
-        )
-    }
-
-    /// Partition `p`'s accounts (a partition id inside this window).
-    #[inline]
-    pub(crate) fn partition(&mut self, p: usize) -> PartitionAccounts<'_> {
-        let (local, n_dcs) = (p - self.first, self.n_dcs);
-        let cells = local * n_dcs..(local + 1) * n_dcs;
-        PartitionAccounts {
-            dc_traffic: &mut self.dc_traffic[cells.clone()],
-            dc_outflow: &mut self.dc_outflow[cells],
-            served: self.served.row_mut(p),
-            unserved: &mut self.unserved[local],
-            holder_dc: &mut self.holder_dc[local],
-        }
-    }
 }
 
 /// Run the traffic pass for one epoch.

@@ -1,8 +1,8 @@
 //! The reusable per-epoch traffic engine.
 //!
 //! [`compute_traffic`](crate::absorption::compute_traffic) allocates
-//! its whole working set — the accounts, the shard scratch, and a
-//! routing path per `(requester, holder)` pair — on every call. Inside
+//! its whole working set — the accounts, the per-partition scratch, and
+//! a routing path per `(requester, holder)` pair — on every call. Inside
 //! a simulation that pass runs once per epoch per policy, so the
 //! allocations and the repeated shortest-path walks dominate the hot
 //! loop.
@@ -15,7 +15,8 @@
 //! * per-generation membership caches: each server's datacenter, and
 //!   each alive server's *visit rank* — its position in the
 //!   datacenters' `server_ids()` orders laid end to end;
-//! * per-shard scratch and subtotals, reused pass after pass.
+//! * the scratch of the partition being processed, reused pass after
+//!   pass.
 //!
 //! The view's replica slots serve as the capacity index: at each hop
 //! the pass visits the partition's alive slots in that datacenter,
@@ -23,7 +24,7 @@
 //! order, not server-id order: a joined server gets the next id but
 //! sits in rack 0, ahead of older servers.
 //!
-//! ## Sharded pass, canonical merge
+//! ## Canonical order
 //!
 //! Partitions are independent in the traffic pass: remaining capacity
 //! is per partition, every account write lands in that partition's rows
@@ -32,28 +33,17 @@
 //! visit order) fixes every cell's value exactly. Only five scalar
 //! totals (`hops_weighted`, `latency_weighted_ms`, `sla_within`,
 //! `served_total`, `unserved_total`) and the per-server loads cross
-//! partitions, and `f64` addition is not associative — so the engine
-//! defines their *canonical* value as per-partition terms folded in
-//! ascending partition order.
-//!
-//! The pass therefore runs as contiguous partition shards (one shard
-//! serially; [`account_sharded`](TrafficEngine::account_sharded) fans
-//! shards out over a [`WorkerPool`]). The shards' partitions are
-//! ascending, so each shard owns a contiguous range of account rows and
-//! writes them in place; it keeps only four per-partition subtotals
-//! aside. A serial fold then walks shards — hence partitions — in
-//! ascending order. Serial and parallel execution share the shard code
-//! and the fold, so the output is bit-identical for any thread count
-//! (property-tested in `tests/prop_parallel.rs`), and `compute_traffic`
-//! (a one-shot, single-shard engine) stays the semantic reference.
+//! partitions, and `f64` addition is not associative — so the pass adds
+//! each partition's terms to them in ascending partition order, on the
+//! dense and sparse paths alike. `compute_traffic` (a one-shot engine)
+//! stays the semantic reference.
 
 use rfh_obs::MetricsRegistry;
-use rfh_pool::{shard_bounds, WorkerPool};
 use rfh_topology::{RouteTable, Topology};
 use rfh_types::{DatacenterId, PartitionId};
 use rfh_workload::QueryLoad;
 
-use crate::absorption::{AccountsWindow, TrafficAccounts, INTRA_DC_LATENCY_MS, SLA_TARGET_MS};
+use crate::absorption::{TrafficAccounts, INTRA_DC_LATENCY_MS, SLA_TARGET_MS};
 use crate::placement::PlacementView;
 
 /// [`TrafficEngine::visit_rank`] of a server the pass never visits
@@ -82,8 +72,8 @@ pub struct TrafficEngine {
     /// [`PlacementView::version`] the last dense pass read; `None`
     /// after a sparse pass. Only classifies passes for [`EngineStats`].
     view_version: Option<u64>,
-    /// Per-shard scratch and subtotals; one shard on the serial path.
-    shards: Vec<Shard>,
+    /// Scratch of the partition being processed.
+    scratch: Scratch,
     accounts: TrafficAccounts,
     /// Active set of the previous *sparse* pass: the partitions whose
     /// account cells that pass wrote. `Some` ⇒ the accounts can be
@@ -102,74 +92,30 @@ struct Visit {
     slot: u32,
 }
 
-/// Shard-local state for a contiguous position range `[lo, hi)`. The
-/// shard writes its partitions' accounts in place; here it keeps only
-/// scratch and the subtotals the canonical fold needs.
+/// Per-partition scratch, overwritten for every partition the pass
+/// visits.
 #[derive(Debug, Clone, Default)]
-struct Shard {
-    /// First position of the shard's partition range (a global
-    /// partition index on the dense path; an index into the pass's
-    /// active list on the sparse path).
-    lo: usize,
-    /// One past the last position.
-    hi: usize,
+struct Scratch {
     /// The alive slots of the partition being processed, by visit rank.
     visits: Vec<Visit>,
     /// Remaining capacity per slot of the partition being processed.
     remaining: Vec<f64>,
-    /// Per-position subtotals of the cross-partition scalars.
-    hops_weighted: Vec<f64>,
-    latency_weighted_ms: Vec<f64>,
-    sla_within: Vec<f64>,
-    served_total: Vec<f64>,
 }
 
-impl Shard {
-    /// Point this shard at `[lo, hi)` and size its subtotals. Contents
-    /// are left stale — the pass writes every one it reads.
-    fn layout(&mut self, lo: usize, hi: usize) {
-        self.lo = lo;
-        self.hi = hi;
-        let span = hi - lo;
-        self.hops_weighted.resize(span, 0.0);
-        self.latency_weighted_ms.resize(span, 0.0);
-        self.sla_within.resize(span, 0.0);
-        self.served_total.resize(span, 0.0);
-    }
-
+impl Scratch {
     fn heap_bytes(&self) -> usize {
         self.visits.capacity() * std::mem::size_of::<Visit>()
-            + (self.remaining.capacity()
-                + self.hops_weighted.capacity()
-                + self.latency_weighted_ms.capacity()
-                + self.sla_within.capacity()
-                + self.served_total.capacity())
-                * std::mem::size_of::<f64>()
+            + self.remaining.capacity() * std::mem::size_of::<f64>()
     }
 }
 
-/// The read-only inputs a shard pass needs — all `Sync`, shared by
-/// every worker.
+/// The read-only inputs of a pass.
 struct PassCtx<'a> {
     routes: &'a RouteTable,
     server_dc: &'a [DatacenterId],
     visit_rank: &'a [u32],
     load: &'a QueryLoad,
     view: &'a PlacementView,
-    /// Sparse pass: positions map through this active list to global
-    /// partition ids. Dense pass (`None`): position == partition id.
-    parts: Option<&'a [u32]>,
-}
-
-impl PassCtx<'_> {
-    /// Partition at position `pos`.
-    #[inline]
-    fn partition(&self, pos: usize) -> usize {
-        match self.parts {
-            Some(parts) => parts[pos] as usize,
-            None => pos,
-        }
-    }
 }
 
 /// Cache-effectiveness counters of a [`TrafficEngine`]: how often a
@@ -231,7 +177,7 @@ impl TrafficEngine {
             server_dc: Vec::new(),
             visit_rank: Vec::new(),
             view_version: None,
-            shards: Vec::new(),
+            scratch: Scratch::default(),
             accounts: TrafficAccounts::empty(),
             sparse_prev: None,
             stats: EngineStats::default(),
@@ -254,8 +200,7 @@ impl TrafficEngine {
         self.routes.heap_bytes()
             + self.server_dc.capacity() * std::mem::size_of::<DatacenterId>()
             + self.visit_rank.capacity() * std::mem::size_of::<u32>()
-            + self.shards.capacity() * std::mem::size_of::<Shard>()
-            + self.shards.iter().map(Shard::heap_bytes).sum::<usize>()
+            + self.scratch.heap_bytes()
             + self.sparse_prev.as_ref().map_or(0, |prev| prev.capacity() * 4)
     }
 
@@ -299,30 +244,6 @@ impl TrafficEngine {
         load: &QueryLoad,
         view: &PlacementView,
     ) -> &TrafficAccounts {
-        self.account_with(topo, load, view, None)
-    }
-
-    /// [`account`](Self::account), with the shard passes fanned out
-    /// over `pool` (one contiguous partition shard per worker). The
-    /// fold is serial and walks partitions in ascending order, so the
-    /// result is bit-identical to the serial pass for any pool size.
-    pub fn account_sharded(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        pool: &WorkerPool,
-    ) -> &TrafficAccounts {
-        self.account_with(topo, load, view, Some(pool))
-    }
-
-    fn account_with(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        pool: Option<&WorkerPool>,
-    ) -> &TrafficAccounts {
         let rebuilt = self.sync_topology(topo);
         self.stats.passes += 1;
 
@@ -350,9 +271,8 @@ impl TrafficEngine {
             visit_rank: &self.visit_rank,
             load,
             view,
-            parts: None,
         };
-        run_pass(&mut self.shards, &mut self.accounts, &ctx, n_parts, pool);
+        run_pass(&ctx, &mut self.scratch, &mut self.accounts, 0..n_parts);
         self.accounts.fold_server_loads(view, 0..n_parts);
 
         &self.accounts
@@ -387,32 +307,6 @@ impl TrafficEngine {
         load: &QueryLoad,
         view: &PlacementView,
         active: &[u32],
-    ) -> &TrafficAccounts {
-        self.account_active_with(topo, load, view, active, None)
-    }
-
-    /// [`account_active`](Self::account_active) with the shard passes
-    /// fanned out over `pool`, sharding the *active list* instead of the
-    /// full partition range. Bit-identical to the serial sparse pass for
-    /// any pool size (same shard code, same ascending canonical fold).
-    pub fn account_active_sharded(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        active: &[u32],
-        pool: &WorkerPool,
-    ) -> &TrafficAccounts {
-        self.account_active_with(topo, load, view, active, Some(pool))
-    }
-
-    fn account_active_with(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        active: &[u32],
-        pool: Option<&WorkerPool>,
     ) -> &TrafficAccounts {
         self.sync_topology(topo);
         self.stats.passes += 1;
@@ -461,9 +355,8 @@ impl TrafficEngine {
             visit_rank: &self.visit_rank,
             load,
             view,
-            parts: Some(active),
         };
-        run_pass(&mut self.shards, &mut self.accounts, &ctx, active.len(), pool);
+        run_pass(&ctx, &mut self.scratch, &mut self.accounts, active.iter().map(|&p| p as usize));
         self.accounts.fold_server_loads(view, active.iter().map(|&p| p as usize));
 
         &self.accounts
@@ -483,92 +376,20 @@ impl TrafficEngine {
     }
 }
 
-/// Lay the shards out over `positions`, run them — fanned out over
-/// `pool` when one is given and worth using — and fold their subtotals
-/// into `acc`. Shared by the dense and sparse passes; the serial path
-/// is the one-shard case of the same code, which is what makes serial
-/// ≡ parallel structural rather than coincidental.
+/// The accounting pass over `partitions` (ascending), shared by the
+/// dense and sparse passes. The within-partition order is the legacy
+/// accounting order — requesters ascending, hops in path order, slots
+/// in visit order — so every per-partition quantity is computed by the
+/// exact `f64` sequence the one-shot pass uses; each partition's terms
+/// then go onto the five cross-partition scalars in partition order.
 fn run_pass(
-    shards: &mut Vec<Shard>,
-    acc: &mut TrafficAccounts,
     ctx: &PassCtx<'_>,
-    positions: usize,
-    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+    acc: &mut TrafficAccounts,
+    partitions: impl Iterator<Item = usize>,
 ) {
-    let n_shards = pool.map_or(1, WorkerPool::size).max(1);
-    shards.resize_with(n_shards, Shard::default);
-    for (k, shard) in shards.iter_mut().enumerate() {
-        let (lo, hi) = shard_bounds(positions, n_shards, k);
-        shard.layout(lo, hi);
-    }
-
-    let n_parts = acc.shape().1;
-    let mut window = acc.window();
-    match pool {
-        Some(pool) if n_shards > 1 => {
-            // Positions ascend with partitions, so shard k owns the
-            // account rows from its first partition up to the next
-            // shard's first partition.
-            let mut windows = Vec::with_capacity(n_shards);
-            for shard in &shards[1..] {
-                let cut = if shard.lo < positions { ctx.partition(shard.lo) } else { n_parts };
-                let (head, tail) = window.split_at(cut);
-                windows.push(head);
-                window = tail;
-            }
-            windows.push(window);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shards
-                .iter_mut()
-                .zip(windows)
-                .map(|(shard, mut window)| {
-                    Box::new(move || run_shard(ctx, shard, &mut window))
-                        as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(jobs);
-        }
-        _ => {
-            for shard in shards.iter_mut() {
-                run_shard(ctx, shard, &mut window);
-            }
-        }
-    }
-
-    // Canonical fold: shards ascending — hence positions, hence
-    // partitions ascending — regardless of how many shards ran or on
-    // which threads they finished.
-    for shard in shards.iter() {
-        for (i, pos) in (shard.lo..shard.hi).enumerate() {
-            acc.hops_weighted += shard.hops_weighted[i];
-            acc.latency_weighted_ms += shard.latency_weighted_ms[i];
-            acc.sla_within += shard.sla_within[i];
-            acc.served_total += shard.served_total[i];
-            acc.unserved_total += acc.unserved[ctx.partition(pos)];
-        }
-    }
-}
-
-/// The accounting pass over one shard's positions. Reads only the
-/// shared [`PassCtx`]; writes only the shard's own account rows and
-/// subtotals. The within-partition order is the legacy accounting order
-/// — requesters ascending, hops in path order, slots in visit order —
-/// so every per-partition quantity is computed by the exact `f64`
-/// sequence the one-shot pass uses, on the dense and sparse paths
-/// alike.
-fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'_>) {
-    let Shard {
-        lo,
-        hi,
-        visits,
-        remaining,
-        hops_weighted,
-        latency_weighted_ms,
-        sla_within,
-        served_total,
-    } = shard;
-
-    for (i, pos) in (*lo..*hi).enumerate() {
-        let p_idx = ctx.partition(pos);
+    let Scratch { visits, remaining } = scratch;
+    for p_idx in partitions {
         let p = PartitionId::new(p_idx as u32);
         let slots = ctx.view.slots(p);
         // The slots worth visiting: alive servers, in visit order.
@@ -583,7 +404,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'
         }
         visits.sort_unstable_by_key(|v| v.rank);
 
-        let acc = window.partition(p_idx);
+        let acc_p = acc.partition_mut(p_idx);
         let mut unserved_p = 0.0;
         let mut hops_p = 0.0;
         let mut latency_p = 0.0;
@@ -592,7 +413,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'
 
         let holder = ctx.view.holder(p);
         let hdc = ctx.server_dc.get(holder.index()).copied().unwrap_or(DatacenterId::new(0));
-        *acc.holder_dc = hdc;
+        *acc_p.holder_dc = hdc;
 
         for j_idx in 0..ctx.load.datacenters() {
             let j = DatacenterId::new(j_idx);
@@ -614,7 +435,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'
                 let lat_ms = cum_ms[hop];
                 // eq. 4/5: the node's traffic is the residual
                 // reaching it.
-                acc.dc_traffic[dc.index()] += residual;
+                acc_p.dc_traffic[dc.index()] += residual;
                 // Replicas in this datacenter absorb what they can, in
                 // the datacenter's visit order.
                 for visit in visits.iter().filter(|v| v.dc == dc) {
@@ -626,7 +447,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'
                     let take = cap.min(residual);
                     if take > 0.0 {
                         *cap -= take;
-                        acc.served[slot] += take;
+                        acc_p.served[slot] += take;
                         hops_p += hop as f64 * take;
                         let rtt = 2.0 * lat_ms + INTRA_DC_LATENCY_MS;
                         latency_p += rtt * take;
@@ -647,7 +468,7 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'
                 // forwarding traffic (the terminal hop forwards
                 // nothing).
                 if hop + 1 < hops.len() {
-                    acc.dc_outflow[dc.index()] += residual;
+                    acc_p.dc_outflow[dc.index()] += residual;
                 }
             }
             served_p += served_here;
@@ -658,11 +479,12 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard, window: &mut AccountsWindow<'
             }
         }
 
-        *acc.unserved = unserved_p;
-        hops_weighted[i] = hops_p;
-        latency_weighted_ms[i] = latency_p;
-        sla_within[i] = sla_p;
-        served_total[i] = served_p;
+        *acc_p.unserved = unserved_p;
+        acc.hops_weighted += hops_p;
+        acc.latency_weighted_ms += latency_p;
+        acc.sla_within += sla_p;
+        acc.served_total += served_p;
+        acc.unserved_total += unserved_p;
     }
 }
 
@@ -739,39 +561,6 @@ mod tests {
         engine.account(&topo, &load, &view);
         let reused = engine.account(&topo, &load, &view).clone();
         assert_eq!(reused, compute_traffic(&topo, &load, &view));
-    }
-
-    #[test]
-    fn sharded_pass_is_bit_identical_for_any_pool_size() {
-        let topo = chain();
-        let load = sample_load(5, 3);
-        let view = sample_view(5, 3);
-        let serial = compute_traffic(&topo, &load, &view);
-        for workers in [1, 2, 3, 7, 11] {
-            let pool = WorkerPool::new(workers);
-            let mut engine = TrafficEngine::new();
-            // Twice: both the index-rebuild and the fast-restore pass.
-            engine.account_sharded(&topo, &load, &view, &pool);
-            let sharded = engine.account_sharded(&topo, &load, &view, &pool).clone();
-            assert_eq!(sharded, serial, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn shard_layout_survives_pool_size_changes() {
-        // The same engine alternates serial and pooled passes: shard
-        // buffers must relayout without residue.
-        let topo = chain();
-        let load = sample_load(4, 3);
-        let view = sample_view(4, 3);
-        let serial = compute_traffic(&topo, &load, &view);
-        let mut engine = TrafficEngine::new();
-        let big = WorkerPool::new(6);
-        let small = WorkerPool::new(2);
-        assert_eq!(engine.account_sharded(&topo, &load, &view, &big), &serial);
-        assert_eq!(engine.account(&topo, &load, &view), &serial);
-        assert_eq!(engine.account_sharded(&topo, &load, &view, &small), &serial);
-        assert_eq!(engine.account_sharded(&topo, &load, &view, &big), &serial);
     }
 
     #[test]
@@ -900,23 +689,6 @@ mod tests {
         let active = [1, 2, 4, 6, 7];
         let sparse = engine.account_active(&topo, &load, &view, &active).clone();
         assert_sparse_matches_dense(&sparse, &dense, &active);
-    }
-
-    #[test]
-    fn sharded_sparse_pass_is_bit_identical_for_any_pool_size() {
-        let topo = chain();
-        let view = sample_view(9, 3);
-        let active: Vec<u32> = vec![0, 2, 3, 5, 8];
-        let load = sparse_load(9, 3, &active);
-        let dense = compute_traffic(&topo, &load, &view);
-        for workers in [1, 2, 3, 7, 11] {
-            let pool = WorkerPool::new(workers);
-            let mut engine = TrafficEngine::new();
-            // Twice: the second pass exercises the O(prev) partial clear.
-            engine.account_active_sharded(&topo, &load, &view, &active, &pool);
-            let sparse = engine.account_active_sharded(&topo, &load, &view, &active, &pool).clone();
-            assert_sparse_matches_dense(&sparse, &dense, &active);
-        }
     }
 
     #[test]

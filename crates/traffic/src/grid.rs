@@ -56,12 +56,6 @@ impl Grid {
         &mut self.data[start..start + self.cols]
     }
 
-    /// Every cell, row-major, as one mutable slice (for cutting the grid
-    /// into disjoint row ranges).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Bytes of heap the grid holds, by allocation capacity.
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()
@@ -90,7 +84,7 @@ mod tests {
         g.row_mut(2)[3] = 1.0;
         g.reset(2, 2);
         assert_eq!((g.rows(), g.cols()), (2, 2));
-        assert_eq!(g.as_mut_slice(), &[0.0; 4]);
+        assert!((0..2).all(|r| g.row(r) == [0.0; 2]));
     }
 
     #[test]
@@ -99,7 +93,6 @@ mod tests {
         g.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(g.row(1), &[1.0, 2.0, 3.0]);
         assert_eq!(g.row(0), &[0.0, 0.0, 0.0]);
-        assert_eq!(g.as_mut_slice(), &[0.0, 0.0, 0.0, 1.0, 2.0, 3.0], "row-major");
     }
 
     #[test]

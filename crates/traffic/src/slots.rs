@@ -177,52 +177,6 @@ impl<T: Copy + Default, const N: usize> SlotRows<T, N> {
             + self.spill.capacity() * std::mem::size_of::<(u32, Vec<T>)>()
             + self.spill.iter().map(|(_, cells)| cells.capacity() * cell).sum::<usize>()
     }
-
-    /// A writable window over every row, for splitting into disjoint
-    /// row ranges (see [`SlotRowsMut::split_at`]).
-    pub fn window(&mut self) -> SlotRowsMut<'_, T, N> {
-        SlotRowsMut { first: 0, lens: &self.lens, inline: &mut self.inline, spill: &mut self.spill }
-    }
-}
-
-/// Writable access to the rows `first..first + lens.len()` of a
-/// [`SlotRows`]: cells can be written, rows cannot change length.
-/// Disjoint windows can be handed to different threads.
-#[derive(Debug)]
-pub struct SlotRowsMut<'a, T, const N: usize = INLINE_SLOTS> {
-    first: usize,
-    lens: &'a [u8],
-    inline: &'a mut [T],
-    spill: &'a mut [(u32, Vec<T>)],
-}
-
-impl<'a, T: Copy + Default, const N: usize> SlotRowsMut<'a, T, N> {
-    /// Split into the rows before `r` and the rows from `r` on (`r` is
-    /// a row index of the whole table, inside this window).
-    pub fn split_at(self, r: usize) -> (Self, Self) {
-        let local = r - self.first;
-        let (lens_lo, lens_hi) = self.lens.split_at(local);
-        let (inline_lo, inline_hi) = self.inline.split_at_mut(local * N);
-        let cut = self.spill.partition_point(|(row, _)| (*row as usize) < r);
-        let (spill_lo, spill_hi) = self.spill.split_at_mut(cut);
-        (
-            SlotRowsMut { first: self.first, lens: lens_lo, inline: inline_lo, spill: spill_lo },
-            SlotRowsMut { first: r, lens: lens_hi, inline: inline_hi, spill: spill_hi },
-        )
-    }
-
-    /// Row `r`'s cells (a row index of the whole table).
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        let local = r - self.first;
-        match self.lens[local] {
-            SPILLED => {
-                let i = SlotRows::<T, N>::spill_index(self.spill, r);
-                &mut self.spill[i].1
-            }
-            n => &mut self.inline[local * N..local * N + n as usize],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -294,24 +248,5 @@ mod tests {
         assert_eq!(spilled, inline);
         inline.row_mut(0)[0] = 1;
         assert_ne!(spilled, inline);
-    }
-
-    #[test]
-    fn windows_split_rows_and_spill_alike() {
-        let mut rows = SlotRows::<u32>::new(5);
-        rows.reset_row(0, 2);
-        rows.reset_row(1, 6);
-        rows.reset_row(3, 9);
-        rows.reset_row(4, 1);
-        let (mut lo, rest) = rows.window().split_at(2);
-        let (mut mid, mut hi) = rest.split_at(4);
-        lo.row_mut(0)[1] = 1;
-        lo.row_mut(1)[5] = 2;
-        mid.row_mut(3)[8] = 3;
-        hi.row_mut(4)[0] = 4;
-        assert_eq!(rows.row(0), &[0, 1]);
-        assert_eq!(rows.row(1)[5], 2);
-        assert_eq!(rows.row(3)[8], 3);
-        assert_eq!(rows.row(4), &[4]);
     }
 }

@@ -246,7 +246,7 @@ mod tests {
         let mut acc = TrafficAccounts::empty();
         acc.reset(dcs, parts, 1);
         for &(dc, pp, v) in cells {
-            acc.window().partition(pp).dc_traffic[dc] = v;
+            acc.partition_mut(pp).dc_traffic[dc] = v;
         }
         acc
     }

@@ -7,11 +7,10 @@
 //! The generated cases cover random topologies (servers joined into
 //! rack 0 take the next id but sort first in their datacenter), replica
 //! sets wider than the inline slots, capacity on dead servers, random
-//! active subsets with placements re-rendered between epochs, and pool
-//! sizes 1–4, on the dense and the sparse pass.
+//! active subsets with placements re-rendered between epochs, on the
+//! dense and the sparse pass.
 
 use proptest::prelude::*;
-use rfh_pool::WorkerPool;
 use rfh_topology::{RouteTable, Topology, TopologyBuilder};
 use rfh_traffic::{PlacementView, TrafficAccounts, TrafficEngine};
 use rfh_types::{Continent, DatacenterId, GeoPoint, PartitionId, RackId, RoomId, ServerId};
@@ -284,7 +283,6 @@ proptest! {
         wide in proptest::collection::vec((0u32..64, 1u16..40), 5..16),
         dead in proptest::collection::vec(0u32..64, 0..3),
         epochs in proptest::collection::vec(arb_epoch(), 1..5),
-        workers in 1usize..5,
     ) {
         let mut topo = build_topology(&shape);
         let servers = topo.server_count() as u32;
@@ -300,7 +298,6 @@ proptest! {
         // One partition with a replica set wider than the inline slots.
         render(&mut view, PARTS - 1, &wide, servers);
 
-        let pool = WorkerPool::new(workers);
         let (mut dense, mut sparse) = (TrafficEngine::new(), TrafficEngine::new());
         for epoch in &epochs {
             if let Some(s) = epoch.fail {
@@ -325,17 +322,8 @@ proptest! {
 
             let r = reference(&topo, &load, &view);
             let all: Vec<u32> = (0..PARTS).collect();
-            let acc = if workers == 1 {
-                dense.account(&topo, &load, &view)
-            } else {
-                dense.account_sharded(&topo, &load, &view, &pool)
-            };
-            assert_matches(acc, &r, &view, &all, "dense")?;
-            let acc = if workers == 1 {
-                sparse.account_active(&topo, &load, &view, &active)
-            } else {
-                sparse.account_active_sharded(&topo, &load, &view, &active, &pool)
-            };
+            assert_matches(dense.account(&topo, &load, &view), &r, &view, &all, "dense")?;
+            let acc = sparse.account_active(&topo, &load, &view, &active);
             assert_matches(acc, &r, &view, &active, "sparse")?;
         }
     }
