@@ -189,13 +189,6 @@ impl ReplicaManager {
         self.storage_used.len()
     }
 
-    /// Grow the server tables after a node join.
-    pub fn add_server_slot(&mut self) {
-        self.storage_used.push(Bytes::ZERO);
-        self.repl_out.push(0);
-        self.migr_out.push(0);
-    }
-
     /// The primary holder of a partition.
     pub fn holder(&self, p: PartitionId) -> ServerId {
         self.replica_sets[p.index()][0]
@@ -809,26 +802,5 @@ mod tests {
         m.render_partition(&t, 20.0, p(1), &mut view);
         assert_eq!(view, m.placement_view(&t, 20.0));
         assert_eq!(view.holder(p(1)), s(1), "migration re-points the holder");
-
-        // Shape change: a join grows the server axis; full re-render
-        // in place matches a fresh build.
-        m.add_server_slot();
-        m.render_view(&t, 20.0, &mut view);
-        assert_eq!(view, m.placement_view(&t, 20.0));
-        assert_eq!(view.servers(), 5);
-    }
-
-    #[test]
-    fn add_server_slot_extends_tables() {
-        let t = topo();
-        let mut m = manager();
-        assert_eq!(m.servers(), 4);
-        m.add_server_slot();
-        assert_eq!(m.servers(), 5);
-        assert_eq!(m.storage_fraction(s(4)), 0.0);
-        // The new slot is unusable until the topology knows it, but the
-        // manager accepts it once both agree; here we only check the
-        // accounting grows.
-        let _ = t;
     }
 }

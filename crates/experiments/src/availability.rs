@@ -10,25 +10,26 @@
 use crate::figures::base_params;
 use crate::{series, steady};
 use rfh_core::PolicyKind;
-use rfh_sim::{run_comparison, SimParams};
+use rfh_sim::{run_comparison, sim_seeded_plan, FaultAction, SimParams};
 use rfh_types::Result;
-use rfh_workload::{ClusterEvent, EventSchedule, Scenario};
+use rfh_workload::Scenario;
 use std::fmt::Write as _;
 
 const EPOCHS: u64 = 300;
 /// A failure wave every this many epochs, full recovery halfway after.
 const WAVE_PERIOD: u64 = 60;
 
-fn params_with_waves(burst: usize, seed: u64) -> SimParams {
+fn params_with_waves(burst: u32, seed: u64) -> SimParams {
     let mut p = base_params(Scenario::RandomEven, EPOCHS, seed);
-    let mut events = EventSchedule::new();
+    let mut plan = sim_seeded_plan(seed);
     let mut epoch = WAVE_PERIOD;
     while epoch < EPOCHS {
-        events.add(epoch, ClusterEvent::FailRandomServers { count: burst });
-        events.add(epoch + WAVE_PERIOD / 2, ClusterEvent::RecoverAll);
+        plan = plan
+            .at(epoch, FaultAction::FailRandom(burst))
+            .at(epoch + WAVE_PERIOD / 2, FaultAction::RecoverAll);
         epoch += WAVE_PERIOD;
     }
-    p.events = events;
+    p.faults = plan;
     p
 }
 
@@ -42,7 +43,7 @@ pub fn report(seed: u64) -> Result<String> {
          data-loss = partitions that lost every replica (lower is better)\n\n",
         WAVE_PERIOD / 2
     );
-    for burst in [10usize, 30, 50] {
+    for burst in [10u32, 30, 50] {
         let cmp = run_comparison(&params_with_waves(burst, seed))?;
         let _ = writeln!(out, "== {burst} servers per wave ==");
         let _ = writeln!(

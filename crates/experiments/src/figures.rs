@@ -8,7 +8,10 @@
 
 use crate::shapes::{self, ShapeCheck};
 use rfh_core::PolicyKind;
-use rfh_sim::{run_comparison, ComparisonResult, SimParams, SimResult, Simulation};
+use rfh_sim::{
+    run_comparison, sim_seeded_plan, ComparisonResult, FaultAction, SimParams, SimResult,
+    Simulation,
+};
 use rfh_types::{FlashCrowdConfig, Result, SimConfig};
 use rfh_workload::{EventSchedule, Scenario};
 
@@ -22,7 +25,7 @@ pub const FIG10_EPOCHS: u64 = 500;
 /// at epoch 290").
 pub const FIG10_FAIL_EPOCH: u64 = 290;
 /// Fig. 10: servers removed.
-pub const FIG10_FAIL_SERVERS: usize = 30;
+pub const FIG10_FAIL_SERVERS: u32 = 30;
 
 /// The data behind Figs. 3–9: one seeded four-policy comparison under
 /// random query and one under flash crowd. Every figure plots metrics
@@ -125,7 +128,8 @@ pub fn both_settings(seed: u64) -> Result<FigureRun> {
 /// sharply and recovers.
 pub fn fig10(seed: u64) -> Result<SimResult> {
     let mut params = base_params(Scenario::RandomEven, FIG10_EPOCHS, seed);
-    params.events = EventSchedule::mass_failure_at(FIG10_FAIL_EPOCH, FIG10_FAIL_SERVERS);
+    params.faults =
+        sim_seeded_plan(seed).at(FIG10_FAIL_EPOCH, FaultAction::FailRandom(FIG10_FAIL_SERVERS));
     Simulation::new(params)?.run()
 }
 
@@ -146,7 +150,7 @@ mod tests {
         let p = base_params(Scenario::RandomEven, RANDOM_EPOCHS, 1);
         assert_eq!(p.config.partitions, 64);
         assert_eq!(p.epochs, 250);
-        assert!(p.events.is_empty());
+        assert!(p.faults.is_empty());
     }
 
     #[test]

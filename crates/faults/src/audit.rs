@@ -135,7 +135,7 @@ impl InvariantAuditor {
     }
 
     /// Record that a fault hit the cluster at `epoch`: injected
-    /// failures, link cuts, or scripted workload events. Excuses
+    /// failures, link cuts, or a random kill's shortfall. Excuses
     /// under-replication dips near this epoch and restarts the repair
     /// clock.
     pub fn note_fault(&mut self, epoch: u64) {

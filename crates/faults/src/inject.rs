@@ -22,6 +22,9 @@ use rfh_types::{DatacenterId, Result, ServerId};
 
 use crate::plan::{ChurnConfig, FaultAction, FaultPlan, ScheduledFault};
 
+/// XORed into [`FaultPlan::seed`] to seed the injector's RNG.
+pub const PLAN_SEED_SALT: u64 = 0x4641_554C_5453; // "FAULTS"
+
 /// What the injector did to the cluster this epoch. Consumed by the
 /// simulation to account repairs, arm the invariant auditor, and apply
 /// the sticky gray-failure knobs (message loss, bandwidth cuts).
@@ -94,7 +97,7 @@ impl FaultInjector {
             scheduled,
             cursor: 0,
             churn: plan.churn.clone(),
-            rng: StdRng::seed_from_u64(plan.seed ^ 0x4641_554C_5453), // "FAULTS"
+            rng: StdRng::seed_from_u64(plan.seed ^ PLAN_SEED_SALT),
             repairs: Vec::new(),
             restarts: Vec::new(),
             partition_cut: Vec::new(),
@@ -254,6 +257,14 @@ impl FaultInjector {
                     }
                 }
             }
+            FaultAction::RecoverAll => {
+                let dead: Vec<ServerId> =
+                    topo.servers().iter().filter(|s| !s.alive).map(|s| s.id).collect();
+                for id in dead {
+                    topo.recover_server(id)?;
+                    report.recovered.push(id);
+                }
+            }
             FaultAction::FailRandom(n) => {
                 let got = topo.fail_random_servers(n as usize, &mut self.rng);
                 report.random_shortfall += n - got.len() as u32;
@@ -389,6 +400,72 @@ mod tests {
         assert_eq!(r.failed.len(), 6, "all six alive servers fall");
         assert_eq!(r.random_shortfall, 94);
         assert_eq!(t.alive_server_count(), 0);
+    }
+
+    #[test]
+    fn recover_all_revives_every_dead_server_in_id_order() {
+        // t0: the plan kills s5 then s0, and churn (mtbf 1) takes the
+        // other four, each on a long repair clock.
+        let plan = FaultPlan {
+            seed: 0,
+            scheduled: Vec::new(),
+            churn: Some(ChurnConfig { mtbf: 1.0, mttr: 1000.0, start: 0, end: Some(1) }),
+        }
+        .at(0, FaultAction::FailServers(vec![ServerId::new(5), ServerId::new(0)]))
+        .at(1, FaultAction::RecoverAll);
+        let ids = |xs: &[u32]| xs.iter().map(|&i| ServerId::new(i)).collect::<Vec<_>>();
+        let mut inj = FaultInjector::new(&plan).unwrap();
+        let mut t = topo();
+        let r = inj.begin_epoch(0, &mut t).unwrap();
+        assert_eq!(r.failed, ids(&[5, 0, 1, 2, 3, 4]));
+        assert_eq!(inj.pending_repairs(), 4);
+        let r = inj.begin_epoch(1, &mut t).unwrap();
+        assert_eq!(r.recovered, ids(&[0, 1, 2, 3, 4, 5]), "every dead server, in id order");
+        assert_eq!(t.alive_server_count(), 6);
+        // The churn victims' repairs are still due; when their clocks
+        // run out they find the servers alive and report nothing.
+        assert_eq!(inj.pending_repairs(), 4);
+        for e in 2..20_000 {
+            assert!(!inj.begin_epoch(e, &mut t).unwrap().any(), "nothing left to do at t{e}");
+        }
+        assert_eq!(inj.pending_repairs(), 0);
+    }
+
+    /// Plan order survives scheduling: over random plans, every entry
+    /// fires exactly once, at its own epoch, entries sharing an epoch
+    /// fire in plan order, and none is lost. Entry `i` kills server
+    /// `i`, so the epoch's `failed` list spells out what fired.
+    #[test]
+    fn scheduled_entries_fire_once_at_their_epoch_in_plan_order() {
+        let mut b = TopologyBuilder::new();
+        b.datacenter("A", Continent::Europe, "DEU", "A1", GeoPoint::new(50.0, 8.0), 1, 1, 80)
+            .unwrap();
+        let wide = b.build(0.0, 7).unwrap();
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..=80u32);
+            let mut plan = FaultPlan::default();
+            let mut model: std::collections::BTreeMap<u64, Vec<ServerId>> = Default::default();
+            for i in 0..n {
+                let epoch = rng.gen_range(0..40u64);
+                plan = plan.at(epoch, FaultAction::FailServers(vec![ServerId::new(i)]));
+                model.entry(epoch).or_default().push(ServerId::new(i));
+            }
+            let Some(mut inj) = FaultInjector::new(&plan) else {
+                assert_eq!(n, 0, "seed {seed}: only the empty plan builds no injector");
+                continue;
+            };
+            let mut t = wide.clone();
+            let mut fired = 0;
+            for epoch in 0..50u64 {
+                let r = inj.begin_epoch(epoch, &mut t).unwrap();
+                let want = model.get(&epoch).cloned().unwrap_or_default();
+                assert_eq!(r.failed, want, "seed {seed}: epoch {epoch} fires its entries in order");
+                assert_eq!(r.injected as usize, want.len(), "seed {seed}: epoch {epoch}");
+                fired += r.injected;
+            }
+            assert_eq!(fired, n, "seed {seed}: every entry fires exactly once");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The chaos layer: everything the paper's resilience claims are tested
 //! *against*. RFH's §IV experiments remove 30 random servers at epoch
-//! 290 and watch the replica population heal; this crate generalises
-//! that single scripted event into a deterministic fault model covering
-//! the full failure taxonomy of a geo-distributed deployment:
+//! 290 and watch the replica population heal — one
+//! [`FaultAction::FailRandom`] entry here. This crate generalises that
+//! event into a deterministic fault model covering the full failure
+//! taxonomy of a geo-distributed deployment:
 //!
 //! * **Correlated machine failures** over the topology hierarchy — a
 //!   rack losing power, a room flooding, a datacenter going dark — plus
@@ -45,5 +46,5 @@ pub mod inject;
 pub mod plan;
 
 pub use audit::{InvariantAuditor, Violation, ViolationKind};
-pub use inject::{EpochFaultReport, FaultInjector};
+pub use inject::{EpochFaultReport, FaultInjector, PLAN_SEED_SALT};
 pub use plan::{ChurnConfig, FaultAction, FaultPlan, ScheduledFault};

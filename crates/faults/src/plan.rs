@@ -30,6 +30,10 @@
 //! [[at]]
 //! epoch = 150
 //! heal_partition = true
+//!
+//! [[at]]
+//! epoch = 200
+//! recover_all = true      # every dead server comes back, in id order
 //! ```
 //!
 //! Syntax is handled by the workspace's shared TOML-subset reader
@@ -61,6 +65,8 @@ pub enum FaultAction {
     FailServers(Vec<ServerId>),
     /// Recover specific servers (already-alive ones are skipped).
     RecoverServers(Vec<ServerId>),
+    /// Recover every failed server, in server-id order.
+    RecoverAll,
     /// Fail `count` random alive servers, clamped to the alive
     /// population (the paper's Fig. 10 event, seeded).
     FailRandom(u32),
@@ -335,11 +341,16 @@ fn parse_at(block: &TomlBlock) -> Result<ScheduledFault> {
                     ids_of(val, 0, key, line_no)?.into_iter().map(DatacenterId::new).collect();
                 set_action(FaultAction::Partition(ids), &mut action, line_no)?;
             }
-            "heal_partition" => {
+            "heal_partition" | "recover_all" => {
                 if *val != TomlValue::Bool(true) {
-                    return Err(err(line_no, "heal_partition wants `true`"));
+                    return Err(err(line_no, format!("{key} wants `true`")));
                 }
-                set_action(FaultAction::HealPartition, &mut action, line_no)?;
+                let a = if key == "heal_partition" {
+                    FaultAction::HealPartition
+                } else {
+                    FaultAction::RecoverAll
+                };
+                set_action(a, &mut action, line_no)?;
             }
             "message_loss" => {
                 let p = val
@@ -461,6 +472,10 @@ mod tests {
             [[at]]
             epoch = 95
             fail_random = 30
+
+            [[at]]
+            epoch = 170
+            recover_all = true
         "#;
         let p = FaultPlan::from_toml_str(text).unwrap();
         assert_eq!(p.seed, 42);
@@ -468,7 +483,7 @@ mod tests {
         assert_eq!((c.mtbf, c.mttr, c.start, c.end), (400.0, 25.0, 10, Some(600)));
         // Sorted by epoch; the two epoch-100 entries keep listing order.
         let epochs: Vec<u64> = p.scheduled.iter().map(|s| s.epoch).collect();
-        assert_eq!(epochs, vec![30, 40, 60, 90, 95, 100, 100, 120, 150, 160]);
+        assert_eq!(epochs, vec![30, 40, 60, 90, 95, 100, 100, 120, 150, 160, 170]);
         assert_eq!(p.scheduled[5].action, FaultAction::FailDatacenter(DatacenterId::new(3)));
         assert_eq!(
             p.scheduled[6].action,
@@ -479,6 +494,7 @@ mod tests {
             FaultAction::FailServers(vec![ServerId::new(10), ServerId::new(11), ServerId::new(12)])
         );
         assert_eq!(p.scheduled[4].action, FaultAction::FailRandom(30));
+        assert_eq!(p.scheduled[10].action, FaultAction::RecoverAll);
     }
 
     #[test]
@@ -497,6 +513,10 @@ mod tests {
             ("[[at]]\nepoch = 5\nfail_dc = 1\nrestart_after = 0", "restart_after below 1"),
             ("[[at]]\nepoch = 5\nrecover_dc = 1\nrestart_after = 3", "restart on a heal"),
             ("[[at]]\nepoch = 5\nlink_down = [0, 1]\nrestart_after = 3", "restart on a link"),
+            ("[[at]]\nepoch = 5\nrecover_all = false", "recover_all not true"),
+            ("[[at]]\nepoch = 5\nrecover_all = 1", "recover_all not a bool"),
+            ("[[at]]\nepoch = 5\nrecover_all = [1]", "recover_all an array"),
+            ("[[at]]\nepoch = 5\nrecover_all = true\nrestart_after = 3", "restart on a heal-all"),
         ] {
             assert!(FaultPlan::from_toml_str(bad).is_err(), "{why}: {bad:?}");
         }

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-/// Scheduled cluster events + membership pruning.
+/// Fault injection, membership pruning and archive-restore retries.
 pub const PHASE_EVENTS: &str = "events";
 /// Query generation or trace replay.
 pub const PHASE_WORKLOAD: &str = "workload";

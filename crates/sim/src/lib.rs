@@ -3,8 +3,8 @@
 //! The epoch-driven cloud-storage simulator of §III: the paper's
 //! evaluation environment, rebuilt. Each epoch it
 //!
-//! 1. drives the fault plan and applies scheduled cluster events
-//!    (failures, recoveries, joins — the Fig. 10 machinery),
+//! 1. drives the fault plan: every failure and recovery, the Fig. 10
+//!    mass failure among them, enters here,
 //! 2. generates (or replays) the `q_ijt` query matrix,
 //! 3. runs the traffic pass (absorption along WAN routes),
 //! 4. folds the observations into the EWMA state,
@@ -16,7 +16,7 @@
 //!   and shared with the live control loop in `rfh-serve` through the
 //!   [`EpochHost`] trait.
 //! * [`simulation`] — the offline run: a pipeline plus a workload
-//!   source, scripted events and the metric history.
+//!   source and the metric history.
 //! * [`metrics`] — per-epoch series: replica utilization (eqs. 20–23),
 //!   replica counts, replication/migration costs (eq. 1), migration
 //!   times, load imbalance (eqs. 24–26), lookup path length, unserved
@@ -53,4 +53,4 @@ pub use planner::{
 pub use repair::{destination_unreachable, RepairQueue};
 pub use rfh_faults::{FaultAction, FaultPlan};
 pub use runner::{run_comparison, run_comparison_observed, ComparisonResult, ObsOptions};
-pub use simulation::{SimParams, SimResult, Simulation};
+pub use simulation::{sim_seeded_plan, SimParams, SimResult, Simulation};

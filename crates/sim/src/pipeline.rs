@@ -154,10 +154,10 @@ type Offered = (Action, Option<u32>);
 
 /// One control plane and its epoch loop. See the module docs.
 pub struct EpochPipeline {
-    pub(crate) cfg: SimConfig,
-    pub(crate) topo: Topology,
-    pub(crate) ring: ConsistentHashRing,
-    pub(crate) manager: ReplicaManager,
+    cfg: SimConfig,
+    topo: Topology,
+    ring: ConsistentHashRing,
+    manager: ReplicaManager,
     /// Reused traffic engine: route table and membership caches persist
     /// across epochs, refreshed only when the topology generation moves.
     engine: TrafficEngine,
@@ -166,7 +166,7 @@ pub struct EpochPipeline {
     /// Chaos driver; `None` for the empty plan (the zero-cost path).
     injector: Option<FaultInjector>,
     /// Always-on safety/liveness checker (see `rfh_faults::audit`).
-    pub(crate) auditor: InvariantAuditor,
+    auditor: InvariantAuditor,
     /// Deferred transfers: unreachable destinations (with backoff) and
     /// moves the planner's budget did not fit (next epoch).
     repair_queue: RepairQueue,
@@ -183,9 +183,9 @@ pub struct EpochPipeline {
     view: PlacementView,
     /// Partitions whose replica set changed since the last render.
     dirty_parts: Vec<PartitionId>,
-    /// The view's shape is invalid (first epoch, join, prune, restore):
+    /// The view's shape is invalid (first epoch, prune, restore):
     /// the next epoch re-renders it wholesale and runs dirty-all.
-    pub(crate) view_stale: bool,
+    view_stale: bool,
     pub(crate) engine_mode: EngineMode,
     /// Availability floor `r_min` (it depends only on the config).
     r_min: usize,
@@ -439,7 +439,7 @@ impl EpochPipeline {
     /// are restored onto a surviving ring successor when one exists;
     /// with no live server anywhere they stay pinned to their dead
     /// primary and are retried by [`Self::retry_restores`].
-    pub(crate) fn prune_dead_replicas<H: EpochHost>(&mut self, host: &mut H) {
+    fn prune_dead_replicas<H: EpochHost>(&mut self, host: &mut H) {
         let (ring, topo) = (&self.ring, &self.topo);
         let outcome = self.manager.prune_dead(topo, |p| restore_target(ring, topo, p));
         self.pending_data_loss += outcome.restored_partitions.len();
@@ -506,7 +506,7 @@ impl EpochPipeline {
 
         // Sparse mode: assemble the epoch's active set before the render
         // below consumes `dirty_parts` / `view_stale`. A stale view means
-        // placements moved wholesale (first epoch, prune, join, restore)
+        // placements moved wholesale (first epoch, prune, restore)
         // — that epoch runs dirty-all, which doubles as the warm-up that
         // seeds the carry. Otherwise the set is carry ∪ touched ∪ dirty:
         // carried partitions the policy cannot yet prove inert, plus
@@ -740,9 +740,8 @@ impl EpochPipeline {
     ) {
         // A transfer whose destination is dead or unreachable is
         // deferred and retried with backoff instead of silently counting
-        // as done. Fresh decisions are only checked under a fault plan:
-        // scripted-event runs keep their historical behaviour bit for
-        // bit.
+        // as done. Fresh decisions are only checked under a fault plan,
+        // so fault-free runs skip the check.
         if (deferrals.is_some() || self.injector.is_some())
             && destination_unreachable(&self.topo, &self.manager, &action)
         {

@@ -4,20 +4,18 @@
 use crate::metrics::{EpochSnapshot, Metrics};
 use crate::pipeline::{initial_placement, EngineMode, EpochPipeline, NoHost};
 use crate::planner::PlannerConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rfh_core::{
     OwnerOrientedPolicy, PlacementMode, PolicyKind, RandomPolicy, ReplicaManager,
     ReplicationPolicy, RequestOrientedPolicy, RfhPolicy,
 };
-use rfh_faults::{FaultPlan, InvariantAuditor};
+use rfh_faults::{FaultPlan, InvariantAuditor, PLAN_SEED_SALT};
 use rfh_obs::{
     MetricsRegistry, ProfileReport, Profiler, Recorder, PHASE_EVENTS, PHASE_METRICS, PHASE_WORKLOAD,
 };
 use rfh_ring::ConsistentHashRing;
 use rfh_topology::{paper_topology, Topology};
-use rfh_types::{PartitionId, Result, RfhError, ServerId, SimConfig};
-use rfh_workload::{ClusterEvent, EventSchedule, QueryLoad, Scenario, Trace, WorkloadGenerator};
+use rfh_types::{PartitionId, Result, RfhError, SimConfig};
+use rfh_workload::{EventSchedule, QueryLoad, Scenario, Trace, WorkloadGenerator};
 use std::sync::Arc;
 
 /// Parameters of one simulation run.
@@ -31,16 +29,19 @@ pub struct SimParams {
     pub policy: PolicyKind,
     /// Run length in epochs.
     pub epochs: u64,
-    /// Master seed: workload, topology capacity factors and event
-    /// randomness all derive from it, so `(params, seed)` fully
-    /// determines the run.
+    /// Master seed: workload and topology capacity factors derive from
+    /// it, so `(params, seed)` fully determines a fault-free run (a
+    /// fault plan carries its own seed; see [`sim_seeded_plan`]).
     pub seed: u64,
-    /// Scheduled cluster events (failures / recoveries / joins).
+    /// No effect: failures enter only through [`Self::faults`]. Kept so
+    /// that code building `SimParams` by struct literal (the repo
+    /// benchmark does) still compiles.
     pub events: EventSchedule,
-    /// Fault schedule (correlated outages, WAN faults, churn). The
-    /// default empty plan builds no injector at all, so a run without
-    /// faults is bit-identical to one from before the fault layer
-    /// existed.
+    /// Every failure, recovery and gray fault the run injects:
+    /// scheduled actions (Fig. 10's random kill among them) and churn.
+    /// The default empty plan builds no injector at all, so a run
+    /// without faults is bit-identical to one from before the fault
+    /// layer existed.
     pub faults: FaultPlan,
     /// No effect: the epoch runs on the calling thread whatever this
     /// holds. Kept so that code building `SimParams` by struct literal
@@ -49,7 +50,7 @@ pub struct SimParams {
 }
 
 impl SimParams {
-    /// Paper defaults: Table I config, 250 epochs, no events.
+    /// Paper defaults: Table I config, 250 epochs, no faults.
     pub fn paper(policy: PolicyKind, scenario: Scenario) -> Self {
         SimParams {
             config: SimConfig::default(),
@@ -80,6 +81,17 @@ impl SimParams {
     }
 }
 
+/// An empty fault plan whose seed derives from the simulation seed
+/// `sim_seed`, for experiments and tests that script failures per run
+/// seed (Fig. 10, the availability waves). The injector seeds its RNG
+/// with `plan.seed ^ PLAN_SEED_SALT`, so this plan's `FailRandom`
+/// draws from `sim_seed ^ "EVENTS"`: the stream Fig. 10's published
+/// victims were drawn from.
+pub fn sim_seeded_plan(sim_seed: u64) -> FaultPlan {
+    const EVENTS: u64 = 0x4556_454E_5453; // "EVENTS"
+    FaultPlan { seed: sim_seed ^ EVENTS ^ PLAN_SEED_SALT, ..FaultPlan::default() }
+}
+
 /// The outcome of a finished run.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -105,8 +117,7 @@ impl PartialEq for SimResult {
 }
 
 /// One policy's simulation state: the epoch pipeline plus what only an
-/// offline run has — a workload source, scripted cluster events and
-/// the metric history.
+/// offline run has — a workload source and the metric history.
 pub struct Simulation {
     params: SimParams,
     pipeline: EpochPipeline,
@@ -117,8 +128,6 @@ pub struct Simulation {
     /// touched-rows-only each epoch, so workload handling stays
     /// O(queries) instead of O(partitions).
     load_buf: QueryLoad,
-    /// RNG for scheduled random events (mass failure).
-    event_rng: StdRng,
     metrics: Metrics,
 }
 
@@ -140,7 +149,6 @@ impl Simulation {
         Ok(Simulation {
             generator: params.workload_generator(dc_count),
             load_buf: QueryLoad::zeros(cfg.partitions, dc_count),
-            event_rng: StdRng::seed_from_u64(params.seed ^ 0x4556_454E_5453), // "EVENTS"
             metrics: Metrics::new(cfg.partitions),
             pipeline: EpochPipeline::new(cfg.clone(), topo, ring, manager, policy, &params.faults),
             trace: None,
@@ -231,65 +239,10 @@ impl Simulation {
         self.pipeline.topology()
     }
 
-    /// Apply the scripted cluster events due this epoch.
-    fn apply_events(&mut self) -> Result<()> {
-        let pl = &mut self.pipeline;
-        let mut pruned = false;
-        for ev in self.params.events.at(pl.epoch()) {
-            match ev {
-                ClusterEvent::FailRandomServers { count } => {
-                    let failed = pl.topo.fail_random_servers(*count, &mut self.event_rng);
-                    // Asking for more than the alive population is not
-                    // an error: everyone dies and the gap is recorded.
-                    pl.fault_shortfall += (count - failed.len()) as u64;
-                    for id in failed {
-                        pl.ring.leave(id);
-                        pruned = true;
-                    }
-                }
-                ClusterEvent::FailServers(ids) => {
-                    for &id in ids {
-                        if pl.topo.fail_server(id)? {
-                            pl.ring.leave(id);
-                            pruned = true;
-                        }
-                    }
-                }
-                ClusterEvent::RecoverServers(ids) => {
-                    for &id in ids {
-                        if pl.topo.recover_server(id)? {
-                            pl.ring.join(id);
-                        }
-                    }
-                }
-                ClusterEvent::RecoverAll => {
-                    let dead: Vec<ServerId> =
-                        pl.topo.servers().iter().filter(|s| !s.alive).map(|s| s.id).collect();
-                    for id in dead {
-                        pl.topo.recover_server(id)?;
-                        pl.ring.join(id);
-                    }
-                }
-                ClusterEvent::JoinServer { datacenter, room, rack } => {
-                    let id = pl.topo.add_server(*datacenter, *room, *rack, 1.0)?;
-                    pl.manager.add_server_slot();
-                    pl.ring.join(id);
-                    pl.view_stale = true;
-                }
-            }
-        }
-        if pruned {
-            pl.auditor.note_fault(pl.epoch());
-            pl.prune_dead_replicas(&mut NoHost);
-        }
-        Ok(())
-    }
-
     /// Simulate one epoch; returns its snapshot.
     pub fn step(&mut self) -> Result<EpochSnapshot> {
         let ev_t0 = self.pipeline.profiler.start();
         self.pipeline.inject_faults(&mut NoHost)?;
-        self.apply_events()?;
         self.pipeline.profiler.stop(PHASE_EVENTS, ev_t0);
 
         let wl_t0 = self.pipeline.profiler.start();
@@ -403,6 +356,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfh_faults::FaultAction;
 
     fn quick_params(policy: PolicyKind) -> SimParams {
         SimParams {
@@ -521,10 +475,10 @@ mod tests {
     /// servers at `fail_epoch` and return how many epochs the replica
     /// count takes to climb back within `tolerance` of its pre-failure
     /// level, as measured by [`crate::recovery_epochs`].
-    fn time_to_repair(fail_epoch: u64, burst: usize, tolerance: f64) -> Option<u64> {
+    fn time_to_repair(fail_epoch: u64, burst: u32, tolerance: f64) -> Option<u64> {
         let mut p = quick_params(PolicyKind::Rfh);
         p.epochs = fail_epoch * 2;
-        p.events = EventSchedule::mass_failure_at(fail_epoch, burst);
+        p.faults = sim_seeded_plan(p.seed).at(fail_epoch, FaultAction::FailRandom(burst));
         let result = Simulation::new(p).unwrap().run().unwrap();
         let replicas = result.metrics.series("replicas_total").unwrap();
         let alive = result.metrics.series("alive_servers").unwrap();
@@ -550,7 +504,7 @@ mod tests {
 
     #[test]
     fn data_loss_only_under_catastrophic_failure() {
-        // No events: the data-loss series stays flat zero.
+        // No faults: the data-loss series stays flat zero.
         let clean = Simulation::new(quick_params(PolicyKind::Rfh)).unwrap().run().unwrap();
         let series = clean.metrics.series("data_loss_total").unwrap();
         assert!(series.values().iter().all(|&v| v == 0.0));
@@ -558,7 +512,7 @@ mod tests {
         // early on, some partitions must lose every copy.
         let mut p = quick_params(PolicyKind::Rfh);
         p.epochs = 30;
-        p.events = EventSchedule::mass_failure_at(20, 95);
+        p.faults = sim_seeded_plan(p.seed).at(20, FaultAction::FailRandom(95));
         let hit = Simulation::new(p).unwrap().run().unwrap();
         let series = hit.metrics.series("data_loss_total").unwrap();
         assert!(series.last().unwrap() > 0.0, "a 95-server wipe must create restore events");

@@ -5,9 +5,9 @@
 use rfh_core::PolicyKind;
 use rfh_faults::{ChurnConfig, FaultAction, FaultPlan};
 use rfh_obs::{Metric, MetricsRegistry};
-use rfh_sim::{recovery_epochs, SimParams, Simulation};
+use rfh_sim::{recovery_epochs, sim_seeded_plan, SimParams, Simulation};
 use rfh_types::{DatacenterId, SimConfig};
-use rfh_workload::{ClusterEvent, EventSchedule, Scenario};
+use rfh_workload::{EventSchedule, Scenario};
 
 fn base(policy: PolicyKind, epochs: u64) -> SimParams {
     SimParams {
@@ -134,11 +134,10 @@ fn fail_random_overcount_fails_everyone_and_recovers() {
     // Asking for 250 failures in a 100-server fleet is not an error:
     // everyone dies, the 150-server gap is recorded as shortfall, and
     // RecoverAll later brings the fleet (and the archived data) back.
-    let mut events = EventSchedule::new();
-    events.add(15, ClusterEvent::FailRandomServers { count: 250 });
-    events.add(25, ClusterEvent::RecoverAll);
     let mut p = base(PolicyKind::Rfh, 60);
-    p.events = events;
+    p.faults = sim_seeded_plan(p.seed)
+        .at(15, FaultAction::FailRandom(250))
+        .at(25, FaultAction::RecoverAll);
     let mut sim = Simulation::new(p).unwrap();
     for _ in 0..60 {
         sim.step().unwrap();

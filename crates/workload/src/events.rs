@@ -1,129 +1,17 @@
-//! Scheduled cluster events.
+//! A placeholder for the retired scripted-event schedule.
 //!
-//! Fig. 10's experiment ("30 servers are randomly removed at epoch 290")
-//! and general node join / failure / recovery testing are driven by an
-//! epoch-indexed event schedule.
+//! Failures and recoveries are `rfh_faults::FaultPlan` entries, injected
+//! by the epoch pipeline. [`EventSchedule`] holds nothing and does
+//! nothing; it is kept only so that code building `rfh_sim::SimParams`
+//! by struct literal (the repo benchmark does) still compiles.
 
-use rfh_types::{DatacenterId, RackId, RoomId, ServerId};
-
-/// One cluster event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClusterEvent {
-    /// Fail `count` randomly chosen alive servers.
-    FailRandomServers {
-        /// How many servers to fail.
-        count: usize,
-    },
-    /// Fail specific servers (no-ops for already-failed ids).
-    FailServers(Vec<ServerId>),
-    /// Recover specific servers.
-    RecoverServers(Vec<ServerId>),
-    /// Recover every failed server.
-    RecoverAll,
-    /// A brand-new server joins the given rack.
-    JoinServer {
-        /// Target datacenter.
-        datacenter: DatacenterId,
-        /// Target room within the datacenter.
-        room: RoomId,
-        /// Target rack within the room.
-        rack: RackId,
-    },
-}
-
-/// An epoch-indexed schedule of cluster events.
+/// An empty schedule with no effect on any run.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct EventSchedule {
-    /// Sorted by epoch (stable for equal epochs, preserving insertion
-    /// order so same-epoch events apply in the order scheduled).
-    events: Vec<(u64, ClusterEvent)>,
-}
+pub struct EventSchedule;
 
 impl EventSchedule {
-    /// Empty schedule.
+    /// The empty schedule.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The Fig. 10 schedule: fail `count` random servers at `epoch`.
-    pub fn mass_failure_at(epoch: u64, count: usize) -> Self {
-        let mut s = Self::new();
-        s.add(epoch, ClusterEvent::FailRandomServers { count });
-        s
-    }
-
-    /// Schedule an event.
-    pub fn add(&mut self, epoch: u64, event: ClusterEvent) -> &mut Self {
-        let idx = self.events.partition_point(|&(e, _)| e <= epoch);
-        self.events.insert(idx, (epoch, event));
-        self
-    }
-
-    /// Events scheduled exactly at `epoch`, in scheduling order.
-    pub fn at(&self, epoch: u64) -> impl Iterator<Item = &ClusterEvent> + '_ {
-        let start = self.events.partition_point(|&(e, _)| e < epoch);
-        self.events[start..].iter().take_while(move |&&(e, _)| e == epoch).map(|(_, ev)| ev)
-    }
-
-    /// Total scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_schedule_has_no_events() {
-        let s = EventSchedule::new();
-        assert!(s.is_empty());
-        assert_eq!(s.at(0).count(), 0);
-        assert_eq!(s.at(290).count(), 0);
-    }
-
-    #[test]
-    fn figure_10_preset() {
-        let s = EventSchedule::mass_failure_at(290, 30);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.at(289).count(), 0);
-        let evs: Vec<&ClusterEvent> = s.at(290).collect();
-        assert_eq!(evs, vec![&ClusterEvent::FailRandomServers { count: 30 }]);
-        assert_eq!(s.at(291).count(), 0);
-    }
-
-    #[test]
-    fn same_epoch_events_keep_insertion_order() {
-        let mut s = EventSchedule::new();
-        s.add(5, ClusterEvent::FailServers(vec![ServerId::new(1)]));
-        s.add(5, ClusterEvent::RecoverServers(vec![ServerId::new(1)]));
-        let evs: Vec<&ClusterEvent> = s.at(5).collect();
-        assert!(matches!(evs[0], ClusterEvent::FailServers(_)));
-        assert!(matches!(evs[1], ClusterEvent::RecoverServers(_)));
-    }
-
-    #[test]
-    fn events_sorted_across_epochs() {
-        let mut s = EventSchedule::new();
-        s.add(300, ClusterEvent::RecoverAll);
-        s.add(10, ClusterEvent::FailRandomServers { count: 2 });
-        s.add(
-            100,
-            ClusterEvent::JoinServer {
-                datacenter: DatacenterId::new(1),
-                room: RoomId::new(0),
-                rack: RackId::new(0),
-            },
-        );
-        assert_eq!(s.at(10).count(), 1);
-        assert_eq!(s.at(100).count(), 1);
-        assert_eq!(s.at(300).count(), 1);
-        assert_eq!(s.len(), 3);
+        Self
     }
 }

@@ -13,8 +13,8 @@
 //!   partition-popularity shift.
 //! * [`generator`] — ties sampler + scenario into an epoch-by-epoch
 //!   workload stream, deterministic under a seed.
-//! * [`events`] — scheduled cluster events (mass server failure at epoch
-//!   290, recovery, joins) driving the Fig. 10 experiment.
+//! * [`events`] — an empty placeholder kept for `SimParams` struct
+//!   literals; failures are `rfh_faults::FaultPlan` entries.
 //! * [`trace`] — record a generated workload and replay it, so the four
 //!   competing algorithms see byte-identical query streams.
 //! * [`live`] — the atomic-counter variant of the query matrix that the
@@ -30,7 +30,7 @@ pub mod sampler;
 pub mod scenario;
 pub mod trace;
 
-pub use events::{ClusterEvent, EventSchedule};
+pub use events::EventSchedule;
 pub use generator::WorkloadGenerator;
 pub use live::SharedLoad;
 pub use load::QueryLoad;

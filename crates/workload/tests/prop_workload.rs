@@ -1,8 +1,8 @@
-//! Property-based tests for workload generation and event scheduling.
+//! Property-based tests for workload generation.
 
 use proptest::prelude::*;
-use rfh_types::{DatacenterId, FlashCrowdConfig, PartitionId, ServerId};
-use rfh_workload::{ClusterEvent, EventSchedule, QueryLoad, Scenario, WorkloadGenerator, Zipf};
+use rfh_types::{DatacenterId, FlashCrowdConfig, PartitionId};
+use rfh_workload::{QueryLoad, Scenario, WorkloadGenerator, Zipf};
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     prop_oneof![
@@ -70,46 +70,6 @@ proptest! {
         }
         let total: f64 = (0..n).map(|k| z.pmf(k)).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn event_schedule_is_stably_sorted_by_epoch(
-        epochs in proptest::collection::vec(0u64..40, 0..80),
-    ) {
-        // Insert events in arbitrary epoch order, each carrying its
-        // insertion index as payload. The schedule must (a) lose
-        // nothing, (b) replay epochs in nondecreasing order, and
-        // (c) keep same-epoch events in insertion order — exactly the
-        // reference model: group indices by epoch, keys ascending.
-        let mut schedule = EventSchedule::new();
-        let mut model: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-        for (i, &epoch) in epochs.iter().enumerate() {
-            // Alternate variants so ordering provably ignores payload shape.
-            let ev = if i % 2 == 0 {
-                ClusterEvent::FailRandomServers { count: i }
-            } else {
-                ClusterEvent::FailServers(vec![ServerId::new(i as u32)])
-            };
-            schedule.add(epoch, ev);
-            model.entry(epoch).or_default().push(i);
-        }
-        prop_assert_eq!(schedule.len(), epochs.len());
-        prop_assert_eq!(schedule.is_empty(), epochs.is_empty());
-        let mut seen = 0usize;
-        for epoch in 0..40u64 {
-            let got: Vec<usize> = schedule
-                .at(epoch)
-                .map(|ev| match ev {
-                    ClusterEvent::FailRandomServers { count } => *count,
-                    ClusterEvent::FailServers(ids) => ids[0].index(),
-                    other => panic!("unscheduled event variant: {other:?}"),
-                })
-                .collect();
-            let want = model.get(&epoch).cloned().unwrap_or_default();
-            prop_assert_eq!(&got, &want, "epoch {} replay order", epoch);
-            seen += got.len();
-        }
-        prop_assert_eq!(seen, epochs.len(), "every scheduled event replays exactly once");
     }
 
     #[test]

@@ -9,20 +9,11 @@
 use rfh::prelude::*;
 
 fn main() -> Result<()> {
-    let mut events = EventSchedule::new();
-    events.add(290, ClusterEvent::FailRandomServers { count: 30 });
-    events.add(450, ClusterEvent::RecoverAll);
-
-    let params = SimParams {
-        config: SimConfig::default(),
-        scenario: Scenario::RandomEven,
-        policy: PolicyKind::Rfh,
-        epochs: 600,
-        seed: 42,
-        events,
-        faults: FaultPlan::default(),
-        threads: 1,
-    };
+    let mut params = SimParams::paper(PolicyKind::Rfh, Scenario::RandomEven);
+    params.epochs = 600;
+    params.faults = sim_seeded_plan(params.seed)
+        .at(290, FaultAction::FailRandom(30))
+        .at(450, FaultAction::RecoverAll);
     let result = Simulation::new(params)?.run()?;
 
     let replicas = result.metrics.series("replicas_total").expect("series exists");

@@ -39,7 +39,7 @@
 //!     policy: PolicyKind::Rfh, // replaced per-policy by the runner
 //!     epochs: 50,
 //!     seed: 7,
-//!     events: EventSchedule::new(),
+//!     events: EventSchedule::new(), // no effect: failures go in `faults`
 //!     faults: FaultPlan::default(),
 //!     threads: 1,
 //! };
@@ -50,6 +50,11 @@
 //! };
 //! assert!(util(PolicyKind::Rfh) > util(PolicyKind::Random));
 //! ```
+//!
+//! Failures and recoveries are [`FaultPlan`](rfh_faults::FaultPlan)
+//! entries in `SimParams::faults`, the simulator's only fault path: the
+//! paper's Fig. 10 is `sim_seeded_plan(seed).at(290,
+//! FaultAction::FailRandom(30))` (see `examples/failure_recovery.rs`).
 //!
 //! See `examples/` for larger scenarios and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the experiment inventory.
@@ -85,17 +90,15 @@ pub mod prelude {
     };
     pub use rfh_ring::ConsistentHashRing;
     pub use rfh_sim::{
-        run_comparison, run_comparison_observed, ComparisonResult, ObsOptions, SimParams,
-        SimResult, Simulation,
+        run_comparison, run_comparison_observed, sim_seeded_plan, ComparisonResult, ObsOptions,
+        SimParams, SimResult, Simulation,
     };
     pub use rfh_topology::{paper_topology, paper_topology_spec, Topology, TopologyBuilder};
     pub use rfh_types::{
         Bandwidth, Bytes, Continent, DatacenterId, Epoch, FlashCrowdConfig, GeoPoint, PartitionId,
         Result, RfhError, ServerId, SimConfig, Thresholds,
     };
-    pub use rfh_workload::{
-        ClusterEvent, EventSchedule, QueryLoad, Scenario, Trace, WorkloadGenerator,
-    };
+    pub use rfh_workload::{EventSchedule, QueryLoad, Scenario, Trace, WorkloadGenerator};
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Reproducibility guarantees: a `(params, seed)` pair fully determines
-//! a run, across policies, scenarios and event schedules.
+//! a run, across policies, scenarios and fault plans.
 
 use rfh::prelude::*;
 
@@ -10,8 +10,8 @@ fn params(policy: PolicyKind, scenario: Scenario, seed: u64) -> SimParams {
         policy,
         epochs: 40,
         seed,
-        events: EventSchedule::mass_failure_at(20, 10),
-        faults: FaultPlan::default(),
+        events: EventSchedule::new(),
+        faults: sim_seeded_plan(seed).at(20, FaultAction::FailRandom(10)),
         threads: 1,
     }
 }

@@ -20,12 +20,11 @@ fn small_params(policy: PolicyKind, scenario: Scenario, epochs: u64) -> SimParam
 
 #[test]
 fn every_partition_always_has_a_live_primary() {
-    let mut events = EventSchedule::new();
-    events.add(10, ClusterEvent::FailRandomServers { count: 40 });
-    events.add(30, ClusterEvent::FailRandomServers { count: 30 });
-    events.add(50, ClusterEvent::RecoverAll);
     let mut params = small_params(PolicyKind::Rfh, Scenario::RandomEven, 70);
-    params.events = events;
+    params.faults = sim_seeded_plan(params.seed)
+        .at(10, FaultAction::FailRandom(40))
+        .at(30, FaultAction::FailRandom(30))
+        .at(50, FaultAction::RecoverAll);
     let mut sim = Simulation::new(params).unwrap();
     for _ in 0..70 {
         sim.step().unwrap();
