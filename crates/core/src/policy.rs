@@ -116,9 +116,11 @@ pub trait ReplicationPolicy {
     /// returns `false` the partition is frozen until new demand (or a
     /// fault) dirties it. An implementation may return `false` only when
     /// evaluating the partition under a dense sweep would provably
-    /// produce no action *and no internal state change* this epoch and
-    /// every following epoch until the partition is dirtied again —
-    /// that is what makes sparse runs byte-identical to dense ones.
+    /// produce no action *and no internal state change a later read
+    /// could see* this epoch and every following epoch until the
+    /// partition is dirtied again — that is what makes sparse runs
+    /// byte-identical to dense ones. (State stamped with epochs, such
+    /// as RFH's idle runs, ages without a write.)
     /// `smoother` cells for frozen partitions are lazily decayed, i.e.
     /// possibly stale upper bounds of the dense values; treat any
     /// nonzero read as "still live" and the conservative direction is

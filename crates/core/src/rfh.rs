@@ -248,7 +248,7 @@ impl RfhDecisionCore {
             active.is_none_or(|a| a.windows(2).all(|w| w[0] < w[1])),
             "active set must be sorted"
         );
-        self.state.presize(manager.partitions());
+        self.state.begin_pass(epoch, manager.partitions());
         let n = active.map_or(manager.partitions() as usize, <[u32]>::len);
         // One evaluation's streak updates at a time, in one buffer.
         let mut streaks = Vec::new();
@@ -305,19 +305,17 @@ impl RfhDecisionCore {
         let mut d = PartitionDecision::default();
 
         // Update idle streaks for every non-primary replica (eq. 15
-        // sampled per epoch; suicide waits for a sustained streak).
+        // sampled per epoch; suicide waits for a sustained streak). An
+        // idle replica's run goes on through this epoch, or starts in
+        // it; the streak counts epochs, capped at the patience bar.
         streaks.clear();
         for &s in manager.replicas(p) {
             if s == holder {
                 continue;
             }
             let tr = view.traffic(replica_dc(s), p);
-            // Saturate at the patience bar: the suicide gate only asks
-            // `streak >= SUICIDE_PATIENCE`, and a capped streak makes
-            // re-evaluating a long-idle partition idempotent — the
-            // invariant the sparse engine's freeze rests on.
             let next = if suicide_candidate(t, tr, q_avg) {
-                (self.state.streak(p, s) + 1).min(SUICIDE_PATIENCE)
+                self.state.continued_streak(epoch, p, s)
             } else {
                 0
             };
@@ -811,28 +809,20 @@ impl ReplicationPolicy for RfhPolicy {
         r_min: usize,
         p: PartitionId,
     ) -> bool {
-        // Frozen iff: replica count exactly at the floor (no growth
-        // trigger, no suicide headroom — eq. 15's scan requires
-        // `reachable > r_min`), q̄ decayed to exact zero (the overload
-        // gate of eq. 12 needs `q̄ > 0`), every idle streak saturated at
-        // [`SUICIDE_PATIENCE`] (re-evaluating is idempotent thanks to
-        // the cap), and every non-primary replica's datacenter traffic
-        // at exact zero (so eq. 15 candidacy — hence the streak state —
-        // cannot change). Under those conditions a dense sweep provably
-        // emits no action and mutates nothing, epoch after epoch, until
-        // new demand or a fault dirties the partition. Smoother cells
-        // may be lazily-stale upper bounds; a stale nonzero keeps the
-        // partition live, which is the safe direction.
+        // Frozen iff the replica count is exactly at the floor and every
+        // non-primary replica's datacenter traffic is exactly zero. A
+        // skipped partition has no queries and no placement change, so
+        // in every skipped epoch its `unserved` is 0 (eq. 12 cannot
+        // fire), the floor and suicide branches cannot fire at r_min,
+        // and a zero cell stays zero, so eq. 15 holds and every idle
+        // run goes on — which the run's start stamp records without a
+        // write (DESIGN.md, "Per-policy freeze predicates"). Smoother
+        // cells may be lazily-stale upper bounds; a stale nonzero keeps
+        // the partition live, which is the safe direction.
         if manager.replica_count(p) != r_min {
             return true;
         }
-        if smoother.q_avg(p) != 0.0 {
-            return true;
-        }
         let holder = manager.holder(p);
-        if self.core.state.any_streak_unsaturated(p, holder, manager.replicas(p)) {
-            return true;
-        }
         manager.replicas(p).iter().any(|&s| {
             s != holder && smoother.traffic(topo.servers()[s.index()].datacenter, p) != 0.0
         })
@@ -916,10 +906,12 @@ mod tests {
         // Sustained Asian demand far above total capacity: the holder
         // stays overloaded and the hubs must attract the next replicas.
         let mut placed_dcs: Vec<u32> = Vec::new();
-        for _ in 0..6 {
-            let parts = h.epoch_with_load(&manager, |l| {
-                l.add(p, DatacenterId::new(8), 60);
-            });
+        for e in 1..=6 {
+            let parts = h
+                .epoch_with_load(&manager, |l| {
+                    l.add(p, DatacenterId::new(8), 60);
+                })
+                .at(e);
             let ctx = parts.ctx(&h);
             for a in pol.decide(&ctx, &manager) {
                 if let Action::Replicate { partition, target } = a {
@@ -971,8 +963,8 @@ mod tests {
         assert!(start >= 3);
         // Epoch after epoch of zero demand: replicas above the floor
         // suicide (after the idle streak accrues); the floor (2) holds.
-        for _ in 0..20 {
-            let parts = h.epoch_with_load(&manager, |_| {});
+        for e in 0..20 {
+            let parts = h.epoch_with_load(&manager, |_| {}).at(e);
             let ctx = parts.ctx(&h);
             for a in pol.decide(&ctx, &manager) {
                 manager.apply(&h.topo, a).unwrap();
@@ -990,8 +982,9 @@ mod tests {
         let target = h.topo.alive_servers_in(DatacenterId::new(3)).next().unwrap().id;
         manager.apply(&h.topo, Action::Replicate { partition: p, target }).unwrap();
         // Fewer quiet epochs than SUICIDE_PATIENCE: nothing dies.
-        for _ in 0..(SUICIDE_PATIENCE as usize - 1) {
-            let parts = h.epoch_with_load(&manager, |_| {});
+        let patience = u64::from(SUICIDE_PATIENCE);
+        for e in 0..patience - 1 {
+            let parts = h.epoch_with_load(&manager, |_| {}).at(e);
             let ctx = parts.ctx(&h);
             let actions = pol.decide(&ctx, &manager);
             assert!(
@@ -1000,10 +993,59 @@ mod tests {
             );
         }
         // One more quiet epoch completes the streak.
-        let parts = h.epoch_with_load(&manager, |_| {});
+        let parts = h.epoch_with_load(&manager, |_| {}).at(patience - 1);
         let ctx = parts.ctx(&h);
         let actions = pol.decide(&ctx, &manager);
         assert!(actions.iter().any(|a| matches!(a, Action::Suicide { .. })));
+    }
+
+    #[test]
+    fn frozen_partition_keeps_its_idle_run() {
+        // A partition at the floor whose spare replica sees no traffic
+        // is frozen: the sparse engine stops deciding it. The spare's
+        // idle run goes on all the same, so once the partition is
+        // dirtied again (a copy placed behind the policy's back) it
+        // decides exactly as a policy that decided it every epoch.
+        let h = Harness::paper_small();
+        let r_min = min_replica_count(h.cfg.failure_rate, h.cfg.min_availability) as usize;
+        let (_, mut manager) = h.epoch_at_r_min();
+        let p = PartitionId::new(0);
+        let extra = (0..10)
+            .map(DatacenterId::new)
+            .flat_map(|dc| h.topo.alive_servers_in(dc))
+            .map(|s| s.id)
+            .find(|&s| manager.can_accept(p, s))
+            .unwrap();
+        let (mut dense, mut sparse) = (RfhPolicy::with_grace(0), RfhPolicy::with_grace(0));
+        let mut suicided = false;
+        for e in 0..8 {
+            let dirty = e == 5;
+            if dirty {
+                manager.begin_epoch();
+                manager.apply(&h.topo, Action::Replicate { partition: p, target: extra }).unwrap();
+            }
+            let parts = h.epoch_with_load(&manager, |_| {}).at(e);
+            let ctx = parts.ctx(&h);
+            let active: Vec<u32> = (0..manager.partitions())
+                .filter(|&q| {
+                    let q = PartitionId::new(q);
+                    e == 0
+                        || (dirty && q == p)
+                        || sparse.keeps_live(&h.topo, &parts.smoother, &manager, r_min, q)
+                })
+                .collect();
+            if (1..5).contains(&e) {
+                assert!(active.is_empty(), "epoch {e}: quiet partitions at the floor freeze");
+            }
+            let want = dense.decide(&ctx, &manager);
+            let got = sparse.decide(&EpochContext { active: Some(&active), ..ctx }, &manager);
+            assert_eq!(got, want, "epoch {e}");
+            for a in want {
+                suicided |= matches!(a, Action::Suicide { partition, .. } if partition == p);
+                manager.apply(&h.topo, a).unwrap();
+            }
+        }
+        assert!(suicided, "the spare idle since epoch 0 dies once the partition is dirty");
     }
 
     #[test]
@@ -1030,8 +1072,8 @@ mod tests {
         let Some(placed) = placed else {
             return; // holder wasn't overloaded enough; nothing to test
         };
-        for _ in 0..8 {
-            let parts = h.epoch_with_load(&manager, |_| {});
+        for e in 1..=8 {
+            let parts = h.epoch_with_load(&manager, |_| {}).at(e);
             let ctx = parts.ctx(&h);
             for a in pol.decide(&ctx, &manager) {
                 if let Action::Suicide { server, .. } = a {
@@ -1070,8 +1112,8 @@ mod tests {
         // because only two copies are still reachable from the holder.
         let cut = h.topo.isolate_island(&[iso_dc]);
         assert!(!cut.is_empty());
-        for _ in 0..12 {
-            let parts = h.epoch_with_load(&manager, |_| {});
+        for e in 0..12 {
+            let parts = h.epoch_with_load(&manager, |_| {}).at(e);
             let ctx = parts.ctx(&h);
             for a in pol.decide(&ctx, &manager) {
                 if let Action::Suicide { partition, .. } = a {
@@ -1086,9 +1128,9 @@ mod tests {
         for (a, b) in cut {
             h.topo.set_link_state(a, b, true).unwrap();
         }
-        for _ in 0..12 {
+        for e in 12..24 {
             manager.begin_epoch();
-            let parts = h.epoch_with_load(&manager, |_| {});
+            let parts = h.epoch_with_load(&manager, |_| {}).at(e);
             let ctx = parts.ctx(&h);
             for a in pol.decide(&ctx, &manager) {
                 if matches!(a, Action::Suicide { partition, .. } if partition == p) {

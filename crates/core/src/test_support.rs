@@ -31,6 +31,12 @@ pub(crate) struct CtxParts {
 }
 
 impl CtxParts {
+    /// The same pieces, stamped as epoch `e`.
+    pub fn at(mut self, e: u64) -> Self {
+        self.epoch = Epoch(e);
+        self
+    }
+
     /// Assemble the borrowed context.
     pub fn ctx<'a>(&'a self, h: &'a Harness) -> EpochContext<'a> {
         EpochContext {

@@ -1,11 +1,13 @@
-//! The simulator's cost ledger: heap bytes and allocation counts of the
-//! `sim_scale_1m` epoch shape, counted exactly and checked against the
-//! committed entries in `alloc_ledger.txt`.
+//! The simulator's cost ledger: heap bytes, allocation counts and
+//! partitions evaluated of the `sim_scale_1m` epoch shape, counted
+//! exactly and checked against the committed entries in
+//! `alloc_ledger.txt`.
 //!
 //! A counting global allocator tallies every allocation the test thread
-//! makes, so the counts are the same on any host and need no timing. A
-//! count above its ledger entry fails the test. A change that lowers a
-//! count lowers its entry too, so the diff states what moved.
+//! makes, and the sparse engine counts the partitions it evaluates, so
+//! the counts are the same on any host and need no timing. A count
+//! above its ledger entry fails the test. A change that lowers a count
+//! lowers its entry too, so the diff states what moved.
 //!
 //! The shape is `sim_scale_1m` at 20 000 partitions: the scaled paper
 //! topology with two servers per rack (40 servers), `RandomEven`
@@ -91,10 +93,13 @@ fn reset_peak() {
 }
 
 const PARTITIONS: u32 = 20_000;
-/// The benchmark's warm-up: the all-dirty seed epoch and the streak
-/// saturation after it.
+/// The benchmark's warm-up: the epochs `sim_scale_1m` charges to set-up.
 const WARM: u64 = 6;
 const STEADY: u64 = 8;
+
+/// Epochs 0 and 1 evaluate every partition: the first renders every
+/// placement, and the second decides the copies the first placed.
+const SEEDED: u64 = 2;
 
 /// The committed entries, `name value` per line, `#` comments.
 fn ledger(name: &str) -> u64 {
@@ -218,5 +223,49 @@ fn sim_costs_stay_within_the_ledger() {
     assert!(
         (owned - live).abs() <= 0.1 * live,
         "sim.bytes.* sum to {owned} B against {live} B live: an owner is missing"
+    );
+}
+
+/// Partitions the sparse engine has evaluated so far.
+fn evaluated(sim: &Simulation) -> u64 {
+    let mut registry = MetricsRegistry::new();
+    sim.collect_metrics(&mut registry);
+    match registry.get("sim.sparse.dirty_partitions") {
+        Some(Metric::Counter(n)) => *n,
+        other => panic!("sim.sparse.dirty_partitions: {other:?}"),
+    }
+}
+
+#[test]
+fn sim_work_stays_within_the_ledger() {
+    let cfg = config();
+    let topo = scaled_paper_topology(2, cfg.capacity_spread, 42).unwrap();
+    let mut sim = Simulation::with_topology(params(), topo).unwrap();
+    for _ in 0..SEEDED {
+        sim.step().unwrap();
+    }
+    let seeded = evaluated(&sim);
+    assert_eq!(seeded, SEEDED * u64::from(PARTITIONS), "the first epochs evaluate everything");
+    for _ in SEEDED..WARM {
+        sim.step().unwrap();
+    }
+    let warm = evaluated(&sim);
+    for _ in 0..STEADY {
+        sim.step().unwrap();
+    }
+    let warm_up_evaluated = warm - seeded;
+    let evaluated_per_epoch = (evaluated(&sim) - warm) / STEADY;
+
+    println!("warm_up_evaluated {warm_up_evaluated}");
+    println!("evaluated_per_steady_epoch {evaluated_per_epoch}");
+
+    assert!(
+        warm_up_evaluated <= ledger("warm_up_evaluated"),
+        "{warm_up_evaluated} partitions evaluated in warm-up epochs {SEEDED}-{} is over the ledger",
+        WARM - 1
+    );
+    assert!(
+        evaluated_per_epoch <= ledger("evaluated_per_steady_epoch"),
+        "{evaluated_per_epoch} partitions evaluated per steady epoch is over the ledger"
     );
 }

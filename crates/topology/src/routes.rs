@@ -122,7 +122,7 @@ mod tests {
     use super::*;
     use crate::presets::paper_topology;
     use crate::topology::TopologyBuilder;
-    use rfh_types::{Continent, GeoPoint, RackId, RoomId, ServerId};
+    use rfh_types::{Continent, GeoPoint, ServerId};
 
     fn two_dc() -> Topology {
         let mut b = TopologyBuilder::new();
@@ -209,8 +209,13 @@ mod tests {
         let mut table = RouteTable::new();
         table.sync(&topo);
 
-        topo.add_server(DatacenterId::new(1), RoomId::new(0), RackId::new(0), 1.0)
-            .expect("dc exists");
+        // A server of the second datacenter fails, then recovers: each
+        // bumps the generation, and each rebuild matches the topology.
+        let s = topo.datacenters()[1].server_ids().next().expect("dc has servers");
+        topo.fail_server(s).expect("server exists");
+        assert!(table.sync(&topo));
+        every_pair_matches(&table, &topo);
+        topo.recover_server(s).expect("server exists");
         assert!(table.sync(&topo));
         every_pair_matches(&table, &topo);
 

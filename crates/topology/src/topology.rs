@@ -366,42 +366,6 @@ impl Topology {
         failed
     }
 
-    /// Add a new server to an existing rack at runtime (node join).
-    /// Returns the new server's id.
-    pub fn add_server(
-        &mut self,
-        dc: DatacenterId,
-        room: RoomId,
-        rack: RackId,
-        capacity_factor: f64,
-    ) -> Result<ServerId> {
-        let id = ServerId::new(self.servers.len() as u32);
-        let d = self
-            .datacenters
-            .get_mut(dc.index())
-            .ok_or(RfhError::UnknownEntity { kind: "datacenter", id: dc.0 as u64 })?;
-        let room_ref = d
-            .rooms
-            .get_mut(room.index())
-            .ok_or(RfhError::UnknownEntity { kind: "room", id: room.0 as u64 })?;
-        let rack_ref = room_ref
-            .racks
-            .get_mut(rack.index())
-            .ok_or(RfhError::UnknownEntity { kind: "rack", id: rack.0 as u64 })?;
-        let label = ServerLabel::new(
-            d.continent,
-            d.country,
-            d.code.clone(),
-            room_ref.name.clone(),
-            rack_ref.name.clone(),
-            format!("S{}", rack_ref.servers.len() + 1),
-        );
-        rack_ref.servers.push(id);
-        self.servers.push(Server::new(id, dc, room, rack, label, capacity_factor));
-        self.generation += 1;
-        Ok(id)
-    }
-
     /// Server ids in one failure domain: a whole datacenter, one room,
     /// or one rack (narrowest non-`None` selector wins).
     ///
@@ -691,18 +655,6 @@ mod tests {
         let more = t.fail_random_servers(1000, &mut rng);
         assert_eq!(more.len(), 14);
         assert_eq!(t.alive_server_count(), 0);
-    }
-
-    #[test]
-    fn node_join_extends_rack() {
-        let mut t = two_dc();
-        let id = t.add_server(DatacenterId::new(0), RoomId::new(0), RackId::new(1), 1.0).unwrap();
-        assert_eq!(id, ServerId::new(20));
-        assert_eq!(t.server_count(), 21);
-        let s = t.server(id).unwrap();
-        assert_eq!(s.label.to_string(), "NA-USA-GA1-C01-R02-S6");
-        assert!(s.alive);
-        assert!(t.add_server(DatacenterId::new(9), RoomId::new(0), RackId::new(0), 1.0).is_err());
     }
 
     #[test]

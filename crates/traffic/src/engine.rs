@@ -20,9 +20,9 @@
 //!
 //! The view's replica slots serve as the capacity index: at each hop
 //! the pass visits the partition's alive slots in that datacenter,
-//! ordered by visit rank. The order is the datacenter's `server_ids()`
-//! order, not server-id order: a joined server gets the next id but
-//! sits in rack 0, ahead of older servers.
+//! ordered by visit rank: the datacenter's `server_ids()` order, room
+//! by room and rack by rack. `TopologyBuilder` numbers servers in that
+//! order, so it is also server-id order.
 //!
 //! ## Canonical order
 //!

@@ -4,16 +4,15 @@
 //! server by server in `server_ids()` order — bit for bit, on every
 //! account and every `server_load`.
 //!
-//! The generated cases cover random topologies (servers joined into
-//! rack 0 take the next id but sort first in their datacenter), replica
-//! sets wider than the inline slots, capacity on dead servers, random
+//! The generated cases cover random topologies built by
+//! `TopologyBuilder`, replica sets wider than the inline slots, capacity on dead servers, random
 //! active subsets with placements re-rendered between epochs, on the
 //! dense and the sparse pass.
 
 use proptest::prelude::*;
 use rfh_topology::{RouteTable, Topology, TopologyBuilder};
 use rfh_traffic::{PlacementView, TrafficAccounts, TrafficEngine};
-use rfh_types::{Continent, DatacenterId, GeoPoint, PartitionId, RackId, RoomId, ServerId};
+use rfh_types::{Continent, DatacenterId, GeoPoint, PartitionId, ServerId};
 use rfh_workload::QueryLoad;
 
 const PARTS: u32 = 9;
@@ -195,17 +194,14 @@ struct Shape {
     dcs: Vec<(u32, u32, u32)>,
     /// Extra links `(a, b, latency)` on top of a connecting chain.
     links: Vec<(u32, u32, u16)>,
-    /// Datacenters that get a server joined into rack 0.
-    joins: Vec<u32>,
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
     (
         proptest::collection::vec((1u32..3, 1u32..3, 1u32..4), 2..6),
         proptest::collection::vec((0u32..6, 0u32..6, 5u16..150), 0..5),
-        proptest::collection::vec(0u32..6, 0..4),
     )
-        .prop_map(|(dcs, links, joins)| Shape { dcs, links, joins })
+        .prop_map(|(dcs, links)| Shape { dcs, links })
 }
 
 fn build_topology(shape: &Shape) -> Topology {
@@ -225,11 +221,7 @@ fn build_topology(shape: &Shape) -> Topology {
             b.link(DatacenterId::new(a), DatacenterId::new(c), f64::from(ms)).unwrap();
         }
     }
-    let mut topo = b.build(0.3, 7).unwrap();
-    for &dc in &shape.joins {
-        topo.add_server(DatacenterId::new(dc % n), RoomId::new(0), RackId::new(0), 1.0).unwrap();
-    }
-    topo
+    b.build(0.3, 7).unwrap()
 }
 
 /// One epoch: load, extra active partitions, partitions re-rendered
