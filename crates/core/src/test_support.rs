@@ -15,8 +15,8 @@ pub(crate) struct Harness {
     pub topo: Topology,
     pub ring: ConsistentHashRing,
     pub manager: ReplicaManager,
-    /// Reused traffic engine: route/membership caches survive across
-    /// the many epochs a single test assembles.
+    /// Reused traffic engine: its route table survives across the many
+    /// epochs a single test assembles.
     engine: RefCell<TrafficEngine>,
 }
 

@@ -52,7 +52,7 @@ pub struct ControlStats {
     pub restarts: u64,
     /// Replicas placed at shutdown.
     pub replicas_total: usize,
-    /// serve.* counters plus the traffic engine's cache stats.
+    /// serve.* counters plus the traffic engine's pass counters.
     pub registry: MetricsRegistry,
 }
 

@@ -158,8 +158,8 @@ pub struct EpochPipeline {
     topo: Topology,
     ring: ConsistentHashRing,
     manager: ReplicaManager,
-    /// Reused traffic engine: route table and membership caches persist
-    /// across epochs, refreshed only when the topology generation moves.
+    /// Reused traffic engine: its route table persists across epochs,
+    /// refreshed only when the topology generation moves.
     engine: TrafficEngine,
     smoother: TrafficSmoother,
     pub(crate) policy: Box<dyn ReplicationPolicy + Send>,
@@ -344,7 +344,7 @@ impl EpochPipeline {
     }
 
     /// Export the control plane's lifetime totals as `{prefix}.…`
-    /// series, plus the traffic engine's cache effectiveness. Written
+    /// series, plus the traffic engine's pass counters. Written
     /// set-style, so collecting into the same registry repeatedly is
     /// idempotent. The planner series appear only with a link budget.
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
@@ -428,7 +428,7 @@ impl EpochPipeline {
         }
         self.fault_shortfall += report.random_shortfall as u64;
         // Route changes need no handling here: the topology generation
-        // bump re-keys the traffic engine's caches automatically.
+        // bump re-keys the traffic engine's route table automatically.
         if !report.failed.is_empty() {
             self.prune_dead_replicas(host);
         }

@@ -2,8 +2,8 @@
 //!
 //! Each run is fully deterministic given `(params, seed)` and shares no
 //! mutable state with the others — every policy thread owns its
-//! `Simulation`, which owns its own `TrafficEngine` (route and
-//! membership caches included), so running them on crossbeam scoped
+//! `Simulation`, which owns its own `TrafficEngine` (route table
+//! included), so running them on crossbeam scoped
 //! threads is a pure wall-clock optimization — results are identical to
 //! sequential execution (a test asserts this). The only shared state is
 //! the immutable recorded workload trace.

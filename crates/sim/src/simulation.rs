@@ -266,7 +266,7 @@ impl Simulation {
     }
 
     /// Export the run's counters into a metrics registry: epoch and
-    /// replica totals plus the traffic engine's cache effectiveness.
+    /// replica totals plus the traffic engine's pass counters.
     /// All values are lifetime totals written set-style, so collecting
     /// into the same registry repeatedly is idempotent.
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {

@@ -18,9 +18,12 @@
 //! residual* — demand the current replica set cannot absorb, which is
 //! what drives the replication decisions.
 //!
-//! The pass records what each partition's replicas served per replica
+//! Within a datacenter, a partition's replicas absorb in slot order
+//! (ascending server id). The pass records what they served per replica
 //! slot of the [`PlacementView`], not per server: a partition's served
-//! row is as long as its replica set.
+//! row is as long as its replica set. The traffic arriving at a
+//! partition's holder (`tr_iit`, what eq. 12 compares against `β·q̄`)
+//! is its `dc_traffic` cell at the holder's datacenter.
 //!
 //! The pass also accounts response latency: a query's response time is
 //! one round trip from its requester datacenter to the datacenter that
@@ -36,7 +39,7 @@ use crate::grid::Grid;
 use crate::placement::PlacementView;
 use crate::slots::SlotRows;
 use rfh_topology::Topology;
-use rfh_types::{DatacenterId, PartitionId, ServerId};
+use rfh_types::{PartitionId, ServerId};
 use rfh_workload::QueryLoad;
 
 /// Response-time SLA bound from the paper's introduction (ms).
@@ -69,13 +72,6 @@ pub struct TrafficAccounts {
     /// Residual demand per partition that no replica (including the
     /// holder) could serve this epoch.
     pub unserved: Vec<f64>,
-    /// Datacenter of each partition's holder at the time of the pass.
-    ///
-    /// Dense passes rewrite every entry; sparse passes only re-assign
-    /// the entries of active partitions (an inactive partition's holder
-    /// cannot have moved since the pass that last wrote it, because
-    /// every placement action marks its partition dirty).
-    pub holder_dc: Vec<DatacenterId>,
     /// Per-server total served queries (`l_i`), cached by the engine at
     /// the end of every pass so [`server_load`](Self::server_load) is
     /// O(1) instead of an O(partitions) sum per call.
@@ -101,7 +97,6 @@ impl TrafficAccounts {
             dc_outflow: Grid::zeros(0, 0),
             served: SlotRows::new(0),
             unserved: Vec::new(),
-            holder_dc: Vec::new(),
             server_loads: Vec::new(),
             hops_weighted: 0.0,
             latency_weighted_ms: 0.0,
@@ -120,8 +115,6 @@ impl TrafficAccounts {
         self.served.reshape(n_parts);
         self.unserved.clear();
         self.unserved.resize(n_parts, 0.0);
-        self.holder_dc.clear();
-        self.holder_dc.resize(n_parts, DatacenterId::new(0));
         self.server_loads.clear();
         self.server_loads.resize(n_servers, 0.0);
         self.clear_totals();
@@ -141,8 +134,6 @@ impl TrafficAccounts {
     /// invariant — a partition outside the active set carries no load —
     /// so this is equivalent to [`reset`](Self::reset) at the same shape
     /// in O(prev × (datacenters + slots)) instead of O(partitions).
-    /// `holder_dc` is deliberately left alone: it is a persistent map in
-    /// sparse mode, not a per-pass account.
     pub(crate) fn clear_sparse(&mut self, prev: &[u32]) {
         for &p in prev {
             let p = p as usize;
@@ -202,7 +193,6 @@ impl TrafficAccounts {
             dc_outflow: self.dc_outflow.row_mut(p),
             served: self.served.row_mut(p),
             unserved: &mut self.unserved[p],
-            holder_dc: &mut self.holder_dc[p],
         }
     }
 
@@ -234,13 +224,6 @@ impl TrafficAccounts {
             + self.dc_outflow.heap_bytes()
             + self.served.heap_bytes()
             + (self.unserved.capacity() + self.server_loads.capacity()) * 8
-            + self.holder_dc.capacity() * std::mem::size_of::<DatacenterId>()
-    }
-
-    /// Traffic arriving at the holder of partition `p` (`tr_iit`,
-    /// the quantity eq. 12 compares against `β·q̄`).
-    pub fn holder_traffic(&self, p: PartitionId) -> f64 {
-        self.dc_traffic(p)[self.holder_dc[p.index()].index()]
     }
 
     /// Total queries served across the cluster this epoch.
@@ -304,7 +287,6 @@ pub(crate) struct PartitionAccounts<'w> {
     pub(crate) dc_outflow: &'w mut [f64],
     pub(crate) served: &'w mut [f64],
     pub(crate) unserved: &'w mut f64,
-    pub(crate) holder_dc: &'w mut DatacenterId,
 }
 
 /// Run the traffic pass for one epoch.
@@ -327,7 +309,7 @@ pub fn compute_traffic(topo: &Topology, load: &QueryLoad, view: &PlacementView) 
 mod tests {
     use super::*;
     use rfh_topology::TopologyBuilder;
-    use rfh_types::{Continent, GeoPoint};
+    use rfh_types::{Continent, DatacenterId, GeoPoint};
 
     /// Chain A(0) — B(1) — C(2), one server per datacenter
     /// (server ids 0, 1, 2).
@@ -394,7 +376,6 @@ mod tests {
         assert_eq!(acc.dc_traffic(p0())[2], 10.0);
         assert_eq!(acc.dc_traffic(p0())[1], 10.0);
         assert_eq!(acc.dc_traffic(p0())[0], 10.0);
-        assert_eq!(acc.holder_traffic(p0()), 10.0);
         // Holder serves everything: 2 hops each.
         assert_eq!(served_on(&acc, &view, p0(), 0), 10.0);
         assert_eq!(acc.served_total(), 10.0);
@@ -429,7 +410,7 @@ mod tests {
         assert_eq!(served_on(&acc, &view, p0(), 2), 5.0);
         assert_eq!(acc.mean_path_length(), 0.0);
         assert_eq!(acc.dc_traffic(p0())[1], 0.0, "nothing forwarded");
-        assert_eq!(acc.holder_traffic(p0()), 0.0);
+        assert_eq!(acc.dc_traffic(p0())[0], 0.0, "nothing reaches the holder");
     }
 
     #[test]
@@ -489,7 +470,7 @@ mod tests {
         assert_eq!(acc.unserved[0], 7.0);
         // All 10 travelled 2 hops.
         assert_eq!(acc.mean_path_length(), 2.0);
-        assert_eq!(acc.holder_traffic(p0()), 10.0, "overload shows at the holder");
+        assert_eq!(acc.dc_traffic(p0())[0], 10.0, "overload shows at the holder");
     }
 
     #[test]
@@ -509,7 +490,7 @@ mod tests {
         assert_eq!(acc.server_load(s(1)), 0.0);
         // Partition 1's queries from A travel A→B→C.
         assert_eq!(acc.dc_traffic(PartitionId::new(1))[1], 7.0);
-        assert_eq!(acc.holder_dc[1], d(2));
+        assert_eq!(acc.dc_traffic(PartitionId::new(1))[2], 7.0, "all of it reaches the holder");
     }
 
     #[test]

@@ -12,17 +12,14 @@
 //! * a [`RouteTable`] caching every DC pair's path *and* the cumulative
 //!   latency at each hop, refreshed only when the topology's
 //!   [`generation`](rfh_topology::Topology::generation) moves;
-//! * per-generation membership caches: each server's datacenter, and
-//!   each alive server's *visit rank* — its position in the
-//!   datacenters' `server_ids()` orders laid end to end;
 //! * the scratch of the partition being processed, reused pass after
 //!   pass.
 //!
 //! The view's replica slots serve as the capacity index: at each hop
-//! the pass visits the partition's alive slots in that datacenter,
-//! ordered by visit rank: the datacenter's `server_ids()` order, room
-//! by room and rack by rack. `TopologyBuilder` numbers servers in that
-//! order, so it is also server-id order.
+//! the pass visits the partition's alive slots in that datacenter in
+//! slot order, which is ascending server id. `TopologyBuilder` numbers
+//! servers datacenter by datacenter, room by room and rack by rack, so
+//! id order is also each datacenter's `server_ids()` order.
 //!
 //! ## Canonical order
 //!
@@ -30,7 +27,7 @@
 //! is per partition, every account write lands in that partition's rows
 //! of the (partition-major) accounts, and the within-partition
 //! accounting order (requesters ascending, hops in path order, slots in
-//! visit order) fixes every cell's value exactly. Only five scalar
+//! id order) fixes every cell's value exactly. Only five scalar
 //! totals (`hops_weighted`, `latency_weighted_ms`, `sla_within`,
 //! `served_total`, `unserved_total`) and the per-server loads cross
 //! partitions, and `f64` addition is not associative — so the pass adds
@@ -46,32 +43,16 @@ use rfh_workload::QueryLoad;
 use crate::absorption::{TrafficAccounts, INTRA_DC_LATENCY_MS, SLA_TARGET_MS};
 use crate::placement::PlacementView;
 
-/// [`TrafficEngine::visit_rank`] of a server the pass never visits
-/// (down, or outside the topology).
-const NOT_VISITED: u32 = u32::MAX;
-
 /// A stateful traffic pass: all buffers preallocated, routes cached.
 ///
-/// One engine serves one topology lineage: it keys its caches on
-/// [`Topology::generation`] and refreshes them lazily inside
+/// One engine serves one topology lineage: its route table is keyed on
+/// [`Topology::generation`] and refreshed lazily inside
 /// [`account`](Self::account). Engines are cheap to create but only pay
 /// off when reused; they are deliberately *not* shared between policy
 /// threads — give each thread its own (share-nothing).
 #[derive(Debug, Clone)]
 pub struct TrafficEngine {
     routes: RouteTable,
-    /// Generation the membership caches below were built for.
-    synced: Option<u64>,
-    /// Datacenter of each server, indexed by server id.
-    server_dc: Vec<DatacenterId>,
-    /// Each alive server's position in the datacenters' `server_ids()`
-    /// orders laid end to end (datacenter-major), indexed by server id;
-    /// [`NOT_VISITED`] for a dead server. Sorting a partition's slots by
-    /// it yields the legacy visit order within every datacenter.
-    visit_rank: Vec<u32>,
-    /// [`PlacementView::version`] the last dense pass read; `None`
-    /// after a sparse pass. Only classifies passes for [`EngineStats`].
-    view_version: Option<u64>,
     /// Scratch of the partition being processed.
     scratch: Scratch,
     accounts: TrafficAccounts,
@@ -87,7 +68,6 @@ pub struct TrafficEngine {
 /// One alive replica slot of the partition being processed.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
-    rank: u32,
     dc: DatacenterId,
     slot: u32,
 }
@@ -96,7 +76,7 @@ struct Visit {
 /// visits.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// The alive slots of the partition being processed, by visit rank.
+    /// The alive slots of the partition being processed, in slot order.
     visits: Vec<Visit>,
     /// Remaining capacity per slot of the partition being processed.
     remaining: Vec<f64>,
@@ -112,38 +92,19 @@ impl Scratch {
 /// The read-only inputs of a pass.
 struct PassCtx<'a> {
     routes: &'a RouteTable,
-    server_dc: &'a [DatacenterId],
-    visit_rank: &'a [u32],
+    topo: &'a Topology,
     load: &'a QueryLoad,
     view: &'a PlacementView,
 }
 
-/// Cache-effectiveness counters of a [`TrafficEngine`]: how often a
-/// dense pass met the placement and membership the previous one saw,
-/// and how much work the sparse passes skipped.
+/// Lifetime counters of a [`TrafficEngine`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Traffic passes run ([`TrafficEngine::account`] calls).
+    /// Traffic passes run ([`TrafficEngine::account`] and
+    /// [`TrafficEngine::account_active`] calls).
     pub passes: u64,
-    /// Route/membership cache rebuilds (topology generation moved).
+    /// Route-table rebuilds (the topology generation moved).
     pub topo_rebuilds: u64,
-    /// Dense passes over a placement or membership the previous dense
-    /// pass did not see (the topology was rebuilt, the
-    /// [`PlacementView::version`] stamp moved, or a sparse pass came
-    /// between).
-    pub index_rebuilds: u64,
-    /// Dense passes over the same placement and membership as the
-    /// dense pass before.
-    pub fast_restores: u64,
-    /// Sparse passes run ([`TrafficEngine::account_active`] calls),
-    /// also counted in [`passes`](Self::passes).
-    pub sparse_passes: u64,
-    /// Partitions visited by sparse passes, cumulative: the dirty-set
-    /// work the engine actually performed.
-    pub dirty_partitions: u64,
-    /// Partitions sparse passes skipped, cumulative: the dense work the
-    /// dirty-set pass avoided.
-    pub skipped_partitions: u64,
 }
 
 impl EngineStats {
@@ -153,11 +114,6 @@ impl EngineStats {
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
         registry.counter_total("traffic.engine.passes", self.passes);
         registry.counter_total("traffic.engine.topo_rebuilds", self.topo_rebuilds);
-        registry.counter_total("traffic.engine.index_rebuilds", self.index_rebuilds);
-        registry.counter_total("traffic.engine.fast_restores", self.fast_restores);
-        registry.counter_total("traffic.engine.sparse_passes", self.sparse_passes);
-        registry.counter_total("traffic.engine.dirty_partitions", self.dirty_partitions);
-        registry.counter_total("traffic.engine.skipped_partitions", self.skipped_partitions);
     }
 }
 
@@ -173,10 +129,6 @@ impl TrafficEngine {
     pub fn new() -> Self {
         TrafficEngine {
             routes: RouteTable::new(),
-            synced: None,
-            server_dc: Vec::new(),
-            visit_rank: Vec::new(),
-            view_version: None,
             scratch: Scratch::default(),
             accounts: TrafficAccounts::empty(),
             sparse_prev: None,
@@ -184,51 +136,26 @@ impl TrafficEngine {
         }
     }
 
-    /// Cache-effectiveness counters accumulated over this engine's life.
+    /// Lifetime counters of this engine.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// The topology generation the caches are currently valid for.
-    pub fn generation(&self) -> Option<u64> {
-        self.synced
     }
 
     /// Bytes of heap the engine holds besides its
     /// [`accounts`](Self::accounts), by allocation capacity.
     pub fn heap_bytes(&self) -> usize {
         self.routes.heap_bytes()
-            + self.server_dc.capacity() * std::mem::size_of::<DatacenterId>()
-            + self.visit_rank.capacity() * std::mem::size_of::<u32>()
             + self.scratch.heap_bytes()
             + self.sparse_prev.as_ref().map_or(0, |prev| prev.capacity() * 4)
     }
 
-    /// Refresh route + membership caches if `topo`'s generation moved
-    /// (or on first use). Called by [`account`](Self::account); exposed
-    /// for tests and for callers that want to pay the rebuild outside
-    /// the measured pass.
-    pub fn sync_topology(&mut self, topo: &Topology) -> bool {
-        self.routes.sync(topo);
-        if self.synced == Some(topo.generation()) && self.server_dc.len() == topo.server_count() {
-            return false;
+    /// Start a pass: refresh the route table if `topo`'s generation
+    /// moved (or on first use) and count the pass.
+    fn begin_pass(&mut self, topo: &Topology) {
+        if self.routes.sync(topo) {
+            self.stats.topo_rebuilds += 1;
         }
-        self.server_dc.clear();
-        self.server_dc.extend(topo.servers().iter().map(|s| s.datacenter));
-        self.visit_rank.clear();
-        self.visit_rank.resize(topo.server_count(), NOT_VISITED);
-        let mut rank = 0;
-        for dc in topo.datacenters() {
-            for server in dc.server_ids() {
-                if topo.servers()[server.index()].alive {
-                    self.visit_rank[server.index()] = rank;
-                    rank += 1;
-                }
-            }
-        }
-        self.synced = Some(topo.generation());
-        self.stats.topo_rebuilds += 1;
-        true
+        self.stats.passes += 1;
     }
 
     /// Run the traffic pass for one epoch, reusing every buffer.
@@ -244,8 +171,7 @@ impl TrafficEngine {
         load: &QueryLoad,
         view: &PlacementView,
     ) -> &TrafficAccounts {
-        let rebuilt = self.sync_topology(topo);
-        self.stats.passes += 1;
+        self.begin_pass(topo);
 
         let n_dcs = topo.datacenters().len();
         let n_parts = load.partitions() as usize;
@@ -258,20 +184,8 @@ impl TrafficEngine {
         // A dense pass rewrites every cell; the sparse partial-clear
         // bookkeeping no longer describes the accounts.
         self.sparse_prev = None;
-        if rebuilt || self.view_version != Some(view.version()) {
-            self.stats.index_rebuilds += 1;
-            self.view_version = Some(view.version());
-        } else {
-            self.stats.fast_restores += 1;
-        }
 
-        let ctx = PassCtx {
-            routes: &self.routes,
-            server_dc: &self.server_dc,
-            visit_rank: &self.visit_rank,
-            load,
-            view,
-        };
+        let ctx = PassCtx { routes: &self.routes, topo, load, view };
         run_pass(&ctx, &mut self.scratch, &mut self.accounts, 0..n_parts);
         self.accounts.fold_server_loads(view, 0..n_parts);
 
@@ -287,17 +201,12 @@ impl TrafficEngine {
     /// `active` must contain **every partition with non-zero load this
     /// epoch** (supersets are fine) and every partition whose slots in
     /// `view` changed since the last pass. Under that contract the result
-    /// is bit-identical to a dense [`account`](Self::account) pass on
-    /// every account the callers read: an inactive partition carries
-    /// zero load, so the dense pass would write exact zeros into its
-    /// cells (which the sparse invariant already guarantees) and
-    /// contribute exact `+0.0` terms to the five cross-partition scalars
-    /// and the per-server load sums — the additive identity on these
-    /// non-negative accumulators. The one deliberate exception is
-    /// [`TrafficAccounts::holder_dc`], which sparse passes maintain as a
-    /// persistent map: an inactive partition keeps its last-written
-    /// holder datacenter (still correct — placement changes dirty their
-    /// partition) instead of being re-derived each pass.
+    /// equals a dense [`account`](Self::account) pass bit for bit: an
+    /// inactive partition carries zero load, so the dense pass would
+    /// write exact zeros into its cells (which the sparse invariant
+    /// already guarantees) and contribute exact `+0.0` terms to the five
+    /// cross-partition scalars and the per-server load sums — the
+    /// additive identity on these non-negative accumulators.
     ///
     /// Once the accounts have their shape, a pass over an unchanged
     /// placement allocates nothing.
@@ -308,9 +217,7 @@ impl TrafficEngine {
         view: &PlacementView,
         active: &[u32],
     ) -> &TrafficAccounts {
-        self.sync_topology(topo);
-        self.stats.passes += 1;
-        self.stats.sparse_passes += 1;
+        self.begin_pass(topo);
 
         let n_dcs = topo.datacenters().len();
         let n_parts = load.partitions() as usize;
@@ -325,16 +232,12 @@ impl TrafficEngine {
             load.touched().iter().all(|t| active.binary_search(t).is_ok()),
             "active set must cover every partition with load"
         );
-        self.stats.dirty_partitions += active.len() as u64;
-        self.stats.skipped_partitions += (n_parts - active.len()) as u64;
 
         // Reset the accounts: O(prev) when the previous pass was sparse
         // at the same shape, full otherwise. Inactive cells stay zero
         // either way (the sparse invariant).
-        let shape_ok = self.accounts.shape() == (n_dcs, n_parts, n_servers)
-            && self.accounts.holder_dc.len() == n_parts;
         match self.sparse_prev.take() {
-            Some(mut prev) if shape_ok => {
+            Some(mut prev) if self.accounts.shape() == (n_dcs, n_parts, n_servers) => {
                 self.accounts.clear_sparse(&prev);
                 self.accounts.align_served(view, active.iter().map(|&p| p as usize));
                 prev.clear();
@@ -347,15 +250,8 @@ impl TrafficEngine {
                 self.sparse_prev = Some(active.to_vec());
             }
         }
-        self.view_version = None;
 
-        let ctx = PassCtx {
-            routes: &self.routes,
-            server_dc: &self.server_dc,
-            visit_rank: &self.visit_rank,
-            load,
-            view,
-        };
+        let ctx = PassCtx { routes: &self.routes, topo, load, view };
         run_pass(&ctx, &mut self.scratch, &mut self.accounts, active.iter().map(|&p| p as usize));
         self.accounts.fold_server_loads(view, active.iter().map(|&p| p as usize));
 
@@ -379,7 +275,7 @@ impl TrafficEngine {
 /// The accounting pass over `partitions` (ascending), shared by the
 /// dense and sparse passes. The within-partition order is the legacy
 /// accounting order — requesters ascending, hops in path order, slots
-/// in visit order — so every per-partition quantity is computed by the
+/// in id order — so every per-partition quantity is computed by the
 /// exact `f64` sequence the one-shot pass uses; each partition's terms
 /// then go onto the five cross-partition scalars in partition order.
 fn run_pass(
@@ -388,21 +284,20 @@ fn run_pass(
     acc: &mut TrafficAccounts,
     partitions: impl Iterator<Item = usize>,
 ) {
+    let servers = ctx.topo.servers();
     let Scratch { visits, remaining } = scratch;
     for p_idx in partitions {
         let p = PartitionId::new(p_idx as u32);
         let slots = ctx.view.slots(p);
-        // The slots worth visiting: alive servers, in visit order.
+        // The slots worth visiting: alive servers, in slot order.
         visits.clear();
         remaining.clear();
         for (slot, s) in slots.iter().enumerate() {
             remaining.push(s.capacity);
-            let rank = ctx.visit_rank.get(s.server.index()).copied().unwrap_or(NOT_VISITED);
-            if rank != NOT_VISITED {
-                visits.push(Visit { rank, dc: ctx.server_dc[s.server.index()], slot: slot as u32 });
+            if let Some(server) = servers.get(s.server.index()).filter(|server| server.alive) {
+                visits.push(Visit { dc: server.datacenter, slot: slot as u32 });
             }
         }
-        visits.sort_unstable_by_key(|v| v.rank);
 
         let acc_p = acc.partition_mut(p_idx);
         let mut unserved_p = 0.0;
@@ -412,8 +307,7 @@ fn run_pass(
         let mut served_p = 0.0;
 
         let holder = ctx.view.holder(p);
-        let hdc = ctx.server_dc.get(holder.index()).copied().unwrap_or(DatacenterId::new(0));
-        *acc_p.holder_dc = hdc;
+        let hdc = servers.get(holder.index()).map_or(DatacenterId::new(0), |s| s.datacenter);
 
         for j_idx in 0..ctx.load.datacenters() {
             let j = DatacenterId::new(j_idx);
@@ -437,7 +331,7 @@ fn run_pass(
                 // reaching it.
                 acc_p.dc_traffic[dc.index()] += residual;
                 // Replicas in this datacenter absorb what they can, in
-                // the datacenter's visit order.
+                // id order.
                 for visit in visits.iter().filter(|v| v.dc == dc) {
                     let slot = visit.slot as usize;
                     let cap = &mut remaining[slot];
@@ -564,53 +458,43 @@ mod tests {
     }
 
     #[test]
-    fn view_mutation_between_passes_invalidates_capacity_index() {
+    fn view_mutation_between_passes_reaches_the_next_pass() {
         let topo = chain();
         let load = sample_load(4, 3);
         let mut view = sample_view(4, 3);
         let mut engine = TrafficEngine::new();
         engine.account(&topo, &load, &view);
-        // Same view object, same version: the fast reload path.
         assert_eq!(engine.account(&topo, &load, &view), &compute_traffic(&topo, &load, &view));
 
         // Mutate the view in place (capacity appears on a new server
-        // and a holder moves): the version stamp must force a full
-        // re-index, keeping the engine bit-identical to the one-shot.
+        // and a holder moves): the reused engine stays bit-identical to
+        // the one-shot.
         view.add_capacity(PartitionId::new(2), ServerId::new(0), 3.0);
         view.set_holder(PartitionId::new(0), ServerId::new(2));
         assert_eq!(engine.account(&topo, &load, &view), &compute_traffic(&topo, &load, &view));
     }
 
     #[test]
-    fn stats_count_fast_and_slow_paths() {
-        let topo = chain();
+    fn stats_count_passes_and_route_rebuilds() {
+        let mut topo = chain();
         let load = sample_load(4, 3);
-        let mut view = sample_view(4, 3);
+        let view = sample_view(4, 3);
         let mut engine = TrafficEngine::new();
         engine.account(&topo, &load, &view);
+        engine.account_active(&topo, &load, &view, &[0, 1, 2, 3]);
         engine.account(&topo, &load, &view);
-        engine.account(&topo, &load, &view);
-        assert_eq!(
-            engine.stats(),
-            EngineStats {
-                passes: 3,
-                topo_rebuilds: 1,
-                index_rebuilds: 1,
-                fast_restores: 2,
-                ..EngineStats::default()
-            }
-        );
-        // A placement change forces a re-index on the next pass only.
-        view.add_capacity(PartitionId::new(1), ServerId::new(0), 2.0);
+        assert_eq!(engine.stats(), EngineStats { passes: 3, topo_rebuilds: 1 });
+        // A membership change rebuilds the routes on the next pass only.
+        topo.fail_server(ServerId::new(1)).unwrap();
         engine.account(&topo, &load, &view);
         engine.account(&topo, &load, &view);
         let stats = engine.stats();
-        assert_eq!((stats.index_rebuilds, stats.fast_restores), (2, 3));
+        assert_eq!(stats, EngineStats { passes: 5, topo_rebuilds: 2 });
 
         let mut reg = MetricsRegistry::new();
         stats.collect_metrics(&mut reg);
         assert_eq!(reg.get("traffic.engine.passes"), Some(&rfh_obs::Metric::Counter(5)));
-        assert_eq!(reg.get("traffic.engine.fast_restores"), Some(&rfh_obs::Metric::Counter(3)));
+        assert_eq!(reg.get("traffic.engine.topo_rebuilds"), Some(&rfh_obs::Metric::Counter(2)));
     }
 
     /// Load touching only `touched` partitions, shaped like
@@ -623,24 +507,6 @@ mod tests {
             }
         }
         load
-    }
-
-    /// Assert a sparse pass result equals the dense reference on every
-    /// account callers read. `holder_dc` entries of inactive partitions
-    /// are persistent in sparse mode, so they are aligned to the dense
-    /// value before the whole-struct comparison.
-    fn assert_sparse_matches_dense(
-        sparse: &TrafficAccounts,
-        dense: &TrafficAccounts,
-        active: &[u32],
-    ) {
-        let mut sparse = sparse.clone();
-        for p in 0..dense.holder_dc.len() {
-            if active.binary_search(&(p as u32)).is_err() {
-                sparse.holder_dc[p] = dense.holder_dc[p];
-            }
-        }
-        assert_eq!(&sparse, dense);
     }
 
     #[test]
@@ -663,7 +529,7 @@ mod tests {
             let load = sparse_load(parts, dcs, active);
             let dense = compute_traffic(&topo, &load, &view);
             let sparse = engine.account_active(&topo, &load, &view, active).clone();
-            assert_sparse_matches_dense(&sparse, &dense, active);
+            assert_eq!(sparse, dense, "epoch {e}");
             for s in 0..servers {
                 let sid = ServerId::new(s);
                 assert_eq!(
@@ -673,10 +539,6 @@ mod tests {
                 );
             }
         }
-        let stats = engine.stats();
-        assert_eq!(stats.sparse_passes, 6);
-        assert_eq!(stats.dirty_partitions, 4 + 2 + 0 + 5 + 8 + 1);
-        assert_eq!(stats.skipped_partitions, 4 + 6 + 8 + 3 + 0 + 7);
     }
 
     #[test]
@@ -687,8 +549,7 @@ mod tests {
         let dense = compute_traffic(&topo, &load, &view);
         let mut engine = TrafficEngine::new();
         let active = [1, 2, 4, 6, 7];
-        let sparse = engine.account_active(&topo, &load, &view, &active).clone();
-        assert_sparse_matches_dense(&sparse, &dense, &active);
+        assert_eq!(engine.account_active(&topo, &load, &view, &active), &dense);
     }
 
     #[test]
@@ -737,32 +598,30 @@ mod tests {
         let dense_quiet = compute_traffic(&topo, &quiet, &view);
         let mut engine = TrafficEngine::new();
         assert_eq!(engine.account(&topo, &busy, &view), &dense_busy);
-        let sparse = engine.account_active(&topo, &quiet, &view, &[4]).clone();
-        assert_sparse_matches_dense(&sparse, &dense_quiet, &[4]);
+        assert_eq!(engine.account_active(&topo, &quiet, &view, &[4]), &dense_quiet);
         assert_eq!(engine.account(&topo, &busy, &view), &dense_busy);
-        let sparse = engine.account_active(&topo, &busy, &view, &full).clone();
-        assert_sparse_matches_dense(&sparse, &dense_busy, &full);
-        let sparse = engine.account_active(&topo, &quiet, &view, &[4]).clone();
-        assert_sparse_matches_dense(&sparse, &dense_quiet, &[4]);
+        assert_eq!(engine.account_active(&topo, &busy, &view, &full), &dense_busy);
+        assert_eq!(engine.account_active(&topo, &quiet, &view, &[4]), &dense_quiet);
     }
 
     #[test]
-    fn generation_bump_invalidates_caches() {
+    fn reused_engine_equals_fresh_engine_across_fail_and_recover() {
         let mut topo = chain();
         let load = sample_load(4, 3);
         let view = sample_view(4, 3);
         let mut engine = TrafficEngine::new();
-        engine.account(&topo, &load, &view);
-        assert_eq!(engine.generation(), Some(topo.generation()));
-        assert!(!engine.sync_topology(&topo), "same generation must not rebuild");
+        let before = engine.account(&topo, &load, &view).clone();
 
-        // Kill the middle server: the engine must notice and match a
-        // fresh engine built against the failed topology.
+        // Kill the middle server, then bring it back: at each step the
+        // reused engine must match a fresh engine built against the
+        // same topology, and the recovered cluster the original pass.
         topo.fail_server(ServerId::new(1)).unwrap();
-        assert_ne!(engine.generation(), Some(topo.generation()));
-        let stale_refreshed = engine.account(&topo, &load, &view).clone();
-        let mut fresh = TrafficEngine::new();
-        assert_eq!(&stale_refreshed, fresh.account(&topo, &load, &view));
-        assert_eq!(engine.generation(), Some(topo.generation()));
+        let failed = engine.account(&topo, &load, &view).clone();
+        assert_eq!(&failed, TrafficEngine::new().account(&topo, &load, &view));
+        assert_ne!(failed, before, "the dead server's replica serves nothing");
+        topo.recover_server(ServerId::new(1)).unwrap();
+        let recovered = engine.account(&topo, &load, &view).clone();
+        assert_eq!(&recovered, TrafficEngine::new().account(&topo, &load, &view));
+        assert_eq!(recovered, before);
     }
 }

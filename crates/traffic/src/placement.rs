@@ -7,19 +7,12 @@
 //! epoch (`Σ_l C_ikl` in the paper's notation) — plus each partition's
 //! primary holder. Slots are sorted by server id and stored as
 //! [`SlotRows`], so the view costs memory per replica, not per server.
+//! Slot order is also the order in which the traffic pass lets a
+//! datacenter's replicas absorb queries. The view is plain content:
+//! two views are equal when their slots and holders are.
 
 use crate::slots::SlotRows;
 use rfh_types::{PartitionId, ServerId};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Stamp source for [`PlacementView::version`]. Every mutation takes a
-/// globally fresh value, so two views with equal versions necessarily
-/// hold identical content (one is an unmutated clone of the other).
-static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
-
-fn next_version() -> u64 {
-    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One replica slot: a server hosting the partition and the capacity
 /// its replicas offer, queries/epoch (always positive).
@@ -33,7 +26,7 @@ pub struct Slot {
 }
 
 /// Placement + capacity view for one epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementView {
     /// Each partition's replica slots, ascending by server id.
     slots: SlotRows<Slot>,
@@ -44,15 +37,6 @@ pub struct PlacementView {
     /// Slots over all partitions, maintained on every mutation so
     /// sparse consumers learn the replica-slot population in O(1).
     slot_count: usize,
-    /// Content stamp, see [`version`](Self::version).
-    version: u64,
-}
-
-impl PartialEq for PlacementView {
-    /// Content equality: the version stamp is bookkeeping, not state.
-    fn eq(&self, other: &Self) -> bool {
-        self.servers == other.servers && self.holders == other.holders && self.slots == other.slots
-    }
 }
 
 impl PlacementView {
@@ -60,22 +44,7 @@ impl PlacementView {
     /// partition before use.
     pub fn new(partitions: u32, servers: u32, holders: Vec<ServerId>) -> Self {
         assert_eq!(holders.len(), partitions as usize, "one holder per partition required");
-        PlacementView {
-            slots: SlotRows::new(partitions as usize),
-            holders,
-            servers,
-            slot_count: 0,
-            version: next_version(),
-        }
-    }
-
-    /// Content stamp. Every mutation moves it to a globally fresh
-    /// value, so equal versions imply identical capacities and holders
-    /// — an unmutated clone keeps its original's stamp. Consumers
-    /// (e.g. the traffic engine) key caches on it.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
+        PlacementView { slots: SlotRows::new(partitions as usize), holders, servers, slot_count: 0 }
     }
 
     /// Number of partitions.
@@ -119,7 +88,6 @@ impl PlacementView {
             }
             Err(_) => {}
         }
-        self.version = next_version();
     }
 
     /// Total capacity provisioned for a partition across the cluster.
@@ -137,13 +105,11 @@ impl PlacementView {
         self.holders.resize(partitions as usize, ServerId::new(0));
         self.servers = servers;
         self.slot_count = 0;
-        self.version = next_version();
     }
 
     /// Re-point a partition's primary holder (delta update).
     pub fn set_holder(&mut self, p: PartitionId, holder: ServerId) {
         self.holders[p.index()] = holder;
-        self.version = next_version();
     }
 
     /// Drop one partition's slots (delta update: callers then re-add
@@ -151,7 +117,6 @@ impl PlacementView {
     pub fn clear_partition(&mut self, p: PartitionId) {
         self.slot_count -= self.slots(p).len();
         self.slots.reset_row(p.index(), 0);
-        self.version = next_version();
     }
 
     /// Replica slots over all partitions, in O(1).
@@ -232,33 +197,6 @@ mod tests {
     #[should_panic(expected = "one holder per partition")]
     fn holder_count_must_match() {
         let _ = PlacementView::new(3, 3, vec![s(0)]);
-    }
-
-    #[test]
-    fn version_moves_on_every_mutation_and_clones_keep_it() {
-        let mut v = PlacementView::new(2, 3, vec![s(0), s(2)]);
-        let clone = v.clone();
-        assert_eq!(clone.version(), v.version(), "unmutated clone shares the stamp");
-
-        let mut seen = vec![v.version()];
-        v.add_capacity(p(0), s(1), 1.0);
-        seen.push(v.version());
-        v.set_holder(p(0), s(1));
-        seen.push(v.version());
-        v.clear_partition(p(0));
-        seen.push(v.version());
-        v.reset(2, 3);
-        seen.push(v.version());
-        let mut unique = seen.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seen.len(), "every mutation takes a fresh stamp");
-
-        // The stamp is bookkeeping: equality is content-only.
-        assert_ne!(clone.version(), v.version());
-        let fresh = PlacementView::new(2, 3, vec![s(0), s(0)]);
-        v.set_holder(p(1), s(0));
-        assert_eq!(v, fresh);
     }
 
     #[test]

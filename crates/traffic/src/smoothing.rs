@@ -13,6 +13,9 @@
 //! decision thresholds (eqs. 12, 13, 15) compare against. Like the
 //! accounts it folds, the state is partition-major: everything a
 //! decision reads about one partition is one contiguous row.
+//!
+//! A sparse update brings a partition current with one gap of zero
+//! observations, the same for every cell of its row.
 
 use crate::absorption::TrafficAccounts;
 use rfh_types::{DatacenterId, PartitionId};
@@ -37,10 +40,6 @@ pub struct TrafficSmoother {
     stamps: Vec<u64>,
     /// Number of [`update_active`](Self::update_active) passes so far.
     pass: u64,
-    /// Pass at which each datacenter's history was last forgotten via
-    /// [`reset_dc`](Self::reset_dc) (0 = never). Caps the zero-fold gap
-    /// for that datacenter's cells: zeros before the reset are moot.
-    dc_reset_pass: Vec<u64>,
 }
 
 impl TrafficSmoother {
@@ -59,7 +58,6 @@ impl TrafficSmoother {
             outflow: vec![f64::NAN; partitions as usize * dcs as usize],
             stamps: vec![0; partitions as usize],
             pass: 0,
-            dc_reset_pass: vec![0; dcs as usize],
         }
     }
 
@@ -123,8 +121,7 @@ impl TrafficSmoother {
             let p = pu as usize;
             // Zero observations the dense pass would have applied since
             // this partition's cells were last brought current.
-            let stamp = self.stamps[p];
-            let gap = self.pass - 1 - stamp;
+            let gap = self.pass - 1 - self.stamps[p];
             self.stamps[p] = self.pass;
 
             let pid = PartitionId::new(pu);
@@ -136,13 +133,9 @@ impl TrafficSmoother {
             let outflow = &mut self.outflow[row];
             let (obs, out) = (accounts.dc_traffic(pid), accounts.dc_outflow(pid));
             for dc in 0..self.dcs {
-                // A reset_dc wipes the cell to NaN; zeros that the dense
-                // pass applied *before* the reset are irrelevant, so the
-                // fold only covers epochs after the later of the two.
-                let dc_gap = (self.pass - 1).saturating_sub(stamp.max(self.dc_reset_pass[dc]));
-                Self::fold_gap(alpha, &mut traffic[dc], dc_gap);
+                Self::fold_gap(alpha, &mut traffic[dc], gap);
                 traffic[dc] = Self::smooth(alpha, traffic[dc], obs[dc]);
-                Self::fold_gap(alpha, &mut outflow[dc], dc_gap);
+                Self::fold_gap(alpha, &mut outflow[dc], gap);
                 outflow[dc] = Self::smooth(alpha, outflow[dc], out[dc]);
             }
         }
@@ -213,19 +206,7 @@ impl TrafficSmoother {
     pub fn heap_bytes(&self) -> usize {
         (self.q_avg.capacity() + self.traffic.capacity() + self.outflow.capacity())
             * std::mem::size_of::<f64>()
-            + (self.stamps.capacity() + self.dc_reset_pass.capacity()) * std::mem::size_of::<u64>()
-    }
-
-    /// Forget the traffic history of one datacenter (used when all its
-    /// servers failed: stale history must not drive decisions after
-    /// recovery).
-    pub fn reset_dc(&mut self, dc: DatacenterId) {
-        for p in 0..self.partitions {
-            let i = self.row(p).start + dc.index();
-            self.traffic[i] = f64::NAN;
-            self.outflow[i] = f64::NAN;
-        }
-        self.dc_reset_pass[dc.index()] = self.pass;
+            + self.stamps.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -284,21 +265,6 @@ mod tests {
         // α·prev + (1−α)·obs = 0.2·10 + 0.8·0 = 2.
         assert!((s.q_avg(p(0)) - 2.0).abs() < 1e-12);
         assert!((s.traffic(d(0), p(0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_dc_forgets_history() {
-        let mut s = TrafficSmoother::new(1, 2, 0.5);
-        let load = QueryLoad::zeros(1, 2);
-        s.update(&load, &accounts(2, 1, &[(0, 0, 100.0), (1, 0, 40.0)]));
-        s.reset_dc(d(0));
-        assert_eq!(s.traffic(d(0), p(0)), 0.0);
-        assert_eq!(s.traffic(d(1), p(0)), 40.0, "other DCs keep history");
-        // The next observation re-initialises rather than smoothing
-        // against stale state.
-        s.update(&load, &accounts(2, 1, &[(0, 0, 10.0), (1, 0, 0.0)]));
-        assert_eq!(s.traffic(d(0), p(0)), 10.0);
-        assert_eq!(s.traffic(d(1), p(0)), 20.0);
     }
 
     #[test]
@@ -367,61 +333,6 @@ mod tests {
                     "outflow dc {dc} partition {pp}"
                 );
             }
-        }
-    }
-
-    /// `reset_dc` between sparse passes: cells wiped mid-gap must not
-    /// fold pre-reset zeros, exactly like the dense smoother.
-    #[test]
-    fn sparse_update_matches_dense_across_dc_reset() {
-        let (parts, dcs) = (3u32, 2usize);
-        let mut dense = TrafficSmoother::new(parts, dcs as u32, 0.5);
-        let mut sparse = TrafficSmoother::new(parts, dcs as u32, 0.5);
-        let seed = accounts(dcs, parts as usize, &[(0, 0, 32.0), (1, 0, 16.0), (0, 2, 8.0)]);
-        let mut load = QueryLoad::zeros(parts, dcs as u32);
-        load.add(p(0), d(0), 6);
-        load.add(p(2), d(1), 2);
-        dense.update(&load, &seed);
-        sparse.update_active(&load, &seed, &[0, 2]);
-
-        // Partitions go quiet, then DC 0 loses its history.
-        let quiet = accounts(dcs, parts as usize, &[]);
-        let none = QueryLoad::zeros(parts, dcs as u32);
-        dense.update(&none, &quiet);
-        dense.update(&none, &quiet);
-        sparse.update_active(&none, &quiet, &[]);
-        sparse.update_active(&none, &quiet, &[]);
-        dense.reset_dc(d(0));
-        sparse.reset_dc(d(0));
-
-        // Partition 0 reactivates on the very next pass (the seed-vs-
-        // fold edge), partition 2 only one pass later.
-        let obs = accounts(dcs, parts as usize, &[(0, 0, 4.0), (1, 0, 4.0)]);
-        load.clear();
-        load.add(p(0), d(0), 4);
-        dense.update(&load, &obs);
-        sparse.update_active(&load, &obs, &[0]);
-        let late = accounts(dcs, parts as usize, &[(0, 2, 2.0)]);
-        let mut load2 = QueryLoad::zeros(parts, dcs as u32);
-        load2.add(p(2), d(0), 2);
-        dense.update(&load2, &late);
-        sparse.update_active(&load2, &late, &[2]);
-
-        // Catch every cell up before comparing: sparse cells are stale
-        // by design until their partition next activates.
-        let none2 = QueryLoad::zeros(parts, dcs as u32);
-        dense.update(&none2, &quiet);
-        sparse.update_active(&none2, &quiet, &[0, 1, 2]);
-
-        for pp in [0u32, 2] {
-            for dc in 0..dcs as u32 {
-                assert_eq!(
-                    sparse.traffic(d(dc), p(pp)).to_bits(),
-                    dense.traffic(d(dc), p(pp)).to_bits(),
-                    "traffic dc {dc} partition {pp}"
-                );
-            }
-            assert_eq!(sparse.q_avg(p(pp)).to_bits(), dense.q_avg(p(pp)).to_bits());
         }
     }
 }

@@ -2,7 +2,7 @@
 //! the legacy one-shot `compute_traffic` pass — for arbitrary loads and
 //! placements, and across arbitrary membership churn (failures,
 //! recoveries) that invalidates the engine's generation-keyed
-//! caches between passes — and the sparse pass (`account_active` +
+//! route table between passes — and the sparse pass (`account_active` +
 //! `update_active`) equals the dense one (`account` + `update`) on every
 //! accessor, across epochs whose active sets grow and shrink.
 
@@ -70,25 +70,17 @@ const SPARSE_PARTS: u32 = 13;
 struct Epoch {
     load: Vec<(u32, u32, u32)>, // (partition, dc, count)
     also_active: Vec<u32>,      // active beyond the touched partitions
-    reset_dc: Option<u32>,      // forget this datacenter before the epoch
 }
 
 fn arb_epoch() -> impl Strategy<Value = Epoch> {
     (
         proptest::collection::vec((0..SPARSE_PARTS, 0..DCS, 1u32..60), 0..12),
         proptest::collection::vec(0..SPARSE_PARTS, 0..5),
-        // One epoch in five forgets a datacenter first.
-        0..DCS * 5,
     )
-        .prop_map(|(load, also_active, dc)| Epoch {
-            load,
-            also_active,
-            reset_dc: (dc < DCS).then_some(dc),
-        })
+        .prop_map(|(load, also_active)| Epoch { load, also_active })
 }
 
-/// Every account accessor, bit for bit. `holder_dc` is compared through
-/// `holder_traffic` only: the sparse pass keeps it as a persistent map.
+/// Every account accessor, bit for bit.
 fn assert_accounts_bit_equal(
     sparse: &rfh_traffic::TrafficAccounts,
     dense: &rfh_traffic::TrafficAccounts,
@@ -98,7 +90,6 @@ fn assert_accounts_bit_equal(
         prop_assert_eq!(bits(sparse.dc_traffic(p)), bits(dense.dc_traffic(p)), "dc_traffic {}", p);
         prop_assert_eq!(bits(sparse.dc_outflow(p)), bits(dense.dc_outflow(p)), "dc_outflow {}", p);
         prop_assert_eq!(bits(sparse.served(p)), bits(dense.served(p)), "served {}", p);
-        prop_assert_eq!(sparse.holder_traffic(p).to_bits(), dense.holder_traffic(p).to_bits());
     }
     prop_assert_eq!(bits(&sparse.unserved), bits(&dense.unserved));
     for s in (0..SERVERS).map(ServerId::new) {
@@ -179,13 +170,9 @@ proptest! {
         let mut sparse_smoother = TrafficSmoother::new(SPARSE_PARTS, DCS, 0.2);
         let mut dense_smoother = sparse_smoother.clone();
         let all: Vec<u32> = (0..SPARSE_PARTS).collect();
-        let catch_up = Epoch { load: Vec::new(), also_active: all.clone(), reset_dc: None };
+        let catch_up = Epoch { load: Vec::new(), also_active: all.clone() };
 
         for epoch in epochs.iter().chain([&catch_up]) {
-            if let Some(dc) = epoch.reset_dc {
-                sparse_smoother.reset_dc(DatacenterId::new(dc));
-                dense_smoother.reset_dc(DatacenterId::new(dc));
-            }
             let mut load = QueryLoad::zeros(SPARSE_PARTS, DCS);
             for &(p, dc, c) in &epoch.load {
                 load.add(PartitionId::new(p), DatacenterId::new(dc), c);
@@ -201,6 +188,7 @@ proptest! {
             sparse_smoother.update_active(&load, sparse, &active);
 
             assert_accounts_bit_equal(sparse, dense)?;
+            prop_assert_eq!(sparse, dense);
             assert_smoothers_bit_equal(&sparse_smoother, &dense_smoother, &active)?;
         }
         assert_smoothers_bit_equal(&sparse_smoother, &dense_smoother, &all)?;
