@@ -1,6 +1,10 @@
 //! The epoll poller and the cross-thread waker.
 
+#[cfg(target_os = "linux")]
+use crate::counter::WAITS;
 use std::io;
+#[cfg(target_os = "linux")]
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 #[cfg(target_os = "linux")]
@@ -113,6 +117,7 @@ impl Poller {
         };
         let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 128];
         let n = loop {
+            WAITS.fetch_add(1, Ordering::Relaxed);
             let rc = unsafe {
                 sys::epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
             };

@@ -19,8 +19,10 @@ use crate::cluster::Shared;
 use crate::store::Versioned;
 use crate::telemetry::TickSample;
 use crate::wal::StorageSnapshot;
+use crate::wire::VALUE_BYTES_COPIED;
 use rfh_core::{Action, AppliedAction, ReplicaManager};
 use rfh_obs::MetricsRegistry;
+use rfh_reactor::IoCalls;
 use rfh_sim::{EpochHost, EpochPipeline};
 use rfh_stats::Histogram;
 use rfh_types::{PartitionId, Result, ServerId};
@@ -290,6 +292,16 @@ impl Controller {
         registry.counter_total("serve.acks.not_found", c.acks_not_found.load(Ordering::Relaxed));
         registry
             .counter_total("serve.acks.unavailable", c.acks_unavailable.load(Ordering::Relaxed));
+        // Process-wide work counts of the serving path (every reactor
+        // of the process), taken where the calls and copies are made.
+        let io = IoCalls::now();
+        registry.counter_total("serve.reactor.reads", io.reads);
+        registry.counter_total("serve.reactor.writes", io.writes);
+        registry.counter_total("serve.reactor.waits", io.waits);
+        registry.counter_total(
+            "serve.wire.value_bytes_copied",
+            VALUE_BYTES_COPIED.load(Ordering::Relaxed),
+        );
         // Series that exist only once their subject does, so a scrape
         // of a healthy memory-only cluster is byte-identical to older
         // builds: restarts, fault-plan errors, durability.

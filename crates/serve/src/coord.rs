@@ -52,6 +52,7 @@ use rfh_obs::SpanEvent;
 use rfh_types::{DatacenterId, PartitionId, ServerId};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Retry delay for a put that found its partition mid-transfer.
@@ -68,9 +69,12 @@ const MAX_RESTARTS: u32 = 32;
 /// What a driver does next for one request.
 #[derive(Debug)]
 pub(crate) enum Step {
-    /// Send each frame to its replica and feed every outcome back
-    /// through [`Coordinator::forwarded`].
-    Forward(Vec<(ServerId, Frame)>),
+    /// Send this one frame to each of these replicas and feed every
+    /// outcome back through [`Coordinator::forwarded`]. Every replica of
+    /// a put gets the same `ForwardPut` — key, seq, origin datacenter and
+    /// value — so the coordinator builds it once per put, shares it, and
+    /// the reactor encodes it straight onto each peer channel.
+    Forward(Arc<Frame>, Vec<ServerId>),
     /// Outcomes are still outstanding: nothing to do until one arrives.
     Wait,
     /// Call [`Coordinator::attempt`] once this instant has passed.
@@ -211,7 +215,9 @@ enum Work {
 
 struct PutWork {
     seq: u64,
-    value: Vec<u8>,
+    /// The put as every remote replica of every attempt receives it,
+    /// holding the request's value: the one copy the coordinator keeps.
+    fwd: Arc<Frame>,
     deadline: Instant,
     /// The even route epoch the current attempt snapshotted.
     epoch: u64,
@@ -256,9 +262,10 @@ impl Coordinator {
             }
             Some((seq, value)) => {
                 shared.counters.puts.fetch_add(1, Ordering::Relaxed);
+                let origin_dc = shared.dc_of[req.node];
                 Work::Put(PutWork {
                     seq,
-                    value,
+                    fwd: Arc::new(Frame::ForwardPut { key, seq, origin_dc, value }),
                     deadline: now + PUT_DEADLINE,
                     epoch: 0,
                     outstanding: 0,
@@ -333,27 +340,27 @@ impl Coordinator {
             return self.reply(shared, ack(AckStatus::Unavailable, seq), now);
         }
         let (node, me) = (self.req.node, ServerId::new(self.req.node as u32));
-        let mut forwards = Vec::new();
         (w.epoch, w.landed, w.failed_live) = (epoch, 0, false);
-        for r in shared.route(self.p) {
+        let mut targets = shared.route(self.p);
+        let mut local = false;
+        targets.retain(|&r| {
             if !shared.is_alive(r.index()) {
-                continue; // dead at write time: repaired by the control loop
+                return false; // dead at write time: repaired by the control loop
             }
-            if r == me {
-                turn.put(&shared.stores, node, self.key, w.seq, &w.value);
-                w.landed += 1;
-            } else {
-                let origin_dc = shared.dc_of[node];
-                let (key, seq, value) = (self.key, w.seq, w.value.clone());
-                forwards.push((r, Frame::ForwardPut { key, seq, origin_dc, value }));
-            }
+            local |= r == me;
+            r != me
+        });
+        if local {
+            let Frame::ForwardPut { value, .. } = &*w.fwd else { unreachable!("built as a put") };
+            turn.put(&shared.stores, node, self.key, w.seq, value);
+            w.landed += 1;
         }
-        w.outstanding = forwards.len();
-        if forwards.is_empty() {
+        w.outstanding = targets.len();
+        if targets.is_empty() {
             return self.finish_attempt(shared, turn, now);
         }
-        shared.counters.forwards.fetch_add(forwards.len() as u64, Ordering::Relaxed);
-        Step::Forward(forwards)
+        shared.counters.forwards.fetch_add(targets.len() as u64, Ordering::Relaxed);
+        Step::Forward(Arc::clone(&w.fwd), targets)
     }
 
     /// Every replica of the attempt has resolved: ack, refuse, or
@@ -394,7 +401,10 @@ impl Coordinator {
             }
             shared.counters.forwards.fetch_add(1, Ordering::Relaxed);
             let origin_dc = shared.dc_of[node];
-            return Step::Forward(vec![(r, Frame::ForwardGet { key: self.key, origin_dc })]);
+            return Step::Forward(
+                Arc::new(Frame::ForwardGet { key: self.key, origin_dc }),
+                vec![r],
+            );
         }
         self.reply(shared, ack(AckStatus::Unavailable, 0), now)
     }
@@ -443,7 +453,7 @@ mod tests {
 
     fn targets(step: &Step) -> Vec<ServerId> {
         match step {
-            Step::Forward(f) => f.iter().map(|(r, _)| *r).collect(),
+            Step::Forward(_, to) => to.clone(),
             other => panic!("expected forwards, got {other:?}"),
         }
     }
@@ -524,6 +534,24 @@ mod tests {
             status(&resolve_all(&mut c, &shared, &targets(&step), true, now)),
             AckStatus::Ok
         );
+    }
+
+    #[test]
+    fn every_replica_and_every_attempt_of_a_put_share_one_forward_frame() {
+        let (shared, key, p, route) = shared();
+        let now = Instant::now();
+        let (mut c, step) = put(OUTSIDER, key, 1, &shared, now);
+        let Step::Forward(first, to) = &step else { panic!("expected forwards, got {step:?}") };
+        let origin_dc = shared.dc_of[OUTSIDER];
+        assert_eq!(**first, Frame::ForwardPut { key, seq: 1, origin_dc, value: b"v".to_vec() });
+        assert_eq!(*to, route);
+
+        // A transfer publishes mid-write: the restart resends that frame.
+        shared.begin_route_change(p);
+        shared.end_route_change(p);
+        let step = resolve_all(&mut c, &shared, to, true, now);
+        let Step::Forward(again, _) = &step else { panic!("expected a restart, got {step:?}") };
+        assert!(Arc::ptr_eq(first, again), "one frame per put, not per attempt");
     }
 
     #[test]

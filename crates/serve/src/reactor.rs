@@ -194,6 +194,16 @@ impl ClientConn {
             pending: VecDeque::new(),
         }
     }
+
+    /// The pipeline entry of `op_seq`, if still pending. Pending ops
+    /// hold consecutive `op_seq`s (pushed in order, released from the
+    /// front), so it sits at `op_seq - front.op_seq`.
+    fn pending_op(&mut self, op_seq: u64) -> Option<&mut PendingOp> {
+        let front = self.pending.front()?.op_seq;
+        let pend = self.pending.get_mut(usize::try_from(op_seq.checked_sub(front)?).ok()?)?;
+        debug_assert_eq!(pend.op_seq, op_seq);
+        Some(pend)
+    }
 }
 
 struct PeerChan {
@@ -235,7 +245,7 @@ struct Reactor {
 
 fn resolve(entries: &mut [Option<Entry>], op: OpRef) -> Option<&mut PendingOp> {
     match entries.get_mut(op.slot)?.as_mut()? {
-        Entry::Client(c) if c.gen == op.gen => c.pending.iter_mut().find(|p| p.op_seq == op.op_seq),
+        Entry::Client(c) if c.gen == op.gen => c.pending_op(op.op_seq),
         _ => None,
     }
 }
@@ -409,34 +419,28 @@ impl Reactor {
     // ---- client read / dispatch -----------------------------------
 
     fn read_client(&mut self, slot: usize) {
-        let mut bodies = Vec::new();
-        let eof = {
+        let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let Ok((_, eof)) = c.reader.fill_from(&mut c.stream) else {
+            self.close_client(slot);
+            return;
+        };
+        // Each frame is decoded straight out of the connection's buffer.
+        loop {
             let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
                 return;
             };
-            let eof = match c.reader.fill_from(&mut c.stream) {
-                Ok((_, eof)) => eof,
-                Err(_) => {
-                    drop(bodies);
-                    self.close_client(slot);
-                    return;
-                }
+            let decoded = match c.reader.next_frame() {
+                Ok(None) => break,
+                Ok(Some(body)) => Frame::decode_envelope(body),
+                Err(e) => Err(e),
             };
-            loop {
-                match c.reader.next_body() {
-                    Ok(Some(b)) => bodies.push(b),
-                    Ok(None) => break,
-                    Err(_) => {
-                        drop(bodies);
-                        self.close_client(slot);
-                        return;
-                    }
-                }
-            }
-            eof
-        };
-        for body in bodies {
-            if !self.dispatch(slot, &body) {
+            let Ok((frame, op_id)) = decoded else {
+                self.close_client(slot);
+                return;
+            };
+            if !self.dispatch(slot, frame, op_id) {
                 return; // connection closed mid-batch
             }
         }
@@ -460,14 +464,10 @@ impl Reactor {
         }
     }
 
-    /// Decode one inbound frame, hand it to the coordinator and drive
-    /// what it asks for. Returns false when the connection was closed
-    /// (protocol error or fail-stop).
-    fn dispatch(&mut self, slot: usize, body: &[u8]) -> bool {
-        let Ok((frame, op_id)) = Frame::decode_envelope(body) else {
-            self.close_client(slot);
-            return false;
-        };
+    /// Hand one inbound frame to the coordinator and drive what it
+    /// asks for. Returns false when the connection was closed
+    /// (fail-stop).
+    fn dispatch(&mut self, slot: usize, frame: Frame, op_id: Option<u64>) -> bool {
         let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
             return false;
         };
@@ -500,18 +500,17 @@ impl Reactor {
                 let now = Instant::now();
                 self.wheel.schedule_after(id, until.saturating_duration_since(now), now);
             }
-            Step::Forward(forwards) => {
-                let Some(Entry::Client(c)) = self.entries.get(op.slot).and_then(Option::as_ref)
+            Step::Forward(frame, targets) => {
+                let Some(Entry::Client(c)) = self.entries.get_mut(op.slot).and_then(Option::as_mut)
                 else {
                     return;
                 };
                 let node = c.node;
-                let Some(op_id) = c.pending.iter().find(|p| p.op_seq == op.op_seq).map(|p| p.op_id)
-                else {
+                let Some(op_id) = c.pending_op(op.op_seq).map(|p| p.op_id) else {
                     return;
                 };
-                for (target, frame) in forwards {
-                    self.forward(op, node, target, frame, op_id);
+                for target in targets {
+                    self.forward(op, node, target, &frame, op_id);
                 }
             }
         }
@@ -551,7 +550,7 @@ impl Reactor {
         while c.pending.front().is_some_and(|p| p.reply.is_some()) {
             let pend = c.pending.pop_front().expect("front checked");
             let reply = pend.reply.expect("reply checked");
-            c.wq.push(reply.encode_traced(pend.op_id));
+            reply.encode_into(pend.op_id, c.wq.buf_mut());
             wrote = true;
         }
         if wrote && !c.dirty {
@@ -569,7 +568,7 @@ impl Reactor {
         op: OpRef,
         owner: usize,
         target: ServerId,
-        frame: Frame,
+        frame: &Frame,
         op_id: Option<u64>,
     ) {
         let sent_at = Instant::now();
@@ -579,7 +578,7 @@ impl Reactor {
                 else {
                     return;
                 };
-                ch.wq.push(frame.encode_traced(op_id));
+                frame.encode_into(op_id, ch.wq.buf_mut());
                 ch.tickets.push_back(Ticket { op, target, sent_at });
                 if !ch.dirty {
                     ch.dirty = true;
@@ -626,51 +625,31 @@ impl Reactor {
 
     /// Drain a peer channel's acks, matching them FIFO to tickets.
     fn read_peer(&mut self, slot: usize) {
-        let mut bodies = Vec::new();
-        let mut broken;
-        {
+        let Some(Entry::Peer(ch)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let mut broken = ch.reader.fill_from(&mut ch.stream).map_or(true, |(_, eof)| eof);
+        loop {
             let Some(Entry::Peer(ch)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
                 return;
             };
-            broken = match ch.reader.fill_from(&mut ch.stream) {
-                Ok((_, eof)) => eof,
-                Err(_) => true,
+            let decoded = match ch.reader.next_frame() {
+                Ok(None) => break,
+                Ok(Some(body)) => Frame::decode_envelope(body),
+                Err(e) => Err(e),
             };
-            loop {
-                match ch.reader.next_body() {
-                    Ok(Some(b)) => bodies.push(b),
-                    Ok(None) => break,
-                    Err(_) => {
-                        broken = true;
-                        break;
-                    }
-                }
-            }
-        }
-        for body in bodies {
-            let ticket = {
-                let Some(Entry::Peer(ch)) = self.entries.get_mut(slot).and_then(Option::as_mut)
-                else {
-                    return;
-                };
-                ch.tickets.pop_front()
-            };
-            let Some(t) = ticket else {
+            let Some(t) = ch.tickets.pop_front() else {
                 broken = true; // unsolicited frame: protocol violation
                 break;
             };
-            match Frame::decode_envelope(&body) {
+            match decoded {
                 Ok((ack @ Frame::Ack { .. }, _)) => {
                     self.outcome(t.op, t.target, Some(ack), t.sent_at)
                 }
                 _ => {
                     // Non-ack or garbage: the channel is unusable. Put
                     // the ticket back so fail_channel routes it too.
-                    if let Some(Entry::Peer(ch)) =
-                        self.entries.get_mut(slot).and_then(Option::as_mut)
-                    {
-                        ch.tickets.push_front(t);
-                    }
+                    ch.tickets.push_front(t);
                     broken = true;
                     break;
                 }
@@ -858,13 +837,11 @@ mod tests {
         reactor.entries.iter().filter(|e| matches!(e, Some(Entry::Client(_)))).count()
     }
 
-    /// Connection churn: 200 clients connect, get one key each and hang
-    /// up, and the slot table stays at listener + one client slot,
-    /// because a closed connection's slot is reused. Then the node dies:
-    /// its listener still accepts, but drops the connection unserved —
-    /// the client reads EOF — and allocates no slot for it.
-    #[test]
-    fn closed_connections_reuse_their_slot_and_a_dead_node_accepts_then_drops() {
+    /// A 20-node cluster's shared state whose every node address is one
+    /// listener, served by a reactor that owns it as node 0: forwards
+    /// reach the same reactor through that listener and are served as
+    /// node 0's.
+    fn node_0_reactor() -> (Arc<Shared>, Reactor, std::net::SocketAddr) {
         let cfg = ClusterConfig { servers_per_rack: 1, partitions: 16, ..ClusterConfig::default() };
         let pipeline = control_plane(&cfg, &FaultPlan::default()).unwrap();
         let nodes = pipeline.topology().server_count();
@@ -873,15 +850,34 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let stores = (0..nodes).map(|_| NodeStore::new()).collect();
         let shared = Arc::new(Shared::new(false, &pipeline, stores, vec![addr; nodes]));
-        let mut reactor =
+        let reactor =
             Reactor::new(Arc::clone(&shared), vec![(0, listener)], Waker::new().unwrap()).unwrap();
+        (shared, reactor, addr)
+    }
+
+    /// A key whose route holds node 0 and other replicas: its get is
+    /// answered from node 0's store, its put is also forwarded.
+    fn key_on_node_0(shared: &Shared) -> u64 {
+        (0..)
+            .find(|&k| {
+                let route = shared.route(partition_of(k, shared.partitions));
+                route.len() > 1 && route.iter().any(|s| s.index() == 0)
+            })
+            .unwrap()
+    }
+
+    /// Connection churn: 200 clients connect, get one key each and hang
+    /// up, and the slot table stays at listener + one client slot,
+    /// because a closed connection's slot is reused. Then the node dies:
+    /// its listener still accepts, but drops the connection unserved —
+    /// the client reads EOF — and allocates no slot for it.
+    #[test]
+    fn closed_connections_reuse_their_slot_and_a_dead_node_accepts_then_drops() {
+        let (shared, mut reactor, addr) = node_0_reactor();
 
         // A key node 0 holds a replica of: its get is answered locally,
         // so no peer channel takes a slot.
-        let on_node_0 = |k: &u64| {
-            shared.route(partition_of(*k, shared.partitions)).iter().any(|s| s.index() == 0)
-        };
-        let key = (0..).find(on_node_0).unwrap();
+        let key = key_on_node_0(&shared);
         shared.stores[0].put(key, 1, b"v");
         let get = Frame::Get { key }.encode();
         let ack = Frame::Ack { status: AckStatus::Ok, seq: 1, value: b"v".to_vec() }.encode();
@@ -918,6 +914,65 @@ mod tests {
         });
         assert_eq!(reactor.gen_seq, 200, "a dead node allocates no slot");
         assert_eq!((reactor.entries.len(), reactor.free.len()), (2, 1));
+    }
+
+    /// A put far longer than a read's room (256 KiB against 2 KiB)
+    /// arrives over many readiness events, is reassembled, forwarded to
+    /// every other replica, and acked; the stored value is intact.
+    #[test]
+    fn a_put_larger_than_the_read_room_is_served() {
+        let (shared, mut reactor, addr) = node_0_reactor();
+        let key = key_on_node_0(&shared);
+        let value: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
+        let put = Frame::Put { key, seq: 3, value: value.clone() }.encode();
+        // The client blocks in write_all until the reactor has read most
+        // of the frame, so it runs on its own thread.
+        let client = std::thread::spawn(move || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            (&stream).write_all(&put).unwrap();
+            crate::wire::Conn::new(stream).recv().unwrap()
+        });
+        pump_until(&mut reactor, |_| client.is_finished());
+        let ack = client.join().unwrap();
+        assert_eq!(ack, Some(Frame::Ack { status: AckStatus::Ok, seq: 3, value: Vec::new() }));
+        assert_eq!(shared.stores[0].get(key).map(|v| (v.seq, v.value)), Some((3, value)));
+    }
+
+    /// A client that sends its last frames and half-closes at once
+    /// (data and FIN may arrive in one read) still gets every reply, in
+    /// order — the put's after its forwards came back — and then sees
+    /// its connection close.
+    #[test]
+    fn a_half_closed_client_gets_every_reply_and_then_eof() {
+        let (shared, mut reactor, addr) = node_0_reactor();
+        let key = key_on_node_0(&shared);
+        let frames = [
+            Frame::Put { key, seq: 1, value: b"one".to_vec() },
+            Frame::Get { key },
+            Frame::Put { key, seq: 2, value: b"two".to_vec() },
+            Frame::Get { key },
+        ];
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&frames.iter().flat_map(Frame::encode).collect::<Vec<u8>>()).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let (mut got, mut buf) = (Vec::new(), [0u8; 256]);
+        pump_until(&mut reactor, |_| loop {
+            match client.read(&mut buf) {
+                Ok(0) => return true,
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) => panic!("expected replies and then EOF, got {e}"),
+            }
+        });
+        let expect = [
+            Frame::Ack { status: AckStatus::Ok, seq: 1, value: Vec::new() },
+            Frame::Ack { status: AckStatus::Ok, seq: 1, value: b"one".to_vec() },
+            Frame::Ack { status: AckStatus::Ok, seq: 2, value: Vec::new() },
+            Frame::Ack { status: AckStatus::Ok, seq: 2, value: b"two".to_vec() },
+        ];
+        assert_eq!(got, expect.iter().flat_map(Frame::encode).collect::<Vec<u8>>());
     }
 
     /// Fail-stop through the overlapped commit. A turn owes six shards

@@ -31,9 +31,11 @@
 //! commit's checkpoint, replay), so the paths cannot deadlock.
 
 use crate::wal::{NodeWal, PersistenceConfig, RecordSink, StorageStats};
+use crate::wire::count_copy;
 use rfh_pool::WorkerPool;
 use rfh_ring::splitmix64;
 use rfh_types::{PartitionId, Result as RfhResult, RfhError};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -92,7 +94,9 @@ impl NodeStore {
 
     /// Read the current version of `key`.
     pub fn get(&self, key: u64) -> Option<Versioned> {
-        self.map.lock().expect("store lock").get(&key).cloned()
+        let v = self.map.lock().expect("store lock").get(&key).cloned()?;
+        count_copy(v.value.len());
+        Some(v)
     }
 
     /// Apply a write if `seq` beats the stored version. Returns whether
@@ -151,17 +155,27 @@ impl NodeStore {
         wal.commit_log(shard).expect("wal commit failed; cannot guarantee acked durability")
     }
 
-    /// LWW-apply one write to the map: `(holds, applied)`.
+    /// LWW-apply one write to the map: `(holds, applied)`. One hash
+    /// probe; a newer version overwrites the old value's allocation in
+    /// place.
     fn apply(&self, key: u64, seq: u64, value: &[u8]) -> (bool, bool) {
         let mut map = self.map.lock().expect("store lock");
-        match map.get(&key) {
-            Some(v) if v.seq > seq => (false, false),
-            Some(v) if v.seq == seq => (true, false),
-            _ => {
-                map.insert(key, Versioned { seq, value: value.to_vec() });
-                (true, true)
+        match map.entry(key) {
+            Entry::Occupied(mut e) => {
+                let v = e.get_mut();
+                if v.seq >= seq {
+                    return (v.seq == seq, false);
+                }
+                v.seq = seq;
+                v.value.clear();
+                v.value.extend_from_slice(value);
+            }
+            Entry::Vacant(e) => {
+                e.insert(Versioned { seq, value: value.to_vec() });
             }
         }
+        count_copy(value.len());
+        (true, true)
     }
 
     /// Checkpoint fodder: stream every entry of one WAL range shard

@@ -28,7 +28,9 @@
 //! (`op_id = None`) encodes byte-for-byte as it always has — the
 //! version gate that keeps sampling-off runs bit-identical.
 
+use rfh_reactor::FrameReader;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bound on the body of a single frame. Larger length prefixes
 /// are rejected before any allocation, so a corrupt or hostile peer
@@ -142,61 +144,70 @@ impl Frame {
 
     /// Encode, stamping `op_id` (when sampled) after the tag byte with
     /// [`TRACE_BIT`] set. `None` produces the exact bytes
-    /// [`Frame::encode`] always has.
+    /// [`Frame::encode`] always has. One allocation of the exact size.
     pub fn encode_traced(&self, op_id: Option<u64>) -> Vec<u8> {
-        let mut body = Vec::with_capacity(40);
-        let trace = if op_id.is_some() { TRACE_BIT } else { 0 };
-        match self {
-            Frame::Get { key } => {
-                body.push(TAG_GET | trace);
-                push_op_id(&mut body, op_id);
-                body.extend_from_slice(&key.to_le_bytes());
-            }
-            Frame::Put { key, seq, value } => {
-                body.push(TAG_PUT | trace);
-                push_op_id(&mut body, op_id);
-                body.extend_from_slice(&key.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(value);
-            }
-            Frame::ForwardGet { key, origin_dc } => {
-                body.push(TAG_FWD_GET | trace);
-                push_op_id(&mut body, op_id);
-                body.extend_from_slice(&key.to_le_bytes());
-                body.extend_from_slice(&origin_dc.to_le_bytes());
-            }
-            Frame::ForwardPut { key, seq, origin_dc, value } => {
-                body.push(TAG_FWD_PUT | trace);
-                push_op_id(&mut body, op_id);
-                body.extend_from_slice(&key.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&origin_dc.to_le_bytes());
-                body.extend_from_slice(value);
-            }
-            Frame::Ack { status, seq, value } => {
-                body.push(TAG_ACK | trace);
-                push_op_id(&mut body, op_id);
-                body.push(status.to_byte());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(value);
-            }
-        }
-        debug_assert!(body.len() <= MAX_FRAME as usize);
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::with_capacity(self.encoded_len(op_id));
+        self.encode_into(op_id, &mut out);
         out
     }
 
-    /// Byte length of the frame's variable-length field (0 when it has
-    /// none) — a sizing hint for encode buffers.
-    pub fn value_len(&self) -> usize {
-        match self {
-            Frame::Get { .. } | Frame::ForwardGet { .. } => 0,
-            Frame::Put { value, .. }
-            | Frame::ForwardPut { value, .. }
-            | Frame::Ack { value, .. } => value.len(),
+    /// Append the frame [`Frame::encode_traced`] returns onto `out`, in
+    /// place: a connection's write buffer takes frames without an
+    /// intermediate allocation or copy.
+    pub fn encode_into(&self, op_id: Option<u64>, out: &mut Vec<u8>) {
+        let len = self.encoded_len(op_id);
+        debug_assert!(len - 4 <= MAX_FRAME as usize);
+        out.reserve(len);
+        out.extend_from_slice(&(len as u32 - 4).to_le_bytes());
+        let trace = if op_id.is_some() { TRACE_BIT } else { 0 };
+        let tag = match self {
+            Frame::Get { .. } => TAG_GET,
+            Frame::Put { .. } => TAG_PUT,
+            Frame::ForwardGet { .. } => TAG_FWD_GET,
+            Frame::ForwardPut { .. } => TAG_FWD_PUT,
+            Frame::Ack { .. } => TAG_ACK,
+        };
+        out.push(tag | trace);
+        if let Some(id) = op_id {
+            out.extend_from_slice(&id.to_le_bytes());
         }
+        match self {
+            Frame::Get { key } => out.extend_from_slice(&key.to_le_bytes()),
+            Frame::Put { key, seq, value } => {
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                copy_value(value, out);
+            }
+            Frame::ForwardGet { key, origin_dc } => {
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(&origin_dc.to_le_bytes());
+            }
+            Frame::ForwardPut { key, seq, origin_dc, value } => {
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&origin_dc.to_le_bytes());
+                copy_value(value, out);
+            }
+            Frame::Ack { status, seq, value } => {
+                out.push(status.to_byte());
+                out.extend_from_slice(&seq.to_le_bytes());
+                copy_value(value, out);
+            }
+        }
+    }
+
+    /// Bytes [`Frame::encode_traced`] produces: prefix, tag, op-ID when
+    /// sampled, fixed fields and value.
+    fn encoded_len(&self, op_id: Option<u64>) -> usize {
+        let fields = match self {
+            Frame::Get { .. } => 8,
+            Frame::Put { value, .. } => 16 + value.len(),
+            Frame::ForwardGet { .. } => 12,
+            Frame::ForwardPut { value, .. } => 20 + value.len(),
+            Frame::Ack { value, .. } => 9 + value.len(),
+        };
+        let op_id_len = if op_id.is_some() { 8 } else { 0 };
+        4 + 1 + op_id_len + fields
     }
 
     /// Decode a frame body (everything after the length prefix),
@@ -214,18 +225,18 @@ impl Frame {
         let tag = raw & !TRACE_BIT;
         let frame = match tag {
             TAG_GET => Frame::Get { key: r.u64()? },
-            TAG_PUT => Frame::Put { key: r.u64()?, seq: r.u64()?, value: r.rest().to_vec() },
+            TAG_PUT => Frame::Put { key: r.u64()?, seq: r.u64()?, value: owned_value(r.rest()) },
             TAG_FWD_GET => Frame::ForwardGet { key: r.u64()?, origin_dc: r.u32()? },
             TAG_FWD_PUT => Frame::ForwardPut {
                 key: r.u64()?,
                 seq: r.u64()?,
                 origin_dc: r.u32()?,
-                value: r.rest().to_vec(),
+                value: owned_value(r.rest()),
             },
             TAG_ACK => Frame::Ack {
                 status: AckStatus::from_byte(r.u8()?)?,
                 seq: r.u64()?,
-                value: r.rest().to_vec(),
+                value: owned_value(r.rest()),
             },
             t => return Err(bad(format!("unknown frame tag {t}"))),
         };
@@ -236,10 +247,27 @@ impl Frame {
     }
 }
 
-fn push_op_id(body: &mut Vec<u8>, op_id: Option<u64>) {
-    if let Some(id) = op_id {
-        body.extend_from_slice(&id.to_le_bytes());
+/// Value bytes copied in user space by encoding, decoding and the node
+/// stores: the serving path's payload copies, counted where each is made.
+pub static VALUE_BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
+
+/// Count `n` value bytes as copied.
+#[inline]
+pub(crate) fn count_copy(n: usize) {
+    if n > 0 {
+        VALUE_BYTES_COPIED.fetch_add(n as u64, Ordering::Relaxed);
     }
+}
+
+fn copy_value(value: &[u8], out: &mut Vec<u8>) {
+    count_copy(value.len());
+    out.extend_from_slice(value);
+}
+
+/// An owned copy of a decoded value field.
+fn owned_value(value: &[u8]) -> Vec<u8> {
+    count_copy(value.len());
+    value.to_vec()
 }
 
 /// Fixed-field reader over a frame body. Variable-length `value`
@@ -289,19 +317,20 @@ impl<'a> Cursor<'a> {
 /// A framed, buffered connection over any byte stream (in practice a
 /// `TcpStream`).
 ///
-/// Reading accumulates into an internal buffer, so a read timeout in
+/// Reading reassembles through a [`FrameReader`], so a read timeout in
 /// the middle of a frame loses nothing: the partial bytes stay
 /// buffered and the next [`recv`](Conn::recv) call resumes where the
-/// interrupted one stopped.
+/// interrupted one stopped. Sends encode into one reused buffer.
 pub struct Conn<S> {
     stream: S,
-    buf: Vec<u8>,
+    reader: FrameReader,
+    out: Vec<u8>,
 }
 
 impl<S: Read + Write> Conn<S> {
     /// Wrap a byte stream.
     pub fn new(stream: S) -> Self {
-        Conn { stream, buf: Vec::new() }
+        Conn { stream, reader: FrameReader::new(MAX_FRAME), out: Vec::new() }
     }
 
     /// The underlying stream (to set timeouts, peer addresses, ...).
@@ -311,12 +340,14 @@ impl<S: Read + Write> Conn<S> {
 
     /// Write one complete frame.
     pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        self.stream.write_all(&frame.encode())
+        self.send_traced(frame, None)
     }
 
     /// Write one complete frame, stamped with `op_id` when sampled.
     pub fn send_traced(&mut self, frame: &Frame, op_id: Option<u64>) -> io::Result<()> {
-        self.stream.write_all(&frame.encode_traced(op_id))
+        self.out.clear();
+        frame.encode_into(op_id, &mut self.out);
+        self.stream.write_all(&self.out)
     }
 
     /// Write a batch of frames as one contiguous byte run (a pipelined
@@ -325,11 +356,11 @@ impl<S: Read + Write> Conn<S> {
     /// of one syscall per request. Each element is byte-identical to
     /// what [`Conn::send_traced`] would have produced for it.
     pub fn send_batch(&mut self, frames: &[(Frame, Option<u64>)]) -> io::Result<()> {
-        let mut wire = Vec::with_capacity(frames.iter().map(|(f, _)| 24 + f.value_len()).sum());
+        self.out.clear();
         for (frame, op_id) in frames {
-            wire.extend_from_slice(&frame.encode_traced(*op_id));
+            frame.encode_into(*op_id, &mut self.out);
         }
-        self.stream.write_all(&wire)
+        self.stream.write_all(&self.out)
     }
 
     /// Read one complete frame, discarding any op-ID. Returns
@@ -344,30 +375,21 @@ impl<S: Read + Write> Conn<S> {
     /// and timeout semantics as [`Conn::recv`].
     pub fn recv_envelope(&mut self) -> io::Result<Option<(Frame, Option<u64>)>> {
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes(self.buf[..4].try_into().expect("length checked"));
-                if len > MAX_FRAME {
-                    return Err(bad(format!("frame of {len} bytes exceeds MAX_FRAME")));
-                }
-                let total = 4 + len as usize;
-                if self.buf.len() >= total {
-                    let envelope = Frame::decode_envelope(&self.buf[4..total])?;
-                    self.buf.drain(..total);
-                    return Ok(Some(envelope));
-                }
+            if let Some(body) = self.reader.next_frame()? {
+                return Frame::decode_envelope(body).map(Some);
             }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            match self.reader.read_from(&mut self.stream) {
+                Ok(0) if self.reader.pending_bytes() == 0 => return Ok(None),
                 Ok(0) => {
-                    if self.buf.is_empty() {
-                        return Ok(None);
-                    }
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
-                        format!("EOF with {} buffered bytes mid-frame", self.buf.len()),
-                    ));
+                        format!(
+                            "EOF with {} buffered bytes mid-frame",
+                            self.reader.pending_bytes()
+                        ),
+                    ))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
