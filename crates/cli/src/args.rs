@@ -18,9 +18,8 @@ pub type Options = BTreeMap<String, String>;
 
 /// Options recognised anywhere (commands ignore what they don't use but
 /// typos should not pass silently).
-const KNOWN: [&str; 30] = [
+const KNOWN: [&str; 29] = [
     "persist-dir",
-    "placement",
     "link-budget",
     "pipeline",
     "policy",
@@ -98,35 +97,18 @@ pub fn flag(opts: &Options, key: &str) -> bool {
     opts.get(key).map(String::as_str) == Some("true")
 }
 
-/// `--policy` (default RFH), adjusted by `--placement`: RFH with
-/// `--placement domain-spread` is the failure-domain-aware variant
-/// ([`PolicyKind::DomainSpread`], also reachable as `--policy spread`).
+/// `--policy` (default RFH); `spread` is RFH's failure-domain-aware
+/// variant ([`PolicyKind::DomainSpread`]).
 pub fn policy(opts: &Options) -> Result<PolicyKind> {
-    let kind = match opts.get("policy").map(String::as_str) {
-        None | Some("rfh") => PolicyKind::Rfh,
-        Some("spread") => PolicyKind::DomainSpread,
-        Some("random") => PolicyKind::Random,
-        Some("owner") => PolicyKind::OwnerOriented,
-        Some("request") => PolicyKind::RequestOriented,
-        Some(other) => {
-            return Err(RfhError::InvalidConfig {
-                parameter: "policy",
-                reason: format!("{other:?} is not one of rfh|spread|random|owner|request"),
-            })
-        }
-    };
-    match opts.get("placement").map(String::as_str) {
-        None | Some("traffic") => Ok(kind),
-        Some("domain-spread") => match kind {
-            PolicyKind::Rfh | PolicyKind::DomainSpread => Ok(PolicyKind::DomainSpread),
-            other => Err(RfhError::InvalidConfig {
-                parameter: "placement",
-                reason: format!("--placement domain-spread applies to the RFH policy, not {other}"),
-            }),
-        },
+    match opts.get("policy").map(String::as_str) {
+        None | Some("rfh") => Ok(PolicyKind::Rfh),
+        Some("spread") => Ok(PolicyKind::DomainSpread),
+        Some("random") => Ok(PolicyKind::Random),
+        Some("owner") => Ok(PolicyKind::OwnerOriented),
+        Some("request") => Ok(PolicyKind::RequestOriented),
         Some(other) => Err(RfhError::InvalidConfig {
-            parameter: "placement",
-            reason: format!("{other:?} is not one of traffic|domain-spread"),
+            parameter: "policy",
+            reason: format!("{other:?} is not one of rfh|spread|random|owner|request"),
         }),
     }
 }
@@ -411,19 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn placement_selects_the_spread_variant() {
-        let (_, _, o) = parse(&argv("run --placement domain-spread")).unwrap();
-        assert_eq!(policy(&o).unwrap(), PolicyKind::DomainSpread);
-        let (_, _, o) = parse(&argv("run --policy rfh --placement domain-spread")).unwrap();
-        assert_eq!(policy(&o).unwrap(), PolicyKind::DomainSpread);
-        let (_, _, o) = parse(&argv("run --policy spread --placement domain-spread")).unwrap();
-        assert_eq!(policy(&o).unwrap(), PolicyKind::DomainSpread);
-        let (_, _, o) = parse(&argv("run --policy rfh --placement traffic")).unwrap();
-        assert_eq!(policy(&o).unwrap(), PolicyKind::Rfh);
-        let (_, _, o) = parse(&argv("run --policy random --placement domain-spread")).unwrap();
-        assert!(policy(&o).is_err(), "spread placement is an RFH variant");
-        let (_, _, o) = parse(&argv("run --placement diagonal")).unwrap();
-        assert!(policy(&o).is_err(), "unknown placement rejected");
+    fn spread_has_one_name() {
+        let err = parse(&argv("run --placement domain-spread")).unwrap_err();
+        assert!(err.to_string().contains("unknown option --placement"), "{err}");
     }
 
     #[test]

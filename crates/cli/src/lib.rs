@@ -14,7 +14,6 @@
 //!         [--epochs N] [--seed N] [--csv FILE]
 //!         [--partitions N] [--skew S]          scale knobs (1M-partition runs)
 //!         [--engine dense|sparse]              epoch engine (bit-identical)
-//!         [--placement domain-spread]          failure-domain-aware placement
 //!         [--link-budget BYTES]                bandwidth-budgeted transfer planner
 //!         [--trace OUT.jsonl] [--profile]      decision trace + phase timing
 //!         [--faults PLAN.toml] [--fault-seed N] chaos schedule (see DESIGN.md)
@@ -94,7 +93,8 @@ COMMANDS:
     help          show this text
 
 COMMON OPTIONS:
-    --policy    rfh | spread | random | owner | request  (default rfh)
+    --policy    rfh | spread | random | owner | request  (default rfh);
+                spread is RFH with targets ranked by rack/room/DC spread
     --scenario  random | flash | popularity           (default random)
     --epochs N                                        (default 250)
     --seed N                                          (default 42)
@@ -114,9 +114,6 @@ COMMON OPTIONS:
                       partitions, gray failures, background churn (run, compare)
     --fault-seed N    override the plan file's chaos seed (replay the same
                       schedule under different churn)
-    --placement P     traffic (the paper's ordering, default) | domain-spread
-                      (RFH targets ranked by rack/room/DC spread); `--policy
-                      spread` is shorthand for rfh + domain-spread (run)
     --link-budget B   per-WAN-link byte budget per epoch, enforced by the
                       transfer planner: moves over budget defer to the next
                       epoch with carried credit, under-replicated partitions

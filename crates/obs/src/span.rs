@@ -9,7 +9,8 @@
 //!
 //! The log is a bounded mutex-guarded ring like
 //! [`TraceRecorder`](crate::TraceRecorder): observation-only, safe to
-//! share across listener threads, and drained as pinned-schema JSONL.
+//! share across reactor and client threads, and drained as
+//! pinned-schema JSONL.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -30,8 +31,9 @@ pub struct SpanEvent {
     /// Request kind at this hop: `"get"`, `"put"`, `"fwd_get"` or
     /// `"fwd_put"`.
     pub kind: &'static str,
-    /// Microseconds spent waiting on the partition lock (zero at the
-    /// client, which has no lock).
+    /// Microseconds a put spent deferred behind an odd route epoch
+    /// (its partition mid-transfer); zero at the client and for every
+    /// other kind.
     pub queue_us: f64,
     /// Microseconds of local work: total hop time minus queue and
     /// forward phases. At the client this is the full round-trip.
@@ -72,7 +74,7 @@ struct SpanState {
 
 /// Bounded, thread-shared ring of [`SpanEvent`]s.
 ///
-/// One log serves a whole cluster: listener threads and the load
+/// One log serves a whole cluster: the reactor threads and the load
 /// generator all push into it, and the order within one `op_id` follows
 /// causality on a loopback cluster because each hop records after its
 /// downstream hops acked.

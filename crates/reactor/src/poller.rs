@@ -44,18 +44,6 @@ impl Event {
             false
         }
     }
-
-    /// The peer hung up or the socket errored.
-    pub fn hangup(&self) -> bool {
-        #[cfg(target_os = "linux")]
-        {
-            self.raw & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            false
-        }
-    }
 }
 
 /// A level-triggered epoll instance. Level-triggered keeps the state
@@ -311,6 +299,6 @@ mod tests {
 
         drop(client);
         poller.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
-        assert!(events[0].hangup() || events[0].readable(), "peer close surfaces");
+        assert!(events[0].readable(), "peer close surfaces");
     }
 }

@@ -31,22 +31,12 @@ impl ConsistentHashRing {
         ConsistentHashRing { tokens: Vec::new(), tokens_per_server }
     }
 
-    /// Tokens per server.
-    pub fn tokens_per_server(&self) -> u32 {
-        self.tokens_per_server
-    }
-
     /// Number of distinct servers on the ring.
     pub fn server_count(&self) -> usize {
         let mut ids: Vec<u32> = self.tokens.iter().map(|&(_, s)| s.0).collect();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
-    }
-
-    /// Total tokens on the ring.
-    pub fn token_count(&self) -> usize {
-        self.tokens.len()
     }
 
     /// True when the ring has no servers.
@@ -194,9 +184,9 @@ mod tests {
     #[test]
     fn join_is_idempotent() {
         let mut r = ring_with(3, 16);
-        assert_eq!(r.token_count(), 48);
+        assert_eq!(r.tokens.len(), 48);
         r.join(ServerId::new(1));
-        assert_eq!(r.token_count(), 48);
+        assert_eq!(r.tokens.len(), 48);
         assert_eq!(r.server_count(), 3);
     }
 
@@ -204,10 +194,10 @@ mod tests {
     fn leave_removes_all_tokens() {
         let mut r = ring_with(3, 16);
         r.leave(ServerId::new(1));
-        assert_eq!(r.token_count(), 32);
+        assert_eq!(r.tokens.len(), 32);
         assert_eq!(r.server_count(), 2);
         r.leave(ServerId::new(1)); // idempotent
-        assert_eq!(r.token_count(), 32);
+        assert_eq!(r.tokens.len(), 32);
     }
 
     #[test]

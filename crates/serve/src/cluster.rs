@@ -315,7 +315,8 @@ pub struct Cluster {
     metrics_addrs: Vec<SocketAddr>,
     /// The controller's `/metrics` + `/timeline` + `/spans` endpoint.
     controller_metrics_addr: Option<SocketAddr>,
-    http_threads: Vec<JoinHandle<()>>,
+    /// Serves every telemetry endpoint (`None` when telemetry is off).
+    http_thread: Option<JoinHandle<()>>,
     /// What startup replay + reconcile did (all zero with persistence
     /// off or a cold data directory).
     recovery: RecoveryReport,
@@ -414,45 +415,31 @@ impl Cluster {
             .map_err(|e| RfhError::Io(format!("start reactor plane: {e}")))?;
 
         // Telemetry exposition: one tiny HTTP/1.0 endpoint per node
-        // plus one for the controller. Disabled ⇒ nothing binds and no
-        // extra thread exists.
+        // plus one for the controller, all served by one thread.
+        // Disabled ⇒ nothing binds and no extra thread exists.
         let mut metrics_addrs = Vec::new();
         let mut controller_metrics_addr = None;
-        let mut http_threads = Vec::new();
+        let mut http_thread = None;
         if shared.telemetry.enabled() {
+            let bind = || http::bind().map_err(|e| RfhError::Io(format!("bind metrics: {e}")));
+            let mut endpoints: Vec<(TcpListener, Route)> = Vec::with_capacity(n + 1);
             for i in 0..n {
-                let (listener, addr) =
-                    http::bind().map_err(|e| RfhError::Io(format!("bind metrics: {e}")))?;
+                let (listener, addr) = bind()?;
                 metrics_addrs.push(addr);
-                let shared2 = Arc::clone(&shared);
-                let shared3 = Arc::clone(&shared);
-                http_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("rfh-metrics-{i}"))
-                        .spawn(move || {
-                            http::serve(
-                                listener,
-                                move || shared2.shutdown.load(Ordering::Acquire),
-                                move |path| node_metrics_route(&shared3, i, path),
-                            )
-                        })
-                        .map_err(|e| RfhError::Io(format!("spawn metrics thread: {e}")))?,
-                );
+                let shared = Arc::clone(&shared);
+                endpoints
+                    .push((listener, Box::new(move |path| node_metrics_route(&shared, i, path))));
             }
-            let (listener, addr) =
-                http::bind().map_err(|e| RfhError::Io(format!("bind metrics: {e}")))?;
+            let (listener, addr) = bind()?;
             controller_metrics_addr = Some(addr);
-            let shared2 = Arc::clone(&shared);
-            let shared3 = Arc::clone(&shared);
-            http_threads.push(
+            let ctl = Arc::clone(&shared);
+            endpoints.push((listener, Box::new(move |path| controller_route(&ctl, path))));
+            let stop = Arc::clone(&shared);
+            http_thread = Some(
                 std::thread::Builder::new()
-                    .name("rfh-metrics-ctl".into())
+                    .name("rfh-metrics".into())
                     .spawn(move || {
-                        http::serve(
-                            listener,
-                            move || shared2.shutdown.load(Ordering::Acquire),
-                            move |path| controller_route(&shared3, path),
-                        )
+                        http::serve(&endpoints, || stop.shutdown.load(Ordering::Acquire))
                     })
                     .map_err(|e| RfhError::Io(format!("spawn metrics thread: {e}")))?,
             );
@@ -472,7 +459,7 @@ impl Cluster {
             control,
             metrics_addrs,
             controller_metrics_addr,
-            http_threads,
+            http_thread,
             recovery,
         })
     }
@@ -550,7 +537,7 @@ impl Cluster {
             .join()
             .map_err(|_| RfhError::Simulation("control loop panicked".into()))?;
         self.reactor.shutdown()?;
-        for h in self.http_threads {
+        if let Some(h) = self.http_thread {
             h.join().map_err(|_| RfhError::Simulation("metrics endpoint panicked".into()))?;
         }
         let c = &self.shared.counters;
@@ -590,6 +577,9 @@ impl Cluster {
         })
     }
 }
+
+/// One telemetry endpoint's request handler: path in, body out.
+type Route = Box<dyn Fn(&str) -> Option<String> + Send>;
 
 /// `GET /metrics` on a node endpoint: the node's own series in
 /// Prometheus text format. Rebuilt per scrape from lifetime totals, so

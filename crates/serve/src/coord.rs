@@ -88,7 +88,6 @@ pub(crate) enum Step {
 /// tail records about it.
 struct Request {
     node: usize,
-    conn_id: u64,
     kind: ReqKind,
     op_id: Option<u64>,
     t0: Instant,
@@ -106,7 +105,7 @@ impl Request {
             ..self.phases
         };
         if let Some(tel) = shared.telemetry.node(self.node) {
-            tel.record(self.conn_id, self.kind, timings);
+            tel.record(self.kind, timings);
         }
         if let Some(id) = self.op_id {
             let role = match self.kind {
@@ -141,15 +140,13 @@ impl Request {
 /// before sending the reply.
 pub(crate) fn serve_frame(
     node: usize,
-    conn_id: u64,
     frame: Frame,
     op_id: Option<u64>,
     shared: &Shared,
     turn: &mut TurnCommits,
     now: Instant,
 ) -> (Option<Coordinator>, Step) {
-    let request =
-        |kind| Request { node, conn_id, kind, op_id, t0: now, phases: PhaseTimings::default() };
+    let request = |kind| Request { node, kind, op_id, t0: now, phases: PhaseTimings::default() };
     let (req, reply) = match frame {
         Frame::Get { key } => {
             return Coordinator::start(shared, turn, request(ReqKind::Get), key, None, now);
@@ -446,8 +443,7 @@ mod tests {
 
     fn put(node: usize, key: u64, seq: u64, shared: &Shared, now: Instant) -> (Coordinator, Step) {
         let frame = Frame::Put { key, seq, value: b"v".to_vec() };
-        let (c, step) =
-            serve_frame(node, 0, frame, Some(9), shared, &mut TurnCommits::default(), now);
+        let (c, step) = serve_frame(node, frame, Some(9), shared, &mut TurnCommits::default(), now);
         (c.expect("a put is coordinated"), step)
     }
 
@@ -634,7 +630,7 @@ mod tests {
         let now = Instant::now();
         let mut turn = TurnCommits::default();
         let get = |node: usize, turn: &mut TurnCommits| {
-            serve_frame(node, 0, Frame::Get { key }, None, &shared, turn, now)
+            serve_frame(node, Frame::Get { key }, None, &shared, turn, now)
         };
 
         // A non-holder replica answers from its own store, forwarding
@@ -672,7 +668,7 @@ mod tests {
         shared.stores[3].put(key, 5, b"new");
         let mut turn = TurnCommits::default();
         let stale = Frame::ForwardPut { key, seq: 3, origin_dc: 0, value: b"old".to_vec() };
-        let (c, step) = serve_frame(3, 0, stale, None, &shared, &mut turn, Instant::now());
+        let (c, step) = serve_frame(3, stale, None, &shared, &mut turn, Instant::now());
         assert!(c.is_none(), "a forward is answered at once");
         assert!(matches!(step, Step::Reply(Frame::Ack { status: AckStatus::Ok, seq: 3, .. })));
         assert_eq!(shared.stores[3].get(key).map(|v| v.seq), Some(5), "LWW kept the newer write");

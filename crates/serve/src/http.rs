@@ -1,8 +1,9 @@
 //! A hand-rolled HTTP/1.0 surface for the telemetry plane.
 //!
 //! Just enough HTTP to be `curl`- and Prometheus-scrapable with no
-//! dependencies: one thread per endpoint accepts connections, reads a
-//! `GET <path>` request line, answers with a text body, and closes.
+//! dependencies: one thread serves every endpoint, accepting on each
+//! listener in turn; it reads a `GET <path>` request line, answers with
+//! that endpoint's text body, and closes.
 //! Connection: close semantics throughout — every scrape is one
 //! short-lived connection, which keeps the server loop trivial and
 //! leak-free.
@@ -28,27 +29,29 @@ pub fn bind() -> io::Result<(TcpListener, SocketAddr)> {
     Ok((listener, addr))
 }
 
-/// Accept-and-respond loop. Polls `stop` between accepts; `route`
-/// maps a request path to a body (`None` → 404). Runs until stopped.
-pub fn serve<F, S>(listener: TcpListener, stop: S, route: F)
+/// Accept-and-respond loop over every `(listener, route)` endpoint.
+/// Each round tries one accept per listener and answers inline; `route`
+/// maps a request path to a body (`None` → 404). Sleeps when a round
+/// found nothing; polls `stop` between rounds and runs until stopped.
+pub fn serve<F, S>(endpoints: &[(TcpListener, F)], stop: S)
 where
     F: Fn(&str) -> Option<String>,
     S: Fn() -> bool,
 {
-    loop {
-        if stop() {
-            return;
+    while !stop() {
+        let mut idle = true;
+        for (listener, route) in endpoints {
+            // `WouldBlock` means nothing is waiting; any other accept
+            // error skips this listener for this round only, so one
+            // failing endpoint never silences the rest.
+            if let Ok((stream, _)) = listener.accept() {
+                idle = false;
+                // Scrapes are short and rare: one request at a time is plenty.
+                let _ = respond(stream, route);
+            }
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Serve inline: scrapes are short and rare, so one
-                // request at a time per endpoint is plenty.
-                let _ = respond(stream, &route);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
+        if idle {
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }
@@ -139,22 +142,28 @@ mod tests {
     fn serves_routes_and_404s() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
-        let (listener, addr) = bind().unwrap();
+        fn metrics(path: &str) -> Option<String> {
+            (path == "/metrics").then(|| "# TYPE up gauge\nup 1\n".to_string())
+        }
+        fn timeline(path: &str) -> Option<String> {
+            (path == "/timeline").then(|| "{\"tick\":0}\n".to_string())
+        }
+        let (metrics_listener, metrics_addr) = bind().unwrap();
+        let (timeline_listener, timeline_addr) = bind().unwrap();
+        let route: fn(&str) -> Option<String> = metrics;
+        let endpoints = [(metrics_listener, route), (timeline_listener, timeline)];
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = Arc::clone(&shutdown);
         let server = std::thread::spawn(move || {
-            serve(
-                listener,
-                move || shutdown2.load(Ordering::Acquire),
-                |path| match path {
-                    "/metrics" => Some("# TYPE up gauge\nup 1\n".to_string()),
-                    _ => None,
-                },
-            );
+            serve(&endpoints, move || shutdown2.load(Ordering::Acquire));
         });
-        let body = get(addr, "/metrics").unwrap();
-        assert_eq!(body, "# TYPE up gauge\nup 1\n");
-        let err = get(addr, "/nope").unwrap_err();
+        assert_eq!(get(metrics_addr, "/metrics").unwrap(), "# TYPE up gauge\nup 1\n");
+        assert_eq!(get(timeline_addr, "/timeline").unwrap(), "{\"tick\":0}\n");
+        for (addr, other) in [(metrics_addr, "/timeline"), (timeline_addr, "/metrics")] {
+            let err = get(addr, other).unwrap_err();
+            assert!(err.to_string().contains("404"), "{addr} {other}: {err}");
+        }
+        let err = get(metrics_addr, "/nope").unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
         shutdown.store(true, Ordering::Release);
         server.join().unwrap();

@@ -57,7 +57,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -81,10 +81,6 @@ const MAX_IDLE: Duration = Duration::from_millis(100);
 
 /// How long a peer channel's oldest ticket may wait for its ack.
 const PEER_TIMEOUT: Duration = Duration::from_millis(2_000);
-
-/// Cluster-wide connection counter; a connection's id picks its
-/// telemetry shard, spreading concurrent connections over the shards.
-static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The running reactor pool. Created by `Cluster::start_bound`; joined
 /// at cluster shutdown.
@@ -165,7 +161,6 @@ struct PendingOp {
 
 struct ClientConn {
     node: usize,
-    conn_id: u64,
     gen: u64,
     stream: TcpStream,
     reader: FrameReader,
@@ -182,7 +177,6 @@ impl ClientConn {
     fn new(node: usize, gen: u64, stream: TcpStream) -> ClientConn {
         ClientConn {
             node,
-            conn_id: CONN_SEQ.fetch_add(1, Ordering::Relaxed),
             gen,
             stream,
             reader: FrameReader::new(MAX_FRAME),
@@ -472,8 +466,7 @@ impl Reactor {
             return false;
         };
         c.next_op_seq += 1;
-        let (node, conn_id, op) =
-            (c.node, c.conn_id, OpRef { slot, gen: c.gen, op_seq: c.next_op_seq });
+        let (node, op) = (c.node, OpRef { slot, gen: c.gen, op_seq: c.next_op_seq });
         if !self.shared.is_alive(node) {
             self.close_client(slot); // killed mid-connection: drop without reply
             return false;
@@ -481,7 +474,7 @@ impl Reactor {
         // A forwarded put is only buffered here; the turn commits it.
         let now = Instant::now();
         let (coord, step) =
-            coord::serve_frame(node, conn_id, frame, op_id, &self.shared, &mut self.commits, now);
+            coord::serve_frame(node, frame, op_id, &self.shared, &mut self.commits, now);
         c.pending.push_back(PendingOp { op_seq: op.op_seq, op_id, coord, reply: None });
         self.drive(op, step);
         true

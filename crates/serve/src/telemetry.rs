@@ -10,11 +10,13 @@
 //! * **forward** — summed peer round-trips issued by the coordinator,
 //! * **handle** — everything else (local store work, framing).
 //!
-//! Recording is mutex-sharded: each connection hashes onto one of
-//! [`TELEMETRY_SHARDS`] shards, so concurrent reactors rarely contend
-//! on the same lock. Request counters and per-partition hit counters
-//! are plain relaxed atomics. With telemetry disabled no shard exists
-//! and the per-request cost is one branch.
+//! Each node records into one mutex-guarded set of histograms. Only the
+//! reactor thread that owns the node's listener records into it; the
+//! control tick and a scrape are the only other lockers, so the lock is
+//! uncontended. A kind's request count is its `handle` histogram's
+//! count. Per-partition hit counters are plain relaxed atomics. With
+//! telemetry disabled no recorder exists and the per-request cost is
+//! one branch.
 //!
 //! The control loop drains a per-tick latency histogram every tick and
 //! appends one [`TickSample`] to a fixed-capacity [`TelemetryRing`] —
@@ -25,9 +27,6 @@ use rfh_stats::Histogram;
 use rfh_types::PartitionId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Mutex shards per node; connections hash onto one by accept order.
-pub const TELEMETRY_SHARDS: usize = 4;
 
 /// The four request kinds a node serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,18 +78,18 @@ pub struct PhaseTimings {
     pub handle_us: f64,
 }
 
-/// One shard's histograms: three phases per request kind, plus the
+/// A node's histograms: three phases per request kind, plus the
 /// total-latency histogram the control loop drains each tick.
-struct PhaseShard {
+struct Phases {
     queue: [Histogram; 4],
     handle: [Histogram; 4],
     forward: [Histogram; 4],
     tick: Histogram,
 }
 
-impl PhaseShard {
+impl Phases {
     fn new() -> Self {
-        PhaseShard {
+        Phases {
             queue: std::array::from_fn(|_| Histogram::latency()),
             handle: std::array::from_fn(|_| Histogram::latency()),
             forward: std::array::from_fn(|_| Histogram::latency()),
@@ -101,31 +100,30 @@ impl PhaseShard {
 
 /// One node's server-side instrumentation.
 pub struct NodeTelemetry {
-    shards: Vec<Mutex<PhaseShard>>,
-    requests: [AtomicU64; 4],
+    phases: Mutex<Phases>,
     partition_hits: Vec<AtomicU64>,
 }
 
 impl NodeTelemetry {
     fn new(partitions: u32) -> Self {
         NodeTelemetry {
-            shards: (0..TELEMETRY_SHARDS).map(|_| Mutex::new(PhaseShard::new())).collect(),
-            requests: std::array::from_fn(|_| AtomicU64::new(0)),
+            phases: Mutex::new(Phases::new()),
             partition_hits: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Record one served request into the connection's shard.
-    pub fn record(&self, conn_id: u64, kind: ReqKind, t: PhaseTimings) {
-        self.requests[kind.index()].fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shards[conn_id as usize % self.shards.len()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn lock(&self) -> std::sync::MutexGuard<'_, Phases> {
+        self.phases.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Record one served request.
+    pub fn record(&self, kind: ReqKind, t: PhaseTimings) {
+        let mut phases = self.lock();
         let k = kind.index();
-        shard.queue[k].record(t.queue_us);
-        shard.handle[k].record(t.handle_us);
-        shard.forward[k].record(t.forward_us);
-        shard.tick.record(t.queue_us + t.handle_us + t.forward_us);
+        phases.queue[k].record(t.queue_us);
+        phases.handle[k].record(t.handle_us);
+        phases.forward[k].record(t.forward_us);
+        phases.tick.record(t.queue_us + t.handle_us + t.forward_us);
     }
 
     /// Bump the hit counter of the partition a request keyed into.
@@ -133,43 +131,32 @@ impl NodeTelemetry {
         self.partition_hits[p.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merge-and-reset every shard's per-tick histogram into `into`.
+    /// Merge-and-reset the per-tick histogram into `into`.
     fn drain_tick(&self, into: &mut Histogram) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            if shard.tick.count() > 0 {
-                into.merge(&shard.tick);
-                shard.tick.clear();
-            }
+        let mut phases = self.lock();
+        if phases.tick.count() > 0 {
+            into.merge(&phases.tick);
+            phases.tick.clear();
         }
     }
 
-    /// Export this node's series: per-kind request counters, per-kind
+    /// Export this node's series: per-kind request counts, per-kind
     /// per-phase latency summaries, and nonzero per-partition hit
     /// counters. Lifetime totals throughout, so repeated collection
     /// into the same registry is idempotent.
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
-        let mut merged = [(); 3].map(|_| Histogram::latency());
         for kind in ReqKind::ALL {
             let k = kind.index();
-            registry.counter_total(
-                &format!("serve.node.{}.count", kind.as_str()),
-                self.requests[k].load(Ordering::Relaxed),
-            );
-            for h in &mut merged {
-                h.clear();
-            }
-            for shard in &self.shards {
-                let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-                if shard.queue[k].count() > 0 {
-                    merged[0].merge(&shard.queue[k]);
-                    merged[1].merge(&shard.handle[k]);
-                    merged[2].merge(&shard.forward[k]);
-                }
-            }
-            for (phase, hist) in ["queue_us", "handle_us", "forward_us"].iter().zip(&merged) {
-                registry.histogram(&format!("serve.node.{}.{phase}", kind.as_str()), hist);
-            }
+            // One lock per kind: the recording reactor waits behind
+            // three summaries at most, not all twelve.
+            let phases = self.lock();
+            let name = kind.as_str();
+            // Every record adds one observation to each phase, so the
+            // handle histogram's count is the kind's request count.
+            registry.counter_total(&format!("serve.node.{name}.count"), phases.handle[k].count());
+            registry.histogram(&format!("serve.node.{name}.queue_us"), &phases.queue[k]);
+            registry.histogram(&format!("serve.node.{name}.handle_us"), &phases.handle[k]);
+            registry.histogram(&format!("serve.node.{name}.forward_us"), &phases.forward[k]);
         }
         for (p, hits) in self.partition_hits.iter().enumerate() {
             let n = hits.load(Ordering::Relaxed);
@@ -599,20 +586,14 @@ mod tests {
     fn node_telemetry_records_phases_and_exports() {
         let node = NodeTelemetry::new(4);
         node.record(
-            0,
             ReqKind::Put,
             PhaseTimings { queue_us: 10.0, forward_us: 200.0, handle_us: 40.0 },
         );
         node.record(
-            1,
             ReqKind::Put,
             PhaseTimings { queue_us: 20.0, forward_us: 100.0, handle_us: 30.0 },
         );
-        node.record(
-            2,
-            ReqKind::Get,
-            PhaseTimings { queue_us: 0.0, forward_us: 0.0, handle_us: 15.0 },
-        );
+        node.record(ReqKind::Get, PhaseTimings { queue_us: 0.0, forward_us: 0.0, handle_us: 15.0 });
         node.hit(PartitionId::new(2));
         node.hit(PartitionId::new(2));
 
@@ -625,9 +606,23 @@ mod tests {
         match reg.get("serve.node.put.forward_us") {
             Some(rfh_obs::Metric::Summary { count, mean, .. }) => {
                 assert_eq!(*count, 2);
-                assert!((mean - 150.0).abs() < 1e-9, "shards merged: {mean}");
+                assert!((mean - 150.0).abs() < 1e-9, "{mean}");
             }
             other => panic!("expected summary, got {other:?}"),
+        }
+        for kind in ReqKind::ALL {
+            let name = kind.as_str();
+            let Some(rfh_obs::Metric::Counter(count)) =
+                reg.get(&format!("serve.node.{name}.count"))
+            else {
+                panic!("{name} count missing");
+            };
+            match reg.get(&format!("serve.node.{name}.handle_us")) {
+                Some(rfh_obs::Metric::Summary { count: handled, .. }) => {
+                    assert_eq!(count, handled, "{name}: count is the handle_us count")
+                }
+                other => panic!("expected summary, got {other:?}"),
+            }
         }
         // Collecting again overwrites rather than double-counting.
         node.collect_metrics(&mut reg);
@@ -639,12 +634,10 @@ mod tests {
         let tel = ClusterTelemetry::on(2, 4);
         assert!(tel.enabled());
         tel.node(0).unwrap().record(
-            0,
             ReqKind::Get,
             PhaseTimings { queue_us: 0.0, forward_us: 0.0, handle_us: 100.0 },
         );
         tel.node(1).unwrap().record(
-            3,
             ReqKind::Put,
             PhaseTimings { queue_us: 50.0, forward_us: 0.0, handle_us: 50.0 },
         );

@@ -877,11 +877,6 @@ impl NodeWal {
         (((splitmix64(key) >> 56) as usize) * self.range_shards as usize) / 256
     }
 
-    /// Number of range shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The node's storage counters.
     pub fn stats(&self) -> &Arc<StorageStats> {
         &self.stats
@@ -1180,7 +1175,7 @@ mod tests {
         for k in 0..200u64 {
             wal.lock_shard(wal.shard_of(k)).buffer(k, 1, b"v");
         }
-        for s in 0..wal.shards() {
+        for s in 0..wal.shards.len() {
             wal.commit(s, |_| unreachable!("no checkpoint this early")).unwrap();
         }
         assert_eq!(wal.stats().snapshot().commits, 4, "one commit per shard, not per record");

@@ -99,9 +99,11 @@ mod tests {
     #[test]
     fn run_csv_contains_all_metrics() {
         let cmp = tiny_comparison();
-        let csv = run_csv(cmp.of(PolicyKind::Rfh).expect("RFH ran"));
+        let rfh = cmp.of(PolicyKind::Rfh).expect("RFH ran");
+        let csv = run_csv(rfh);
         let header = csv.lines().next().unwrap();
-        for name in crate::metrics::Metrics::series_names() {
+        for series in rfh.metrics.all_series() {
+            let name = series.name();
             assert!(header.contains(name), "{name} missing from {header}");
         }
     }

@@ -1,5 +1,5 @@
 //! The failure-domain differential: under correlated rack / site
-//! outage sweeps, `--placement domain-spread` must deliver measurably
+//! outage sweeps, `--policy spread` must deliver measurably
 //! better availability than stock RFH on the identical seed and plan,
 //! and the bandwidth-budgeted planner must not cost repair speed when
 //! its budget is not the bottleneck.

@@ -54,34 +54,6 @@ pub fn erlang_b(a: f64, c: u32) -> f64 {
     b
 }
 
-/// Inverse problem: the smallest number of servers `c` such that the
-/// blocking probability for offered load `a` stays at or below
-/// `target_bp`. Useful for capacity planning in the examples.
-///
-/// Returns `None` if `target_bp` is not achievable (≤ 0) or inputs are
-/// degenerate.
-pub fn servers_for_blocking(a: f64, target_bp: f64) -> Option<u32> {
-    if !(0.0..1.0).contains(&target_bp) || a.is_nan() {
-        return None;
-    }
-    if a <= 0.0 {
-        return Some(0);
-    }
-    if target_bp == 0.0 {
-        return None; // only reachable in the limit c → ∞
-    }
-    let mut b = 1.0_f64;
-    let mut c = 0u32;
-    while b > target_bp {
-        c += 1;
-        b = a * b / (c as f64 + a * b);
-        if c == u32::MAX {
-            return None;
-        }
-    }
-    Some(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,19 +142,6 @@ mod tests {
         assert_eq!(offered_load(2.0, 3.0), 6.0);
         assert_eq!(offered_load(0.0, 3.0), 0.0);
         assert_eq!(offered_load(2.0, -1.0), 0.0);
-    }
-
-    #[test]
-    fn capacity_planning_inverse() {
-        // For a = 10 Erlangs and 1% blocking, tables say 18 servers.
-        assert_eq!(servers_for_blocking(10.0, 0.01), Some(18));
-        assert_eq!(servers_for_blocking(0.0, 0.01), Some(0));
-        assert_eq!(servers_for_blocking(10.0, 0.0), None);
-        assert_eq!(servers_for_blocking(10.0, 1.5), None);
-        // The returned c actually achieves the target and c−1 does not.
-        let c = servers_for_blocking(25.0, 0.005).unwrap();
-        assert!(erlang_b(25.0, c) <= 0.005);
-        assert!(erlang_b(25.0, c - 1) > 0.005);
     }
 
     #[test]

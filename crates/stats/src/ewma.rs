@@ -81,34 +81,10 @@ impl Ewma {
         next
     }
 
-    /// Feed `n` zero observations at once, bit-identical to calling
-    /// [`Ewma::update`]`(0.0)` exactly `n` times (see [`decay_zeros`]).
-    /// `n = 0` is a no-op; on an unseeded smoother the first zero
-    /// initialises the value to `0.0` and the rest decay it (to `0.0`).
-    pub fn observe_zeros(&mut self, n: u64) -> Option<f64> {
-        if n == 0 {
-            return self.value;
-        }
-        let seeded = match self.value {
-            // First observation initialises, consuming one step.
-            None => decay_zeros(self.alpha, 0.0, n - 1),
-            Some(prev) => decay_zeros(self.alpha, prev, n),
-        };
-        self.value = Some(seeded);
-        self.value
-    }
-
     /// Current smoothed value, or `None` before any observation.
     #[inline]
     pub fn value(&self) -> Option<f64> {
         self.value
-    }
-
-    /// Current smoothed value, or 0.0 before any observation — the
-    /// form the threshold comparisons use (no traffic yet ⇒ no load).
-    #[inline]
-    pub fn value_or_zero(&self) -> f64 {
-        self.value.unwrap_or(0.0)
     }
 
     /// Forget all history (used when a node recovers from failure: its
@@ -126,7 +102,6 @@ mod tests {
     fn first_observation_initialises() {
         let mut e = Ewma::new(0.2);
         assert_eq!(e.value(), None);
-        assert_eq!(e.value_or_zero(), 0.0);
         assert_eq!(e.update(10.0), 10.0);
         assert_eq!(e.value(), Some(10.0));
     }
@@ -192,42 +167,36 @@ mod tests {
     /// Property test for the sparse engine's cornerstone: folding `n`
     /// zero observations in closed form must be *bit*-equal to feeding
     /// `n` explicit zeros, for every α (including the 0 and 1 edges),
-    /// seeded and unseeded, across magnitudes down to subnormals and the
-    /// `-0.0` edge.
+    /// across magnitudes down to subnormals and the `-0.0` edge.
     #[test]
-    fn observe_zeros_bit_equals_explicit_zero_observations() {
+    fn decay_zeros_bit_equals_explicit_zero_observations() {
         let alphas = [0.0, 1e-3, 0.2, 0.5, 0.85, 1.0 - 1e-12, 1.0];
         let starts = [
-            None,
-            Some(0.0),
-            Some(-0.0),
-            Some(1.0),
-            Some(-1.0),
-            Some(300.0),
-            Some(1e-300),
-            Some(5e-324), // smallest subnormal
-            Some(f64::MAX),
-            Some(1.2345678901234e-8),
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            300.0,
+            1e-300,
+            5e-324, // smallest subnormal
+            f64::MAX,
+            1.2345678901234e-8,
         ];
         let gaps = [0u64, 1, 2, 3, 7, 64, 1000, 5000];
         for &alpha in &alphas {
             for &start in &starts {
                 for &n in &gaps {
-                    let mut fast = Ewma::new(alpha);
+                    let fast = decay_zeros(alpha, start, n);
                     let mut slow = Ewma::new(alpha);
-                    if let Some(v) = start {
-                        fast.update(v);
-                        slow.update(v);
-                    }
-                    fast.observe_zeros(n);
+                    slow.update(start);
                     for _ in 0..n {
                         slow.update(0.0);
                     }
-                    let (f, s) = (fast.value(), slow.value());
+                    let s = slow.value().expect("seeded");
                     assert_eq!(
-                        f.map(f64::to_bits),
-                        s.map(f64::to_bits),
-                        "alpha={alpha} start={start:?} n={n}: fast {f:?} vs slow {s:?}"
+                        fast.to_bits(),
+                        s.to_bits(),
+                        "alpha={alpha} start={start} n={n}: fast {fast} vs slow {s}"
                     );
                 }
             }

@@ -154,32 +154,6 @@ impl Histogram {
         self.count = 0;
         self.sum = 0.0;
     }
-
-    /// Fraction of observations at or below `threshold` (inclusive by
-    /// bucket upper edge) — e.g. "what fraction of lookups finished
-    /// within 3 hops". Bucket-resolution, conservative (rounds down).
-    pub fn fraction_within(&self, threshold: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if threshold < self.lo {
-            return 0.0;
-        }
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        let mut ok = self.underflow;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            let upper = self.lo + w * (i + 1) as f64;
-            if upper <= threshold {
-                ok += c;
-            } else {
-                break;
-            }
-        }
-        if threshold >= self.hi {
-            ok += self.overflow;
-        }
-        ok as f64 / self.count as f64
-    }
 }
 
 #[cfg(test)]
@@ -245,18 +219,6 @@ mod tests {
         let mut h3 = Histogram::new(0.0, 1.0, 2);
         h3.record(5.0);
         assert_eq!(h3.quantile(0.5), Some(1.0), "all mass in overflow → hi");
-    }
-
-    #[test]
-    fn sla_fraction_within() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 2.5, 3.5, 9.5] {
-            h.record(x);
-        }
-        assert!((h.fraction_within(4.0) - 0.8).abs() < 1e-12);
-        assert_eq!(h.fraction_within(-1.0), 0.0);
-        assert_eq!(h.fraction_within(10.0), 1.0);
-        assert_eq!(Histogram::new(0.0, 1.0, 1).fraction_within(0.5), 0.0);
     }
 
     #[test]

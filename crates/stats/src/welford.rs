@@ -56,15 +56,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (divide by `n − 1`); 0 with fewer than two points.
-    pub fn variance_sample(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
     /// Population standard deviation — the paper's `Lb` (eq. 25).
     pub fn stddev_population(&self) -> f64 {
         self.variance_population().sqrt()
@@ -123,7 +114,6 @@ mod tests {
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance_population(), 0.0);
-        assert_eq!(w.variance_sample(), 0.0);
         assert_eq!(w.stddev_population(), 0.0);
     }
 
@@ -132,7 +122,6 @@ mod tests {
         let w: Welford = [5.0].into_iter().collect();
         assert_eq!(w.mean(), 5.0);
         assert_eq!(w.variance_population(), 0.0);
-        assert_eq!(w.variance_sample(), 0.0, "sample variance undefined → 0");
     }
 
     #[test]
@@ -141,7 +130,6 @@ mod tests {
         let w: Welford = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.stddev_population() - 2.0).abs() < 1e-12);
-        assert!((w.variance_sample() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl WanGraph {
         self.adjacency.len()
     }
 
-    /// Add a node (datacenter joining the backbone); returns its id.
-    pub fn add_node(&mut self) -> DatacenterId {
-        self.adjacency.push(Vec::new());
-        DatacenterId::new(self.adjacency.len() as u32 - 1)
-    }
-
     /// Add an undirected link. Duplicate links keep the lower latency.
     ///
     /// # Errors
@@ -193,7 +187,7 @@ impl WanGraph {
     }
 
     /// Recompute the all-pairs routing tables. Must be called after any
-    /// `add_node` / `add_link` before routing queries.
+    /// `add_link` or link change before routing queries.
     ///
     /// Runs Dijkstra from every source: O(V · E log V), trivial at the
     /// paper's scale and still fine for hundreds of sites. Ties are
@@ -436,17 +430,6 @@ mod tests {
         let mut g2 = g.clone();
         g2.rebuild();
         assert_eq!(g2.path(dc(0), dc(3)).unwrap(), p);
-    }
-
-    #[test]
-    fn add_node_extends_graph() {
-        let mut g = diamond();
-        let new = g.add_node();
-        assert_eq!(new, dc(4));
-        g.add_link(new, dc(0), 2.0).unwrap();
-        g.rebuild();
-        assert_eq!(g.path(new, dc(1)).unwrap(), vec![dc(4), dc(0), dc(1)]);
-        assert!(g.is_connected());
     }
 
     #[test]

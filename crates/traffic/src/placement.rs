@@ -125,11 +125,6 @@ impl PlacementView {
         self.slot_count
     }
 
-    /// Servers hosting any replica of `p`, ascending id.
-    pub fn replica_servers(&self, p: PartitionId) -> impl Iterator<Item = ServerId> + '_ {
-        self.slots(p).iter().map(|slot| slot.server)
-    }
-
     /// Bytes of heap the view holds, by allocation capacity.
     pub fn heap_bytes(&self) -> usize {
         self.slots.heap_bytes() + self.holders.capacity() * std::mem::size_of::<ServerId>()
@@ -156,7 +151,7 @@ mod tests {
         assert_eq!(v.holder(p(1)), s(2));
         assert_eq!(v.capacity(p(0), s(0)), 0.0);
         assert_eq!(v.partition_capacity_total(p(0)), 0.0);
-        assert_eq!(v.replica_servers(p(0)).count(), 0);
+        assert_eq!(v.slots(p(0)).len(), 0);
     }
 
     #[test]
@@ -171,7 +166,7 @@ mod tests {
             v.slots(p(0)),
             &[Slot { server: s(1), capacity: 15.0 }, Slot { server: s(2), capacity: 20.0 }]
         );
-        let hosts: Vec<u32> = v.replica_servers(p(0)).map(u32::from).collect();
+        let hosts: Vec<u32> = v.slots(p(0)).iter().map(|slot| u32::from(slot.server)).collect();
         assert_eq!(hosts, vec![1, 2]);
         assert_eq!(v.partition_capacity_total(p(1)), 0.0, "partitions are independent");
     }
@@ -185,7 +180,7 @@ mod tests {
             v.add_capacity(p(1), s(srv), 1.0 + srv as f64);
         }
         v.add_capacity(p(2), s(4), 2.0);
-        let hosts: Vec<u32> = v.replica_servers(p(1)).map(u32::from).collect();
+        let hosts: Vec<u32> = v.slots(p(1)).iter().map(|slot| u32::from(slot.server)).collect();
         assert_eq!(hosts, (0..servers).collect::<Vec<_>>());
         assert_eq!(v.capacity(p(1), s(7)), 8.0);
         assert_eq!(v.slot_count(), servers as usize + 1);
@@ -202,9 +197,8 @@ mod tests {
     #[test]
     fn slot_count_tracks_every_mutation() {
         let mut v = PlacementView::new(3, 4, vec![s(0), s(1), s(2)]);
-        let recount = |v: &PlacementView| {
-            (0..v.partitions()).map(|pi| v.replica_servers(p(pi)).count()).sum::<usize>()
-        };
+        let recount =
+            |v: &PlacementView| (0..v.partitions()).map(|pi| v.slots(p(pi)).len()).sum::<usize>();
         assert_eq!(v.slot_count(), 0);
         v.add_capacity(p(0), s(1), 10.0);
         v.add_capacity(p(0), s(1), 5.0); // same server: no new slot

@@ -266,13 +266,6 @@ impl SimConfig {
         }
         Ok(())
     }
-
-    /// How many partition copies fit under the storage cap `φ` on one
-    /// server — a hard bound the replica manager enforces via eq. 19.
-    pub fn max_replicas_per_server(&self) -> u64 {
-        let cap = (self.max_server_storage.as_u64() as f64 * self.thresholds.phi) as u64;
-        cap / self.partition_size.as_u64()
-    }
 }
 
 #[cfg(test)]
@@ -329,17 +322,6 @@ mod tests {
         assert!(SimConfig { partition_skew: -0.5, ..ok.clone() }.validate().is_err());
         let too_big = SimConfig { partition_size: Bytes::gib(20), ..ok };
         assert!(too_big.validate().is_err(), "partition larger than a server");
-    }
-
-    #[test]
-    fn max_replicas_per_server_respects_phi() {
-        let c = SimConfig::default();
-        // 70% of 10 GiB / 512 KiB = 14336 copies.
-        assert_eq!(c.max_replicas_per_server(), 14336);
-        let tight =
-            SimConfig { max_server_storage: Bytes::mib(1), partition_size: Bytes::kib(512), ..c };
-        // 70% of 1 MiB holds one 512 KiB partition.
-        assert_eq!(tight.max_replicas_per_server(), 1);
     }
 
     #[test]

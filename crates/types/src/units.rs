@@ -134,19 +134,6 @@ impl Bandwidth {
     pub const fn bytes_per_epoch(self) -> Bytes {
         Bytes(self.0)
     }
-
-    /// Number of whole epochs needed to transfer `size` at this
-    /// bandwidth (at least 1 for any non-zero size). Returns `None` for a
-    /// zero bandwidth and non-zero size: the transfer can never finish.
-    pub fn epochs_to_transfer(self, size: Bytes) -> Option<u64> {
-        if size.0 == 0 {
-            return Some(0);
-        }
-        if self.0 == 0 {
-            return None;
-        }
-        Some(size.0.div_ceil(self.0))
-    }
 }
 
 impl fmt::Display for Bandwidth {
@@ -201,17 +188,6 @@ mod tests {
         assert_eq!(Bytes::gib(10).to_string(), "10GiB");
         assert_eq!(Bytes(999).to_string(), "999B");
         assert_eq!(Bytes(1536).to_string(), "1536B", "non-integral KiB stays bytes");
-    }
-
-    #[test]
-    fn bandwidth_transfer_epochs() {
-        let bw = Bandwidth::mib_per_epoch(300);
-        assert_eq!(bw.epochs_to_transfer(Bytes::kib(512)), Some(1));
-        assert_eq!(bw.epochs_to_transfer(Bytes::mib(300)), Some(1));
-        assert_eq!(bw.epochs_to_transfer(Bytes::mib(301)), Some(2));
-        assert_eq!(bw.epochs_to_transfer(Bytes::ZERO), Some(0));
-        assert_eq!(Bandwidth(0).epochs_to_transfer(Bytes(1)), None);
-        assert_eq!(Bandwidth(0).epochs_to_transfer(Bytes::ZERO), Some(0));
     }
 
     #[test]

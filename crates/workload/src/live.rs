@@ -5,8 +5,9 @@
 //! concurrently while a control loop periodically snapshots it. This
 //! module provides the shared, atomic variant: handlers call
 //! [`SharedLoad::add`] on the hot path (one relaxed fetch-add), and the
-//! control loop calls [`SharedLoad::drain_into`] to move the counts into
-//! an ordinary [`QueryLoad`] — atomically swapping each cell to zero so
+//! control loop calls [`SharedLoad::drain_sparse_into`] to move the
+//! counts of the partitions touched since the last drain into an
+//! ordinary [`QueryLoad`] — atomically swapping each cell to zero so
 //! every query is counted in exactly one control interval.
 
 use crate::load::QueryLoad;
@@ -81,37 +82,6 @@ impl SharedLoad {
         self.counts[self.idx(p, j)].load(Ordering::Relaxed)
     }
 
-    /// Move all counts into `out`, zeroing the shared matrix cell by
-    /// cell. Each increment lands in exactly one drain. Returns the
-    /// total drained this call.
-    ///
-    /// # Panics
-    /// If `out` has a different shape.
-    pub fn drain_into(&self, out: &mut QueryLoad) -> u64 {
-        assert_eq!(
-            (out.partitions(), out.datacenters()),
-            (self.partitions, self.dcs),
-            "drain target shape mismatch"
-        );
-        // Full sweep: retire the touch registry too, so a later sparse
-        // drain starts from a clean slate.
-        self.registry.lock().expect("touched registry poisoned").clear();
-        for flag in &self.touched {
-            flag.store(false, Ordering::Relaxed);
-        }
-        let mut total = 0u64;
-        for (i, cell) in self.counts.iter().enumerate() {
-            let n = cell.swap(0, Ordering::Relaxed);
-            if n > 0 {
-                let p = PartitionId::new((i / self.dcs as usize) as u32);
-                let j = DatacenterId::new((i % self.dcs as usize) as u32);
-                out.add(p, j, n);
-                total += n as u64;
-            }
-        }
-        total
-    }
-
     /// Move all counts into `out` touching only registered partitions:
     /// O(touched × dcs) instead of O(cells). Each increment still lands
     /// in exactly one drain — the touch flag is cleared *before* the
@@ -168,40 +138,12 @@ mod tests {
         shared.add(p(0), d(1), 2);
         assert_eq!(shared.get(p(0), d(1)), 6);
         let mut q = QueryLoad::zeros(3, 2);
-        assert_eq!(shared.drain_into(&mut q), 7);
+        assert_eq!(shared.drain_sparse_into(&mut q), 7);
         assert_eq!(q.get(p(0), d(1)), 6);
         assert_eq!(q.get(p(2), d(0)), 1);
         assert_eq!(shared.get(p(0), d(1)), 0, "drain must zero the source");
-        assert_eq!(shared.drain_into(&mut q), 0, "second drain finds nothing");
+        assert_eq!(shared.drain_sparse_into(&mut q), 0, "second drain finds nothing");
         assert_eq!(q.get(p(0), d(1)), 6, "drain adds into the target");
-    }
-
-    #[test]
-    fn concurrent_increments_are_all_counted_once() {
-        let shared = SharedLoad::zeros(4, 4);
-        let drained = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let shared = &shared;
-                s.spawn(move || {
-                    for i in 0..10_000u32 {
-                        shared.add(p(i % 4), d(t % 4), 1);
-                    }
-                });
-            }
-            // Drain concurrently with the writers.
-            let (shared, drained) = (&shared, &drained);
-            s.spawn(move || {
-                let mut q = QueryLoad::zeros(4, 4);
-                for _ in 0..50 {
-                    drained.fetch_add(shared.drain_into(&mut q), Ordering::Relaxed);
-                    std::thread::yield_now();
-                }
-            });
-        });
-        let mut q = QueryLoad::zeros(4, 4);
-        let total = drained.load(Ordering::Relaxed) + shared.drain_into(&mut q);
-        assert_eq!(total, 40_000);
     }
 
     #[test]
@@ -266,6 +208,6 @@ mod tests {
     fn drain_rejects_shape_mismatch() {
         let shared = SharedLoad::zeros(2, 2);
         let mut q = QueryLoad::zeros(2, 3);
-        shared.drain_into(&mut q);
+        shared.drain_sparse_into(&mut q);
     }
 }

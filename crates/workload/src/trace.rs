@@ -22,12 +22,6 @@ impl Trace {
         Trace { epochs: (0..epochs).map(|e| generator.epoch_load(e)).collect() }
     }
 
-    /// Build a trace from explicit epoch matrices (tests, synthetic
-    /// workloads).
-    pub fn from_loads(epochs: Vec<QueryLoad>) -> Self {
-        Trace { epochs }
-    }
-
     /// Number of recorded epochs.
     pub fn len(&self) -> usize {
         self.epochs.len()
@@ -154,7 +148,7 @@ mod tests {
         a.add(PartitionId::new(0), DatacenterId::new(1), 3);
         let mut b = QueryLoad::zeros(2, 2);
         b.add(PartitionId::new(1), DatacenterId::new(0), 5);
-        let t = Trace::from_loads(vec![a, b]);
+        let t = Trace { epochs: vec![a, b] };
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "epoch,partition,requester,count");
@@ -233,7 +227,7 @@ x,0,0,1
 
     #[test]
     fn empty_trace() {
-        let t = Trace::from_loads(vec![]);
+        let t = Trace { epochs: vec![] };
         assert!(t.is_empty());
         assert_eq!(t.total_queries(), 0);
         assert_eq!(t.to_csv(), "epoch,partition,requester,count\n");
