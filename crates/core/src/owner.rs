@@ -8,7 +8,7 @@
 //! Placement ranks candidates by:
 //! 1. the *minimum availability level* against the existing replica set
 //!    (higher first — a different datacenter beats a different room,
-//!    etc., per the label scheme);
+//!    etc., per the label scheme, read from topology ids);
 //! 2. replication cost from the holder, i.e. distance (closer first);
 //! 3. server id (determinism).
 //!
@@ -20,9 +20,10 @@
 use crate::manager::ReplicaManager;
 use crate::policy::{Action, EpochContext, ReplicationPolicy};
 use crate::random::{growth_event, UNSERVED_TRIGGER};
-use crate::selection::accepting_servers_anywhere;
+use crate::selection::accepting_in_dc;
 use rfh_stats::min_replica_count;
-use rfh_types::{PartitionId, ServerId};
+use rfh_types::{AvailabilityLevel, PartitionId, ServerId};
+use std::cmp::Ordering;
 
 /// The owner-oriented placement baseline.
 #[derive(Debug, Clone, Default)]
@@ -35,30 +36,53 @@ impl OwnerOrientedPolicy {
     }
 
     /// Pick the best target per the availability-then-cost ranking.
+    ///
+    /// The scan goes datacenter by datacenter: a candidate's distance
+    /// from the holder depends only on its datacenter, and its level is
+    /// 5 unless the datacenter holds a replica, in which case only those
+    /// local replicas can lower it. Levels come from topology ids, each
+    /// key is computed once, and a datacenter that cannot beat the best
+    /// key so far is skipped.
     fn pick_target(
         ctx: &EpochContext<'_>,
         manager: &ReplicaManager,
         p: PartitionId,
     ) -> Option<ServerId> {
-        let holder = manager.holder(p);
+        let servers = ctx.topo.servers();
+        let holder_dc = servers[manager.holder(p).index()].datacenter;
         let replicas = manager.replicas(p);
-        accepting_servers_anywhere(ctx.topo, manager, p).into_iter().max_by(|&a, &b| {
-            let key = |s: ServerId| {
-                let min_level = replicas
-                    .iter()
-                    .map(|&r| ctx.topo.availability_level(s, r).map(|l| l.value()).unwrap_or(1))
-                    .min()
-                    .unwrap_or(5);
-                let dist = ctx.topo.server_distance_km(s, holder).unwrap_or(f64::MAX);
-                (min_level, dist)
-            };
-            let (la, da) = key(a);
-            let (lb, db) = key(b);
-            la.cmp(&lb)
-                .then_with(|| db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| b.cmp(&a))
-        })
+        let top = AvailabilityLevel::DifferentDatacenter.value();
+        // `Iterator::max_by` over (level, closer, lower id): a later
+        // candidate wins unless the best so far is strictly greater.
+        let mut best: Option<(u8, f64, ServerId)> = None;
+        for dc in ctx.topo.datacenters() {
+            let local =
+                || replicas.iter().map(|&r| &servers[r.index()]).filter(|r| r.datacenter == dc.id);
+            let ceiling = if local().next().is_none() { top } else { top - 1 };
+            let dist = ctx.topo.distance_km(dc.id, holder_dc).unwrap_or(f64::MAX);
+            if let Some((level, best_dist, _)) = best {
+                if ceiling < level || (ceiling == level && dist > best_dist) {
+                    continue;
+                }
+            }
+            for s in accepting_in_dc(ctx.topo, manager, p, dc.id) {
+                let server = &servers[s.index()];
+                let level =
+                    local().map(|r| server.availability_level(r).value()).min().unwrap_or(top);
+                let candidate = (level, dist, s);
+                if best.is_none_or(|b| owner_rank(b, candidate) != Ordering::Greater) {
+                    best = Some(candidate);
+                }
+            }
+        }
+        best.map(|(_, _, s)| s)
     }
+}
+
+/// The owner ranking: higher availability level, then closer to the
+/// holder, then lower id.
+fn owner_rank((la, da, a): (u8, f64, ServerId), (lb, db, b): (u8, f64, ServerId)) -> Ordering {
+    la.cmp(&lb).then_with(|| db.partial_cmp(&da).unwrap_or(Ordering::Equal)).then_with(|| b.cmp(&a))
 }
 
 impl ReplicationPolicy for OwnerOrientedPolicy {

@@ -96,11 +96,9 @@ impl ReplicationPolicy for RandomPolicy {
             // Next unused, alive, accepting server on the preference
             // list; the list is a pseudo-random permutation, so this is
             // the "randomly chosen considering geographical location"
-            // placement.
-            let Ok(preference) = self.ring.successors(p, self.ring.server_count()) else {
-                continue;
-            };
-            let target = preference.into_iter().find(|&s| {
+            // placement. The walk stops at the first hit, so a decision
+            // visits about as many servers as the partition has replicas.
+            let target = self.ring.successor_walk(p).find(|&s| {
                 s.index() < ctx.topo.server_count()
                     && ctx.topo.servers()[s.index()].alive
                     && manager.can_accept(p, s)

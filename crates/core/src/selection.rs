@@ -17,7 +17,7 @@ pub(crate) fn accepting_servers_in_dc(
 }
 
 /// [`accepting_servers_in_dc`] without collecting them.
-fn accepting_in_dc<'a>(
+pub(crate) fn accepting_in_dc<'a>(
     topo: &'a Topology,
     manager: &'a ReplicaManager,
     p: PartitionId,
@@ -89,20 +89,6 @@ pub(crate) fn most_spread_in_dc(
         .map(|(_, s)| s)
 }
 
-/// Every alive server able to accept a replica of `p`, cluster-wide.
-pub(crate) fn accepting_servers_anywhere(
-    topo: &Topology,
-    manager: &ReplicaManager,
-    p: PartitionId,
-) -> Vec<ServerId> {
-    topo.servers()
-        .iter()
-        .filter(|s| s.alive)
-        .map(|s| s.id)
-        .filter(|&s| manager.can_accept(p, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,12 +125,5 @@ mod tests {
         assert_eq!(least_blocked([], &blocking), None);
         let blocking2 = [0.9, 0.5, 0.1];
         assert_eq!(least_blocked(ids, &blocking2), Some(ServerId::new(2)));
-    }
-
-    #[test]
-    fn anywhere_spans_the_cluster() {
-        let (topo, manager) = setup();
-        let c = accepting_servers_anywhere(&topo, &manager, PartitionId::new(0));
-        assert_eq!(c.len(), 2);
     }
 }

@@ -10,7 +10,8 @@
 //! * [`ring`] — the consistent-hash ring: servers own multiple tokens,
 //!   partitions map to their clockwise successor, and the Dynamo-style
 //!   "replicate at the N−1 clockwise successor nodes" placement used by
-//!   the *random* baseline falls out of [`ring::ConsistentHashRing::successors`].
+//!   the *random* baseline falls out of
+//!   [`ring::ConsistentHashRing::successor_walk`].
 //! * [`prefix`] — prefix-digit overlay routing ("similar to Oceanstore…
 //!   It routes messages directly to the closest node which has the
 //!   desired ID and matches the prefix. The cost of routing is
@@ -24,4 +25,4 @@ pub mod ring;
 
 pub use hash::{fnv1a64, splitmix64};
 pub use prefix::PrefixRouter;
-pub use ring::ConsistentHashRing;
+pub use ring::{ConsistentHashRing, SuccessorWalk};

@@ -10,6 +10,7 @@
 
 use crate::hash::{combine, fnv1a64, splitmix64};
 use rfh_types::{PartitionId, Result, RfhError, ServerId};
+use std::io::Write;
 
 /// A consistent-hash ring mapping partitions to servers.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -79,7 +80,13 @@ impl ConsistentHashRing {
     /// sequential keys (positions would clump on one arc), so the ring
     /// position is the splitmix64 finalization of the FNV digest.
     pub fn partition_position(&self, partition: PartitionId) -> u64 {
-        splitmix64(fnv1a64(format!("partition:{}", partition.0).as_bytes()))
+        // The key `partition:<id>` is spelled into a stack buffer: a
+        // lookup allocates nothing.
+        let mut key = [0u8; 20];
+        let mut free = &mut key[..];
+        write!(free, "partition:{}", partition.0).expect("a u32 key fits in 20 bytes");
+        let len = 20 - free.len();
+        splitmix64(fnv1a64(&key[..len]))
     }
 
     /// The server owning a raw ring position (its clockwise successor).
@@ -101,23 +108,30 @@ impl ConsistentHashRing {
     /// position, starting with the primary — Dynamo's preference list
     /// ("replicate data at the N−1 clockwise successor nodes", §II-A).
     /// Returns fewer than `n` when the ring has fewer distinct servers.
+    /// The `n`-prefix of [`ConsistentHashRing::successor_walk`]; a caller
+    /// that only searches the list should walk it instead.
     pub fn successors(&self, partition: PartitionId, n: usize) -> Result<Vec<ServerId>> {
         if self.tokens.is_empty() {
             return Err(RfhError::Ring("lookup on an empty ring".into()));
         }
+        Ok(self.successor_walk(partition).take(n).collect())
+    }
+
+    /// The partition's whole preference list, produced lazily: every
+    /// distinct server on the ring exactly once, clockwise from the
+    /// partition's position, starting with the primary — the order of
+    /// [`ConsistentHashRing::successors`]. A search that stops at the
+    /// first acceptable server visits only the tokens up to it, not the
+    /// whole ring. Yields nothing on an empty ring.
+    pub fn successor_walk(&self, partition: PartitionId) -> SuccessorWalk<'_> {
         let pos = self.partition_position(partition);
         let start = self.tokens.partition_point(|&(t, _)| t < pos);
-        let mut out: Vec<ServerId> = Vec::with_capacity(n);
-        for i in 0..self.tokens.len() {
-            let (_, server) = self.tokens[(start + i) % self.tokens.len()];
-            if !out.contains(&server) {
-                out.push(server);
-                if out.len() == n {
-                    break;
-                }
-            }
+        SuccessorWalk {
+            tokens: &self.tokens,
+            next: if start == self.tokens.len() { 0 } else { start },
+            left: self.tokens.len(),
+            seen: Vec::with_capacity(16),
         }
-        Ok(out)
     }
 
     /// All distinct servers on the ring, in token order from position 0.
@@ -156,6 +170,40 @@ impl ConsistentHashRing {
             .collect();
         out.sort_by_key(|&(s, _)| s.0);
         out
+    }
+}
+
+/// The lazy preference list of one partition; see
+/// [`ConsistentHashRing::successor_walk`].
+#[derive(Debug, Clone)]
+pub struct SuccessorWalk<'a> {
+    tokens: &'a [(u64, ServerId)],
+    /// Index of the next token to visit (wraps past the end).
+    next: usize,
+    /// Tokens not yet visited.
+    left: usize,
+    /// Servers already yielded; a preference list rarely runs past a
+    /// few dozen, so a linear scan beats any set.
+    seen: Vec<ServerId>,
+}
+
+impl Iterator for SuccessorWalk<'_> {
+    type Item = ServerId;
+
+    fn next(&mut self) -> Option<ServerId> {
+        while self.left > 0 {
+            let (_, server) = self.tokens[self.next];
+            self.left -= 1;
+            self.next += 1;
+            if self.next == self.tokens.len() {
+                self.next = 0;
+            }
+            if !self.seen.contains(&server) {
+                self.seen.push(server);
+                return Some(server);
+            }
+        }
+        None
     }
 }
 
@@ -223,6 +271,44 @@ mod tests {
             d.dedup();
             assert_eq!(d.len(), 4, "successors must be distinct servers");
         }
+    }
+
+    /// The preference list as it was first written: scan the whole ring
+    /// from the partition's token and keep each server's first token.
+    fn eager_successors(r: &ConsistentHashRing, pid: PartitionId) -> Vec<ServerId> {
+        let pos = splitmix64(fnv1a64(format!("partition:{}", pid.0).as_bytes()));
+        let start = r.tokens.partition_point(|&(t, _)| t < pos);
+        let mut out = Vec::new();
+        for i in 0..r.tokens.len() {
+            let (_, server) = r.tokens[(start + i) % r.tokens.len()];
+            if !out.contains(&server) {
+                out.push(server);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn walk_matches_the_eager_scan() {
+        for (servers, tokens) in [(1, 1), (3, 8), (10, 32), (100, 64)] {
+            let mut r = ring_with(servers, tokens);
+            r.leave(ServerId::new(servers / 2));
+            for p in 0..256 {
+                let pid = PartitionId::new(p * 7919);
+                let walked: Vec<ServerId> = r.successor_walk(pid).collect();
+                assert_eq!(walked, eager_successors(&r, pid), "{servers} servers, partition {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn walk_stops_without_visiting_the_rest_of_the_ring() {
+        let r = ring_with(10, 32);
+        let pid = PartitionId::new(7);
+        let mut walk = r.successor_walk(pid);
+        assert_eq!(walk.next(), Some(r.primary(pid).unwrap()));
+        assert!(walk.left > 0, "the first hit leaves tokens unvisited");
+        assert!(ConsistentHashRing::new(8).successor_walk(pid).next().is_none());
     }
 
     #[test]

@@ -68,6 +68,32 @@ proptest! {
     }
 
     #[test]
+    fn successor_walk_yields_every_server_once(
+        servers in proptest::collection::hash_set(0u32..1000, 1..40),
+        tokens in 1u32..64,
+        p in any::<u32>(),
+    ) {
+        let r = ring(&servers.iter().copied().collect::<Vec<_>>(), tokens);
+        let walked: Vec<u32> = r.successor_walk(PartitionId::new(p)).map(|s| s.0).collect();
+        prop_assert_eq!(walked.len(), servers.len());
+        let distinct: std::collections::HashSet<u32> = walked.iter().copied().collect();
+        prop_assert_eq!(distinct, servers);
+    }
+
+    #[test]
+    fn successor_walk_prefixes_are_the_successor_lists(
+        servers in proptest::collection::hash_set(0u32..1000, 1..40),
+        tokens in 1u32..64,
+        p in any::<u32>(),
+        k in 0usize..48,
+    ) {
+        let r = ring(&servers.into_iter().collect::<Vec<_>>(), tokens);
+        let pid = PartitionId::new(p);
+        let prefix: Vec<ServerId> = r.successor_walk(pid).take(k).collect();
+        prop_assert_eq!(prefix, r.successors(pid, k).unwrap());
+    }
+
+    #[test]
     fn ownership_sums_to_one(
         servers in proptest::collection::hash_set(0u32..300, 1..25),
         tokens in 1u32..128,

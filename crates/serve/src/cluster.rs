@@ -40,6 +40,7 @@ use crate::wal::StorageSnapshot;
 use rfh_core::{Action, ReplicaManager, RfhPolicy};
 use rfh_faults::FaultPlan;
 use rfh_obs::{MetricsRegistry, SpanLog};
+use rfh_reactor::Waker;
 use rfh_ring::ConsistentHashRing;
 use rfh_sim::{initial_placement, EpochPipeline};
 use rfh_stats::min_replica_count;
@@ -315,8 +316,9 @@ pub struct Cluster {
     metrics_addrs: Vec<SocketAddr>,
     /// The controller's `/metrics` + `/timeline` + `/spans` endpoint.
     controller_metrics_addr: Option<SocketAddr>,
-    /// Serves every telemetry endpoint (`None` when telemetry is off).
-    http_thread: Option<JoinHandle<()>>,
+    /// Serves every telemetry endpoint, and the waker that pulls it out
+    /// of its wait at shutdown (`None` when telemetry is off).
+    http_thread: Option<(JoinHandle<()>, Waker)>,
     /// What startup replay + reconcile did (all zero with persistence
     /// off or a cold data directory).
     recovery: RecoveryReport,
@@ -435,14 +437,19 @@ impl Cluster {
             let ctl = Arc::clone(&shared);
             endpoints.push((listener, Box::new(move |path| controller_route(&ctl, path))));
             let stop = Arc::clone(&shared);
-            http_thread = Some(
-                std::thread::Builder::new()
-                    .name("rfh-metrics".into())
-                    .spawn(move || {
-                        http::serve(&endpoints, || stop.shutdown.load(Ordering::Acquire))
-                    })
-                    .map_err(|e| RfhError::Io(format!("spawn metrics thread: {e}")))?,
-            );
+            let waker =
+                Waker::new().map_err(|e| RfhError::Io(format!("metrics thread waker: {e}")))?;
+            let wake = waker.clone();
+            let thread = std::thread::Builder::new()
+                .name("rfh-metrics".into())
+                .spawn(move || {
+                    let stopped = || stop.shutdown.load(Ordering::Acquire);
+                    if let Err(e) = http::serve(&endpoints, &wake, stopped) {
+                        eprintln!("metrics endpoints stopped: {e}");
+                    }
+                })
+                .map_err(|e| RfhError::Io(format!("spawn metrics thread: {e}")))?;
+            http_thread = Some((thread, waker));
         }
 
         let controller = Controller::new(Arc::clone(&shared), pipeline);
@@ -537,8 +544,10 @@ impl Cluster {
             .join()
             .map_err(|_| RfhError::Simulation("control loop panicked".into()))?;
         self.reactor.shutdown()?;
-        if let Some(h) = self.http_thread {
+        if let Some((h, waker)) = self.http_thread {
+            waker.wake();
             h.join().map_err(|_| RfhError::Simulation("metrics endpoint panicked".into()))?;
+            waker.close();
         }
         let c = &self.shared.counters;
         let alive_nodes = self.shared.alive.iter().filter(|a| a.load(Ordering::Acquire)).count();
@@ -750,12 +759,9 @@ fn floor_replicate(
             if manager.replica_count(p) >= r_min {
                 continue;
             }
-            let target =
-                ring.successors(p, topo.server_count()).ok().into_iter().flatten().find(|&s| {
-                    topo.servers()[s.index()].alive
-                        && !manager.hosts(p, s)
-                        && manager.can_accept(p, s)
-                });
+            let target = ring.successor_walk(p).find(|&s| {
+                topo.servers()[s.index()].alive && !manager.hosts(p, s) && manager.can_accept(p, s)
+            });
             if let Some(target) = target {
                 if manager.apply(topo, Action::Replicate { partition: p, target }).is_ok() {
                     progressed = true;

@@ -1,8 +1,9 @@
 //! A hand-rolled HTTP/1.0 surface for the telemetry plane.
 //!
 //! Just enough HTTP to be `curl`- and Prometheus-scrapable with no
-//! dependencies: one thread serves every endpoint, accepting on each
-//! listener in turn; it reads a `GET <path>` request line, answers with
+//! dependencies: one thread serves every endpoint, sleeping in one
+//! `epoll_wait` over all their listeners and accepting on those it
+//! reports ready; it reads a `GET <path>` request line, answers with
 //! that endpoint's text body, and closes.
 //! Connection: close semantics throughout — every scrape is one
 //! short-lived connection, which keeps the server loop trivial and
@@ -11,8 +12,10 @@
 //! [`get`] is the matching client, used by `rfh watch`, the smoke
 //! tests, and anything else that wants a body without shelling out.
 
+use rfh_reactor::{Poller, Waker};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 /// Largest request head we accept; a scrape request line is tiny.
@@ -20,6 +23,14 @@ const MAX_REQUEST: usize = 8 * 1024;
 
 /// Per-connection read timeout while parsing the request.
 const READ_TIMEOUT: Duration = Duration::from_millis(2_000);
+
+/// Poller token of the stop waker; listeners use their index.
+const WAKER_TOKEN: u64 = u64::MAX;
+
+/// Pause after a round in which every ready listener failed to accept:
+/// level-triggered readiness reports a lasting error (say, out of file
+/// descriptors) again at once, and the loop must not spin on it.
+const ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Bind a loopback listener for [`serve`]; returns it with its address.
 pub fn bind() -> io::Result<(TcpListener, SocketAddr)> {
@@ -30,30 +41,50 @@ pub fn bind() -> io::Result<(TcpListener, SocketAddr)> {
 }
 
 /// Accept-and-respond loop over every `(listener, route)` endpoint.
-/// Each round tries one accept per listener and answers inline; `route`
-/// maps a request path to a body (`None` → 404). Sleeps when a round
-/// found nothing; polls `stop` between rounds and runs until stopped.
-pub fn serve<F, S>(endpoints: &[(TcpListener, F)], stop: S)
+/// One poller watches every listener and `waker`; each round accepts
+/// once on every listener it reports ready and answers inline; `route`
+/// maps a request path to a body (`None` → 404). An idle loop blocks in
+/// `epoll_wait` and makes no other call. It runs until `stop` holds,
+/// checked whenever `waker` fires: set the flag, then wake.
+///
+/// # Errors
+/// Fails when the poller cannot be made or a listener registered (not
+/// Linux, or out of file descriptors), or a wait fails.
+pub fn serve<F, S>(endpoints: &[(TcpListener, F)], waker: &Waker, stop: S) -> io::Result<()>
 where
     F: Fn(&str) -> Option<String>,
     S: Fn() -> bool,
 {
+    let poller = Poller::new()?;
+    for (token, (listener, _)) in endpoints.iter().enumerate() {
+        poller.register(listener.as_raw_fd(), token as u64, true, false)?;
+    }
+    poller.register(waker.fd(), WAKER_TOKEN, true, false)?;
+    let mut events = Vec::new();
     while !stop() {
-        let mut idle = true;
-        for (listener, route) in endpoints {
-            // `WouldBlock` means nothing is waiting; any other accept
-            // error skips this listener for this round only, so one
-            // failing endpoint never silences the rest.
+        poller.wait(&mut events, None)?;
+        let mut progressed = false;
+        for event in &events {
+            if event.token == WAKER_TOKEN {
+                waker.drain();
+                progressed = true;
+                continue;
+            }
+            let (listener, route) = &endpoints[event.token as usize];
+            // `WouldBlock` means the client left before the accept; any
+            // other accept error skips this listener for this round
+            // only, so one failing endpoint never silences the rest.
             if let Ok((stream, _)) = listener.accept() {
-                idle = false;
+                progressed = true;
                 // Scrapes are short and rare: one request at a time is plenty.
                 let _ = respond(stream, route);
             }
         }
-        if idle {
-            std::thread::sleep(Duration::from_millis(5));
+        if !progressed {
+            std::thread::sleep(ERROR_BACKOFF);
         }
     }
+    Ok(())
 }
 
 fn respond<F>(mut stream: TcpStream, route: &F) -> io::Result<()>
@@ -154,8 +185,10 @@ mod tests {
         let endpoints = [(metrics_listener, route), (timeline_listener, timeline)];
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = Arc::clone(&shutdown);
+        let waker = Waker::new().unwrap();
+        let waker2 = waker.clone();
         let server = std::thread::spawn(move || {
-            serve(&endpoints, move || shutdown2.load(Ordering::Acquire));
+            serve(&endpoints, &waker2, move || shutdown2.load(Ordering::Acquire))
         });
         assert_eq!(get(metrics_addr, "/metrics").unwrap(), "# TYPE up gauge\nup 1\n");
         assert_eq!(get(timeline_addr, "/timeline").unwrap(), "{\"tick\":0}\n");
@@ -166,6 +199,8 @@ mod tests {
         let err = get(metrics_addr, "/nope").unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
         shutdown.store(true, Ordering::Release);
-        server.join().unwrap();
+        waker.wake();
+        server.join().unwrap().unwrap();
+        waker.close();
     }
 }

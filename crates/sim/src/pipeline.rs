@@ -140,10 +140,7 @@ pub fn initial_placement(
 /// Where a partition with no live replica is restored: its first live
 /// ring successor, else any live server.
 fn restore_target(ring: &ConsistentHashRing, topo: &Topology, p: PartitionId) -> Option<ServerId> {
-    ring.successors(p, topo.server_count())
-        .ok()
-        .into_iter()
-        .flatten()
+    ring.successor_walk(p)
         .find(|&s| topo.servers()[s.index()].alive)
         .or_else(|| topo.servers().iter().find(|s| s.alive).map(|s| s.id))
 }

@@ -1,11 +1,11 @@
-//! Golden digests: the simulator's output for two fixed shapes, pinned
-//! as FNV-1a hashes.
+//! Golden digests: the simulator's output for three fixed shapes,
+//! pinned as FNV-1a hashes.
 //!
 //! Each digest folds in every metric series (name and `f64` bits), the
 //! final replica set of every partition, and the decision-trace JSONL,
 //! so any change to a decision, to its order or to a metric moves it.
-//! A refactor that claims to be bit-identical must leave both
-//! constants alone; a change that means to alter behaviour updates
+//! A refactor that claims to be bit-identical must leave every
+//! constant alone; a change that means to alter behaviour updates
 //! them and says why.
 //!
 //! - `SCALE` is the `sim_scale_1m` shape at 2·10⁴ partitions: the
@@ -16,18 +16,24 @@
 //!   `examples/rack_outage.toml` for 130 epochs, RFH and Spread. Two
 //!   rack outages prune replicas and two recoveries restore them, so
 //!   the decision state meets replicas that vanished behind its back.
+//! - `BASELINES` is the paper topology under the same plan with a flash
+//!   crowd, 512 partitions for 130 epochs, for the three paper
+//!   baselines (Request, Owner, Random). The crowd leaves demand
+//!   unserved, so growth past the availability floor fires and every
+//!   baseline's target choice reaches the digest.
 
 use rfh_core::PolicyKind;
 use rfh_faults::FaultPlan;
 use rfh_obs::{Recorder, TraceRecorder};
 use rfh_sim::{SimParams, Simulation};
 use rfh_topology::{paper_topology, scaled_paper_topology, Topology};
-use rfh_types::{Bandwidth, Bytes, PartitionId, SimConfig};
+use rfh_types::{Bandwidth, Bytes, FlashCrowdConfig, PartitionId, SimConfig};
 use rfh_workload::{EventSchedule, Scenario};
 use std::sync::Arc;
 
 const SCALE: u64 = 0x6948_1094_b912_7570;
 const RACK_OUTAGE: u64 = 0x5671_fbb9_54b6_cef0;
+const BASELINES: u64 = 0xb2e3_ea78_dd37_688d;
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -113,6 +119,27 @@ fn rack_outage_digest() -> u64 {
     hash
 }
 
+fn baselines_digest() -> u64 {
+    let plan = FaultPlan::from_toml_str(include_str!("../../../examples/rack_outage.toml"))
+        .expect("the example plan parses");
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for policy in [PolicyKind::RequestOriented, PolicyKind::OwnerOriented, PolicyKind::Random] {
+        let params = SimParams {
+            config: SimConfig { partitions: 512, ..SimConfig::default() },
+            scenario: Scenario::FlashCrowd(FlashCrowdConfig::default()),
+            policy,
+            epochs: 130,
+            seed: 9,
+            events: EventSchedule::new(),
+            faults: plan.clone(),
+            threads: 1,
+        };
+        let topo = paper_topology(params.config.capacity_spread, params.seed).unwrap();
+        fold_run(&mut hash, params, topo);
+    }
+    hash
+}
+
 #[test]
 fn scale_shape_matches_its_golden_digest() {
     let digest = scale_digest();
@@ -123,4 +150,10 @@ fn scale_shape_matches_its_golden_digest() {
 fn rack_outage_shape_matches_its_golden_digest() {
     let digest = rack_outage_digest();
     assert_eq!(digest, RACK_OUTAGE, "rack-outage shape digest is {digest:#018x}");
+}
+
+#[test]
+fn baselines_shape_matches_its_golden_digest() {
+    let digest = baselines_digest();
+    assert_eq!(digest, BASELINES, "baselines shape digest is {digest:#018x}");
 }

@@ -1,6 +1,6 @@
 //! Physical servers (storage hosts).
 
-use rfh_types::{DatacenterId, RackId, RoomId, ServerId, ServerLabel};
+use rfh_types::{AvailabilityLevel, DatacenterId, RackId, RoomId, ServerId, ServerLabel};
 
 /// A physical server: one storage host in a rack.
 ///
@@ -40,6 +40,28 @@ impl Server {
     ) -> Self {
         debug_assert!(capacity_factor > 0.0, "capacity factor must be positive");
         Server { id, datacenter, room, rack, label, capacity_factor, alive: true }
+    }
+
+    /// Availability level between two servers per §II-A, read from
+    /// their positions in the hierarchy: the earlier the
+    /// `(datacenter, room, rack, id)` paths diverge, the higher the
+    /// level. For servers a [`crate::TopologyBuilder`] made this is
+    /// [`ServerLabel::availability_level`] of their labels: the builder
+    /// gives each datacenter a distinct label prefix and names rooms,
+    /// racks and servers uniquely within their parent.
+    #[inline]
+    pub fn availability_level(&self, other: &Server) -> AvailabilityLevel {
+        if self.datacenter != other.datacenter {
+            AvailabilityLevel::DifferentDatacenter
+        } else if self.room != other.room {
+            AvailabilityLevel::SameDatacenter
+        } else if self.rack != other.rack {
+            AvailabilityLevel::SameRoom
+        } else if self.id != other.id {
+            AvailabilityLevel::SameRack
+        } else {
+            AvailabilityLevel::SameServer
+        }
     }
 }
 

@@ -64,6 +64,13 @@ impl TopologyBuilder {
     /// Add a datacenter with a uniform `rooms × racks × servers` layout
     /// (the paper's sites are 1 room × 2 racks × 5 servers). Returns the
     /// id the datacenter will have in the built topology.
+    ///
+    /// # Errors
+    /// Fails on a country that is not a 3-letter code, an empty layout,
+    /// or a `(continent, country, code)` triple another datacenter
+    /// already has: server labels would then mistake two sites for one,
+    /// and availability levels read from labels would disagree with
+    /// those read from the topology.
     #[allow(clippy::too_many_arguments)]
     pub fn datacenter(
         &mut self,
@@ -85,6 +92,19 @@ impl TopologyBuilder {
                 "datacenters need at least one room, rack and server".into(),
             ));
         }
+        let code = code.into();
+        let site = site.into();
+        if let Some(twin) = self
+            .datacenters
+            .iter()
+            .find(|d| d.continent == continent && d.country == country && d.code == code)
+        {
+            return Err(RfhError::Topology(format!(
+                "datacenter {site:?} repeats the label {continent}-{country}-{code} of site {:?}; \
+                 each datacenter needs its own (continent, country, code)",
+                twin.site
+            )));
+        }
         let room_specs = (1..=rooms)
             .map(|r| RoomSpec {
                 name: format!("C{r:02}"),
@@ -94,10 +114,10 @@ impl TopologyBuilder {
             })
             .collect();
         self.datacenters.push(DcSpec {
-            site: site.into(),
+            site,
             continent,
             country,
-            code: code.into(),
+            code,
             location,
             rooms: room_specs,
         });
@@ -307,11 +327,11 @@ impl Topology {
         self.distance_km(sa.datacenter, sb.datacenter)
     }
 
-    /// Availability level between two servers per the label scheme.
+    /// Availability level between two servers per the label scheme,
+    /// read from their ids in the hierarchy (see
+    /// [`Server::availability_level`]).
     pub fn availability_level(&self, a: ServerId, b: ServerId) -> Result<AvailabilityLevel> {
-        let sa = self.server(a)?;
-        let sb = self.server(b)?;
-        Ok(sa.label.availability_level(&sb.label))
+        Ok(self.server(a)?.availability_level(self.server(b)?))
     }
 
     /// Mark a server failed. Idempotent. Returns whether it was alive.
@@ -682,6 +702,13 @@ mod tests {
             .unwrap();
         assert!(b.link(a, DatacenterId::new(5), 1.0).is_err());
         assert!(b.build(1.0, 0).is_err(), "spread must be < 1");
+        let twin = b
+            .datacenter("B", Continent::Asia, "CHN", "C1", GeoPoint::new(9.0, 9.0), 1, 1, 1)
+            .unwrap_err();
+        assert!(twin.to_string().contains("AS-CHN-C1"), "{twin}");
+        assert!(b
+            .datacenter("B", Continent::Asia, "JPN", "C1", GeoPoint::new(9.0, 9.0), 1, 1, 1)
+            .is_ok());
     }
 
     /// Triangle A-B-C so link cuts can reroute instead of only split.

@@ -200,7 +200,8 @@ fn build_topology(shape: &Shape) -> Topology {
     let n = shape.dcs.len() as u32;
     for (i, &(rooms, racks, servers)) in shape.dcs.iter().enumerate() {
         let at = GeoPoint::new(0.0, 10.0 * i as f64);
-        b.datacenter(format!("D{i}"), Continent::Europe, "DEU", "D1", at, rooms, racks, servers)
+        let code = format!("D{i}");
+        b.datacenter(code.clone(), Continent::Europe, "DEU", code, at, rooms, racks, servers)
             .unwrap();
     }
     for i in 1..n {
