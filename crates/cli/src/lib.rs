@@ -101,8 +101,10 @@ COMMON OPTIONS:
     --partitions N    override the partition count (default 64); partition
                       ids are u32, larger values are rejected up front
     --skew S          override the workload's Zipf skew exponent (default 0.8)
-    --engine E        dense | sparse epoch engine (default sparse); both are
-                      bit-identical — dense exists for differential testing
+    --engine E        dense | sparse epoch engine (default sparse); dense
+                      evaluates every partition every epoch, sparse only the
+                      active set; both are bit-identical — dense is the
+                      reference for differential testing
     --csv FILE        write the run's full metrics as CSV (run)
     --csv-dir DIR     write per-metric comparison CSVs (compare)
     --out FILE        trace output file (trace; default stdout)

@@ -38,12 +38,25 @@ pub struct EpochContext<'a> {
     /// Decision-event sink (observation-only; `&NullRecorder` when the
     /// run is untraced).
     pub recorder: &'a dyn Recorder,
-    /// Sparse-engine active set: the partitions this epoch's traffic
-    /// pass touched, sorted ascending. `Some` asks the policy to
-    /// evaluate only these partitions (everything outside is frozen —
-    /// the policy's own [`ReplicationPolicy::keeps_live`] vouched that
-    /// skipping them changes nothing); `None` is the dense full sweep.
+    /// The partitions to evaluate this epoch, sorted ascending: the
+    /// epoch's active set, which the traffic pass covered too.
+    /// Everything outside it is frozen — the policy's own
+    /// [`ReplicationPolicy::keeps_live`] vouched that skipping it
+    /// changes nothing. The epoch pipeline always passes `Some` (every
+    /// partition in dense mode); `None` means every partition, for
+    /// callers that run a decision outside the pipeline.
     pub active: Option<&'a [u32]>,
+}
+
+/// The partitions a decision pass evaluates, ascending: `active`, or
+/// every one of `partitions` when it is `None` (see
+/// [`EpochContext::active`]).
+pub(crate) fn sweep(active: Option<&[u32]>, partitions: u32) -> impl Iterator<Item = u32> + '_ {
+    let (listed, every) = match active {
+        Some(active) => (active, 0..0),
+        None => (&[][..], 0..partitions),
+    };
+    listed.iter().copied().chain(every)
 }
 
 /// One decision a policy can make.

@@ -7,7 +7,7 @@
 //! the list of the top 3." (§II-A; Gnutella-style, refs [16][5].)
 
 use crate::manager::ReplicaManager;
-use crate::policy::{Action, EpochContext, ReplicationPolicy};
+use crate::policy::{sweep, Action, EpochContext, ReplicationPolicy};
 use crate::random::UNSERVED_TRIGGER;
 use crate::selection::accepting_servers_in_dc;
 use rand::rngs::StdRng;
@@ -40,7 +40,7 @@ pub struct RequestOrientedPolicy {
     rates: Vec<f64>,
     /// Pass number at which each partition's rate row was last folded.
     stamps: Vec<u64>,
-    /// Update passes taken so far (dense or sparse).
+    /// Update passes taken so far.
     pass: u64,
     partitions: u32,
     dcs: u32,
@@ -84,37 +84,25 @@ impl RequestOrientedPolicy {
         idx.into_iter().map(|j| DatacenterId::new(j as u32)).collect()
     }
 
-    /// Fold one partition's rate row up to the current pass: first the
-    /// zero observations of any passes it sat out (closed-form, bitwise
-    /// what the epoch-at-a-time folds would have produced), then this
-    /// pass's observation.
-    fn observe_partition(&mut self, load: &rfh_workload::QueryLoad, pu: u32) {
-        let p = pu as usize;
-        let stamp = self.stamps[p];
-        let gap = self.pass - 1 - stamp;
-        self.stamps[p] = self.pass;
-        let base = p * self.dcs as usize;
-        for j in 0..self.dcs {
-            let cell = &mut self.rates[base + j as usize];
-            if gap > 0 {
-                *cell = rfh_stats::decay_zeros(RATE_HISTORY_WEIGHT, *cell, gap);
+    /// Fold this epoch's observations into the rate rows of `parts`
+    /// (ascending): for each, first the zero observations of any passes
+    /// it sat out (closed-form, bitwise what the epoch-at-a-time folds
+    /// would have produced), then this pass's observation.
+    fn update_rates(&mut self, load: &rfh_workload::QueryLoad, parts: impl Iterator<Item = u32>) {
+        self.pass += 1;
+        for pu in parts {
+            let p = pu as usize;
+            let gap = self.pass - 1 - self.stamps[p];
+            self.stamps[p] = self.pass;
+            let base = p * self.dcs as usize;
+            for j in 0..self.dcs {
+                let cell = &mut self.rates[base + j as usize];
+                if gap > 0 {
+                    *cell = rfh_stats::decay_zeros(RATE_HISTORY_WEIGHT, *cell, gap);
+                }
+                let obs = load.get(PartitionId::new(pu), DatacenterId::new(j)) as f64;
+                *cell = rfh_stats::ewma_step(RATE_HISTORY_WEIGHT, *cell, obs);
             }
-            let obs = load.get(PartitionId::new(pu), DatacenterId::new(j)) as f64;
-            *cell = RATE_HISTORY_WEIGHT * *cell + (1.0 - RATE_HISTORY_WEIGHT) * obs;
-        }
-    }
-
-    fn update_rates(&mut self, ctx: &EpochContext<'_>) {
-        self.pass += 1;
-        for p in 0..self.partitions {
-            self.observe_partition(ctx.load, p);
-        }
-    }
-
-    fn update_rates_active(&mut self, load: &rfh_workload::QueryLoad, active: &[u32]) {
-        self.pass += 1;
-        for &p in active {
-            self.observe_partition(load, p);
         }
     }
 }
@@ -130,24 +118,16 @@ impl ReplicationPolicy for RequestOrientedPolicy {
     }
 
     fn decide(&mut self, ctx: &EpochContext<'_>, manager: &ReplicaManager) -> Vec<Action> {
-        match ctx.active {
-            Some(active) => self.update_rates_active(ctx.load, active),
-            None => self.update_rates(ctx),
-        }
+        self.update_rates(ctx.load, sweep(ctx.active, self.partitions));
         let r_min =
             min_replica_count(ctx.config.failure_rate, ctx.config.min_availability) as usize;
         let mut actions = Vec::new();
-        // Sparse active set when offered. A frozen partition has every
-        // rate cell below [`Self::ACTIVE_RATE`] (the stale cells only
-        // overestimate the decayed truth), so its top-3 is empty: the
-        // dense loop would take neither the growth nor the migration
-        // branch and — crucially for the shared RNG stream — draw no
-        // random numbers for it.
-        let sweep: Box<dyn Iterator<Item = u32>> = match ctx.active {
-            Some(active) => Box::new(active.iter().copied()),
-            None => Box::new(0..manager.partitions()),
-        };
-        for p_idx in sweep {
+        // A frozen partition has every rate cell below
+        // [`Self::ACTIVE_RATE`] (the stale cells only overestimate the
+        // decayed truth), so its top-3 is empty: a full sweep would take
+        // neither the growth nor the migration branch and — crucially
+        // for the shared RNG stream — draw no random numbers for it.
+        for p_idx in sweep(ctx.active, manager.partitions()) {
             let p = PartitionId::new(p_idx);
             let top3 = self.top3(p);
 

@@ -40,7 +40,7 @@
 
 use crate::decision_state::DecisionState;
 use crate::manager::ReplicaManager;
-use crate::policy::{Action, EpochContext, ReplicationPolicy};
+use crate::policy::{sweep, Action, EpochContext, ReplicationPolicy};
 use crate::selection::{accepting_servers_in_dc, least_blocked_in_dc, most_spread_in_dc};
 use crate::thresholds::{
     holder_overloaded, is_traffic_hub, migration_beneficial, suicide_candidate,
@@ -249,12 +249,10 @@ impl RfhDecisionCore {
             "active set must be sorted"
         );
         self.state.begin_pass(epoch, manager.partitions());
-        let n = active.map_or(manager.partitions() as usize, <[u32]>::len);
         // One evaluation's streak updates at a time, in one buffer.
         let mut streaks = Vec::new();
         let mut actions = Vec::new();
-        for i in 0..n {
-            let p = PartitionId::new(active.map_or(i as u32, |a| a[i]));
+        for p in sweep(active, manager.partitions()).map(PartitionId::new) {
             let d = self.decide_partition(
                 epoch,
                 t,

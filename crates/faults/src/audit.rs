@@ -1,8 +1,9 @@
 //! Per-epoch safety and liveness auditing.
 //!
-//! The simulator drives [`InvariantAuditor::audit`] once per epoch,
-//! after faults were injected, dead replicas pruned, and the policy's
-//! actions applied. The auditor checks the paper's implicit contract:
+//! The epoch pipeline drives [`InvariantAuditor::audit_subset`] once
+//! per epoch over its active set, after faults were injected, dead
+//! replicas pruned, and the policy's actions applied. The auditor
+//! checks the paper's implicit contract:
 //!
 //! **Safety**
 //! * No replica sits on a dead server — except partitions the caller
@@ -142,48 +143,35 @@ impl InvariantAuditor {
         self.last_fault = Some(epoch);
     }
 
-    /// Run the end-of-epoch audit. `fill_replicas` writes partition
-    /// `p`'s replica set into the provided buffer (called once per
-    /// partition, buffer pre-cleared); `pinned` marks partitions whose
-    /// every copy is lost and which legitimately sit on dead servers
-    /// awaiting restore. Returns the number of new violations.
+    /// [`audit_subset`](Self::audit_subset) over every partition.
     pub fn audit(
         &mut self,
         epoch: u64,
         topo: &Topology,
-        mut fill_replicas: impl FnMut(PartitionId, &mut Vec<ServerId>),
+        fill_replicas: impl FnMut(PartitionId, &mut Vec<ServerId>),
         pinned: impl Fn(PartitionId) -> bool,
     ) -> u64 {
-        let before = self.total;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut watch = std::mem::take(&mut self.watch_spare);
-        watch.clear();
-        for idx in 0..self.armed.len() {
-            let p = PartitionId::new(idx as u32);
-            scratch.clear();
-            fill_replicas(p, &mut scratch);
-            let pin = pinned(p);
-            if self.audit_one(epoch, topo, p, &scratch, pin) {
-                watch.push(idx as u32);
-            }
-        }
-        self.scratch = scratch;
-        self.watch_spare = std::mem::replace(&mut self.watch, watch);
-        self.total - before
+        let every: Vec<u32> = (0..self.armed.len() as u32).collect();
+        self.audit_subset(epoch, topo, &every, fill_replicas, pinned)
     }
 
-    /// Incremental audit over `parts` (sorted ascending, deduped) plus
-    /// the auditor's internal watch list — partitions whose state can
-    /// only evolve while they are being watched (a ticking repair clock,
-    /// replicas still parked on dead servers).
+    /// Run the end-of-epoch audit over `parts` (sorted ascending,
+    /// deduped) plus the auditor's internal watch list — partitions
+    /// whose state can only evolve while they are being watched (a
+    /// ticking repair clock, replicas still parked on dead servers).
+    /// `fill_replicas` writes partition `p`'s replica set into the
+    /// provided buffer (called once per audited partition, buffer
+    /// pre-cleared); `pinned` marks partitions whose every copy is lost
+    /// and which legitimately sit on dead servers awaiting restore.
+    /// Returns the number of new violations.
     ///
     /// Provided every epoch's `parts` contains every partition whose
-    /// replica set or liveness changed that epoch (the sparse engine's
+    /// replica set or liveness changed that epoch (the epoch engine's
     /// active set does), the violations recorded — kinds, epochs, order,
-    /// running total — are identical to calling [`audit`](Self::audit)
-    /// each epoch: all other partitions are either unarmed and
-    /// untouched, or healthy at `r_min`+ with every replica alive, and
-    /// the dense sweep is a no-op on them.
+    /// running total — are identical to auditing every partition each
+    /// epoch: all other partitions are either unarmed and untouched, or
+    /// healthy at `r_min`+ with every replica alive, and auditing them
+    /// is a no-op.
     pub fn audit_subset(
         &mut self,
         epoch: u64,
@@ -199,7 +187,7 @@ impl InvariantAuditor {
         let mut new_watch = std::mem::take(&mut self.watch_spare);
         new_watch.clear();
         // Merge-walk parts ∪ watch ascending so violations come out in
-        // the same partition order as the dense sweep's.
+        // partition order.
         let (mut i, mut j) = (0, 0);
         while i < parts.len() || j < old_watch.len() {
             let next = match (parts.get(i), old_watch.get(j)) {

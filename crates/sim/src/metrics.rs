@@ -236,38 +236,22 @@ pub fn recovery_epochs(metrics: &Metrics, fail_epoch: u64, tolerance: f64) -> Op
     series.values()[fail..].iter().position(|&v| v >= floor).map(|i| i as u64)
 }
 
-/// Compute the mean replica utilization of eq. (23) for one epoch:
-/// every replica slot (a server hosting capacity for a partition)
-/// contributes `min(1, served / capacity)`; the mean is over slots.
-/// `accounts` must come from a pass over `view`.
-pub fn mean_utilization(view: &PlacementView, accounts: &TrafficAccounts) -> f64 {
-    utilization_over(view, accounts, (0..view.partitions()).map(PartitionId::new))
-}
-
-/// [`mean_utilization`] over a sparse active set: only the replicas of
-/// `active` partitions can have served anything this epoch, so every
-/// skipped replica contributes an exact `+0.0` term to the numerator —
-/// the additive identity on this non-negative accumulator — while the
-/// denominator comes from the view's O(1) slot counter. Bit-identical
-/// to the dense scan whenever the sparse invariant holds (every
-/// partition with served traffic is in `active`, ascending).
+/// The mean replica utilization of eq. (23) for one epoch: every
+/// replica slot (a server hosting capacity for a partition) contributes
+/// `min(1, served / capacity)`; the mean is over slots. `accounts` must
+/// come from a pass over `view` and `active` (ascending) must hold every
+/// partition that served anything this epoch: every skipped replica
+/// contributes an exact `+0.0` term to the numerator — the additive
+/// identity on this non-negative accumulator — while the denominator
+/// comes from the view's O(1) slot counter. The terms of `active`'s
+/// slots are added in partition order, slots in ascending server order.
 pub fn mean_utilization_active(
     view: &PlacementView,
     accounts: &TrafficAccounts,
     active: &[u32],
 ) -> f64 {
-    utilization_over(view, accounts, active.iter().map(|&p| PartitionId::new(p)))
-}
-
-/// Utilization terms of `parts`' slots (partitions in the given order,
-/// slots in ascending server order) over every slot of the view.
-fn utilization_over(
-    view: &PlacementView,
-    accounts: &TrafficAccounts,
-    parts: impl Iterator<Item = PartitionId>,
-) -> f64 {
     let mut total = 0.0;
-    for p in parts {
+    for p in active.iter().map(|&p| PartitionId::new(p)) {
         let (slots, served) = (view.slots(p), accounts.served(p));
         debug_assert_eq!(slots.len(), served.len(), "accounts from a pass over another view");
         for (slot, &served) in slots.iter().zip(served) {
@@ -389,7 +373,7 @@ mod tests {
             let acc = TrafficEngine::new().account(&topo, &load, &view).clone();
             // Server 0 absorbs all 10 (first in DC order): 1.0; server 1
             // idles: 0.0 → mean 0.5.
-            assert!((mean_utilization(&view, &acc) - 0.5).abs() < 1e-12);
+            assert!((mean_utilization_active(&view, &acc, &[0]) - 0.5).abs() < 1e-12);
         }
 
         #[test]
@@ -398,7 +382,7 @@ mod tests {
             let view = PlacementView::new(1, 2, vec![ServerId::new(0)]);
             let load = QueryLoad::zeros(1, 1);
             let acc = TrafficEngine::new().account(&topo, &load, &view).clone();
-            assert_eq!(mean_utilization(&view, &acc), 0.0);
+            assert_eq!(mean_utilization_active(&view, &acc, &[0]), 0.0);
         }
 
         #[test]

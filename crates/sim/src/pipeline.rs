@@ -19,9 +19,7 @@
 //! [`EpochHost`] trait: the simulator's host ([`NoHost`]) does
 //! nothing, the live host copies partition data and republishes routes.
 
-use crate::metrics::{
-    epoch_load_imbalance, mean_utilization, mean_utilization_active, EpochSnapshot,
-};
+use crate::metrics::{epoch_load_imbalance, mean_utilization_active, EpochSnapshot};
 use crate::planner::{
     link_between, LinkKey, MoveClass, MoveReq, PlanOutcome, PlannerConfig, TransferPlanner,
 };
@@ -46,22 +44,25 @@ use std::sync::Arc;
 /// Tokens per server on the placement ring.
 const RING_TOKENS: u32 = 64;
 
-/// Which epoch engine drives a run.
+/// Which partitions an epoch's active set holds.
 ///
-/// Both modes produce **bit-identical** results — metrics, placements,
-/// decision traces, RNG streams (a differential test matrix asserts
-/// this). They differ only in per-epoch cost: dense work is
+/// Every epoch hands one active set to every layer — traffic pass,
+/// smoother, policy, utilization, audit — and each layer has one pass
+/// body over it. The two modes differ only in which partitions the set
+/// carries from one epoch to the next, and produce **bit-identical**
+/// results — metrics, placements, decision traces, RNG streams (a
+/// differential test matrix asserts this). Dense work is
 /// O(partitions), sparse work is O(dirty set), which is what lets an
 /// epoch over a million partitions cost only its hot set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Full sweeps: every partition is re-accounted, re-smoothed,
-    /// re-decided and re-audited every epoch. The reference semantics.
+    /// Every partition in every epoch: the carry keeps them all, as on
+    /// a dirty-all epoch. The reference for differential tests.
     Dense,
     /// Incremental dirty-set engine (the default): each epoch touches
-    /// only the *active set* — partitions with queries this epoch,
-    /// partitions whose placement changed, and carried-over partitions
-    /// the policy says are not yet provably inert
+    /// only partitions with queries this epoch, partitions whose
+    /// placement changed, and carried-over partitions the policy says
+    /// are not yet provably inert
     /// ([`rfh_core::ReplicationPolicy::keeps_live`]).
     #[default]
     Sparse,
@@ -186,13 +187,13 @@ pub struct EpochPipeline {
     pub(crate) engine_mode: EngineMode,
     /// Availability floor `r_min` (it depends only on the config).
     r_min: usize,
-    /// Sparse mode: last epoch's active set, sorted ascending — the
-    /// carry half of the next active set.
+    /// This (after the active-set step) or last epoch's active set,
+    /// sorted ascending — the carry half of the next active set.
     prev_active: Vec<u32>,
-    /// Sparse mode: build buffer for the next active set (swapped with
+    /// Build buffer for the next active set (swapped with
     /// `prev_active` each epoch).
     active_scratch: Vec<u32>,
-    /// Cumulative partitions sparse epochs visited / skipped.
+    /// Cumulative partitions epochs evaluated / skipped.
     sparse_dirty: u64,
     sparse_skipped: u64,
     /// Decision-event sink; [`NullRecorder`] unless traced.
@@ -501,43 +502,39 @@ impl EpochPipeline {
         host.entering_epoch(|| scanned.unwrap_or_else(|| self.live_replica_scan()));
         self.profiler.stop(PHASE_EVENTS, ev_t0);
 
-        // Sparse mode: assemble the epoch's active set before the render
-        // below consumes `dirty_parts` / `view_stale`. A stale view means
-        // placements moved wholesale (first epoch, prune, restore)
-        // — that epoch runs dirty-all, which doubles as the warm-up that
-        // seeds the carry. Otherwise the set is carry ∪ touched ∪ dirty:
-        // carried partitions the policy cannot yet prove inert, plus
-        // everything with queries or placement changes this epoch.
+        // Assemble the epoch's active set before the render below
+        // consumes `dirty_parts` / `view_stale`. A stale view means
+        // placements moved wholesale (first epoch, prune, restore) — that
+        // epoch runs dirty-all, which doubles as the warm-up that seeds
+        // the carry; so does every epoch in dense mode. Otherwise the set
+        // is carry ∪ touched ∪ dirty: carried partitions the policy
+        // cannot yet prove inert, plus everything with queries or
+        // placement changes this epoch.
         let sp_t0 = self.profiler.start();
-        let active: Option<&[u32]> = match self.engine_mode {
-            EngineMode::Dense => None,
-            EngineMode::Sparse => {
-                self.active_scratch.clear();
-                if self.view_stale {
-                    self.active_scratch.extend(0..self.cfg.partitions);
-                } else {
-                    for &pu in &self.prev_active {
-                        if self.policy.keeps_live(
-                            &self.topo,
-                            &self.smoother,
-                            &self.manager,
-                            self.r_min,
-                            PartitionId::new(pu),
-                        ) {
-                            self.active_scratch.push(pu);
-                        }
-                    }
-                    self.active_scratch.extend_from_slice(load.touched());
-                    self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
-                    self.active_scratch.sort_unstable();
-                    self.active_scratch.dedup();
+        self.active_scratch.clear();
+        if self.view_stale || self.engine_mode == EngineMode::Dense {
+            self.active_scratch.extend(0..self.cfg.partitions);
+        } else {
+            for &pu in &self.prev_active {
+                if self.policy.keeps_live(
+                    &self.topo,
+                    &self.smoother,
+                    &self.manager,
+                    self.r_min,
+                    PartitionId::new(pu),
+                ) {
+                    self.active_scratch.push(pu);
                 }
-                std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
-                self.sparse_dirty += self.prev_active.len() as u64;
-                self.sparse_skipped += self.cfg.partitions as u64 - self.prev_active.len() as u64;
-                Some(&self.prev_active)
             }
-        };
+            self.active_scratch.extend_from_slice(load.touched());
+            self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
+            self.active_scratch.sort_unstable();
+            self.active_scratch.dedup();
+        }
+        std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
+        let active = &self.prev_active[..];
+        self.sparse_dirty += active.len() as u64;
+        self.sparse_skipped += self.cfg.partitions as u64 - active.len() as u64;
         self.profiler.stop(PHASE_SPARSE, sp_t0);
 
         let tr_t0 = self.profiler.start();
@@ -556,14 +553,8 @@ impl EpochPipeline {
             }
         }
         self.dirty_parts.clear();
-        let accounts = match active {
-            Some(a) => self.engine.account_active(&self.topo, load, &self.view, a),
-            None => self.engine.account(&self.topo, load, &self.view),
-        };
-        match active {
-            Some(a) => self.smoother.update_active(load, accounts, a),
-            None => self.smoother.update(load, accounts),
-        }
+        let accounts = self.engine.account_active(&self.topo, load, &self.view, active);
+        self.smoother.update_active(load, accounts, active);
         let blocking =
             server_blocking_probabilities(&self.topo, accounts, cfg.replica_capacity_mean);
         self.profiler.stop(PHASE_TRAFFIC, tr_t0);
@@ -579,17 +570,14 @@ impl EpochPipeline {
             view: &self.view,
             config: cfg,
             recorder: &*self.recorder,
-            active,
+            active: Some(active),
         };
         let actions = self.policy.decide(&ctx, &self.manager);
         self.profiler.stop(PHASE_DECIDE, de_t0);
 
         let me_t0 = self.profiler.start();
         let mut snap = EpochSnapshot {
-            utilization: match active {
-                Some(a) => mean_utilization_active(&self.view, accounts, a),
-                None => mean_utilization(&self.view, accounts),
-            },
+            utilization: mean_utilization_active(&self.view, accounts, active),
             load_imbalance: epoch_load_imbalance(&self.topo, accounts),
             path_length: accounts.mean_path_length(),
             served: accounts.served_total(),
@@ -613,24 +601,16 @@ impl EpochPipeline {
         let pinned = &self.pinned;
         let replicas =
             |p: PartitionId, buf: &mut Vec<ServerId>| buf.extend_from_slice(manager.replicas(p));
-        // Sparse mode audits the active set (plus the auditor's own
-        // watch list of armed / dead-replica partitions); the violation
-        // stream is identical to a dense audit because only actions can
-        // change a partition's audit state, actions land on active
-        // partitions, and deferred repairs either hit watched partitions
-        // or leave the audit outcome unchanged.
-        snap.invariant_violations = match self.engine_mode {
-            EngineMode::Sparse => self.auditor.audit_subset(
-                self.epoch,
-                &self.topo,
-                &self.prev_active,
-                replicas,
-                |p| pinned.contains(&p),
-            ),
-            EngineMode::Dense => {
-                self.auditor.audit(self.epoch, &self.topo, replicas, |p| pinned.contains(&p))
-            }
-        } as usize;
+        // The audit covers the active set plus the auditor's own watch
+        // list of armed / dead-replica partitions; the violation stream
+        // is identical to a full audit because only actions can change
+        // a partition's audit state, actions land on active partitions,
+        // and deferred repairs either hit watched partitions or leave
+        // the audit outcome unchanged.
+        snap.invariant_violations =
+            self.auditor.audit_subset(self.epoch, &self.topo, &self.prev_active, replicas, |p| {
+                pinned.contains(&p)
+            }) as usize;
         self.profiler.stop(PHASE_METRICS, me_t1);
         self.recorder.end_epoch(self.policy.name(), self.epoch);
         self.epoch += 1;

@@ -415,6 +415,71 @@ mod tests {
         }
     }
 
+    /// Records the size of the active set each epoch hands the policy;
+    /// decides nothing and carries nothing, so after the first epoch
+    /// every epoch is a fault-free steady one.
+    struct ActiveProbe(Arc<std::sync::Mutex<Vec<Option<usize>>>>);
+
+    impl ReplicationPolicy for ActiveProbe {
+        fn name(&self) -> &'static str {
+            "Probe"
+        }
+
+        fn decide(
+            &mut self,
+            ctx: &rfh_core::EpochContext<'_>,
+            _: &ReplicaManager,
+        ) -> Vec<rfh_core::Action> {
+            self.0.lock().unwrap().push(ctx.active.map(<[u32]>::len));
+            Vec::new()
+        }
+
+        fn keeps_live(
+            &self,
+            _: &Topology,
+            _: &rfh_traffic::TrafficSmoother,
+            _: &ReplicaManager,
+            _: usize,
+            _: PartitionId,
+        ) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn dense_epochs_evaluate_every_partition() {
+        let mut p = quick_params(PolicyKind::Random);
+        p.config.partitions = 512;
+        for mode in [EngineMode::Dense, EngineMode::Sparse] {
+            let seen = Arc::default();
+            let mut sim = Simulation::new(p.clone())
+                .unwrap()
+                .with_custom_policy(Box::new(ActiveProbe(Arc::clone(&seen))))
+                .with_engine(mode);
+            for _ in 0..10 {
+                sim.step().unwrap();
+            }
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), 10);
+            assert_eq!(seen[0], Some(512), "{mode:?}: the first epoch runs dirty-all");
+            for (epoch, &active) in seen.iter().enumerate().skip(1) {
+                match mode {
+                    EngineMode::Dense => assert_eq!(active, Some(512), "epoch {epoch}"),
+                    EngineMode::Sparse => assert!(active < Some(512), "epoch {epoch}"),
+                }
+            }
+            // The work counters count the evaluated partitions in both
+            // modes.
+            let mut reg = MetricsRegistry::new();
+            sim.collect_metrics(&mut reg);
+            let dirty = match reg.get("sim.sparse.dirty_partitions") {
+                Some(rfh_obs::Metric::Counter(v)) => *v,
+                other => panic!("expected a counter, got {other:?}"),
+            };
+            assert_eq!(dirty == 10 * 512, mode == EngineMode::Dense, "{mode:?}: {dirty}");
+        }
+    }
+
     #[test]
     fn sparse_epochs_skip_cold_partitions() {
         // 512 partitions but only ~300 queries/epoch: most partitions see

@@ -27,7 +27,7 @@ pub mod welford;
 
 pub use availability::{eq14_availability, eq14_sum_form, min_replica_count, read_availability};
 pub use erlang::{erlang_b, offered_load};
-pub use ewma::{decay_zeros, Ewma};
+pub use ewma::{decay_zeros, ewma_step};
 pub use histogram::{Histogram, LATENCY_BUCKETS, LATENCY_HI_US, LATENCY_LO_US};
 pub use timeseries::TimeSeries;
 pub use welford::{load_imbalance, Welford};

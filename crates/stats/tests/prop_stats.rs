@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rfh_stats::{
-    eq14_availability, erlang_b, load_imbalance, min_replica_count, read_availability, Ewma,
+    eq14_availability, erlang_b, ewma_step, load_imbalance, min_replica_count, read_availability,
     Histogram, TimeSeries, Welford,
 };
 
@@ -12,11 +12,11 @@ proptest! {
         alpha in 0.0f64..=1.0,
         xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
     ) {
-        let mut e = Ewma::new(alpha);
         let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for &x in &xs {
-            let v = e.update(x);
+        let mut v = xs[0];
+        for &x in &xs[1..] {
+            v = ewma_step(alpha, v, x);
             prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9,
                 "EWMA is a convex combination; {v} outside [{lo}, {hi}]");
         }

@@ -31,9 +31,8 @@
 //! totals (`hops_weighted`, `latency_weighted_ms`, `sla_within`,
 //! `served_total`, `unserved_total`) and the per-server loads cross
 //! partitions, and `f64` addition is not associative — so the pass adds
-//! each partition's terms to them in ascending partition order, on the
-//! dense and sparse paths alike. `compute_traffic` (a one-shot engine)
-//! stays the semantic reference.
+//! each partition's terms to them in ascending partition order, whatever
+//! subset of the partitions a pass covers.
 
 use rfh_obs::MetricsRegistry;
 use rfh_topology::{RouteTable, Topology};
@@ -46,8 +45,7 @@ use crate::placement::PlacementView;
 /// A stateful traffic pass: all buffers preallocated, routes cached.
 ///
 /// One engine serves one topology lineage: its route table is keyed on
-/// [`Topology::generation`] and refreshed lazily inside
-/// [`account`](Self::account). Engines are cheap to create but only pay
+/// [`Topology::generation`] and refreshed lazily by the next pass. Engines are cheap to create but only pay
 /// off when reused; they are deliberately *not* shared between policy
 /// threads — give each thread its own (share-nothing).
 #[derive(Debug, Clone)]
@@ -56,12 +54,10 @@ pub struct TrafficEngine {
     /// Scratch of the partition being processed.
     scratch: Scratch,
     accounts: TrafficAccounts,
-    /// Active set of the previous *sparse* pass: the partitions whose
-    /// account cells that pass wrote. `Some` ⇒ the accounts can be
-    /// cleared in O(prev) instead of O(partitions) by the next sparse
-    /// pass; `None` (after a dense pass, a shape change, or at birth)
-    /// forces a full reset first.
-    sparse_prev: Option<Vec<u32>>,
+    /// Active set of the previous pass: the partitions whose account
+    /// cells that pass wrote, so the next pass at the same shape clears
+    /// them in O(prev) instead of O(partitions).
+    prev_active: Vec<u32>,
     stats: EngineStats,
 }
 
@@ -131,7 +127,7 @@ impl TrafficEngine {
             routes: RouteTable::new(),
             scratch: Scratch::default(),
             accounts: TrafficAccounts::empty(),
-            sparse_prev: None,
+            prev_active: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -144,9 +140,7 @@ impl TrafficEngine {
     /// Bytes of heap the engine holds besides its
     /// [`accounts`](Self::accounts), by allocation capacity.
     pub fn heap_bytes(&self) -> usize {
-        self.routes.heap_bytes()
-            + self.scratch.heap_bytes()
-            + self.sparse_prev.as_ref().map_or(0, |prev| prev.capacity() * 4)
+        self.routes.heap_bytes() + self.scratch.heap_bytes() + self.prev_active.capacity() * 4
     }
 
     /// Start a pass: refresh the route table if `topo`'s generation
@@ -158,53 +152,36 @@ impl TrafficEngine {
         self.stats.passes += 1;
     }
 
-    /// Run the traffic pass for one epoch, reusing every buffer.
-    ///
-    /// Semantics (and bit-level output) match
-    /// [`compute_traffic`](crate::absorption::compute_traffic):
-    /// `view` must describe the same cluster as `topo` (same server
-    /// count) and the same partition count as `load`. The returned
-    /// borrow is valid until the next call on this engine.
+    /// [`account_active`](Self::account_active) over every partition,
+    /// for callers outside the epoch pipeline (the one-shot
+    /// [`compute_traffic`](crate::absorption::compute_traffic) among
+    /// them).
     pub fn account(
         &mut self,
         topo: &Topology,
         load: &QueryLoad,
         view: &PlacementView,
     ) -> &TrafficAccounts {
-        self.begin_pass(topo);
-
-        let n_dcs = topo.datacenters().len();
-        let n_parts = load.partitions() as usize;
-        let n_servers = topo.server_count();
-        debug_assert_eq!(view.partitions() as usize, n_parts);
-        debug_assert_eq!(view.servers() as usize, n_servers);
-
-        self.accounts.reset(n_dcs, n_parts, n_servers);
-        self.accounts.align_served(view, 0..n_parts);
-        // A dense pass rewrites every cell; the sparse partial-clear
-        // bookkeeping no longer describes the accounts.
-        self.sparse_prev = None;
-
-        let ctx = PassCtx { routes: &self.routes, topo, load, view };
-        run_pass(&ctx, &mut self.scratch, &mut self.accounts, 0..n_parts);
-        self.accounts.fold_server_loads(view, 0..n_parts);
-
-        &self.accounts
+        self.account_active(topo, load, view, &(0..load.partitions()).collect::<Vec<_>>())
     }
 
-    /// Sparse traffic pass: account only the `active` partitions
-    /// (sorted ascending, deduplicated), leaving every other
-    /// partition's account cells untouched.
+    /// Run the traffic pass for one epoch over the `active` partitions
+    /// (sorted ascending, deduplicated), reusing every buffer and
+    /// leaving every other partition's account cells untouched.
+    ///
+    /// `view` must describe the same cluster as `topo` (same server
+    /// count) and the same partition count as `load`. The returned
+    /// borrow is valid until the next call on this engine.
     ///
     /// ## Contract
     ///
     /// `active` must contain **every partition with non-zero load this
     /// epoch** (supersets are fine) and every partition whose slots in
     /// `view` changed since the last pass. Under that contract the result
-    /// equals a dense [`account`](Self::account) pass bit for bit: an
-    /// inactive partition carries zero load, so the dense pass would
-    /// write exact zeros into its cells (which the sparse invariant
-    /// already guarantees) and contribute exact `+0.0` terms to the five
+    /// equals a pass over every partition bit for bit: an inactive
+    /// partition carries zero load, so a full pass would write exact
+    /// zeros into its cells (which the previous pass's clear already
+    /// guarantees) and contribute exact `+0.0` terms to the five
     /// cross-partition scalars and the per-server load sums — the
     /// additive identity on these non-negative accumulators.
     ///
@@ -233,23 +210,18 @@ impl TrafficEngine {
             "active set must cover every partition with load"
         );
 
-        // Reset the accounts: O(prev) when the previous pass was sparse
-        // at the same shape, full otherwise. Inactive cells stay zero
-        // either way (the sparse invariant).
-        match self.sparse_prev.take() {
-            Some(mut prev) if self.accounts.shape() == (n_dcs, n_parts, n_servers) => {
-                self.accounts.clear_sparse(&prev);
-                self.accounts.align_served(view, active.iter().map(|&p| p as usize));
-                prev.clear();
-                prev.extend_from_slice(active);
-                self.sparse_prev = Some(prev);
-            }
-            _ => {
-                self.accounts.reset(n_dcs, n_parts, n_servers);
-                self.accounts.align_served(view, 0..n_parts);
-                self.sparse_prev = Some(active.to_vec());
-            }
+        // Reset the accounts: O(prev) at the previous pass's shape,
+        // full otherwise (first pass, shape change). Inactive cells
+        // stay zero either way.
+        if self.accounts.shape() == (n_dcs, n_parts, n_servers) {
+            self.accounts.clear_sparse(&self.prev_active);
+            self.accounts.align_served(view, active.iter().map(|&p| p as usize));
+        } else {
+            self.accounts.reset(n_dcs, n_parts, n_servers);
+            self.accounts.align_served(view, 0..n_parts);
         }
+        self.prev_active.clear();
+        self.prev_active.extend_from_slice(active);
 
         let ctx = PassCtx { routes: &self.routes, topo, load, view };
         run_pass(&ctx, &mut self.scratch, &mut self.accounts, active.iter().map(|&p| p as usize));
@@ -272,8 +244,7 @@ impl TrafficEngine {
     }
 }
 
-/// The accounting pass over `partitions` (ascending), shared by the
-/// dense and sparse passes. The within-partition order is the legacy
+/// The accounting pass over `partitions` (ascending). The within-partition order is the legacy
 /// accounting order — requesters ascending, hops in path order, slots
 /// in id order — so every per-partition quantity is computed by the
 /// exact `f64` sequence the one-shot pass uses; each partition's terms
@@ -587,8 +558,8 @@ mod tests {
 
     #[test]
     fn alternating_dense_and_sparse_passes_stay_consistent() {
-        // Dense passes clobber the sparse bookkeeping and vice versa;
-        // every switch must land on the full-reset / full-reindex path.
+        // Full and partial passes share the partial-clear bookkeeping:
+        // every switch must clear exactly what the previous pass wrote.
         let topo = chain();
         let view = sample_view(6, 3);
         let full: Vec<u32> = (0..6).collect();

@@ -14,8 +14,9 @@
 //! accounts it folds, the state is partition-major: everything a
 //! decision reads about one partition is one contiguous row.
 //!
-//! A sparse update brings a partition current with one gap of zero
-//! observations, the same for every cell of its row.
+//! Every update names the partitions it folds (a full update names
+//! them all) and brings each current with one gap of zero observations,
+//! the same for every cell of its row.
 
 use crate::absorption::TrafficAccounts;
 use rfh_types::{DatacenterId, PartitionId};
@@ -34,11 +35,10 @@ pub struct TrafficSmoother {
     traffic: Vec<f64>,
     /// Smoothed forwarding traffic (outflow), same layout.
     outflow: Vec<f64>,
-    /// Sparse-update bookkeeping: the pass at which each partition's
-    /// cells were last brought current (0 = never). Only
-    /// [`update_active`](Self::update_active) maintains these.
+    /// The pass at which each partition's cells were last brought
+    /// current (0 = never).
     stamps: Vec<u64>,
-    /// Number of [`update_active`](Self::update_active) passes so far.
+    /// Number of passes so far.
     pass: u64,
 }
 
@@ -61,28 +61,12 @@ impl TrafficSmoother {
         }
     }
 
+    /// One smoothing step; an unset (NaN) cell takes `obs` as-is.
     fn smooth(alpha: f64, prev: f64, obs: f64) -> f64 {
         if prev.is_nan() {
             obs
         } else {
-            alpha * prev + (1.0 - alpha) * obs
-        }
-    }
-
-    /// Fold one epoch's raw observations into the smoothed state.
-    pub fn update(&mut self, load: &QueryLoad, accounts: &TrafficAccounts) {
-        debug_assert_eq!(load.partitions() as usize, self.partitions);
-        let alpha = self.alpha;
-        for p in 0..self.partitions {
-            let pid = PartitionId::new(p as u32);
-            self.q_avg[p] = Self::smooth(alpha, self.q_avg[p], load.system_average(pid));
-            let row = self.row(p);
-            for (cell, &obs) in self.traffic[row.clone()].iter_mut().zip(accounts.dc_traffic(pid)) {
-                *cell = Self::smooth(alpha, *cell, obs);
-            }
-            for (cell, &out) in self.outflow[row].iter_mut().zip(accounts.dc_outflow(pid)) {
-                *cell = Self::smooth(alpha, *cell, out);
-            }
+            rfh_stats::ewma_step(alpha, prev, obs)
         }
     }
 
@@ -91,24 +75,26 @@ impl TrafficSmoother {
         p * self.dcs..(p + 1) * self.dcs
     }
 
-    /// Sparse variant of [`update`](Self::update): fold one epoch's
-    /// observations for the `active` partitions only (sorted ascending,
-    /// deduplicated), catching each one's cells up over the epochs it
-    /// sat untouched first.
+    /// [`update_active`](Self::update_active) over every partition.
+    pub fn update(&mut self, load: &QueryLoad, accounts: &TrafficAccounts) {
+        self.update_active(load, accounts, &(0..self.partitions as u32).collect::<Vec<_>>());
+    }
+
+    /// Fold one epoch's observations for the `active` partitions
+    /// (sorted ascending, deduplicated), catching each one's cells up
+    /// over the epochs it sat out first.
     ///
-    /// An inactive partition carries no load and no traffic, so the
-    /// dense pass would have fed its cells exact-zero observations every
-    /// epoch. Those zero steps are folded lazily here via
-    /// [`rfh_stats::decay_zeros`], which is bit-identical to the
-    /// explicit recurrence — a smoother driven by `update_active` with
-    /// supersets of the touched partitions equals one driven by the
-    /// dense [`update`](Self::update), bit for bit, on every cell a
-    /// decision ever reads (cells of partitions that were *never*
-    /// active stay lazily unfolded until first activation).
-    ///
-    /// A smoother must be driven exclusively through `update` or
-    /// exclusively through `update_active`; mixing the two desynchronises
-    /// the pass stamps.
+    /// A partition left out of a pass carries no load and no traffic
+    /// that epoch, so a pass that included it would have fed its cells
+    /// exact-zero observations. Those zero steps are folded lazily here
+    /// via [`rfh_stats::decay_zeros`], which is bit-identical to the
+    /// explicit recurrence — a smoother driven with supersets of the
+    /// touched partitions equals one driven over every partition, bit
+    /// for bit, on every cell a decision ever reads (cells of
+    /// partitions that were *never* active stay lazily unfolded until
+    /// first activation). Full passes ([`update`](Self::update)) and
+    /// partial ones may be mixed freely: every pass stamps the
+    /// partitions it folds.
     pub fn update_active(&mut self, load: &QueryLoad, accounts: &TrafficAccounts, active: &[u32]) {
         debug_assert_eq!(load.partitions() as usize, self.partitions);
         debug_assert!(
@@ -119,7 +105,7 @@ impl TrafficSmoother {
         let alpha = self.alpha;
         for &pu in active {
             let p = pu as usize;
-            // Zero observations the dense pass would have applied since
+            // Zero observations a full pass would have applied since
             // this partition's cells were last brought current.
             let gap = self.pass - 1 - self.stamps[p];
             self.stamps[p] = self.pass;
@@ -331,6 +317,54 @@ mod tests {
                     sparse.outflow(d(dc), p(pp)).to_bits(),
                     dense.outflow(d(dc), p(pp)).to_bits(),
                     "outflow dc {dc} partition {pp}"
+                );
+            }
+        }
+    }
+
+    /// Full and partial passes share one pass counter: a smoother that
+    /// alternates [`TrafficSmoother::update`] with
+    /// [`TrafficSmoother::update_active`] equals one driven by `update`
+    /// alone, bit for bit. A full pass that left the stamps alone would
+    /// make the next partial pass fold the zero steps it owes after the
+    /// full pass's observation instead of before it.
+    #[test]
+    fn mixed_full_and_partial_passes_equal_full_passes() {
+        let (parts, dcs) = (3u32, 2usize);
+        let mut full = TrafficSmoother::new(parts, dcs as u32, 0.2);
+        let mut mixed = TrafficSmoother::new(parts, dcs as u32, 0.2);
+        // Even epochs run full passes, the last one included, so every
+        // cell is current when compared.
+        for epoch in 0..13u32 {
+            // Partition 0 is loaded every epoch; partition 1 on full-pass
+            // epochs and every third partial one; partition 2 never.
+            let partial = epoch % 2 == 1;
+            let mut touched = vec![0u32];
+            if !partial || epoch % 3 == 0 {
+                touched.push(1);
+            }
+            let mut load = QueryLoad::zeros(parts, dcs as u32);
+            let mut cells = Vec::new();
+            for &pp in &touched {
+                load.add(p(pp), d(1), 3 + epoch * (pp + 1));
+                cells.push((0, pp as usize, 1.5 + f64::from(epoch)));
+                cells.push((1, pp as usize, 0.25 * f64::from(pp + epoch)));
+            }
+            let acc = accounts(dcs, parts as usize, &cells);
+            full.update(&load, &acc);
+            if partial {
+                mixed.update_active(&load, &acc, &touched);
+            } else {
+                mixed.update(&load, &acc);
+            }
+        }
+        for pp in 0..2 {
+            assert_eq!(mixed.q_avg(p(pp)).to_bits(), full.q_avg(p(pp)).to_bits(), "q_avg {pp}");
+            for dc in 0..dcs as u32 {
+                assert_eq!(
+                    mixed.traffic(d(dc), p(pp)).to_bits(),
+                    full.traffic(d(dc), p(pp)).to_bits(),
+                    "traffic dc {dc} partition {pp}"
                 );
             }
         }

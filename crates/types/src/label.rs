@@ -37,18 +37,6 @@ impl AvailabilityLevel {
     pub const fn value(self) -> u8 {
         self as u8
     }
-
-    /// Build from a numeric level.
-    pub const fn from_value(v: u8) -> Option<Self> {
-        Some(match v {
-            1 => AvailabilityLevel::SameServer,
-            2 => AvailabilityLevel::SameRack,
-            3 => AvailabilityLevel::SameRoom,
-            4 => AvailabilityLevel::SameDatacenter,
-            5 => AvailabilityLevel::DifferentDatacenter,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for AvailabilityLevel {
@@ -249,11 +237,6 @@ mod tests {
     fn availability_level_values() {
         assert_eq!(AvailabilityLevel::SameServer.value(), 1);
         assert_eq!(AvailabilityLevel::DifferentDatacenter.value(), 5);
-        for v in 1..=5 {
-            assert_eq!(AvailabilityLevel::from_value(v).unwrap().value(), v);
-        }
-        assert_eq!(AvailabilityLevel::from_value(0), None);
-        assert_eq!(AvailabilityLevel::from_value(6), None);
     }
 
     #[test]

@@ -128,12 +128,6 @@ impl Bandwidth {
     pub const fn mib_per_epoch(n: u64) -> Bandwidth {
         Bandwidth(n * 1024 * 1024)
     }
-
-    /// Bytes transferable in one epoch.
-    #[inline]
-    pub const fn bytes_per_epoch(self) -> Bytes {
-        Bytes(self.0)
-    }
 }
 
 impl fmt::Display for Bandwidth {
